@@ -352,6 +352,7 @@ bool D2fa::deserialize(util::BinReader& r, D2fa& out) {
     if (id > out.max_match_id_) return false;
   for (std::uint32_t s = 0; s < out.accept_states_; ++s)
     if (out.accept_offsets_[s] == out.accept_offsets_[s + 1]) return false;
+  if (!accept_ids_unique(out.accept_offsets_, out.accept_ids_)) return false;
 
   // Rebuild the in-memory scan form: the root row -> raw id map (each row
   // must be claimed by exactly one state — untag() depends on it), then tag

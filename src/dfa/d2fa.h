@@ -130,10 +130,20 @@ class D2fa {
     return untag(next_tagged(tag_state(state), byte));
   }
 
+  /// Match ids of an accepting state, unique, in the order of the Dfa they
+  /// were copied from (or as sort_accepts() last reordered them).
   [[nodiscard]] std::pair<const std::uint32_t*, const std::uint32_t*> accepts(
       std::uint32_t state) const {
     return {accept_ids_.data() + accept_offsets_[state],
             accept_ids_.data() + accept_offsets_[state + 1]};
+  }
+
+  /// Reorder every accepting state's ids by `less` (see Dfa::sort_accepts).
+  template <typename Less>
+  void sort_accepts(Less less) {
+    for (std::uint32_t s = 0; s < accept_states_; ++s)
+      std::sort(accept_ids_.begin() + accept_offsets_[s],
+                accept_ids_.begin() + accept_offsets_[s + 1], less);
   }
 
   /// Image: defaults + exception row index + exception byte stream + root

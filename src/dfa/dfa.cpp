@@ -577,6 +577,17 @@ bool Dfa::deserialize(util::BinReader& r, Dfa& out, bool allow_empty_table) {
     if (id > out.max_match_id_) return false;
   for (std::uint32_t s = 0; s < out.accept_states_; ++s)
     if (out.accept_offsets_[s] == out.accept_offsets_[s + 1]) return false;
+  return accept_ids_unique(out.accept_offsets_, out.accept_ids_);
+}
+
+bool accept_ids_unique(const std::vector<std::uint32_t>& offsets,
+                       const std::vector<std::uint32_t>& ids) {
+  std::vector<std::uint32_t> list;
+  for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
+    list.assign(ids.begin() + offsets[s], ids.begin() + offsets[s + 1]);
+    std::sort(list.begin(), list.end());
+    if (std::adjacent_find(list.begin(), list.end()) != list.end()) return false;
+  }
   return true;
 }
 

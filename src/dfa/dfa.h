@@ -8,6 +8,7 @@
 // observable outcome instead of an OOM.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -66,11 +67,22 @@ class Dfa {
     return state < accept_states_;
   }
 
-  /// Match ids of an accepting state (sorted, unique).
+  /// Match ids of an accepting state: unique, ascending as built, or in the
+  /// order sort_accepts() last imposed.
   [[nodiscard]] std::pair<const std::uint32_t*, const std::uint32_t*> accepts(
       std::uint32_t state) const {
     return {accept_ids_.data() + accept_offsets_[state],
             accept_ids_.data() + accept_offsets_[state + 1]};
+  }
+
+  /// Reorder every accepting state's ids by `less`; each state keeps its
+  /// id set. The MFA sorts its character table into filter execution order
+  /// so the scan runs accepts() directly (DESIGN.md §6 #10).
+  template <typename Less>
+  void sort_accepts(Less less) {
+    for (std::uint32_t s = 0; s < accept_states_; ++s)
+      std::sort(accept_ids_.begin() + accept_offsets_[s],
+                accept_ids_.begin() + accept_offsets_[s + 1], less);
   }
 
   /// Memory image size. `full_alphabet` accounts a raw 256-wide table (the
@@ -213,6 +225,13 @@ std::optional<Dfa> build_dfa(const nfa::Nfa& nfa, const BuildOptions& options = 
 /// class count. Exposed for tests and for the trace generator.
 std::pair<std::array<std::uint8_t, 256>, std::uint16_t> compute_byte_classes(
     const nfa::Nfa& nfa);
+
+/// Loader check shared by Dfa and D2fa: no accept list (CSR `offsets` into
+/// `ids`, already validated monotone and in range) repeats an id. Makes no
+/// assumption about id order — MFA artifacts store filter order. A repeated
+/// id would run its action twice (duplicate alert, double counter bump).
+bool accept_ids_unique(const std::vector<std::uint32_t>& offsets,
+                       const std::vector<std::uint32_t>& ids);
 
 /// Back-compat wrapper over the Engine/Context split: an engine pointer
 /// plus one owned Context, with the historical scan()/feed() surface

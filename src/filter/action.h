@@ -70,6 +70,14 @@ struct Action {
            ctr_incr == kNone && report != kNone;
   }
 
+  /// True if the action does nothing but clear a bit unconditionally: no
+  /// test, set, report or counter. Pure clears commute, so an accept state
+  /// made only of them folds into per-word masks (DESIGN.md §6 #10).
+  [[nodiscard]] bool is_pure_clear() const {
+    return clear != kNone && test == kNone && set == kNone && report == kNone &&
+           ctr_test == kNone && ctr_incr == kNone;
+  }
+
   /// Pseudocode rendering, e.g. "Test 0 to Set 1" (paper Tables III/IV).
   [[nodiscard]] std::string to_pseudocode() const;
 };

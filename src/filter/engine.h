@@ -45,6 +45,12 @@ class Memory {
     return (word(i) >> (i & 63)) & 1ULL;
   }
 
+  /// Clear every bit of `mask` in memory word `w` (bits [64w, 64w + 64)):
+  /// the folded form of a run of pure Clear actions.
+  void clear_word(std::uint32_t w, std::uint64_t mask) {
+    word(static_cast<std::int32_t>(w * 64)) &= ~mask;
+  }
+
   void increment(std::int32_t c) { ++counters_[c]; }
   [[nodiscard]] std::uint32_t counter(std::int32_t c) const { return counters_[c]; }
 
@@ -114,6 +120,12 @@ class InlineMemory64 {
   [[nodiscard]] bool test_bit(std::int32_t i) const {
     assert(i >= 0 && i < 64);
     return (word(i) >> (i & 31)) & 1U;
+  }
+  void clear_word(std::uint32_t w, std::uint64_t mask) {
+    assert(w == 0);
+    (void)w;
+    *lo_ &= ~static_cast<std::uint32_t>(mask);
+    *hi_ &= ~static_cast<std::uint32_t>(mask >> 32);
   }
 
   void increment(std::int32_t) { assert(false && "inline memory has no counters"); }

@@ -43,24 +43,11 @@ std::optional<Mfa> build_mfa(const std::vector<nfa::PatternInput>& patterns,
   mfa.pieces_ = std::move(sr.pieces);
   mfa.parse_options_ = options.parse;
 
-  // 3. Pre-resolve per-accept-state action order: stable-sort each accept
-  //    set by filter phase so one pass over ordered_actions() executes the
-  //    same-position semantics (clears, tests/reports, sets).
-  const std::uint32_t naccept = mfa.dfa_.accepting_state_count();
-  mfa.ordered_offsets_.assign(naccept + 1, 0);
-  for (std::uint32_t s = 0; s < naccept; ++s) {
-    const auto [first, last] = mfa.dfa_.accepts(s);
-    mfa.ordered_offsets_[s + 1] =
-        mfa.ordered_offsets_[s] + static_cast<std::uint32_t>(last - first);
-  }
-  mfa.ordered_ids_.resize(mfa.ordered_offsets_[naccept]);
-  for (std::uint32_t s = 0; s < naccept; ++s) {
-    const auto [first, last] = mfa.dfa_.accepts(s);
-    auto* out = mfa.ordered_ids_.data() + mfa.ordered_offsets_[s];
-    std::copy(first, last, out);
-    std::sort(out, out + (last - first),
-              filter::ActionOrderLess{&mfa.program_.actions});
-  }
+  // 3. Pre-resolve per-accept-state action order in place: sort each
+  //    accept list by filter phase so one pass over ordered_actions()
+  //    executes the same-position semantics (clears, tests/reports, sets).
+  //    Before delta compression, which copies the lists as they stand.
+  mfa.order_accepts();
 
   // 4. Compile the literal prefilter (Teddy masks + DFA-verified skip
   //    gate). Purely derived from (dfa, pieces, parse options): load()
@@ -78,8 +65,46 @@ std::optional<Mfa> build_mfa(const std::vector<nfa::PatternInput>& patterns,
     mfa.dfa_.drop_table();
   }
 
+  // 6. Fold clear-only accept states into word masks (derived, like the
+  //    prefilter: load() recomputes it).
+  mfa.fold_clears(st);
+
   st.seconds = timer.seconds();
   return mfa;
+}
+
+void Mfa::order_accepts() {
+  const filter::ActionOrderLess less{&program_.actions};
+  dfa_.sort_accepts(less);
+  if (delta_) delta_->sort_accepts(less);
+}
+
+void Mfa::fold_clears(BuildStats& stats) {
+  const std::uint32_t naccept = dfa_.accepting_state_count();
+  fold_index_.assign(naccept, kUnfolded);
+  fold_masks_.clear();
+  const auto pure_clear = [&](std::uint32_t id) {
+    return program_.actions[id].is_pure_clear();
+  };
+  std::vector<ClearMask> words;
+  for (std::uint32_t s = 0; s < naccept; ++s) {
+    const auto [first, last] = ordered_actions(s);
+    if (first == last || !std::all_of(first, last, pure_clear)) continue;
+    words.clear();
+    for (const auto* it = first; it != last; ++it) {
+      const auto bit = static_cast<std::uint32_t>(program_.actions[*it].clear);
+      auto w = std::find_if(words.begin(), words.end(),
+                            [&](const ClearMask& c) { return c.word == bit / 64; });
+      if (w == words.end()) w = words.insert(words.end(), ClearMask{0, bit / 64, 0});
+      w->mask |= std::uint64_t{1} << (bit % 64);
+    }
+    words.back().last = 1;
+    fold_index_[s] = static_cast<std::uint32_t>(fold_masks_.size());
+    fold_masks_.insert(fold_masks_.end(), words.begin(), words.end());
+    ++stats.folded_accept_states;
+    stats.folded_actions += static_cast<std::uint32_t>(last - first);
+  }
+  if (fold_masks_.empty()) fold_index_ = {};
 }
 
 }  // namespace mfa::core

@@ -45,6 +45,10 @@ struct BuildStats {
   split::Stats split;
   dfa::BuildStats dfa;
   dfa::D2faStats d2fa;   ///< populated only when BuildOptions::delta
+  /// Accepting states whose actions are all pure clears, run as word masks
+  /// (DESIGN.md §6 #10), and the action ids those states carry.
+  std::uint32_t folded_accept_states = 0;
+  std::uint32_t folded_actions = 0;
   double seconds = 0.0;  ///< total construction wall time
 };
 
@@ -69,24 +73,26 @@ class Mfa {
   /// Derived data: rebuilt by build_mfa() and load(), never serialized.
   [[nodiscard]] const simd::Prefilter& prefilter() const { return prefilter_; }
 
-  /// Engine match ids of accepting state `s`, pre-sorted into filter
-  /// execution order (clears, then tests/reports, then sets).
+  /// Engine match ids of accepting state `s` in filter execution order
+  /// (clears, then tests/reports, then sets). These are the scanning
+  /// table's own accept lists — the Dfa's in dense mode, the D2fa's in
+  /// delta mode — which build_mfa() and load() sort into that order.
   [[nodiscard]] std::pair<const std::uint32_t*, const std::uint32_t*> ordered_actions(
       std::uint32_t state) const {
-    return {ordered_ids_.data() + ordered_offsets_[state],
-            ordered_ids_.data() + ordered_offsets_[state + 1]};
+    return delta_ ? delta_->accepts(state) : dfa_.accepts(state);
   }
 
-  /// Total memory image: compressed character-DFA table + filter program.
-  /// (Sec. V-C: "almost all the memory image bytes used in MFA are for the
-  /// DFA automaton, with filters taking ... less than 0.2%".)
+  /// Total memory image: compressed character-DFA table (with its accept
+  /// lists) + filter program + the clear-fold index and masks. (Sec. V-C:
+  /// "almost all the memory image bytes used in MFA are for the DFA
+  /// automaton, with filters taking ... less than 0.2%".)
   [[nodiscard]] std::size_t memory_image_bytes() const {
     const std::size_t table_bytes =
         delta_ ? delta_->memory_image_bytes()
                : dfa_.memory_image_bytes(/*full_alphabet=*/false);
     return table_bytes + program_.memory_image_bytes() +
-           ordered_offsets_.size() * sizeof(std::uint32_t) +
-           ordered_ids_.size() * sizeof(std::uint32_t);
+           fold_index_.size() * sizeof(std::uint32_t) +
+           fold_masks_.size() * sizeof(ClearMask);
   }
 
   /// Per-flow scan context footprint: DFA state + filter memory.
@@ -122,30 +128,18 @@ class Mfa {
   /// indexes into).
   [[nodiscard]] std::uint32_t state_count() const { return dfa_.state_count(); }
 
-  /// Feed a chunk through `ctx`: DFA inner loop plus filter post-processing
-  /// on match events only. Thread-safe with distinct contexts.
-  template <typename Sink>
-  void feed(Context& ctx, const std::uint8_t* data, std::size_t size, std::uint64_t base,
+  /// Feed a chunk through `ctx` (a Context, or an InlineContext below, whose
+  /// actions run on its 64-bit inline memory view): DFA inner loop plus
+  /// filter post-processing on match events only. Thread-safe with
+  /// distinct contexts.
+  template <typename Ctx, typename Sink>
+  void feed(Ctx& ctx, const std::uint8_t* data, std::size_t size, std::uint64_t base,
             Sink&& sink) const {
-    if (delta_) {
-      feed_delta(ctx.state, ctx.memory, data, size, base, sink);
-      return;
-    }
-    const filter::Engine engine(program_);
-    const std::uint32_t* table = dfa_.table_data();
-    const std::uint8_t* cols = dfa_.byte_columns();
-    const std::uint32_t ncols = dfa_.column_count();
-    const std::uint32_t naccept = dfa_.accepting_state_count();
-    std::uint32_t s = ctx.state;
-    for (std::size_t i = 0; i < size; ++i) {
-      s = table[static_cast<std::size_t>(s) * ncols + cols[data[i]]];
-      if (s < naccept) {
-        const auto [first, last] = ordered_actions(s);
-        for (const auto* it = first; it != last; ++it)
-          engine.on_match(*it, base + i, ctx.memory, sink);
-      }
-    }
-    ctx.state = s;
+    auto&& memory = memory_view(ctx);
+    if (delta_)
+      scan_delta(ctx.state, memory, data, size, base, sink);
+    else
+      scan_dense(ctx.state, memory, data, size, base, sink);
   }
 
   /// Prefilter gate probe (works on Context and InlineContext alike): when
@@ -233,105 +227,93 @@ class Mfa {
     return ctx;
   }
 
-  /// feed() against an inline context: identical scan loop, with filter
-  /// actions running on the 64-bit inline memory view.
-  template <typename Sink>
-  void feed(InlineContext& ctx, const std::uint8_t* data, std::size_t size,
-            std::uint64_t base, Sink&& sink) const {
-    const filter::Engine engine(program_);
-    filter::InlineMemory64 memory(ctx.mem_lo, ctx.mem_hi);
-    if (delta_) {
-      feed_delta(ctx.state, memory, data, size, base, sink);
-      return;
-    }
-    const std::uint32_t* table = dfa_.table_data();
-    const std::uint8_t* cols = dfa_.byte_columns();
-    const std::uint32_t ncols = dfa_.column_count();
-    const std::uint32_t naccept = dfa_.accepting_state_count();
-    std::uint32_t s = ctx.state;
-    for (std::size_t i = 0; i < size; ++i) {
-      s = table[static_cast<std::size_t>(s) * ncols + cols[data[i]]];
-      if (s < naccept) {
-        const auto [first, last] = ordered_actions(s);
-        for (const auto* it = first; it != last; ++it)
-          engine.on_match(*it, base + i, memory, sink);
-      }
-    }
-    ctx.state = s;
-  }
+  using FeedJob = scan::FeedJob<Context>;
 
-  /// feed_many() over inline contexts: the interleaved kernel only touches
-  /// ctx->state, so the same K-way scan drives hot-slot flows directly.
-  template <typename Sink>
-  void feed_many(scan::FeedJob<InlineContext>* jobs, std::size_t count, Sink&& sink,
+  /// K-way interleaved scan (see Dfa::feed_many) over Context or
+  /// InlineContext jobs: the character-DFA inner loop advances `lanes`
+  /// flows per iteration and only touches ctx->state; filter actions run
+  /// on match events only, against the owning job's per-flow memory, so
+  /// per-flow filter semantics are exactly feed()'s. sink(job_index, id,
+  /// end_offset).
+  template <typename Ctx, typename Sink>
+  void feed_many(scan::FeedJob<Ctx>* jobs, std::size_t count, Sink&& sink,
                  std::size_t lanes = scan::kDefaultLanes) const {
-    const filter::Engine engine(program_);
-    const auto on_accept = [&](std::size_t job, std::uint32_t s, std::uint64_t end) {
-      InlineContext& c = *jobs[job].ctx;
-      filter::InlineMemory64 memory(c.mem_lo, c.mem_hi);
-      const auto [first, last] = ordered_actions(s);
-      for (const auto* it = first; it != last; ++it)
-        engine.on_match(*it, end, memory,
-                        [&](std::uint32_t id, std::uint64_t e) { sink(job, id, e); });
-    };
     if (delta_) {
       // One job at a time, same as D2fa::feed_many: interleaving the
       // tagged chain walk regresses, and the per-job tagged loop keeps
       // byte/match order exactly feed()'s.
       for (std::size_t j = 0; j < count; ++j) {
         if (jobs[j].size == 0) continue;
-        InlineContext& c = *jobs[j].ctx;
-        filter::InlineMemory64 memory(c.mem_lo, c.mem_hi);
-        feed_delta(c.state, memory, jobs[j].data, jobs[j].size, jobs[j].base,
-                   [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
+        feed(*jobs[j].ctx, jobs[j].data, jobs[j].size, jobs[j].base,
+             [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
       }
       return;
     }
-    simd::dense_interleaved_scan(dfa_.table_data(), dfa_.column_count(),
-                                 dfa_.byte_columns(), dfa_.accepting_state_count(),
-                                 jobs, count, lanes, std::move(on_accept));
-  }
-
-  using FeedJob = scan::FeedJob<Context>;
-
-  /// K-way interleaved scan (see Dfa::feed_many): the character-DFA inner
-  /// loop advances `lanes` flows per iteration; filter actions run on match
-  /// events only, against the owning job's per-flow memory, so per-flow
-  /// filter semantics are exactly feed()'s. sink(job_index, id, end_offset).
-  template <typename Sink>
-  void feed_many(FeedJob* jobs, std::size_t count, Sink&& sink,
-                 std::size_t lanes = scan::kDefaultLanes) const {
-    const filter::Engine engine(program_);
-    const auto on_accept = [&](std::size_t job, std::uint32_t s, std::uint64_t end) {
-      const auto [first, last] = ordered_actions(s);
-      for (const auto* it = first; it != last; ++it)
-        engine.on_match(*it, end, jobs[job].ctx->memory,
-                        [&](std::uint32_t id, std::uint64_t e) { sink(job, id, e); });
-    };
-    if (delta_) {
-      // One job at a time (see the InlineContext overload above).
-      for (std::size_t j = 0; j < count; ++j) {
-        if (jobs[j].size == 0) continue;
-        feed_delta(jobs[j].ctx->state, jobs[j].ctx->memory, jobs[j].data,
-                   jobs[j].size, jobs[j].base,
-                   [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
-      }
-      return;
-    }
-    simd::dense_interleaved_scan(dfa_.table_data(), dfa_.column_count(),
-                                 dfa_.byte_columns(), dfa_.accepting_state_count(),
-                                 jobs, count, lanes, std::move(on_accept));
+    simd::dense_interleaved_scan(
+        dfa_.table_data(), dfa_.column_count(), dfa_.byte_columns(),
+        dfa_.accepting_state_count(), jobs, count, lanes,
+        [&](std::size_t job, std::uint32_t s, std::uint64_t end) {
+          auto&& memory = memory_view(*jobs[job].ctx);
+          accept(s, end, memory,
+                 [&](std::uint32_t id, std::uint64_t e) { sink(job, id, e); });
+        });
   }
 
   /// Persist the compiled automaton (character DFA + filter program +
-  /// per-accept-state action order + piece sources) to a ".mfac" file so a
-  /// deployment can compile once and load on every sensor.
+  /// piece sources) to a ".mfac" file so a deployment can compile once and
+  /// load on every sensor. Filter order and the clear fold are derived
+  /// again on load, never read from the file.
   bool save(const std::string& path) const;
   static std::optional<Mfa> load(const std::string& path);
 
  private:
   friend std::optional<Mfa> build_mfa(const std::vector<nfa::PatternInput>&,
                                       const BuildOptions&, BuildStats*);
+
+  /// fold_index_ value of an accepting state that runs its ordered actions.
+  static constexpr std::uint32_t kUnfolded = UINT32_MAX;
+
+  /// One memory word of a folded clear-only accept state: word &= ~mask.
+  struct ClearMask {
+    std::uint64_t mask = 0;
+    std::uint32_t word = 0;
+    std::uint32_t last = 0;  ///< nonzero on the state's final entry
+  };
+
+  static filter::Memory& memory_view(Context& ctx) { return ctx.memory; }
+  static filter::InlineMemory64 memory_view(InlineContext& ctx) {
+    return {ctx.mem_lo, ctx.mem_hi};
+  }
+
+  /// Sort the scanning table's accept lists into filter execution order
+  /// (filter::ActionOrderLess). build_mfa() runs it before the D2fa copies
+  /// the Dfa's lists; load() runs it on both, so the order in a file is
+  /// never trusted.
+  void order_accepts();
+
+  /// Derive the clear fold: every accepting state whose actions are all
+  /// pure clears gets its (word, mask) run in fold_masks_. Exact, because
+  /// clears commute and fire unconditionally; any other state keeps its
+  /// ordered action list (DESIGN.md §6 #8, #10). When no state folds, the
+  /// index stays empty: no bytes, and no index load per accept.
+  void fold_clears(BuildStats& stats);
+
+  /// A state's whole filter work on entering accepting state `s` at stream
+  /// offset `pos`: a folded clear-only state applies its word masks, any
+  /// other state runs its actions in filter order.
+  template <typename MemoryT, typename Sink>
+  void accept(std::uint32_t s, std::uint64_t pos, MemoryT& memory, Sink&& sink) const {
+    if (!fold_index_.empty() && fold_index_[s] != kUnfolded) {
+      for (const ClearMask* c = fold_masks_.data() + fold_index_[s];; ++c) {
+        memory.clear_word(c->word, c->mask);
+        if (c->last != 0) return;
+      }
+    }
+    const filter::Engine engine(program_);
+    const auto [first, last] = ordered_actions(s);
+    for (const auto* it = first; it != last; ++it)
+      engine.on_match(*it, pos, memory, sink);
+  }
 
   /// Skipped-chunk state reconstruction: run the last window() bytes from
   /// the start state. Sound only under the gate proof (prefilter_gate
@@ -359,23 +341,36 @@ class Mfa {
     return s;
   }
 
-  /// Delta-mode scan loop shared by both context flavors: identical match
-  /// semantics to the dense loop, stepping on D2fa tagged states so a
-  /// root-resident byte costs one dense load and the accept test is a bit
-  /// check (see the tagged-state comment in d2fa.h).
-  template <typename Memory, typename Sink>
-  void feed_delta(std::uint32_t& state, Memory& memory, const std::uint8_t* data,
+  /// Dense-table scan loop, shared by both context forms (templated on the
+  /// memory view).
+  template <typename MemoryT, typename Sink>
+  void scan_dense(std::uint32_t& state, MemoryT& memory, const std::uint8_t* data,
                   std::size_t size, std::uint64_t base, Sink&& sink) const {
-    const filter::Engine engine(program_);
+    const std::uint32_t* table = dfa_.table_data();
+    const std::uint8_t* cols = dfa_.byte_columns();
+    const std::uint32_t ncols = dfa_.column_count();
+    const std::uint32_t naccept = dfa_.accepting_state_count();
+    std::uint32_t s = state;
+    for (std::size_t i = 0; i < size; ++i) {
+      s = table[static_cast<std::size_t>(s) * ncols + cols[data[i]]];
+      if (s < naccept) accept(s, base + i, memory, sink);
+    }
+    state = s;
+  }
+
+  /// Delta-mode scan loop: identical match semantics to the dense loop,
+  /// stepping on D2fa tagged states so a root-resident byte costs one dense
+  /// load and the accept test is a bit check (see the tagged-state comment
+  /// in d2fa.h).
+  template <typename MemoryT, typename Sink>
+  void scan_delta(std::uint32_t& state, MemoryT& memory, const std::uint8_t* data,
+                  std::size_t size, std::uint64_t base, Sink&& sink) const {
     const dfa::D2fa& d = *delta_;
     std::uint32_t v = d.tag_state(state);
     for (std::size_t i = 0; i < size; ++i) {
       v = d.next_tagged(v, data[i]);
-      if (dfa::D2fa::tagged_accept(v)) [[unlikely]] {
-        const auto [first, last] = ordered_actions(d.untag(v));
-        for (const auto* it = first; it != last; ++it)
-          engine.on_match(*it, base + i, memory, sink);
-      }
+      if (dfa::D2fa::tagged_accept(v)) [[unlikely]]
+        accept(d.untag(v), base + i, memory, sink);
     }
     state = d.untag(v);
   }
@@ -385,8 +380,9 @@ class Mfa {
   simd::Prefilter prefilter_;
   filter::Program program_;
   std::vector<split::Piece> pieces_;
-  std::vector<std::uint32_t> ordered_offsets_;  // accept_states + 1
-  std::vector<std::uint32_t> ordered_ids_;
+  // Per accepting state: first mask or kUnfolded; empty when nothing folds.
+  std::vector<std::uint32_t> fold_index_;
+  std::vector<ClearMask> fold_masks_;
   regex::ParseOptions parse_options_;
 };
 

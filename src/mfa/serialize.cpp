@@ -3,18 +3,31 @@
 // A compiled MFA is exactly the artifact a deployment wants to ship to
 // sensors: construction (Sec. IV) happens once on a build host; sensors
 // mmap/load the table+program and start scanning. The format stores the
-// character DFA, the filter program, the pre-ordered per-accept-state
-// action lists, and the decomposed piece sources (for operator display).
+// character DFA, the filter program and the decomposed piece sources (for
+// operator display).
 //
-// v2 additionally stores the regex::ParseOptions the sources were compiled
-// under (so load() re-parses pieces in the same dialect) and a trailing
-// FNV-1a digest of the whole payload; v1 files remain readable.
+// v4 layout, written for dense and delta automata alike (little-endian;
+// pod_vec = u64 count + raw elements):
 //
-// v3 is the delta-table layout, written only for delta-mode automata: a
-// table-kind byte after the parse options, a headless character DFA
-// (metadata + accept geometry, zero-length transition table), and the
-// D2fa section carrying the transitions. Dense automata keep writing v2 so
-// their artifacts stay byte-identical across this change.
+//   "MFAC"  u32 version = 4
+//   u8 icase  u8 dotall  i32 max_counted_repeat  i32 max_nesting_depth
+//   u8 table kind (0 dense, 1 delta)
+//   Dfa section (headless — zero-length transition table — when delta)
+//   D2fa section (delta only)
+//   pod_vec<filter::Action>  u32 memory_bits  u32 counters  u32 position_slots
+//   u64 piece count, then per piece: u32 length + regex source
+//   u64 FNV-1a digest of every byte above
+//
+// The table sections' accept lists are stored in filter order, but load()
+// sorts them again and never trusts the order in the file; the clear fold
+// and the prefilter are derived data and are not stored.
+//
+// Older versions still load. v1 has no parse options, table kind or
+// digest; v2 adds the parse options and the digest; v3 adds the table-kind
+// byte and was written only for delta automata. v1-v3 also carried a
+// re-sorted second copy of the accept lists (offsets, then ids) after the
+// program geometry, which load() reads and discards.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -27,8 +40,9 @@ namespace mfa::core {
 namespace {
 constexpr char kMagic[4] = {'M', 'F', 'A', 'C'};
 constexpr std::uint32_t kVersionV1 = 1;
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersionV2 = 2;
 constexpr std::uint32_t kVersionV3 = 3;
+constexpr std::uint32_t kVersion = 4;
 constexpr std::uint8_t kTableDense = 0;
 constexpr std::uint8_t kTableDelta = 1;
 }  // namespace
@@ -42,13 +56,13 @@ bool Mfa::save(const std::string& path) const {
   if (raw == nullptr) return false;
   util::BinWriter w(raw);
   w.bytes(kMagic, 4);
-  w.u32(delta_ ? kVersionV3 : kVersion);
+  w.u32(kVersion);
   // Parse dialect the piece sources round-trip under.
   w.u8(parse_options_.icase ? 1 : 0);
   w.u8(parse_options_.dotall ? 1 : 0);
   w.i32(parse_options_.max_counted_repeat);
   w.i32(parse_options_.max_nesting_depth);
-  if (delta_) w.u8(kTableDelta);
+  w.u8(delta_ ? kTableDelta : kTableDense);
   dfa_.serialize(w);  // headless in delta mode (table dropped at build)
   if (delta_) delta_->serialize(w);
   // Filter program: actions are a trivially-copyable struct of int32s.
@@ -56,8 +70,6 @@ bool Mfa::save(const std::string& path) const {
   w.u32(program_.memory_bits);
   w.u32(program_.counters);
   w.u32(program_.position_slots);
-  w.pod_vec(ordered_offsets_);
-  w.pod_vec(ordered_ids_);
   // Piece regex sources; engine ids are their indices.
   w.u64(pieces_.size());
   for (const auto& piece : pieces_) w.str(piece.regex.source);
@@ -78,11 +90,10 @@ std::optional<Mfa> Mfa::load(const std::string& path) {
   r.bytes(magic, 4);
   if (!r.ok() || std::memcmp(magic, kMagic, 4) != 0) return std::nullopt;
   const std::uint32_t version = r.u32();
-  if (version != kVersionV1 && version != kVersion && version != kVersionV3)
-    return std::nullopt;
+  if (version < kVersionV1 || version > kVersion) return std::nullopt;
 
   Mfa mfa;
-  if (version >= kVersion) {
+  if (version >= kVersionV2) {
     mfa.parse_options_.icase = r.u8() != 0;
     mfa.parse_options_.dotall = r.u8() != 0;
     mfa.parse_options_.max_counted_repeat = r.i32();
@@ -120,8 +131,12 @@ std::optional<Mfa> Mfa::load(const std::string& path) {
   mfa.program_.memory_bits = r.u32();
   mfa.program_.counters = r.u32();
   mfa.program_.position_slots = r.u32();
-  mfa.ordered_offsets_ = r.pod_vec<std::uint32_t>();
-  mfa.ordered_ids_ = r.pod_vec<std::uint32_t>();
+  if (version < kVersion) {
+    // The pre-v4 re-sorted accept-list copy: read so the digest covers it,
+    // then dropped — filter order is derived below.
+    (void)r.pod_vec<std::uint32_t>();
+    (void)r.pod_vec<std::uint32_t>();
+  }
   const std::uint64_t piece_count = r.u64();
   if (!r.ok() || piece_count > (1u << 24)) return std::nullopt;
   for (std::uint64_t i = 0; i < piece_count; ++i) {
@@ -133,7 +148,7 @@ std::optional<Mfa> Mfa::load(const std::string& path) {
         split::Piece{*std::move(parsed.regex), static_cast<std::uint32_t>(i)});
   }
   if (!r.ok()) return std::nullopt;
-  if (version >= kVersion) {
+  if (version >= kVersionV2) {
     // Verify the trailing digest (computed over everything before it) and
     // insist the file ends there: any stomped or truncated or appended byte
     // fails deterministically instead of depending on which field it hit.
@@ -143,21 +158,10 @@ std::optional<Mfa> Mfa::load(const std::string& path) {
   }
 
   // Cross-structure validation: every id the DFA can report must have an
-  // action; ordered lists must mirror the DFA's accept geometry; bit and
-  // counter indices must stay inside the declared memory.
+  // action; bit and counter indices must stay inside the declared memory.
   if (piece_count != mfa.program_.actions.size()) return std::nullopt;
   if (mfa.dfa_.max_match_id() >= mfa.program_.actions.size()) return std::nullopt;
   if (mfa.program_.memory_bits > filter::kMaxMemoryBits) return std::nullopt;
-  if (mfa.ordered_offsets_.size() != mfa.dfa_.accepting_state_count() + 1u)
-    return std::nullopt;
-  if (!mfa.ordered_offsets_.empty() &&
-      (mfa.ordered_offsets_.front() != 0 ||
-       mfa.ordered_offsets_.back() != mfa.ordered_ids_.size()))
-    return std::nullopt;
-  for (std::size_t i = 1; i < mfa.ordered_offsets_.size(); ++i)
-    if (mfa.ordered_offsets_[i] < mfa.ordered_offsets_[i - 1]) return std::nullopt;
-  for (const std::uint32_t id : mfa.ordered_ids_)
-    if (id >= mfa.program_.actions.size()) return std::nullopt;
   const auto bit_ok = [&](std::int32_t bit) {
     return bit == filter::kNone ||
            (bit >= 0 && static_cast<std::uint32_t>(bit) < std::max(1u, mfa.program_.memory_bits));
@@ -179,6 +183,20 @@ std::optional<Mfa> Mfa::load(const std::string& path) {
       return std::nullopt;
   }
 
+  // Filter order is derived, never read: sort the tables' own accept lists
+  // (the deserializers already rejected repeated ids) exactly as
+  // build_mfa() does. In delta mode the D2fa's lists are the ones the scan
+  // runs, so they must hold the DFA's accept sets, not merely be
+  // well-formed.
+  mfa.order_accepts();
+  if (mfa.delta_) {
+    for (std::uint32_t s = 0; s < mfa.dfa_.accepting_state_count(); ++s) {
+      const auto [df, dl] = mfa.dfa_.accepts(s);
+      const auto [ef, el] = mfa.delta_->accepts(s);
+      if (!std::equal(df, dl, ef, el)) return std::nullopt;
+    }
+  }
+
   // The prefilter is derived data (Teddy masks + the DFA-verified gate):
   // rebuild it from the validated pieces exactly as build_mfa() does, so an
   // artifact round-trip scans identically to a fresh compile. The gate
@@ -194,6 +212,8 @@ std::optional<Mfa> Mfa::load(const std::string& path) {
     mfa.prefilter_ =
         simd::Prefilter::build(mfa.dfa_, mfa.pieces_, mfa.parse_options_.icase);
   }
+  BuildStats fold_stats;
+  mfa.fold_clears(fold_stats);
   return mfa;
 }
 

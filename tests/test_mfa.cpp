@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "engine_test_util.h"
+#include "patterns/builtin.h"
 #include "regex/sample.h"
 #include "util/rng.h"
 
@@ -307,6 +308,204 @@ TEST(MfaDelta, GatedFeedParityWithDenseOnCleanTraffic) {
   }
   EXPECT_EQ(sorted(sd.matches), sorted(se.matches));
   EXPECT_FALSE(sd.matches.empty());
+}
+
+// --- Clear-only accept states fold to word masks (DESIGN.md §6 #10) ---
+
+/// `n` almost-dot-star patterns `.*hdN[^\n]*vlN`. Each decomposes into a
+/// Set piece, a Test-and-report piece and a pure-clear `\n` piece, so the
+/// state entered on a line break carries n pure clears.
+std::vector<std::string> ads_patterns(std::size_t n) {
+  std::vector<std::string> sources;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string tag = std::to_string(i);
+    sources.push_back(".*hd" + tag + "[^\\n]*vl" + tag);
+  }
+  return sources;
+}
+
+/// Reference matches of the original (undecomposed) patterns: their DFA,
+/// or the NFA where that DFA explodes (many ADS rules — MFA's raison d'être).
+class Reference {
+ public:
+  Reference(const std::vector<std::string>& sources, bool original_dfa)
+      : nfa_(nfa::build_nfa(compile_patterns(sources))) {
+    if (original_dfa) {
+      dfa_ = dfa::build_dfa(nfa_);
+      EXPECT_TRUE(dfa_.has_value());
+    }
+  }
+  MatchVec operator()(const std::string& input) const {
+    if (dfa_) {
+      dfa::DfaScanner s(*dfa_);
+      return sorted(s.scan(input));
+    }
+    nfa::NfaScanner s(nfa_);
+    return sorted(s.scan(input));
+  }
+
+ private:
+  nfa::Nfa nfa_;
+  std::optional<dfa::Dfa> dfa_;
+};
+
+/// Newline-dense traffic (the C112 signature): sampled matches of random
+/// patterns between filler runs in which a fifth of the bytes are '\n'.
+/// Half the matches are broken by a line break at a random point; an ADS
+/// rule must then stay silent, which only its Clear ensures.
+std::string newline_dense_input(const std::vector<std::string>& sources, util::Rng& rng) {
+  std::string input;
+  for (int seg = 2 + static_cast<int>(rng.below(6)); seg > 0; --seg) {
+    if (rng.chance(0.5)) {
+      std::string match = regex::sample_match(
+          regex::parse_or_die(sources[rng.below(sources.size())]), rng);
+      if (rng.chance(0.5)) match.insert(rng.below(match.size() + 1), 1, '\n');
+      input += match;
+    } else {
+      for (int i = 4 + static_cast<int>(rng.below(30)); i > 0; --i)
+        input += rng.chance(0.2) ? '\n' : static_cast<char>(rng.printable());
+    }
+  }
+  return input;
+}
+
+/// Runs every Mfa entry point over the same flows, cut at the same random
+/// chunk seams with contexts carried across them, and checks each flow's
+/// matches against the reference: feed() on Context and on InlineContext,
+/// and feed_many() over both job types. Each feed_many() call batches one
+/// chunk of every live flow, so the interleaved kernel (AVX2 where the CPU
+/// has it) runs with all lanes busy.
+void expect_entry_points_match(const Mfa& m, const Reference& ref,
+                               const std::vector<std::string>& sources,
+                               std::uint64_t seed) {
+  constexpr std::size_t kFlows = 10;
+  util::Rng rng(seed);
+  std::vector<std::string> inputs;
+  std::vector<std::vector<std::size_t>> seams;  // chunk end offsets per flow
+  std::vector<MatchVec> expect;
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    inputs.push_back(newline_dense_input(sources, rng));
+    std::vector<std::size_t> ends;
+    for (std::size_t pos = 0; pos < inputs[f].size();) {
+      pos = std::min<std::size_t>(inputs[f].size(), pos + 1 + rng.below(24));
+      ends.push_back(pos);
+    }
+    seams.push_back(std::move(ends));
+    expect.push_back(ref(inputs[f]));
+  }
+  const auto bytes = [&](std::size_t f, std::size_t pos) {
+    return reinterpret_cast<const std::uint8_t*>(inputs[f].data()) + pos;
+  };
+
+  const auto run_feed = [&](const char* what, auto make_context) {
+    for (std::size_t f = 0; f < kFlows; ++f) {
+      auto ctx = make_context();
+      CollectingSink sink;
+      std::size_t pos = 0;
+      for (const std::size_t end : seams[f]) {
+        m.feed(ctx, bytes(f, pos), end - pos, pos, sink);
+        pos = end;
+      }
+      EXPECT_EQ(sorted(sink.matches), expect[f]) << what << " flow " << f << ": " << inputs[f];
+    }
+  };
+  const auto run_feed_many = [&](const char* what, auto make_context) {
+    using Ctx = decltype(make_context());
+    std::vector<Ctx> ctx;
+    for (std::size_t f = 0; f < kFlows; ++f) ctx.push_back(make_context());
+    std::vector<MatchVec> got(kFlows);
+    std::vector<std::size_t> next(kFlows, 0);
+    std::vector<std::size_t> pos(kFlows, 0);
+    for (;;) {
+      std::vector<scan::FeedJob<Ctx>> jobs;
+      std::vector<std::size_t> owner;
+      for (std::size_t f = 0; f < kFlows; ++f) {
+        if (next[f] == seams[f].size()) continue;
+        const std::size_t end = seams[f][next[f]++];
+        jobs.push_back({&ctx[f], bytes(f, pos[f]), end - pos[f], pos[f]});
+        owner.push_back(f);
+        pos[f] = end;
+      }
+      if (jobs.empty()) break;
+      m.feed_many(jobs.data(), jobs.size(),
+                  [&](std::size_t j, std::uint32_t id, std::uint64_t e) {
+                    got[owner[j]].push_back({id, e});
+                  });
+    }
+    for (std::size_t f = 0; f < kFlows; ++f)
+      EXPECT_EQ(sorted(got[f]), expect[f]) << what << " flow " << f << ": " << inputs[f];
+  };
+
+  run_feed("feed(Context)", [&] { return m.make_context(); });
+  run_feed_many("feed_many(Context)", [&] { return m.make_context(); });
+  if (m.inline_contexts_ok()) {
+    run_feed("feed(InlineContext)", [&] { return m.make_inline_context(); });
+    run_feed_many("feed_many(InlineContext)", [&] { return m.make_inline_context(); });
+  }
+}
+
+TEST(MfaFold, S31pFoldsItsLineBreakClearState) {
+  // S31p's 30 almost-dot-star rules each clear their guard bit on a line
+  // break: the state entered there carries exactly those 30 pure clears and
+  // is the set's only clear-only state (the C112 hot spot).
+  const patterns::PatternSet set = patterns::set_by_name("S31p");
+  BuildStats stats;
+  const auto dense = build_mfa(set.patterns, {}, &stats);
+  ASSERT_TRUE(dense.has_value());
+  EXPECT_EQ(stats.folded_accept_states, 1u);
+  EXPECT_EQ(stats.folded_actions, 30u);
+  BuildOptions del;
+  del.delta = true;
+  const auto delta = build_mfa(set.patterns, del);
+  ASSERT_TRUE(delta.has_value());
+
+  const Reference ref(set.sources, /*original_dfa=*/true);
+  expect_entry_points_match(*dense, ref, set.sources, 31);
+  expect_entry_points_match(*delta, ref, set.sources, 32);
+}
+
+TEST(MfaFold, ClearMasksInOneWordAcrossWordsAndPastInlineMemory) {
+  // One clear-only state whose bits sit in the low half of one word (5),
+  // fill both 32-bit halves of an InlineContext (40), span two words (80),
+  // and reach Memory's overflow words past kInlineMemoryBits (300).
+  for (const std::size_t n : {5u, 40u, 80u, 300u}) {
+    const auto sources = ads_patterns(n);
+    const auto inputs = compile_patterns(sources);
+    BuildStats stats;
+    const auto dense = build_mfa(inputs, {}, &stats);
+    ASSERT_TRUE(dense.has_value()) << n;
+    EXPECT_EQ(stats.folded_accept_states, 1u) << n;
+    EXPECT_EQ(stats.folded_actions, n) << n;
+    EXPECT_EQ(dense->inline_contexts_ok(), n <= 64) << n;
+    if (n == 300) {
+      EXPECT_GT(dense->program().memory_bits, filter::kInlineMemoryBits);
+    }
+    BuildOptions del;
+    del.delta = true;
+    const auto delta = build_mfa(inputs, del);
+    ASSERT_TRUE(delta.has_value()) << n;
+
+    const Reference ref(sources, /*original_dfa=*/n <= 5);
+    expect_entry_points_match(*dense, ref, sources, 100 + n);
+    expect_entry_points_match(*delta, ref, sources, 200 + n);
+  }
+}
+
+TEST(MfaFold, MixedClearAndSetStateKeepsItsOrderedActions) {
+  // Rule 1's line-break clear co-ends with rule 2's `xq\n` piece, so the
+  // state entered on "xq\n" holds [Clear][Set]: it must run in filter order
+  // and stay unfolded. Only the plain line-break state (one clear) folds.
+  const std::vector<std::string> pats = {".*ab[^\\n]*cd", ".*xq\\n.*yz"};
+  BuildStats stats;
+  const auto m = build_mfa(compile_patterns(pats), {}, &stats);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(stats.folded_accept_states, 1u);
+  EXPECT_EQ(stats.folded_actions, 1u);
+  EXPECT_EQ(scan(*m, "ab xq\ncd yz"), (MatchVec{{2, 10}}));
+
+  const Reference ref(pats, /*original_dfa=*/true);
+  EXPECT_EQ(ref("ab xq\ncd yz"), (MatchVec{{2, 10}}));
+  expect_entry_points_match(*m, ref, pats, 77);
 }
 
 TEST(MfaEngineContext, SharedEngineIndependentContexts) {

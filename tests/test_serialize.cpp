@@ -2,13 +2,17 @@
 // rejection, and scan-equivalence of reloaded automata.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "engine_test_util.h"
 #include "mfa/mfa.h"
+#include "regex/sample.h"
 #include "rules/rules.h"
 #include "rules/ruleset_gen.h"
 #include "util/binio.h"
+#include "util/rng.h"
 
 namespace mfa::core {
 namespace {
@@ -427,6 +431,160 @@ TEST(Serialize, DfaValidationCatchesBadTargets) {
   dfa::Dfa out;
   EXPECT_FALSE(dfa::Dfa::deserialize(r, out));
   std::remove(path.c_str());
+}
+
+void write_file_bytes(const std::string& path, const std::vector<char>& bytes) {
+  util::FilePtr f(std::fopen(path.c_str(), "wb"));
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f.get()), bytes.size());
+}
+
+/// `table` must have exactly one accepting state, holding ids {1, 2}: both
+/// table formats end with that accept-id list, so the last 8 bytes are it.
+template <typename Table>
+void expect_repeated_accept_ids_rejected(const Table& table, const char* name) {
+  const std::string path = temp_path(name);
+  {
+    util::FilePtr f(std::fopen(path.c_str(), "wb"));
+    util::BinWriter w(f.get());
+    table.serialize(w);
+    ASSERT_TRUE(w.ok());
+  }
+  const std::vector<char> bytes = read_file_bytes(path);
+  const auto loads_with_ids = [&](std::uint32_t a, std::uint32_t b) {
+    std::vector<char> mutated = bytes;
+    std::memcpy(mutated.data() + mutated.size() - 8, &a, 4);
+    std::memcpy(mutated.data() + mutated.size() - 4, &b, 4);
+    write_file_bytes(path, mutated);
+    util::FilePtr f(std::fopen(path.c_str(), "rb"));
+    util::BinReader r(f.get());
+    Table out;
+    return Table::deserialize(r, out);
+  };
+  EXPECT_TRUE(loads_with_ids(1, 2)) << name;
+  EXPECT_TRUE(loads_with_ids(2, 1)) << name;  // any order: MFA artifacts store filter order
+  EXPECT_FALSE(loads_with_ids(1, 1)) << name;
+  EXPECT_FALSE(loads_with_ids(2, 2)) << name;
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, TableValidationRejectsRepeatedAcceptIds) {
+  // A repeated id in one accept list would run its filter action twice — a
+  // duplicate alert or a double counter bump. Two identical patterns give
+  // one accepting state with ids {1, 2} to stomp on.
+  const auto d = dfa::build_dfa(nfa::build_nfa(compile_patterns({"ab", "ab"})));
+  ASSERT_TRUE(d.has_value());
+  ASSERT_EQ(d->accepting_state_count(), 1u);
+  ASSERT_EQ(d->accepts(0).second - d->accepts(0).first, 2);
+  expect_repeated_accept_ids_rejected(*d, "dup_ids_dfa.bin");
+  expect_repeated_accept_ids_rejected(dfa::D2fa(*d), "dup_ids_d2fa.bin");
+}
+
+TEST(Serialize, FilterOrderIsDerivedOnLoadEvenUnderARecomputedDigest) {
+  // The digest catches corruption, not crafting: an edited artifact can
+  // carry a recomputed digest. So load() trusts no stored order: ids swapped
+  // inside an accept list load back into filter order, and a repeated id
+  // is refused. Two identical rules give one accepting state with two ids.
+  const auto built = build_mfa(compile_patterns({".*ab", ".*ab"}));
+  ASSERT_TRUE(built.has_value());
+  const dfa::Dfa& d = built->character_dfa();
+  ASSERT_EQ(d.accepting_state_count(), 1u);
+  const auto [first, last] = built->ordered_actions(0);
+  ASSERT_EQ(last - first, 2);
+  const std::uint32_t id0 = first[0];
+  const std::uint32_t id1 = first[1];
+
+  const std::string path = temp_path("crafted.mfac");
+  ASSERT_TRUE(built->save(path));
+  const std::vector<char> bytes = read_file_bytes(path);
+  // v4 header, then the Dfa section up to its accept-id payload.
+  const std::size_t ids_at =
+      4 + 4 + 1 + 1 + 4 + 4 + 1 +                                       // header
+      4 * 4 + 2 + 256 +                                                 // Dfa scalars
+      8 + 4 * static_cast<std::size_t>(d.state_count()) * d.column_count() +  // table
+      8 + 4 * (static_cast<std::size_t>(d.accepting_state_count()) + 1) +     // offsets
+      8;                                                                // id count
+  const auto load_with_ids = [&](std::uint32_t a, std::uint32_t b) {
+    std::vector<char> mutated = bytes;
+    std::memcpy(mutated.data() + ids_at, &a, 4);
+    std::memcpy(mutated.data() + ids_at + 4, &b, 4);
+    const std::uint64_t digest = util::detail::fnv1a(util::detail::kFnvOffset,
+                                                     mutated.data(), mutated.size() - 8);
+    std::memcpy(mutated.data() + mutated.size() - 8, &digest, 8);
+    write_file_bytes(path, mutated);
+    return Mfa::load(path);
+  };
+  ASSERT_TRUE(load_with_ids(id0, id1).has_value());  // the offset is right
+
+  const auto swapped = load_with_ids(id1, id0);
+  ASSERT_TRUE(swapped.has_value());
+  const auto [sf, sl] = swapped->ordered_actions(0);
+  EXPECT_TRUE(std::equal(first, last, sf, sl));
+  MfaScanner a(*built);
+  MfaScanner b(*swapped);
+  EXPECT_EQ(sorted(a.scan("xxab yy ab")), sorted(b.scan("xxab yy ab")));
+
+  EXPECT_FALSE(load_with_ids(id0, id0).has_value());
+  std::remove(path.c_str());
+}
+
+// Artifacts written by the pre-v4 writer (tests/fixtures/README.md), the
+// versions that still carried a re-sorted copy of the accept lists.
+std::string fixture_path(const char* name) {
+  return std::string(MFA_TEST_FIXTURE_DIR) + "/" + name;
+}
+
+/// A legacy artifact must load into exactly the automaton a fresh build
+/// gives: same image size, byte-identical once both are re-saved as v4, and
+/// the same matches on `traffic` (which must produce some).
+void expect_loads_like_fresh_build(const std::string& fixture, const Mfa& fresh,
+                                   const std::vector<std::string>& traffic) {
+  const auto loaded = Mfa::load(fixture);
+  ASSERT_TRUE(loaded.has_value()) << fixture;
+  EXPECT_EQ(loaded->delta_mode(), fresh.delta_mode());
+  EXPECT_EQ(loaded->memory_image_bytes(), fresh.memory_image_bytes());
+  const std::string resaved = temp_path("legacy_resaved.mfac");
+  const std::string saved = temp_path("fresh_saved.mfac");
+  ASSERT_TRUE(loaded->save(resaved));
+  ASSERT_TRUE(fresh.save(saved));
+  EXPECT_EQ(read_file_bytes(resaved), read_file_bytes(saved));
+  std::remove(resaved.c_str());
+  std::remove(saved.c_str());
+  std::size_t matches = 0;
+  for (const std::string& input : traffic) {
+    MfaScanner a(fresh);
+    MfaScanner b(*loaded);
+    const MatchVec want = sorted(a.scan(input));
+    EXPECT_EQ(sorted(b.scan(input)), want) << input;
+    matches += want.size();
+  }
+  EXPECT_GT(matches, 0u);
+}
+
+TEST(Serialize, LoadsLegacyDenseV2Artifact) {
+  const auto fresh = build_mfa(compile_patterns(kPats));
+  ASSERT_TRUE(fresh.has_value());
+  expect_loads_like_fresh_build(
+      fixture_path("kpats_dense_v2.mfac"), *fresh,
+      {"atk1 then vec2", "hd3 vl4", "hd3\nvl4", "gp5...gp6", "gp5gp6", "anch7 tail8",
+       "x anch7 tail8", "solo9 solo9", "nothing"});
+}
+
+TEST(Serialize, LoadsLegacyDeltaV3Artifact) {
+  const auto rules_loaded = rules::parse_rules(rules::generate_ruleset({300, 42}));
+  ASSERT_TRUE(rules_loaded.ok());
+  const auto inputs = rules::to_pattern_inputs(rules_loaded.rules);
+  BuildOptions del;
+  del.delta = true;
+  const auto fresh = build_mfa(inputs, del);
+  ASSERT_TRUE(fresh.has_value());
+  // A sampled match of every seventh rule, framed by header-like lines.
+  util::Rng rng(303);
+  std::vector<std::string> traffic;
+  for (std::size_t i = 0; i < inputs.size(); i += 7)
+    traffic.push_back("GET /x HTTP/1.1\r\n" + regex::sample_match(inputs[i].regex, rng) +
+                      "\r\nHost: y\r\n");
+  expect_loads_like_fresh_build(fixture_path("ruleset300_delta_v3.mfac"), *fresh, traffic);
 }
 
 }  // namespace
