@@ -49,8 +49,9 @@ struct Args {
   /// exceeds the ungated scan's by more than this percentage (negative = no
   /// assertion). Bounds the gate's overhead when it never fires.
   double assert_overhead_pct = -1.0;
-  /// bench_ruleset only: single rule-count rung override (0 = default
-  /// ladder 1k/5k/10k, or a reduced ladder under --smoke).
+  /// bench_ruleset: single rule-count rung override (0 = default ladder
+  /// 1k/5k/10k, or a reduced ladder under --smoke). bench_flows: run the
+  /// generated N-rule set in delta mode instead of C8 (0 = C8).
   std::size_t rules = 0;
   /// bench_ruleset only: exit non-zero unless the delta table is at least
   /// this many times smaller than the dense piece table at the largest

@@ -11,7 +11,9 @@
 // conservation under a bounded table (inserts == resident + evicted).
 //
 // --flows N pins one flow count (default sweep: 100k, and 1M when not
-// --smoke); --assert-bytes-per-flow N exits non-zero if the tiered
+// --smoke); --rules N replaces C8 with the generated N-rule Snort-dialect
+// set compiled in delta mode (thousands of filter bits, still one inline
+// hot slot per flow); --assert-bytes-per-flow N exits non-zero if the tiered
 // inspector's in-order bytes/flow exceeds the ceiling (the CI regression
 // gate); --json FILE writes the mfa.bench.v1 schema, where rows carry
 // cycles-per-byte and the flow count rides in the trace label.
@@ -24,6 +26,8 @@
 #include "bench_common.h"
 #include "flow/tiered.h"
 #include "obs/metrics.h"
+#include "rules/rules.h"
+#include "rules/ruleset_gen.h"
 
 namespace {
 
@@ -120,15 +124,31 @@ int main(int argc, char** argv) {
   const bench::Args args = bench::Args::parse(argc, argv);
   const double ns_per_cycle = 1e9 / util::tsc_ticks_per_second();
 
-  const patterns::PatternSet set = patterns::set_by_name("C8");
-  const auto mfa = core::build_mfa(set.patterns);
+  patterns::PatternSet set;
+  core::BuildOptions build;
+  if (args.rules == 0) {
+    set = patterns::set_by_name("C8");
+  } else {
+    const rules::LoadResult loaded = rules::parse_rules(
+        rules::generate_ruleset(rules::RulesetGenOptions{args.rules, 42}));
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "generated ruleset failed to parse\n");
+      return 2;
+    }
+    set.name = "ruleset-" + std::to_string(args.rules);
+    set.patterns = rules::to_pattern_inputs(loaded.rules);
+    build.delta = true;
+    build.dfa.max_states = args.dfa_cap;
+    build.dfa.threads = 0;  // hardware concurrency; same automaton
+  }
+  const auto mfa = core::build_mfa(set.patterns, build);
   if (!mfa) {
     std::fprintf(stderr, "MFA construction failed\n");
     return 1;
   }
-  std::printf("engine: mfa (%s), context %zu B, inline eligible: %s\n\n",
-              set.name.c_str(), mfa->context_bytes(),
-              mfa->inline_contexts_ok() ? "yes" : "no");
+  std::printf("engine: mfa (%s%s), %u filter bits, heap context %zu B\n\n",
+              set.name.c_str(), mfa->delta_mode() ? ", delta" : "",
+              mfa->program().memory_bits, mfa->context_bytes());
 
   std::vector<std::size_t> flow_counts;
   if (args.flows != 0) flow_counts = {args.flows};
@@ -205,9 +225,10 @@ int main(int argc, char** argv) {
   bench::print_table(table, args.csv);
   std::printf(
       "Reading: bytes/flow is live heap delta (malloc_usable_size-accurate)\n"
-      "per resident flow. Flat pays an unordered_map node + LRU links per\n"
-      "flow; tiered keeps in-order MFA flows in one %zu-byte hot slot with\n"
-      "the (q, m) context inline, cold slabs only for reordering flows.\n",
+      "per resident flow. Flat pays an unordered_map node + LRU links + the\n"
+      "full filter memory per flow; tiered keeps in-order MFA flows in one\n"
+      "%zu-byte hot slot with the (q, m) context inline at any ruleset size,\n"
+      "cold slabs only for reordering or spilled flows.\n",
       sizeof(flow::TieredFlowInspector<core::Mfa>::HotSlot));
   bench::write_report(args, report);
   if (conservation_failed) return 1;

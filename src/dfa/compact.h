@@ -89,9 +89,7 @@ class CompactDfa {
   // InlineContext small-state API (tiered flow table): one state word is
   // already hot-slot sized, so the inline context IS the context.
   using InlineContext = Context;
-  [[nodiscard]] bool inline_contexts_ok() const { return true; }
   [[nodiscard]] InlineContext make_inline_context() const { return make_context(); }
-  [[nodiscard]] Context expand_inline(const InlineContext& ic) const { return ic; }
 
   /// Feed a chunk through `ctx`. Thread-safe with distinct contexts.
   template <typename Sink>

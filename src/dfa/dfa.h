@@ -120,9 +120,7 @@ class Dfa {
   // per-flow state already fits a hot-table slot, so the inline context IS
   // the context — feed/feed_many apply unchanged.
   using InlineContext = Context;
-  [[nodiscard]] bool inline_contexts_ok() const { return true; }
   [[nodiscard]] InlineContext make_inline_context() const { return make_context(); }
-  [[nodiscard]] Context expand_inline(const InlineContext& ic) const { return ic; }
 
   /// Feed a chunk through `ctx`; `base` is the stream offset of data[0].
   /// Thread-safe for concurrent calls with distinct contexts.

@@ -6,7 +6,9 @@
 // f : M x Di -> M x {Confirm, Drop}).
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -16,11 +18,16 @@
 
 namespace mfa::filter {
 
+/// Live entries an inline sparse memory holds (SparseMemory below), and the
+/// id marking an empty entry (also the first bit id it cannot hold).
+inline constexpr std::size_t kSparseLive = 4;
+inline constexpr std::uint16_t kSparseEmpty = 0xFFFF;
+
 /// Per-flow filter memory: bit flags plus optional counters, zeroed by
 /// convention (paper Sec. III-A). The first kInlineMemoryBits flags live in
 /// a fixed inline array — programs that fit it (the common case) never
 /// heap-allocate bit storage. Larger programs (Snort-class rulesets
-/// decompose into thousands of guard bits) spill the rest into `ext_`,
+/// decompose into thousands of guard bits) keep the rest in `ext_`,
 /// sized once at construction from the program's declared geometry.
 class Memory {
  public:
@@ -57,6 +64,42 @@ class Memory {
   /// Record the earliest position a gap-tracked bit fired at.
   void record_position(std::int32_t slot, std::uint64_t pos) { positions_[slot] = pos; }
   [[nodiscard]] std::uint64_t position(std::int32_t slot) const { return positions_[slot]; }
+
+  /// Write this memory into `live` as a SparseMemory set when it fits one:
+  /// at most kSparseLive set bits, all below kSparseEmpty, and no counter or
+  /// position recorded. Returns false, leaving `live` untouched, otherwise.
+  [[nodiscard]] bool to_sparse(std::uint16_t (&live)[kSparseLive]) const {
+    for (const std::uint32_t c : counters_)
+      if (c != 0) return false;
+    for (const std::uint64_t p : positions_)
+      if (p != 0) return false;
+    std::uint16_t out[kSparseLive] = {kSparseEmpty, kSparseEmpty, kSparseEmpty,
+                                      kSparseEmpty};
+    std::size_t n = 0;
+    const auto take = [&](std::uint64_t w, std::uint32_t first_bit) {
+      for (; w != 0; w &= w - 1) {
+        const std::uint32_t id = first_bit + static_cast<std::uint32_t>(std::countr_zero(w));
+        if (n == kSparseLive || id >= kSparseEmpty) return false;
+        out[n++] = static_cast<std::uint16_t>(id);
+      }
+      return true;
+    };
+    for (std::size_t i = 0; i < bits_.size(); ++i)
+      if (!take(bits_[i], static_cast<std::uint32_t>(i * 64))) return false;
+    for (std::size_t i = 0; i < ext_.size(); ++i)
+      if (!take(ext_[i], kInlineMemoryBits + static_cast<std::uint32_t>(i * 64)))
+        return false;
+    std::copy(out, out + kSparseLive, live);
+    return true;
+  }
+
+  /// Heap bytes this memory owns: overflow words, counters and position
+  /// slots (all fixed at construction).
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return ext_.capacity() * sizeof(std::uint64_t) +
+           counters_.capacity() * sizeof(std::uint32_t) +
+           positions_.capacity() * sizeof(std::uint64_t);
+  }
 
   /// Bytes of per-flow state this memory contributes (w bits rounded to
   /// words + counters + position slots); Sec. III-A prefers small contexts
@@ -98,57 +141,89 @@ struct ScanContext {
   Memory memory;
 };
 
-/// Memory view over a single 64-bit word split into two 32-bit halves, for
-/// programs whose filter state fits one word (memory_bits <= 64, no
-/// counters, no position slots — the common case the paper optimizes for).
-/// Backing the halves separately keeps the embedding struct 4-byte aligned,
-/// so a hot-table slot can hold the full (q, m) in 12 bytes. Counter and
-/// position methods exist only so Engine::on_match<InlineMemory64>
-/// compiles; programs eligible for inline memory never reach them.
-class InlineMemory64 {
+/// Memory view over a sorted inline set of live bit ids: up to kSparseLive
+/// ids in ascending order, padded with kSparseEmpty. This is an MFA flow's
+/// filter memory while it sits in a hot-table slot, at any program size:
+/// guard bits belong to single rules, so a flow rarely holds more than a
+/// few partial chains at once (DESIGN.md §11).
+///
+/// Reads are exact: an absent id is a clear bit, and counters and positions
+/// read 0, as they do in a full Memory that never ran an increment or a
+/// position record. Writes the set cannot hold — a bit past the capacity or
+/// at kSparseEmpty and above, an increment, a position record — are refused
+/// up front by admits(), so Engine::on_match never starts them; the caller
+/// then spills the flow to a full Memory and runs the action there.
+class SparseMemory {
  public:
-  InlineMemory64(std::uint32_t& lo, std::uint32_t& hi) : lo_(&lo), hi_(&hi) {}
+  explicit SparseMemory(std::uint16_t (&live)[kSparseLive]) : live_(live) {}
 
-  void set_bit(std::int32_t i) {
-    assert(i >= 0 && i < 64);
-    word(i) |= 1U << (i & 31);
-  }
-  void clear_bit(std::int32_t i) {
-    assert(i >= 0 && i < 64);
-    word(i) &= ~(1U << (i & 31));
-  }
+  /// True when no bit is set: the O(1) fast path of every clear.
+  [[nodiscard]] bool empty() const { return live_[0] == kSparseEmpty; }
+
   [[nodiscard]] bool test_bit(std::int32_t i) const {
-    assert(i >= 0 && i < 64);
-    return (word(i) >> (i & 31)) & 1U;
-  }
-  void clear_word(std::uint32_t w, std::uint64_t mask) {
-    assert(w == 0);
-    (void)w;
-    *lo_ &= ~static_cast<std::uint32_t>(mask);
-    *hi_ &= ~static_cast<std::uint32_t>(mask >> 32);
+    if (i >= kSparseEmpty) return false;
+    for (const std::uint16_t e : live_) {
+      if (e >= i) return e == i;
+    }
+    return false;
   }
 
-  void increment(std::int32_t) { assert(false && "inline memory has no counters"); }
-  [[nodiscard]] std::uint32_t counter(std::int32_t) const {
-    assert(false && "inline memory has no counters");
-    return 0;
+  /// Whether `a`, whose guards already passed, leaves a state this view can
+  /// hold: no counter or position write, and its Set (net of its own
+  /// Clear) fits the free entries.
+  [[nodiscard]] bool admits(const Action& a) const {
+    if (a.ctr_incr != kNone || a.set_slot != kNone) return false;
+    if (a.set == kNone) return true;
+    if (a.set >= kSparseEmpty) return false;
+    return live_[kSparseLive - 1] == kSparseEmpty || test_bit(a.set) ||
+           (a.clear != kNone && test_bit(a.clear));
   }
+
+  /// Insert `i`; admits() guaranteed it fits.
+  void set_bit(std::int32_t i) {
+    assert(i >= 0 && i < kSparseEmpty);
+    const auto id = static_cast<std::uint16_t>(i);
+    std::size_t k = 0;
+    while (k < kSparseLive && live_[k] < id) ++k;
+    if (k < kSparseLive && live_[k] == id) return;
+    assert(live_[kSparseLive - 1] == kSparseEmpty && "admits() was not consulted");
+    for (std::size_t j = kSparseLive - 1; j > k; --j) live_[j] = live_[j - 1];
+    live_[k] = id;
+  }
+
+  void clear_bit(std::int32_t i) {
+    if (i >= kSparseEmpty) return;
+    for (std::size_t k = 0; k < kSparseLive && live_[k] <= i; ++k) {
+      if (live_[k] != i) continue;
+      for (std::size_t j = k; j + 1 < kSparseLive; ++j) live_[j] = live_[j + 1];
+      live_[kSparseLive - 1] = kSparseEmpty;
+      return;
+    }
+  }
+
+  /// Clear every bit of `mask` in memory word `w`: drop the live ids the
+  /// mask covers, keeping the rest in order.
+  void clear_word(std::uint32_t w, std::uint64_t mask) {
+    if (empty()) return;
+    std::size_t out = 0;
+    for (std::size_t k = 0; k < kSparseLive; ++k) {
+      const std::uint16_t e = live_[k];
+      if (e == kSparseEmpty) break;
+      if ((e >> 6) != w || ((mask >> (e & 63)) & 1ULL) == 0) live_[out++] = e;
+    }
+    for (; out < kSparseLive && live_[out] != kSparseEmpty; ++out)
+      live_[out] = kSparseEmpty;
+  }
+
+  void increment(std::int32_t) { assert(false && "admits() refuses increments"); }
+  [[nodiscard]] std::uint32_t counter(std::int32_t) const { return 0; }
   void record_position(std::int32_t, std::uint64_t) {
-    assert(false && "inline memory has no position slots");
+    assert(false && "admits() refuses position records");
   }
-  [[nodiscard]] std::uint64_t position(std::int32_t) const {
-    assert(false && "inline memory has no position slots");
-    return 0;
-  }
+  [[nodiscard]] std::uint64_t position(std::int32_t) const { return 0; }
 
  private:
-  [[nodiscard]] std::uint32_t& word(std::int32_t i) { return i < 32 ? *lo_ : *hi_; }
-  [[nodiscard]] const std::uint32_t& word(std::int32_t i) const {
-    return i < 32 ? *lo_ : *hi_;
-  }
-
-  std::uint32_t* lo_;
-  std::uint32_t* hi_;
+  std::uint16_t (&live_)[kSparseLive];
 };
 
 /// Stateless executor over a Program; all mutable state lives in Memory so
@@ -159,22 +234,27 @@ class Engine {
 
   /// Process one match event. Calls sink(report_id, pos) if the action
   /// confirms the match. Templated over the memory representation so the
-  /// same action semantics run against the full Memory or an InlineMemory64
-  /// view (tiered flow table hot slots).
+  /// same action semantics run against the full Memory or a SparseMemory
+  /// view (tiered flow table hot slots). Returns false, having changed
+  /// nothing, when the view cannot hold the action's effect (it must spill
+  /// to a full Memory first); a full Memory always takes it.
   template <typename MemoryT, typename Sink>
-  void on_match(std::uint32_t engine_id, std::uint64_t pos, MemoryT& memory,
+  bool on_match(std::uint32_t engine_id, std::uint64_t pos, MemoryT& memory,
                 Sink&& sink) const {
     const Action& a = program_->actions[engine_id];
     if (a.test != kNone) {
-      if (!memory.test_bit(a.test)) return;
+      if (!memory.test_bit(a.test)) return true;
       // Gap extension: the tested bit must also have fired far enough back.
       if (a.min_gap > 0 &&
           pos - memory.position(a.test_slot) < static_cast<std::uint64_t>(a.min_gap))
-        return;
+        return true;
     }
     if (a.ctr_test != kNone &&
         memory.counter(a.ctr_test) < static_cast<std::uint32_t>(a.ctr_threshold))
-      return;
+      return true;
+    if constexpr (requires { memory.admits(a); }) {
+      if (!memory.admits(a)) return false;
+    }
     if (a.clear != kNone) memory.clear_bit(a.clear);
     if (a.set != kNone) {
       // Earliest-position semantics: only the first Set of a still-clear
@@ -185,6 +265,7 @@ class Engine {
     }
     if (a.ctr_incr != kNone) memory.increment(a.ctr_incr);
     if (a.report != kNone) sink(static_cast<std::uint32_t>(a.report), pos);
+    return true;
   }
 
   [[nodiscard]] const Program& program() const { return *program_; }

@@ -11,12 +11,16 @@
 //  - HOT: an open-addressed, 2-choice-hashed table of fixed-size slots
 //    (width-8 buckets, one cuckoo kick level, then grow). A slot holds the
 //    FlowKey, the stream offset, the last-active epoch, and — for engines
-//    exposing the InlineContext small-state API (Dfa, CompactDfa, Mfa) —
-//    the whole per-flow scan state inline. In-order flows of such engines
-//    never touch the heap at all.
+//    exposing the InlineContext small-state API (Dfa, D2fa, CompactDfa,
+//    Mfa) — the whole per-flow scan state inline. In-order flows of such
+//    engines never touch the heap at all, at any ruleset size: an Mfa
+//    flow's filter memory rides along as up to four live bit ids.
 //  - COLD: per-shard slab-arena records (slab.h), allocated only for flows
-//    that reorder (buffered segments) or run a big-state engine
-//    (Nfa/Hfa/Xfa, or an Mfa ruleset whose memory exceeds the inline word).
+//    that reorder (buffered segments), run a big-state engine
+//    (Nfa/Hfa/Xfa), or spilled: an Mfa flow whose filter memory still
+//    outgrows its slot at a chunk end (a fifth live bit, a counter, a
+//    position record) moves it into a full heap Context and stays cold
+//    until re-adoption or eviction.
 //    A reorder-only record is freed again the moment its gap fills.
 //
 // Eviction replaces the intrusive LRU with a hashed timing wheel
@@ -55,34 +59,52 @@
 
 namespace mfa::flow {
 
-/// Engines whose per-flow scan state can live inline in a hot-table slot:
-/// they expose a trivially-copyable InlineContext, a runtime predicate for
-/// whether the *compiled ruleset* fits it (an Mfa with >64 memory bits does
-/// not), an expander to the full heap Context, and an InlineContext feed.
+namespace detail {
+
+/// Spill-target shapes, for the concept checks below only.
+template <typename Ctx>
+struct SpillProbe {
+  Ctx& operator()() const;
+};
+template <typename Ctx>
+struct JobSpillProbe {
+  Ctx& operator()(std::size_t) const;
+};
+
+}  // namespace detail
+
+/// Engines with a compact InlineContext that can outgrow its slot (Mfa):
+/// the InlineContext feed and feed_many take a spill target returning the
+/// flow's full Context, which the inspector builds with expand_inline()
+/// when the engine asks (see spill_slot()).
 template <typename EngineT>
-concept InlineScanEngine =
+concept SpillingInlineEngine =
     ScanEngine<EngineT> &&
     requires(const EngineT& e, typename EngineT::InlineContext& ic,
-             const std::uint8_t* data) {
-      { e.inline_contexts_ok() } -> std::convertible_to<bool>;
+             scan::FeedJob<typename EngineT::InlineContext>* jobs,
+             const std::uint8_t* data,
+             detail::SpillProbe<typename EngineT::Context> spill,
+             detail::JobSpillProbe<typename EngineT::Context> job_spill) {
       { e.make_inline_context() } -> std::same_as<typename EngineT::InlineContext>;
       { e.expand_inline(ic) } -> std::same_as<typename EngineT::Context>;
-      e.feed(ic, data, std::size_t{0}, std::uint64_t{0},
+      e.feed(ic, data, std::size_t{0}, std::uint64_t{0}, spill,
              [](std::uint32_t, std::uint64_t) {});
+      e.feed_many(jobs, std::size_t{0}, job_spill,
+                  [](std::size_t, std::uint32_t, std::uint64_t) {}, std::size_t{1});
     };
 
-/// Inline engines whose K-way interleaved kernel also takes InlineContext
-/// jobs (all three table-driven engines: the batched hot path stays batched
-/// under tiering).
+/// Engines whose per-flow scan state lives inline in a hot-table slot:
+/// either the Context itself is slot-sized (the table-driven DFAs, whose
+/// InlineContext is their Context and whose feed/feed_many apply
+/// unchanged), or the engine spills (above).
 template <typename EngineT>
-concept InlineBatchScanEngine =
-    InlineScanEngine<EngineT> &&
-    requires(const EngineT& e,
-             scan::FeedJob<typename EngineT::InlineContext>* jobs) {
-      e.feed_many(jobs, std::size_t{0},
-                  [](std::size_t, std::uint32_t, std::uint64_t) {},
-                  std::size_t{1});
-    };
+concept InlineScanEngine =
+    SpillingInlineEngine<EngineT> ||
+    (ScanEngine<EngineT> &&
+     std::same_as<typename EngineT::InlineContext, typename EngineT::Context> &&
+     requires(const EngineT& e) {
+       { e.make_inline_context() } -> std::same_as<typename EngineT::Context>;
+     });
 
 namespace detail {
 
@@ -122,7 +144,6 @@ class TieredFlowInspector {
   explicit TieredFlowInspector(const EngineT& engine, std::size_t max_flows = 0,
                                std::size_t max_pending_bytes = kDefaultMaxPendingBytes)
       : engine_(&engine), max_flows_(max_flows), max_pending_(max_pending_bytes) {
-    refresh_inline_ok();
     if (max_flows_ != 0) reserve_flows(max_flows_);
   }
 
@@ -141,12 +162,14 @@ class TieredFlowInspector {
     std::uint8_t stamp = 0;         ///< bumped per (re)occupancy; ghost detection
     std::uint8_t flags = 0;
   };
+  static_assert(sizeof(HotSlot) <= 48, "a hot slot is at most 48 bytes");
 
   static constexpr std::uint8_t kOccupied = 1;  ///< slot holds a live flow
   static constexpr std::uint8_t kInline = 2;    ///< scan state lives in ictx
 
-  /// Cold-tier record: the heap Context (engaged for big-state flows, empty
-  /// for inline flows that merely reordered) plus the reassembly buffer.
+  /// Cold-tier record: the heap Context (engaged for big-state and spilled
+  /// flows, empty for inline flows that merely reordered) plus the
+  /// reassembly buffer.
   struct ColdRecord {
     std::optional<Context> ctx;
     PendingList pending;  ///< sorted by seq
@@ -390,11 +413,17 @@ class TieredFlowInspector {
   /// Hot-table slot capacity (the mfa_flow_hot_slots gauge).
   [[nodiscard]] std::size_t hot_slot_capacity() const { return slots_.size(); }
 
-  /// True when the current engine generation keeps new flows' state inline.
-  [[nodiscard]] bool inline_eligible() const { return inline_ok_; }
+  /// True when the engine has an inline form: every new flow starts in its
+  /// hot slot, whatever the ruleset.
+  [[nodiscard]] bool inline_eligible() const { return InlineScanEngine<EngineT>; }
 
-  /// Cold records currently allocated (reordering or big-state flows).
+  /// Cold records currently allocated (reordering, big-state or spilled
+  /// flows).
   [[nodiscard]] std::size_t cold_record_count() const { return cold_.live(); }
+
+  /// Flows whose inline state spilled into a cold record (monotone; the
+  /// mfa_flow_spills_total counter).
+  [[nodiscard]] std::uint64_t spilled_flow_count() const { return spills_; }
 
   /// Structural bytes of the hot tier: slot array, lazy per-flow side
   /// arrays, and the timing wheel.
@@ -405,8 +434,13 @@ class TieredFlowInspector {
   }
 
   /// Structural bytes of the cold tier (the mfa_flow_cold_bytes gauge);
-  /// excludes what records allocate internally (contexts, pending buffers).
+  /// excludes what records allocate internally (see cold_heap_bytes()).
   [[nodiscard]] std::size_t cold_bytes() const { return cold_.allocated_bytes(); }
+
+  /// Heap bytes cold records own beyond their slab storage: the filter
+  /// memory of heap contexts (words, counters, position slots) and the
+  /// reassembly buffers. Kept exact as records change.
+  [[nodiscard]] std::size_t cold_heap_bytes() const { return cold_heap_; }
 
   /// Entries currently held by the timing wheel (live flows + stale ghosts).
   [[nodiscard]] std::size_t wheel_entries() const { return wheel_.pending(); }
@@ -430,7 +464,6 @@ class TieredFlowInspector {
     current_pin_ = std::move(pin);
     current_generation_ = generation;
     generation_active_ = true;
-    refresh_inline_ok();
   }
 
   [[nodiscard]] std::uint64_t current_generation() const { return current_generation_; }
@@ -471,6 +504,7 @@ class TieredFlowInspector {
       s.batch_stamp = 0;
     }
     cold_.clear();
+    cold_heap_ = 0;
     wheel_.clear();
     retired_.clear();  // no live contexts left: every old-generation pin drops
     live_ = 0;
@@ -564,13 +598,6 @@ class TieredFlowInspector {
 
   [[nodiscard]] bool wheel_active() const {
     return max_flows_ != 0 || idle_ttl_ != 0;
-  }
-
-  void refresh_inline_ok() {
-    if constexpr (InlineScanEngine<EngineT>)
-      inline_ok_ = engine_->inline_contexts_ok();
-    else
-      inline_ok_ = false;
   }
 
   // --- table maintenance (kick / grow / move) ---
@@ -711,15 +738,12 @@ class TieredFlowInspector {
     ++s.stamp;          // invalidates any ghost wheel entry for this slot
     s.flags = kOccupied;
     if constexpr (InlineScanEngine<EngineT>) {
-      if (inline_ok_) {
-        s.flags |= kInline;
-        s.ictx = engine_->make_inline_context();
-      }
-    }
-    if ((s.flags & kInline) == 0) {
-      const std::uint32_t c = cold_.alloc();
-      cold_[c].ctx.emplace(engine_->make_context());
-      s.cold = c;
+      s.flags |= kInline;
+      s.ictx = engine_->make_inline_context();
+    } else {
+      s.cold = cold_.alloc();
+      cold_[s.cold].ctx.emplace(engine_->make_context());
+      cold_heap_ += record_heap_bytes(cold_[s.cold]);
     }
     if (generation_active_) generations_[si] = current_generation_;
     if (budget_ticks_ != 0) ticks_[si] = 0;
@@ -736,6 +760,7 @@ class TieredFlowInspector {
       release_generation(generations_[si]);
     if (s.cold != kNoRecord) {
       total_pending_ -= cold_[s.cold].pending_bytes;
+      cold_heap_ -= record_heap_bytes(cold_[s.cold]);
       cold_.free(s.cold);
       s.cold = kNoRecord;
     }
@@ -834,37 +859,26 @@ class TieredFlowInspector {
   }
 
   /// kResetOnNextPacket re-adoption: the flow's scan state restarts on the
-  /// current engine — switching tier if the new ruleset's inline
-  /// eligibility differs — while the stream offset and any buffered
+  /// current engine — a spilled flow back in its hot slot, its context
+  /// returned to the slab — while the stream offset and any buffered
   /// segments are kept, exactly as in the flat inspector.
   void adopt_flow(std::uint32_t si) {
     const Retired* r = find_retired(generations_[si]);
     if (r != nullptr && r->drain) return;
     const std::uint64_t old_generation = generations_[si];
     HotSlot& s = slots_[si];
+    const std::size_t heap_before = slot_heap_bytes(s);
     if constexpr (InlineScanEngine<EngineT>) {
-      if (inline_ok_) {
-        if ((s.flags & kInline) == 0 && s.cold != kNoRecord) {
-          ColdRecord& rec = cold_[s.cold];
-          rec.ctx.reset();
-          if (rec.pending.empty()) {
-            cold_.free(s.cold);
-            s.cold = kNoRecord;
-          }
-        }
-        s.flags |= kInline;
-        s.ictx = engine_->make_inline_context();
-        finish_adopt(si, old_generation);
-        return;
+      if (s.cold != kNoRecord) {
+        cold_[s.cold].ctx.reset();
+        release_cold_if_empty(s);
       }
+      s.flags |= kInline;
+      s.ictx = engine_->make_inline_context();
+    } else {
+      cold_[s.cold].ctx.emplace(engine_->make_context());
     }
-    s.flags &= static_cast<std::uint8_t>(~kInline);
-    if (s.cold == kNoRecord) s.cold = cold_.alloc();
-    cold_[s.cold].ctx.emplace(engine_->make_context());
-    finish_adopt(si, old_generation);
-  }
-
-  void finish_adopt(std::uint32_t si, std::uint64_t old_generation) {
+    cold_heap_ += slot_heap_bytes(s) - heap_before;
     generations_[si] = current_generation_;
     if (budget_ticks_ != 0) ticks_[si] = 0;  // fresh context, fresh account
     release_generation(old_generation);
@@ -901,13 +915,58 @@ class TieredFlowInspector {
                  std::uint64_t base, Sink&& sink) {
     HotSlot& s = slots_[si];
     const EngineT& eng = engine_for_generation(generation_of(si));
-    if constexpr (InlineScanEngine<EngineT>) {
+    if constexpr (SpillingInlineEngine<EngineT>) {
       if ((s.flags & kInline) != 0) {
-        eng.feed(s.ictx, data, size, base, sink);
+        eng.feed(s.ictx, data, size, base,
+                 [&]() -> Context& { return spill_slot(si, eng); }, sink);
+        park_spills();
         return;
       }
+    } else if constexpr (InlineScanEngine<EngineT>) {
+      eng.feed(s.ictx, data, size, base, sink);
+      return;
     }
     eng.feed(*cold_[s.cold].ctx, data, size, base, sink);
+  }
+
+  /// A spilling engine's spill target for slot `si` during one engine
+  /// call: a scratch Context, built from the slot's inline state the first
+  /// time the engine asks and returned again while its InlineContext stays
+  /// marked spilled. Most spills are transient — a line briefly holding
+  /// more than four guard bits — and end back inline, so they never touch
+  /// the cold tier; park_spills() moves the rest there.
+  Context& spill_slot(std::uint32_t si, const EngineT& eng) {
+    if (slots_[si].ictx.spilled()) {
+      std::size_t k = 0;
+      while (spill_slots_[k] != si) ++k;  // marked only within this call
+      return *spill_scratch_[k];
+    }
+    const std::size_t k = spill_slots_.size();
+    spill_slots_.push_back(si);
+    if (k == spill_scratch_.size())
+      spill_scratch_.push_back(std::make_unique<Context>(eng.expand_inline(slots_[si].ictx)));
+    else
+      *spill_scratch_[k] = eng.expand_inline(slots_[si].ictx);
+    return *spill_scratch_[k];
+  }
+
+  /// After an engine call: every flow still spilled leaves the inline path
+  /// for good (until re-adoption or eviction) — its scratch Context moves
+  /// into its cold record, a reorder-only record being reused.
+  void park_spills() {
+    for (std::size_t k = 0; k < spill_slots_.size(); ++k) {
+      HotSlot& s = slots_[spill_slots_[k]];
+      if (!s.ictx.spilled()) continue;  // settled back inline
+      const std::size_t heap_before = slot_heap_bytes(s);
+      if (s.cold == kNoRecord) s.cold = cold_.alloc();
+      cold_[s.cold].ctx.emplace(std::move(*spill_scratch_[k]));
+      cold_heap_ += slot_heap_bytes(s) - heap_before;
+      s.flags &= static_cast<std::uint8_t>(~kInline);
+      ++spills_;
+      if (metrics_ != nullptr)
+        metrics_->flows_spilled.fetch_add(1, std::memory_order_relaxed);
+    }
+    spill_slots_.clear();
   }
 
   /// Consult the engine's prefilter gate for a flow's chunk, wherever its
@@ -1180,33 +1239,26 @@ class TieredFlowInspector {
 
     const auto feed_all = [&] {
       if (mixed) {
-        if constexpr (InlineScanEngine<EngineT>) {
-          for (std::size_t i = 0; i < inline_jobs_.size(); ++i) {
-            const std::uint32_t si = inline_job_slots_[i];
-            engine_for_generation(generation_of(si))
-                .feed(*inline_jobs_[i].ctx, inline_jobs_[i].data, inline_jobs_[i].size,
-                      inline_jobs_[i].base,
-                      [&](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); });
-          }
-        }
-        for (std::size_t i = 0; i < ctx_jobs_.size(); ++i) {
-          const std::uint32_t si = ctx_job_slots_[i];
-          engine_for_generation(generation_of(si))
-              .feed(*ctx_jobs_[i].ctx, ctx_jobs_[i].data, ctx_jobs_[i].size,
-                    ctx_jobs_[i].base,
-                    [&](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); });
-        }
+        for (const auto& j : batch_jobs_)
+          feed_slot(j.slot, j.data, j.size, j.base,
+                    [&, si = j.slot](std::uint32_t id, std::uint64_t end) {
+                      fsink(si, id, end);
+                    });
         return;
       }
       const EngineT& eng = engine_for_generation(g0);
       if (!inline_jobs_.empty()) {
-        if constexpr (InlineBatchScanEngine<EngineT>) {
+        const auto job_sink = [&](std::size_t j, std::uint32_t id, std::uint64_t end) {
+          fsink(inline_job_slots_[j], id, end);
+        };
+        if constexpr (SpillingInlineEngine<EngineT>) {
           eng.feed_many(
               inline_jobs_.data(), inline_jobs_.size(),
-              [&](std::size_t j, std::uint32_t id, std::uint64_t end) {
-                fsink(inline_job_slots_[j], id, end);
-              },
-              batch_lanes_);
+              [&](std::size_t j) -> Context& { return spill_slot(inline_job_slots_[j], eng); },
+              job_sink, batch_lanes_);
+          park_spills();
+        } else if constexpr (InlineScanEngine<EngineT> && BatchScanEngine<EngineT>) {
+          eng.feed_many(inline_jobs_.data(), inline_jobs_.size(), job_sink, batch_lanes_);
         } else if constexpr (InlineScanEngine<EngineT>) {
           for (std::size_t i = 0; i < inline_jobs_.size(); ++i) {
             const std::uint32_t si = inline_job_slots_[i];
@@ -1272,6 +1324,12 @@ class TieredFlowInspector {
     if (p.length == 0) return;
     util::fault_maybe_bad_alloc("flow.reassembly.alloc");
     HotSlot& s = slots_[si];
+    const std::size_t heap_before = slot_heap_bytes(s);
+    hold_segment(s, p);
+    cold_heap_ += slot_heap_bytes(s) - heap_before;
+  }
+
+  void hold_segment(HotSlot& s, const Packet& p) {
     if (s.cold == kNoRecord) s.cold = cold_.alloc();  // pending-only record
     ColdRecord& rec = cold_[s.cold];
     auto it = pending_lower_bound(rec.pending, p.seq);
@@ -1356,10 +1414,31 @@ class TieredFlowInspector {
       total_pending_ -= seg.bytes.size();
       ++consumed;
     }
+    // Booked after the feeds, which may have spilled (and booked) a context.
+    const std::size_t heap_before = record_heap_bytes(rec);
     if (consumed != 0)
       rec.pending.erase(rec.pending.begin(),
                         rec.pending.begin() + static_cast<std::ptrdiff_t>(consumed));
     release_cold_if_empty(s);
+    cold_heap_ += slot_heap_bytes(s) - heap_before;
+  }
+
+  /// Heap bytes `rec` owns (see cold_heap_bytes()). Only a filter Context's
+  /// memory is counted; other engines' contexts report 0.
+  static std::size_t record_heap_bytes(const ColdRecord& rec) {
+    std::size_t n = rec.pending.capacity() * sizeof(PendingSegment);
+    for (const PendingSegment& seg : rec.pending) n += seg.bytes.capacity();
+    if constexpr (requires(const Context& c) { c.memory.heap_bytes(); }) {
+      if (rec.ctx.has_value()) n += rec.ctx->memory.heap_bytes();
+    }
+    return n;
+  }
+
+  /// record_heap_bytes() of slot `s`'s cold record, 0 without one. Every
+  /// record change books its after-minus-before difference into
+  /// cold_heap_ (unsigned wrap-around makes a shrink subtract).
+  [[nodiscard]] std::size_t slot_heap_bytes(const HotSlot& s) const {
+    return s.cold == kNoRecord ? 0 : record_heap_bytes(cold_[s.cold]);
   }
 
   // --- telemetry ---
@@ -1371,13 +1450,13 @@ class TieredFlowInspector {
     m.reassembly_pending_bytes.store(total_pending_, std::memory_order_relaxed);
     m.flow_hot_slots.store(slots_.size(), std::memory_order_relaxed);
     m.flow_cold_bytes.store(cold_bytes(), std::memory_order_relaxed);
-    if (live_ != 0) m.bytes_per_flow.record((hot_bytes() + cold_bytes()) / live_);
+    if (live_ != 0)
+      m.bytes_per_flow.record((hot_bytes() + cold_bytes() + cold_heap_bytes()) / live_);
   }
 
   const EngineT* engine_;  ///< ONE engine for all flows (never per-flow)
   std::uint64_t current_generation_ = 0;
   bool generation_active_ = false;  ///< adopt_engine() was called at least once
-  bool inline_ok_ = false;  ///< current engine keeps new flows' state inline
   std::shared_ptr<const void> current_pin_;
   std::vector<Retired> retired_;
   std::size_t max_flows_ = 0;
@@ -1386,6 +1465,7 @@ class TieredFlowInspector {
   std::uint64_t evicted_ = 0;       ///< capacity evictions (max_flows)
   std::uint64_t idle_evicted_ = 0;  ///< TTL evictions
   std::uint64_t reassembly_dropped_ = 0;
+  std::uint64_t spills_ = 0;  ///< flows whose inline state spilled
   std::uint64_t total_pending_ = 0;
   std::uint64_t arrival_tick_ = 0;
   std::uint32_t epoch_ = 0;  ///< per-shard packet epoch (wraps)
@@ -1424,6 +1504,7 @@ class TieredFlowInspector {
 
   // Cold tier.
   SlabArena<ColdRecord> cold_;
+  std::size_t cold_heap_ = 0;  ///< cold_heap_bytes()
 
   // Scratch reused across packet_batch() calls (inspector is one-thread).
   std::vector<BatchJob> batch_jobs_;
@@ -1433,6 +1514,10 @@ class TieredFlowInspector {
   std::vector<std::uint32_t> inline_job_slots_;
   std::vector<scan::FeedJob<Context>> ctx_jobs_;
   std::vector<std::uint32_t> ctx_job_slots_;
+  /// Spill targets, reused across calls; boxed so a target's address holds
+  /// while later spills of the same call add more.
+  std::vector<std::unique_ptr<Context>> spill_scratch_;
+  std::vector<std::uint32_t> spill_slots_;  ///< slot of each live scratch entry
   std::vector<FlowKey> grow_keys_;
 };
 

@@ -128,18 +128,13 @@ class Mfa {
   /// indexes into).
   [[nodiscard]] std::uint32_t state_count() const { return dfa_.state_count(); }
 
-  /// Feed a chunk through `ctx` (a Context, or an InlineContext below, whose
-  /// actions run on its 64-bit inline memory view): DFA inner loop plus
-  /// filter post-processing on match events only. Thread-safe with
-  /// distinct contexts.
-  template <typename Ctx, typename Sink>
-  void feed(Ctx& ctx, const std::uint8_t* data, std::size_t size, std::uint64_t base,
+  /// Feed a chunk through `ctx`: DFA inner loop plus filter post-processing
+  /// on match events only. Thread-safe with distinct contexts.
+  template <typename Sink>
+  void feed(Context& ctx, const std::uint8_t* data, std::size_t size, std::uint64_t base,
             Sink&& sink) const {
-    auto&& memory = memory_view(ctx);
-    if (delta_)
-      scan_delta(ctx.state, memory, data, size, base, sink);
-    else
-      scan_dense(ctx.state, memory, data, size, base, sink);
+    scan(ctx.state, data, size, base,
+         [&](std::uint32_t s, std::uint64_t pos) { accept(s, pos, ctx.memory, sink); });
   }
 
   /// Prefilter gate probe (works on Context and InlineContext alike): when
@@ -178,24 +173,40 @@ class Mfa {
 
   /// Prefilter-gated feed: prefilter_gate() then a normal feed() unless the
   /// chunk was skipped. Returns true when the chunk was skipped.
-  template <typename Ctx, typename Sink>
-  bool feed_gated(Ctx& ctx, const std::uint8_t* data, std::size_t size,
+  template <typename Sink>
+  bool feed_gated(Context& ctx, const std::uint8_t* data, std::size_t size,
                   std::uint64_t base, Sink&& sink) const {
     if (prefilter_gate(ctx, data, size) == simd::Gate::kSkip) return true;
     feed(ctx, data, size, base, sink);
     return false;
   }
 
-  // --- optional InlineContext small-state API (tiered flow table) ---
-  // When the filter program's whole memory fits one 64-bit word and uses no
-  // counters or position slots, the per-flow (q, m) can live inline in a
-  // 12-byte hot-table slot instead of a heap ScanContext. The two 32-bit
-  // memory halves keep the struct 4-byte aligned at any slot offset.
+  // --- InlineContext small-state API (tiered flow table) ---
+  // Any program's per-flow (q, m) starts in a 12-byte hot-table slot: the
+  // DFA state plus the filter memory as a sorted set of up to four live bit
+  // ids (filter::SparseMemory). When an action needs more than that — a
+  // fifth live bit, a bit id past 0xFFFE, a counter increment or a position
+  // record — the flow spills before the action runs: the caller's spill
+  // target supplies a full Context built by expand_inline(), and the action
+  // and the rest of the chunk run there. At the chunk's end the flow
+  // returns inline if its memory fits the set again; otherwise the
+  // InlineContext stays marked spilled, a forwarding handle to that
+  // Context for later feeds.
 
   struct InlineContext {
     std::uint32_t state = 0;
-    std::uint32_t mem_lo = 0;
-    std::uint32_t mem_hi = 0;
+    std::uint16_t live[filter::kSparseLive] = {filter::kSparseEmpty, filter::kSparseEmpty,
+                                               filter::kSparseEmpty, filter::kSparseEmpty};
+
+    /// True once the flow's memory moved to its spill target. Encoded as a
+    /// live set no sorted set can be: an empty head before a live entry.
+    [[nodiscard]] bool spilled() const {
+      return live[0] == filter::kSparseEmpty && live[1] != filter::kSparseEmpty;
+    }
+    void mark_spilled() {
+      live[0] = filter::kSparseEmpty;
+      live[1] = 0;
+    }
   };
   static_assert(sizeof(InlineContext) == 12 && alignof(InlineContext) == 4);
 
@@ -203,60 +214,87 @@ class Mfa {
     return ic.state;
   }
 
-  /// True when this program's per-flow state fits an InlineContext.
-  [[nodiscard]] bool inline_contexts_ok() const {
-    return program_.memory_bits <= 64 && program_.counters == 0 &&
-           program_.position_slots == 0;
-  }
-
   [[nodiscard]] InlineContext make_inline_context() const {
-    return InlineContext{dfa_.start(), 0, 0};
+    return InlineContext{dfa_.start()};
   }
 
-  /// Widen an inline (q, m) into a full heap Context — exact, so a flow can
-  /// migrate hot-slot state into the cold tier (e.g. when a hot-swapped
-  /// ruleset no longer qualifies for inline contexts) without losing
-  /// in-progress match state.
+  /// Widen an unspilled inline (q, m) into a full heap Context — exact, so
+  /// a flow's state can leave its hot slot without losing in-progress
+  /// match state.
   [[nodiscard]] Context expand_inline(const InlineContext& ic) const {
+    assert(!ic.spilled());
     Context ctx = make_context();
     ctx.state = ic.state;
-    const std::uint64_t m =
-        (std::uint64_t{ic.mem_hi} << 32) | std::uint64_t{ic.mem_lo};
-    for (std::int32_t i = 0; i < 64; ++i)
-      if ((m >> i) & 1ULL) ctx.memory.set_bit(i);
+    for (const std::uint16_t id : ic.live)
+      if (id != filter::kSparseEmpty) ctx.memory.set_bit(id);
     return ctx;
+  }
+
+  /// feed() on an InlineContext. `spill()` returns the flow's full Context:
+  /// while `ic` is not marked spilled the caller makes it expand_inline(ic)
+  /// (only the memory is read; the feed sets the state), and once `ic` is
+  /// marked it returns that same Context again. On return a spilled `ic`
+  /// and its Context hold the same state; an `ic` no longer marked is back
+  /// inline and its Context is free.
+  template <typename SpillFn, typename Sink>
+  void feed(InlineContext& ic, const std::uint8_t* data, std::size_t size,
+            std::uint64_t base, SpillFn&& spill, Sink&& sink) const {
+    if (ic.spilled()) {
+      Context& full = spill();
+      full.state = ic.state;  // the handle's state is the flow's
+      feed(full, data, size, base, sink);
+      ic.state = full.state;
+    } else {
+      scan(ic.state, data, size, base, [&](std::uint32_t s, std::uint64_t pos) {
+        accept_inline(ic, s, pos, spill, sink);
+      });
+    }
+    if (ic.spilled()) settle(ic, spill());
   }
 
   using FeedJob = scan::FeedJob<Context>;
 
-  /// K-way interleaved scan (see Dfa::feed_many) over Context or
-  /// InlineContext jobs: the character-DFA inner loop advances `lanes`
-  /// flows per iteration and only touches ctx->state; filter actions run
-  /// on match events only, against the owning job's per-flow memory, so
-  /// per-flow filter semantics are exactly feed()'s. sink(job_index, id,
-  /// end_offset).
-  template <typename Ctx, typename Sink>
-  void feed_many(scan::FeedJob<Ctx>* jobs, std::size_t count, Sink&& sink,
+  /// K-way interleaved scan (see Dfa::feed_many) over Context jobs: the
+  /// character-DFA inner loop advances `lanes` flows per iteration and only
+  /// touches ctx->state; filter actions run on match events only, against
+  /// the owning job's per-flow memory, so per-flow filter semantics are
+  /// exactly feed()'s. sink(job_index, id, end_offset).
+  template <typename Sink>
+  void feed_many(FeedJob* jobs, std::size_t count, Sink&& sink,
                  std::size_t lanes = scan::kDefaultLanes) const {
-    if (delta_) {
-      // One job at a time, same as D2fa::feed_many: interleaving the
-      // tagged chain walk regresses, and the per-job tagged loop keeps
-      // byte/match order exactly feed()'s.
-      for (std::size_t j = 0; j < count; ++j) {
-        if (jobs[j].size == 0) continue;
-        feed(*jobs[j].ctx, jobs[j].data, jobs[j].size, jobs[j].base,
-             [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
-      }
-      return;
-    }
-    simd::dense_interleaved_scan(
-        dfa_.table_data(), dfa_.column_count(), dfa_.byte_columns(),
-        dfa_.accepting_state_count(), jobs, count, lanes,
-        [&](std::size_t job, std::uint32_t s, std::uint64_t end) {
-          auto&& memory = memory_view(*jobs[job].ctx);
-          accept(s, end, memory,
-                 [&](std::uint32_t id, std::uint64_t e) { sink(job, id, e); });
-        });
+    interleave(jobs, count, lanes,
+               [&](std::size_t j, std::uint32_t s, std::uint64_t end) {
+                 accept(s, end, jobs[j].ctx->memory, [&](std::uint32_t id, std::uint64_t e) {
+                   sink(j, id, e);
+                 });
+               },
+               [&](std::size_t j) {
+                 feed(*jobs[j].ctx, jobs[j].data, jobs[j].size, jobs[j].base,
+                      [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
+               });
+  }
+
+  /// feed_many() over InlineContext jobs, with feed(InlineContext)'s spill
+  /// contract per job: `spill(job_index)` returns that job's full Context.
+  /// A job may spill mid-wave; its later accepts run on the spilled
+  /// Context, and on return each job is settled as feed() leaves it.
+  template <typename SpillFn, typename Sink>
+  void feed_many(scan::FeedJob<InlineContext>* jobs, std::size_t count, SpillFn&& spill,
+                 Sink&& sink, std::size_t lanes = scan::kDefaultLanes) const {
+    interleave(jobs, count, lanes,
+               [&](std::size_t j, std::uint32_t s, std::uint64_t end) {
+                 const auto job_spill = [&]() -> Context& { return spill(j); };
+                 accept_inline(*jobs[j].ctx, s, end, job_spill,
+                               [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
+               },
+               [&](std::size_t j) {
+                 feed(*jobs[j].ctx, jobs[j].data, jobs[j].size, jobs[j].base,
+                      [&]() -> Context& { return spill(j); },
+                      [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
+               });
+    // The kernel wrote each lane's final state into its InlineContext.
+    for (std::size_t j = 0; j < count; ++j)
+      if (jobs[j].ctx->spilled()) settle(*jobs[j].ctx, spill(j));
   }
 
   /// Persist the compiled automaton (character DFA + filter program +
@@ -280,9 +318,23 @@ class Mfa {
     std::uint32_t last = 0;  ///< nonzero on the state's final entry
   };
 
-  static filter::Memory& memory_view(Context& ctx) { return ctx.memory; }
-  static filter::InlineMemory64 memory_view(InlineContext& ctx) {
-    return {ctx.mem_lo, ctx.mem_hi};
+  /// One chunk-scheduling policy for both feed_many() forms. Dense mode
+  /// runs the interleaved kernel, with accept(job, state, end) on every
+  /// accepting state entered. Delta mode runs one job at a time through
+  /// feed_one(job), same as D2fa::feed_many: interleaving the tagged chain
+  /// walk regresses, and the per-job tagged loop keeps byte/match order
+  /// exactly feed()'s.
+  template <typename Ctx, typename AcceptFn, typename FeedOneFn>
+  void interleave(scan::FeedJob<Ctx>* jobs, std::size_t count, std::size_t lanes,
+                  AcceptFn&& accept_fn, FeedOneFn&& feed_one) const {
+    if (delta_) {
+      for (std::size_t j = 0; j < count; ++j)
+        if (jobs[j].size != 0) feed_one(j);
+      return;
+    }
+    simd::dense_interleaved_scan(dfa_.table_data(), dfa_.column_count(),
+                                 dfa_.byte_columns(), dfa_.accepting_state_count(),
+                                 jobs, count, lanes, std::forward<AcceptFn>(accept_fn));
   }
 
   /// Sort the scanning table's accept lists into filter execution order
@@ -300,19 +352,62 @@ class Mfa {
 
   /// A state's whole filter work on entering accepting state `s` at stream
   /// offset `pos`: a folded clear-only state applies its word masks, any
-  /// other state runs its actions in filter order.
+  /// other state runs its actions in filter order. Returns nullptr when all
+  /// of it ran, else the first action id the memory view refused (a
+  /// SparseMemory that must spill); the actions before it have run.
   template <typename MemoryT, typename Sink>
-  void accept(std::uint32_t s, std::uint64_t pos, MemoryT& memory, Sink&& sink) const {
+  const std::uint32_t* accept(std::uint32_t s, std::uint64_t pos, MemoryT& memory,
+                              Sink&& sink) const {
     if (!fold_index_.empty() && fold_index_[s] != kUnfolded) {
       for (const ClearMask* c = fold_masks_.data() + fold_index_[s];; ++c) {
         memory.clear_word(c->word, c->mask);
-        if (c->last != 0) return;
+        if (c->last != 0) return nullptr;
       }
     }
-    const filter::Engine engine(program_);
     const auto [first, last] = ordered_actions(s);
-    for (const auto* it = first; it != last; ++it)
-      engine.on_match(*it, pos, memory, sink);
+    return run_actions(first, last, pos, memory, sink);
+  }
+
+  /// Run action ids [it, last) in order; the refused one, or nullptr.
+  template <typename MemoryT, typename Sink>
+  const std::uint32_t* run_actions(const std::uint32_t* it, const std::uint32_t* last,
+                                   std::uint64_t pos, MemoryT& memory, Sink&& sink) const {
+    const filter::Engine engine(program_);
+    for (; it != last; ++it)
+      if (!engine.on_match(*it, pos, memory, sink)) return it;
+    return nullptr;
+  }
+
+  /// accept() for an inline flow: on its sparse memory while that holds,
+  /// spilling at the first action it cannot, and on the spilled Context
+  /// from then on.
+  template <typename SpillFn, typename Sink>
+  void accept_inline(InlineContext& ic, std::uint32_t s, std::uint64_t pos,
+                     SpillFn& spill, Sink&& sink) const {
+    if (ic.live[0] == filter::kSparseEmpty) [[likely]] {
+      if (ic.spilled()) [[unlikely]] {
+        accept(s, pos, spill().memory, sink);
+        return;
+      }
+      // Nothing live: a clear-only state has nothing to do (the hot case
+      // on newline-dense traffic).
+      if (!fold_index_.empty() && fold_index_[s] != kUnfolded) return;
+    }
+    filter::SparseMemory memory(ic.live);
+    const std::uint32_t* rest = accept(s, pos, memory, sink);
+    if (rest == nullptr) [[likely]]
+      return;
+    filter::Memory& full = spill().memory;
+    ic.mark_spilled();
+    run_actions(rest, ordered_actions(s).second, pos, full, sink);
+  }
+
+  /// Chunk end of a spilled InlineContext: its Context takes the chunk's
+  /// final state, and the flow returns inline (unmarking `ic`) when that
+  /// memory fits the inline set again.
+  static void settle(InlineContext& ic, Context& full) {
+    full.state = ic.state;
+    (void)full.memory.to_sparse(ic.live);
   }
 
   /// Skipped-chunk state reconstruction: run the last window() bytes from
@@ -341,11 +436,25 @@ class Mfa {
     return s;
   }
 
-  /// Dense-table scan loop, shared by both context forms (templated on the
-  /// memory view).
-  template <typename MemoryT, typename Sink>
-  void scan_dense(std::uint32_t& state, MemoryT& memory, const std::uint8_t* data,
-                  std::size_t size, std::uint64_t base, Sink&& sink) const {
+  /// The character-DFA scan loop over one chunk, shared by both context
+  /// forms: on_accept(state, pos) on every accepting state entered. Delta
+  /// mode steps on D2fa tagged states, so a root-resident byte costs one
+  /// dense load and the accept test is a bit check (see the tagged-state
+  /// comment in d2fa.h); match semantics are identical.
+  template <typename AcceptFn>
+  void scan(std::uint32_t& state, const std::uint8_t* data, std::size_t size,
+            std::uint64_t base, AcceptFn&& on_accept) const {
+    if (delta_) {
+      const dfa::D2fa& d = *delta_;
+      std::uint32_t v = d.tag_state(state);
+      for (std::size_t i = 0; i < size; ++i) {
+        v = d.next_tagged(v, data[i]);
+        if (dfa::D2fa::tagged_accept(v)) [[unlikely]]
+          on_accept(d.untag(v), base + i);
+      }
+      state = d.untag(v);
+      return;
+    }
     const std::uint32_t* table = dfa_.table_data();
     const std::uint8_t* cols = dfa_.byte_columns();
     const std::uint32_t ncols = dfa_.column_count();
@@ -353,26 +462,9 @@ class Mfa {
     std::uint32_t s = state;
     for (std::size_t i = 0; i < size; ++i) {
       s = table[static_cast<std::size_t>(s) * ncols + cols[data[i]]];
-      if (s < naccept) accept(s, base + i, memory, sink);
+      if (s < naccept) on_accept(s, base + i);
     }
     state = s;
-  }
-
-  /// Delta-mode scan loop: identical match semantics to the dense loop,
-  /// stepping on D2fa tagged states so a root-resident byte costs one dense
-  /// load and the accept test is a bit check (see the tagged-state comment
-  /// in d2fa.h).
-  template <typename MemoryT, typename Sink>
-  void scan_delta(std::uint32_t& state, MemoryT& memory, const std::uint8_t* data,
-                  std::size_t size, std::uint64_t base, Sink&& sink) const {
-    const dfa::D2fa& d = *delta_;
-    std::uint32_t v = d.tag_state(state);
-    for (std::size_t i = 0; i < size; ++i) {
-      v = d.next_tagged(v, data[i]);
-      if (dfa::D2fa::tagged_accept(v)) [[unlikely]]
-        accept(d.untag(v), base + i, memory, sink);
-    }
-    state = d.untag(v);
   }
 
   dfa::Dfa dfa_;

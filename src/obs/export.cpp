@@ -89,14 +89,16 @@ void json_shard(std::string& out, const ShardSnapshot& s) {
          ",\"shed_packets\":%" PRIu64 ",\"shed_bytes\":%" PRIu64
          ",\"flows_quarantined\":%" PRIu64 ",\"worker_restarts\":%" PRIu64
          ",\"worker_stalls\":%" PRIu64 ",\"flow_hot_slots\":%" PRIu64
-         ",\"flow_cold_bytes\":%" PRIu64 ",\"prefilter_pass\":%" PRIu64
+         ",\"flow_cold_bytes\":%" PRIu64 ",\"flows_spilled\":%" PRIu64
+         ",\"prefilter_pass\":%" PRIu64
          ",\"prefilter_skip\":%" PRIu64 ",\"degraded_hits\":%" PRIu64
          ",\"degrade_level\":%" PRIu64 ",\"degrade_transitions\":%" PRIu64
          ",\"flows_recovered\":%" PRIu64 ",",
          s.packets, s.bytes, s.matches, s.flows, s.evictions, s.reassembly_drops,
          s.reassembly_pending_bytes, s.queue_full_spins, s.max_queue_depth,
          s.shed_packets, s.shed_bytes, s.flows_quarantined, s.worker_restarts,
-         s.worker_stalls, s.flow_hot_slots, s.flow_cold_bytes, s.prefilter_pass,
+         s.worker_stalls, s.flow_hot_slots, s.flow_cold_bytes, s.flows_spilled,
+         s.prefilter_pass,
          s.prefilter_skip, s.degraded_hits, s.degrade_level,
          s.degrade_transitions, s.flows_recovered);
   append(out, "\"spans_sampled\":%" PRIu64 ",", s.spans_sampled);
@@ -240,6 +242,9 @@ std::string to_prometheus(const RegistrySnapshot& snap,
   prom_counter(out, "mfa_flow_cold_bytes",
                "Cold-tier slab bytes for reordering/big-state flows", snap,
                &ShardSnapshot::flow_cold_bytes, "gauge");
+  prom_counter(out, "mfa_flow_spills_total",
+               "Flows whose inline state spilled to the cold tier (filter memory "
+               "outgrew the hot slot)", snap, &ShardSnapshot::flows_spilled, "counter");
   prom_counter(out, "mfa_queue_full_spins_total",
                "Producer spins while a shard queue was full", snap,
                &ShardSnapshot::queue_full_spins, "counter");

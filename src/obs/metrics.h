@@ -125,6 +125,7 @@ struct ShardSnapshot {
   std::uint64_t reassembly_pending_bytes = 0;  ///< gauge: buffered OOO bytes
   std::uint64_t flow_hot_slots = 0;  ///< gauge: tiered hot-table slot capacity
   std::uint64_t flow_cold_bytes = 0; ///< gauge: tiered cold-tier slab bytes
+  std::uint64_t flows_spilled = 0;   ///< inline flows spilled to the cold tier
   std::uint64_t queue_full_spins = 0;          ///< producer full-spin count
   std::uint64_t max_queue_depth = 0;           ///< gauge: high-water mark
   std::uint64_t shed_packets = 0;       ///< packets shed instead of scanned
@@ -158,6 +159,7 @@ struct ShardSnapshot {
     reassembly_pending_bytes += o.reassembly_pending_bytes;
     flow_hot_slots += o.flow_hot_slots;
     flow_cold_bytes += o.flow_cold_bytes;
+    flows_spilled += o.flows_spilled;
     queue_full_spins += o.queue_full_spins;
     shed_packets += o.shed_packets;
     shed_bytes += o.shed_bytes;
@@ -202,6 +204,7 @@ struct alignas(64) ShardMetrics {
   std::atomic<std::uint64_t> reassembly_pending_bytes{0};  // gauge
   std::atomic<std::uint64_t> flow_hot_slots{0};            // gauge
   std::atomic<std::uint64_t> flow_cold_bytes{0};           // gauge
+  std::atomic<std::uint64_t> flows_spilled{0};
   std::atomic<std::uint64_t> flows_quarantined{0};
   std::atomic<std::uint64_t> prefilter_pass{0};
   std::atomic<std::uint64_t> prefilter_skip{0};
@@ -239,6 +242,7 @@ struct alignas(64) ShardMetrics {
         reassembly_pending_bytes.load(std::memory_order_relaxed);
     s.flow_hot_slots = flow_hot_slots.load(std::memory_order_relaxed);
     s.flow_cold_bytes = flow_cold_bytes.load(std::memory_order_relaxed);
+    s.flows_spilled = flows_spilled.load(std::memory_order_relaxed);
     s.queue_full_spins = queue_full_spins.load(std::memory_order_relaxed);
     s.max_queue_depth = max_queue_depth.load(std::memory_order_relaxed);
     s.shed_packets = shed_packets.load(std::memory_order_relaxed);

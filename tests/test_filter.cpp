@@ -222,3 +222,108 @@ TEST(FilterValidate, RejectsOutOfRangeCountersAndSlots) {
 
 }  // namespace
 }  // namespace mfa::filter
+
+namespace mfa::filter {
+namespace {
+
+constexpr std::uint16_t E = kSparseEmpty;
+
+TEST(SparseMemory, KeepsLiveIdsSortedAndPadded) {
+  std::uint16_t live[kSparseLive] = {E, E, E, E};
+  SparseMemory m(live);
+  EXPECT_TRUE(m.empty());
+  for (const std::int32_t id : {900, 7, 65534, 7, 300}) m.set_bit(id);
+  EXPECT_EQ((std::vector<std::uint16_t>(live, live + 4)),
+            (std::vector<std::uint16_t>{7, 300, 900, 65534}));
+  EXPECT_TRUE(m.test_bit(300));
+  EXPECT_FALSE(m.test_bit(301));
+  EXPECT_FALSE(m.test_bit(E));  // the padding id is never a live bit
+  m.clear_bit(300);
+  m.clear_bit(301);  // absent: no-op
+  EXPECT_EQ((std::vector<std::uint16_t>(live, live + 4)),
+            (std::vector<std::uint16_t>{7, 900, 65534, E}));
+  // Word 14 holds bits [896, 960): the mask drops 900 and nothing else.
+  m.clear_word(14, (std::uint64_t{1} << 4) | (std::uint64_t{1} << 60));
+  EXPECT_EQ((std::vector<std::uint16_t>(live, live + 4)),
+            (std::vector<std::uint16_t>{7, 65534, E, E}));
+  m.clear_word(0, ~std::uint64_t{0});
+  m.clear_word(1023, ~std::uint64_t{0});
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.counter(0), 0u);   // no increment ever ran inline
+  EXPECT_EQ(m.position(0), 0u);  // no position was ever recorded inline
+}
+
+TEST(SparseMemory, AdmitsOnlyWhatTheSetCanHold) {
+  std::uint16_t live[kSparseLive] = {1, 2, 3, E};
+  SparseMemory m(live);
+  Action set4;
+  set4.set = 4;
+  EXPECT_TRUE(m.admits(set4));  // a free entry
+  m.set_bit(4);
+  EXPECT_TRUE(m.admits(set4));  // full, but the bit is already live
+  Action set5;
+  set5.set = 5;
+  EXPECT_FALSE(m.admits(set5));  // a fifth live bit
+  set5.clear = 2;
+  EXPECT_TRUE(m.admits(set5));   // ... unless its own Clear frees an entry
+  Action far;
+  far.set = E;
+  std::uint16_t none[kSparseLive] = {E, E, E, E};
+  EXPECT_FALSE(SparseMemory(none).admits(far));  // id past the inline range
+  Action count;
+  count.ctr_incr = 0;
+  EXPECT_FALSE(SparseMemory(none).admits(count));
+  Action slot;
+  slot.set = 1;
+  slot.set_slot = 0;
+  EXPECT_FALSE(SparseMemory(none).admits(slot));
+  Action report;
+  report.test = 1;
+  report.report = 9;
+  EXPECT_TRUE(m.admits(report));
+}
+
+TEST(SparseMemory, OnMatchRefusesBeforeChangingAnything) {
+  Program p;
+  p.memory_bits = 8;
+  p.actions.push_back(Action{kNone, 5, 1, 3});  // clear 1, set 5, report 3
+  Engine engine(p);
+  std::uint16_t live[kSparseLive] = {0, 2, 3, 4};
+  SparseMemory m(live);
+  CollectingSink sink;
+  EXPECT_FALSE(engine.on_match(0, 9, m, sink));  // 1 is not live: no room
+  EXPECT_EQ((std::vector<std::uint16_t>(live, live + 4)),
+            (std::vector<std::uint16_t>{0, 2, 3, 4}));
+  EXPECT_TRUE(sink.matches.empty());
+  live[1] = 1;  // now the action's own Clear frees an entry
+  EXPECT_TRUE(engine.on_match(0, 9, m, sink));
+  EXPECT_EQ((std::vector<std::uint16_t>(live, live + 4)),
+            (std::vector<std::uint16_t>{0, 3, 4, 5}));
+  EXPECT_EQ(sink.matches, (MatchVec{{3, 9}}));
+}
+
+TEST(SparseMemory, FullMemoryConvertsBackWhenItFits) {
+  Memory full(/*counters=*/1, /*position_slots=*/1, /*bits=*/70000);
+  std::uint16_t live[kSparseLive] = {E, 0, E, E};
+  for (const std::int32_t id : {3, 64, 299, 65534}) full.set_bit(id);
+  ASSERT_TRUE(full.to_sparse(live));
+  EXPECT_EQ((std::vector<std::uint16_t>(live, live + 4)),
+            (std::vector<std::uint16_t>{3, 64, 299, 65534}));
+  const std::uint16_t before[kSparseLive] = {live[0], live[1], live[2], live[3]};
+  full.set_bit(1000);  // a fifth bit
+  EXPECT_FALSE(full.to_sparse(live));
+  full.clear_bit(1000);
+  full.set_bit(E);  // an id past the inline range
+  EXPECT_FALSE(full.to_sparse(live));
+  full.clear_bit(E);
+  full.increment(0);
+  EXPECT_FALSE(full.to_sparse(live));
+  Memory gap(0, 1, 8);
+  gap.record_position(0, 17);
+  EXPECT_FALSE(gap.to_sparse(live));
+  EXPECT_TRUE(std::equal(live, live + 4, before));  // failures leave it alone
+  EXPECT_GT(full.heap_bytes(), 0u);
+}
+
+}  // namespace
+}  // namespace mfa::filter

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 
 #include "engine_test_util.h"
 #include "patterns/builtin.h"
 #include "regex/sample.h"
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace mfa::core {
@@ -374,17 +378,21 @@ std::string newline_dense_input(const std::vector<std::string>& sources, util::R
 /// matches against the reference: feed() on Context and on InlineContext,
 /// and feed_many() over both job types. Each feed_many() call batches one
 /// chunk of every live flow, so the interleaved kernel (AVX2 where the CPU
-/// has it) runs with all lanes busy.
-void expect_entry_points_match(const Mfa& m, const Reference& ref,
-                               const std::vector<std::string>& sources,
-                               std::uint64_t seed) {
+/// has it) runs with all lanes busy. The inline forms always run: a flow
+/// whose filter memory outgrows the inline set spills into a Context held
+/// by the test, and its InlineContext forwards there until the memory fits
+/// inline again at a chunk end. Returns how many flows ever spilled (feed
+/// and feed_many must spill the same flows and end in the same tier).
+template <typename RefFn, typename MakeInput>
+std::size_t expect_entry_points_match(const Mfa& m, const RefFn& ref, std::uint64_t seed,
+                                      MakeInput&& make_input) {
   constexpr std::size_t kFlows = 10;
   util::Rng rng(seed);
   std::vector<std::string> inputs;
   std::vector<std::vector<std::size_t>> seams;  // chunk end offsets per flow
   std::vector<MatchVec> expect;
   for (std::size_t f = 0; f < kFlows; ++f) {
-    inputs.push_back(newline_dense_input(sources, rng));
+    inputs.push_back(make_input(rng));
     std::vector<std::size_t> ends;
     for (std::size_t pos = 0; pos < inputs[f].size();) {
       pos = std::min<std::size_t>(inputs[f].size(), pos + 1 + rng.below(24));
@@ -397,22 +405,37 @@ void expect_entry_points_match(const Mfa& m, const Reference& ref,
     return reinterpret_cast<const std::uint8_t*>(inputs[f].data()) + pos;
   };
 
-  const auto run_feed = [&](const char* what, auto make_context) {
+  // The inline forms' spill target: flow f's Context, built from its
+  // InlineContext whenever that is not marked spilled yet.
+  std::vector<Mfa::InlineContext> ictx;
+  std::vector<Mfa::Context> full;
+  std::vector<bool> ever;
+  const auto spill_of = [&](std::size_t f) -> Mfa::Context& {
+    if (!ictx[f].spilled()) {
+      full[f] = m.expand_inline(ictx[f]);
+      ever[f] = true;
+    }
+    return full[f];
+  };
+  const auto reset_inline = [&] {
+    ictx.assign(kFlows, m.make_inline_context());
+    full.assign(kFlows, m.make_context());
+    ever.assign(kFlows, false);
+  };
+
+  const auto run_feed = [&](const char* what, auto feed_chunk) {
     for (std::size_t f = 0; f < kFlows; ++f) {
-      auto ctx = make_context();
       CollectingSink sink;
       std::size_t pos = 0;
       for (const std::size_t end : seams[f]) {
-        m.feed(ctx, bytes(f, pos), end - pos, pos, sink);
+        feed_chunk(f, bytes(f, pos), end - pos, pos, sink);
         pos = end;
       }
       EXPECT_EQ(sorted(sink.matches), expect[f]) << what << " flow " << f << ": " << inputs[f];
     }
   };
-  const auto run_feed_many = [&](const char* what, auto make_context) {
-    using Ctx = decltype(make_context());
-    std::vector<Ctx> ctx;
-    for (std::size_t f = 0; f < kFlows; ++f) ctx.push_back(make_context());
+  const auto run_feed_many = [&](const char* what, auto* ctx, auto feed_jobs) {
+    using Ctx = std::remove_pointer_t<decltype(ctx)>;
     std::vector<MatchVec> got(kFlows);
     std::vector<std::size_t> next(kFlows, 0);
     std::vector<std::size_t> pos(kFlows, 0);
@@ -422,26 +445,78 @@ void expect_entry_points_match(const Mfa& m, const Reference& ref,
       for (std::size_t f = 0; f < kFlows; ++f) {
         if (next[f] == seams[f].size()) continue;
         const std::size_t end = seams[f][next[f]++];
-        jobs.push_back({&ctx[f], bytes(f, pos[f]), end - pos[f], pos[f]});
+        jobs.push_back({ctx + f, bytes(f, pos[f]), end - pos[f], pos[f]});
         owner.push_back(f);
         pos[f] = end;
       }
       if (jobs.empty()) break;
-      m.feed_many(jobs.data(), jobs.size(),
-                  [&](std::size_t j, std::uint32_t id, std::uint64_t e) {
-                    got[owner[j]].push_back({id, e});
-                  });
+      feed_jobs(jobs, owner, [&](std::size_t j, std::uint32_t id, std::uint64_t e) {
+        got[owner[j]].push_back({id, e});
+      });
     }
     for (std::size_t f = 0; f < kFlows; ++f)
       EXPECT_EQ(sorted(got[f]), expect[f]) << what << " flow " << f << ": " << inputs[f];
   };
 
-  run_feed("feed(Context)", [&] { return m.make_context(); });
-  run_feed_many("feed_many(Context)", [&] { return m.make_context(); });
-  if (m.inline_contexts_ok()) {
-    run_feed("feed(InlineContext)", [&] { return m.make_inline_context(); });
-    run_feed_many("feed_many(InlineContext)", [&] { return m.make_inline_context(); });
+  std::vector<Mfa::Context> ctx(kFlows, m.make_context());
+  run_feed("feed(Context)", [&](std::size_t f, const std::uint8_t* d, std::size_t n,
+                                std::uint64_t base, CollectingSink& sink) {
+    m.feed(ctx[f], d, n, base, sink);
+  });
+  ctx.assign(kFlows, m.make_context());
+  run_feed_many("feed_many(Context)", ctx.data(),
+                [&](auto& jobs, const auto&, auto sink) {
+                  m.feed_many(jobs.data(), jobs.size(), sink);
+                });
+
+  reset_inline();
+  run_feed("feed(InlineContext)", [&](std::size_t f, const std::uint8_t* d, std::size_t n,
+                                      std::uint64_t base, CollectingSink& sink) {
+    m.feed(ictx[f], d, n, base, [&]() -> Mfa::Context& { return spill_of(f); }, sink);
+  });
+  const std::vector<bool> feed_ever = ever;
+  std::vector<bool> feed_end;
+  for (const auto& ic : ictx) feed_end.push_back(ic.spilled());
+
+  reset_inline();
+  run_feed_many("feed_many(InlineContext)", ictx.data(),
+                [&](auto& jobs, const auto& owner, auto sink) {
+                  m.feed_many(
+                      jobs.data(), jobs.size(),
+                      [&](std::size_t j) -> Mfa::Context& { return spill_of(owner[j]); },
+                      sink);
+                });
+  std::size_t spills = 0;
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    EXPECT_EQ(ever[f], feed_ever[f]) << "flow " << f;
+    EXPECT_EQ(ictx[f].spilled(), feed_end[f]) << "flow " << f;
+    spills += ever[f] ? 1 : 0;
   }
+  return spills;
+}
+
+/// expect_entry_points_match() over newline-dense traffic.
+std::size_t expect_entry_points_match(const Mfa& m, const Reference& ref,
+                                      const std::vector<std::string>& sources,
+                                      std::uint64_t seed) {
+  return expect_entry_points_match(
+      m, ref, seed, [&](util::Rng& rng) { return newline_dense_input(sources, rng); });
+}
+
+/// Every `hd` tag of ads_patterns(n) in random order, no line break, with
+/// some `vl` tags between: each flow ends up holding n live guard bits,
+/// far past the four an InlineContext holds.
+std::string ads_flood_input(std::size_t n, util::Rng& rng) {
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
+  std::string input;
+  for (const std::size_t i : order) {
+    input += "hd" + std::to_string(i) + " ";
+    if (rng.chance(0.2)) input += "vl" + std::to_string(rng.below(n)) + " ";
+  }
+  for (int k = 0; k < 4; ++k) input += "vl" + std::to_string(rng.below(n)) + " ";
+  return input;
 }
 
 TEST(MfaFold, S31pFoldsItsLineBreakClearState) {
@@ -465,9 +540,11 @@ TEST(MfaFold, S31pFoldsItsLineBreakClearState) {
 }
 
 TEST(MfaFold, ClearMasksInOneWordAcrossWordsAndPastInlineMemory) {
-  // One clear-only state whose bits sit in the low half of one word (5),
-  // fill both 32-bit halves of an InlineContext (40), span two words (80),
-  // and reach Memory's overflow words past kInlineMemoryBits (300).
+  // One clear-only state whose bits sit in one word (5, 40), span two words
+  // (80), and reach Memory's overflow words past kInlineMemoryBits (300).
+  // The inline path runs at every size. On newline-dense traffic the clear
+  // keeps live sets small; on a flood of every rule's head with no line
+  // break each flow holds n > 4 live bits, so every flow spills.
   for (const std::size_t n : {5u, 40u, 80u, 300u}) {
     const auto sources = ads_patterns(n);
     const auto inputs = compile_patterns(sources);
@@ -476,7 +553,6 @@ TEST(MfaFold, ClearMasksInOneWordAcrossWordsAndPastInlineMemory) {
     ASSERT_TRUE(dense.has_value()) << n;
     EXPECT_EQ(stats.folded_accept_states, 1u) << n;
     EXPECT_EQ(stats.folded_actions, n) << n;
-    EXPECT_EQ(dense->inline_contexts_ok(), n <= 64) << n;
     if (n == 300) {
       EXPECT_GT(dense->program().memory_bits, filter::kInlineMemoryBits);
     }
@@ -488,6 +564,9 @@ TEST(MfaFold, ClearMasksInOneWordAcrossWordsAndPastInlineMemory) {
     const Reference ref(sources, /*original_dfa=*/n <= 5);
     expect_entry_points_match(*dense, ref, sources, 100 + n);
     expect_entry_points_match(*delta, ref, sources, 200 + n);
+    const auto flood = [&](util::Rng& rng) { return ads_flood_input(n, rng); };
+    EXPECT_EQ(expect_entry_points_match(*dense, ref, 300 + n, flood), 10u) << n;
+    EXPECT_EQ(expect_entry_points_match(*delta, ref, 400 + n, flood), 10u) << n;
   }
 }
 
@@ -506,6 +585,163 @@ TEST(MfaFold, MixedClearAndSetStateKeepsItsOrderedActions) {
   const Reference ref(pats, /*original_dfa=*/true);
   EXPECT_EQ(ref("ab xq\ncd yz"), (MatchVec{{2, 10}}));
   expect_entry_points_match(*m, ref, pats, 77);
+}
+
+// --- Spilling: inline contexts whose memory outgrows the inline set ---
+
+/// `m` reloaded with its filter program replaced by edit(program): the MFAC
+/// program section rewritten in place (same action count) under a
+/// recomputed digest. The splitter never emits counters, so this is how a
+/// counted program reaches the engine — as it would from a crafted artifact.
+template <typename Edit>
+std::optional<Mfa> with_program(const Mfa& m, Edit&& edit) {
+  filter::Program p = m.program();
+  edit(p);
+  const std::string path = ::testing::TempDir() + "mfa_spill_program.mfac";
+  EXPECT_TRUE(m.save(path));
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)), {});
+  in.close();
+  std::size_t pieces = 8;
+  for (const auto& piece : m.pieces()) pieces += 4 + piece.regex.source.size();
+  const std::size_t program_bytes = 8 + p.actions.size() * sizeof(filter::Action) + 12;
+  char* at = bytes.data() + bytes.size() - 8 - pieces - program_bytes + 8;
+  std::memcpy(at, p.actions.data(), p.actions.size() * sizeof(filter::Action));
+  at += p.actions.size() * sizeof(filter::Action);
+  std::memcpy(at, &p.memory_bits, 4);
+  std::memcpy(at + 4, &p.counters, 4);
+  std::memcpy(at + 8, &p.position_slots, 4);
+  const std::uint64_t digest =
+      util::detail::fnv1a(util::detail::kFnvOffset, bytes.data(), bytes.size() - 8);
+  std::memcpy(bytes.data() + bytes.size() - 8, &digest, 8);
+  std::ofstream(path, std::ios::binary).write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  auto loaded = Mfa::load(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+/// Random text over a small alphabet seeded with the given literals.
+std::string literal_soup(const std::vector<std::string>& literals, util::Rng& rng) {
+  std::string input;
+  for (int k = 4 + static_cast<int>(rng.below(12)); k > 0; --k) {
+    if (rng.chance(0.5))
+      input += literals[rng.below(literals.size())];
+    else
+      for (int i = 1 + static_cast<int>(rng.below(6)); i > 0; --i)
+        input += "abcdxyz "[rng.below(8)];
+  }
+  return input;
+}
+
+TEST(MfaSpill, CountedProgramSpillsAtTheIncrement) {
+  // `.*ab.*cd` with its "ab" action counting and its "cd" action requiring
+  // the count to reach 2 is exactly `.*ab.*ab.*cd` (two "ab" cannot
+  // overlap, nor can an "ab" end inside a "cd"). Every increment spills.
+  for (const bool delta : {false, true}) {
+    BuildOptions opts;
+    opts.delta = delta;
+    const auto base = build_mfa(compile_patterns({".*ab.*cd"}), opts);
+    ASSERT_TRUE(base.has_value());
+    const auto counted = with_program(*base, [](filter::Program& p) {
+      p.counters = 1;
+      for (auto& a : p.actions) {
+        if (a.set != filter::kNone) a.ctr_incr = 0;
+        if (a.report != filter::kNone) {
+          a.ctr_test = 0;
+          a.ctr_threshold = 2;
+        }
+      }
+    });
+    ASSERT_TRUE(counted.has_value());
+    ASSERT_EQ(counted->program().counters, 1u);
+    const Reference ref({".*ab.*ab.*cd"}, /*original_dfa=*/true);
+    const auto soup = [](util::Rng& rng) { return literal_soup({"ab", "cd"}, rng); };
+    EXPECT_GT(expect_entry_points_match(*counted, ref, delta ? 12 : 11, soup), 0u);
+  }
+}
+
+TEST(MfaSpill, GapPatternSpillsAtThePositionRecord) {
+  const std::vector<std::string> pats = {".*ab.{3,}yz", ".*cd.*xy"};
+  for (const bool delta : {false, true}) {
+    BuildOptions opts;
+    opts.delta = delta;
+    const auto m = build_mfa(compile_patterns(pats), opts);
+    ASSERT_TRUE(m.has_value());
+    ASSERT_EQ(m->program().position_slots, 1u);
+    const Reference ref(pats, /*original_dfa=*/true);
+    const auto soup = [](util::Rng& rng) {
+      return literal_soup({"ab", "yz", "cd", "xy"}, rng);
+    };
+    EXPECT_GT(expect_entry_points_match(*m, ref, delta ? 22 : 21, soup), 0u);
+  }
+}
+
+TEST(MfaSpill, BitIdsPastTheInlineRangeSpill) {
+  // 65,535 never-matching rules take bits 0..65534, so the last rule's
+  // guard is bit 0xFFFF — the first id the inline set cannot hold. One
+  // live bit spills, and stays spilled across chunk ends.
+  std::vector<nfa::PatternInput> inputs;
+  constexpr std::uint32_t kFillers = 0xFFFF;
+  const regex::Regex filler = regex::parse_or_die(".*qq.*zz");
+  for (std::uint32_t i = 0; i < kFillers; ++i) inputs.push_back({filler, i + 1});
+  inputs.push_back({regex::parse_or_die(".*ab.*cd"), kFillers + 1});
+  const auto m = build_mfa(inputs);
+  ASSERT_TRUE(m.has_value());
+  ASSERT_EQ(m->program().memory_bits, kFillers + 1);
+  const Reference target({".*ab.*cd"}, /*original_dfa=*/true);
+  const auto ref = [&](const std::string& in) {
+    MatchVec v = target(in);
+    for (Match& match : v) match.id = kFillers + 1;
+    return v;
+  };
+  const auto soup = [](util::Rng& rng) { return literal_soup({"ab", "cd"}, rng); };
+  EXPECT_GT(expect_entry_points_match(*m, ref, 31, soup), 0u);
+}
+
+TEST(MfaSpill, SpillMidWaveRunsTheRestOfTheChunkOnTheFullMemory) {
+  // One feed_many wave, one chunk per flow: each flow's fifth head spills
+  // it mid-chunk, and the tails after it (reports of early and late heads,
+  // a line break, then a fresh head) must all resolve on the spilled
+  // memory; the line break empties it, so every flow ends inline again.
+  const auto sources = ads_patterns(8);
+  const Reference ref(sources, /*original_dfa=*/false);
+  for (const bool delta : {false, true}) {
+    BuildOptions opts;
+    opts.delta = delta;
+    const auto m = build_mfa(compile_patterns(sources), opts);
+    ASSERT_TRUE(m.has_value());
+    constexpr std::size_t kFlows = 12;
+    std::vector<std::string> in(kFlows);
+    for (std::size_t f = 0; f < kFlows; ++f) {
+      for (std::size_t h = 0; h < 5 + f % 3; ++h) in[f] += "hd" + std::to_string((f + h) % 8) + " ";
+      in[f] += "vl" + std::to_string(f % 8) + " vl" + std::to_string((f + 4) % 8) +
+               "\nvl" + std::to_string(f % 8) + " hd7 vl7";
+    }
+    std::vector<Mfa::InlineContext> ictx(kFlows, m->make_inline_context());
+    std::vector<Mfa::Context> full(kFlows, m->make_context());
+    std::vector<int> spills(kFlows, 0);
+    std::vector<scan::FeedJob<Mfa::InlineContext>> jobs;
+    for (std::size_t f = 0; f < kFlows; ++f)
+      jobs.push_back({&ictx[f], reinterpret_cast<const std::uint8_t*>(in[f].data()),
+                      in[f].size(), 0});
+    std::vector<MatchVec> got(kFlows);
+    m->feed_many(
+        jobs.data(), jobs.size(),
+        [&](std::size_t j) -> Mfa::Context& {
+          if (!ictx[j].spilled()) {
+            full[j] = m->expand_inline(ictx[j]);
+            ++spills[j];
+          }
+          return full[j];
+        },
+        [&](std::size_t j, std::uint32_t id, std::uint64_t e) { got[j].push_back({id, e}); });
+    for (std::size_t f = 0; f < kFlows; ++f) {
+      EXPECT_EQ(spills[f], 1) << f;
+      EXPECT_FALSE(ictx[f].spilled()) << f;  // the line break emptied it
+      EXPECT_EQ(sorted(got[f]), ref(in[f])) << (delta ? "delta " : "dense ") << in[f];
+      EXPECT_FALSE(got[f].empty());
+    }
+  }
 }
 
 TEST(MfaEngineContext, SharedEngineIndependentContexts) {

@@ -234,6 +234,7 @@ RegistrySnapshot known_snapshot() {
   s.matches.fetch_add(2);
   s.flows.store(4);
   s.evictions.fetch_add(1);
+  s.flows_spilled.fetch_add(5);
   s.queue_full_spins.fetch_add(9);
   s.max_queue_depth.store(17);
   s.scan_ns.record(100);
@@ -258,6 +259,9 @@ TEST(Exporters, PrometheusGoldenLines) {
   EXPECT_NE(out.find("mfa_queue_full_spins_total{shard=\"0\"} 9\n"),
             std::string::npos);
   EXPECT_NE(out.find("mfa_queue_max_depth{shard=\"0\"} 17\n"), std::string::npos);
+  EXPECT_NE(out.find("# TYPE mfa_flow_spills_total counter\n"
+                     "mfa_flow_spills_total{shard=\"0\"} 5\n"),
+            std::string::npos);
   // Histogram: 100 -> bucket bound 127, 1000 -> bucket bound 1023; buckets
   // are cumulative and end with +Inf == count.
   EXPECT_NE(out.find("mfa_scan_ns_bucket{shard=\"0\",le=\"127\"} 1\n"),
@@ -278,6 +282,7 @@ TEST(Exporters, JsonGoldenFields) {
   EXPECT_NE(out.find("\"packets\":3"), std::string::npos);
   EXPECT_NE(out.find("\"bytes\":1500"), std::string::npos);
   EXPECT_NE(out.find("\"queue_full_spins\":9"), std::string::npos);
+  EXPECT_NE(out.find("\"flows_spilled\":5"), std::string::npos);
   EXPECT_NE(out.find("\"scan_ns\":{\"count\":2,\"sum\":1100,\"buckets\":"
                      "[[127,1],[1023,1]]}"),
             std::string::npos)

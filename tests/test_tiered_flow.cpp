@@ -4,8 +4,10 @@
 // ground truth for delivery semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "dfa/dfa.h"
@@ -17,6 +19,7 @@
 #include "hfa/hfa.h"
 #include "mfa/mfa.h"
 #include "nfa/nfa.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace mfa::flow {
@@ -34,6 +37,15 @@ core::Mfa build(const std::vector<std::string>& sources) {
 Packet make_packet(const FlowKey& key, std::uint64_t seq, const std::string& bytes) {
   return Packet{key, seq, reinterpret_cast<const std::uint8_t*>(bytes.data()),
                 static_cast<std::uint32_t>(bytes.size())};
+}
+
+/// `n` almost-dot-star rules `.*hdK[^\n]*vlK`: one guard bit each, set by a
+/// head, tested by its tail, cleared by a line break.
+std::vector<std::string> ads_sources(std::size_t n) {
+  std::vector<std::string> sources;
+  for (std::size_t i = 0; i < n; ++i)
+    sources.push_back(".*hd" + std::to_string(i) + "[^\\n]*vl" + std::to_string(i));
+  return sources;
 }
 
 // --- TimingWheel ---
@@ -225,16 +237,30 @@ TEST(TieredFlow, EvictDropsContext) {
 // --- TieredFlowInspector: tier placement ---
 
 TEST(TieredFlow, InOrderMfaFlowsNeverTouchTheColdTier) {
-  const core::Mfa m = build({".*needle"});
-  ASSERT_TRUE(m.inline_contexts_ok());
+  // Inline at any ruleset size: 300 rules need 300 filter bits, but each
+  // flow holds at most a few live ones.
+  std::vector<std::string> sources = {".*needle"};
+  for (int i = 0; i < 300; ++i)
+    sources.push_back(".*hd" + std::to_string(i) + "[^\\n]*vl" + std::to_string(i));
+  const core::Mfa m = build(sources);
+  ASSERT_GT(m.program().memory_bits, 64u);
   TieredFlowInspector<core::Mfa> insp{m};
+  FlowInspector<core::Mfa> flat{m};
   EXPECT_TRUE(insp.inline_eligible());
-  CountingSink sink;
-  for (std::uint32_t f = 0; f < 500; ++f)
-    insp.packet(make_packet(FlowKey{f, 0, 0, 0, 6}, 0, "a needle here"), sink);
+  CollectingSink sink, flat_sink;
+  for (std::uint32_t f = 0; f < 500; ++f) {
+    const std::string tag = std::to_string(f % 300);
+    const std::string payload = "a needle here, hd" + tag + " vl" + tag;
+    const Packet p = make_packet(FlowKey{f, 0, 0, 0, 6}, 0, payload);
+    insp.packet(p, sink);
+    flat.packet(p, flat_sink);
+  }
   EXPECT_EQ(insp.flow_count(), 500u);
   EXPECT_EQ(insp.cold_record_count(), 0u);  // all state inline in hot slots
-  EXPECT_EQ(sink.count, 500u);
+  EXPECT_EQ(insp.spilled_flow_count(), 0u);
+  EXPECT_EQ(insp.cold_heap_bytes(), 0u);
+  EXPECT_GE(sink.matches.size(), 1000u);  // every needle and every own rule
+  EXPECT_EQ(sorted(sink.matches), sorted(flat_sink.matches));
 }
 
 TEST(TieredFlow, ReorderingFlowBorrowsAndReturnsAColdRecord) {
@@ -268,7 +294,8 @@ TEST(TieredFlow, HotSlotStaysCompact) {
   // slot — key, offset, epoch, slab handle, the 12-byte (q, m) inline
   // context, and stamps — with no pointers and no heap node.
   using Slot = TieredFlowInspector<core::Mfa>::HotSlot;
-  EXPECT_LE(sizeof(Slot), 48u);
+  EXPECT_EQ(sizeof(core::Mfa::InlineContext), 12u);
+  EXPECT_EQ(sizeof(Slot), 48u);
 }
 
 // --- TieredFlowInspector: eviction ---
@@ -493,6 +520,180 @@ TEST(TieredFlowFuzz, AgreesWithFlatInspectorUnderHostileDelivery) {
     run_plan(bounded, plan);
     EXPECT_LE(bounded.flow_count(), 3u) << "round " << round;
   }
+}
+
+// --- spilled flows: inline state that outgrew its slot ---
+
+/// Matches attributed to their flow (src_ip, id, end), sorted. burst == 0
+/// delivers packet by packet, otherwise through packet_batch_flows().
+using FlowMatches = std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>>;
+
+template <typename InspT>
+FlowMatches run_plan_keyed(InspT& insp, const std::vector<Delivery>& plan,
+                           std::size_t burst) {
+  FlowMatches got;
+  std::vector<Packet> packets;
+  for (const auto& d : plan) packets.push_back(make_packet(d.key, d.seq, d.bytes));
+  if (burst == 0) {
+    for (const Packet& p : packets)
+      insp.packet(p, [&](std::uint32_t id, std::uint64_t end) {
+        got.emplace_back(p.key.src_ip, id, end);
+      });
+  } else {
+    for (std::size_t i = 0; i < packets.size(); i += burst)
+      insp.packet_batch_flows(
+          packets.data() + i, std::min(burst, packets.size() - i),
+          [&](const FlowKey& key, std::uint32_t id, std::uint64_t end) {
+            got.emplace_back(key.src_ip, id, end);
+          },
+          [](const Packet&) {});
+  }
+  std::sort(got.begin(), got.end());
+  return got;
+}
+
+/// Flow content that drives ads_sources(n) rules past four live bits: runs
+/// of heads, some tails, occasional line breaks.
+std::string head_flood(std::size_t n, util::Rng& rng) {
+  std::string s;
+  for (int k = 8 + static_cast<int>(rng.below(16)); k > 0; --k) {
+    const std::string tag = std::to_string(rng.below(n));
+    s += rng.chance(0.7) ? "hd" + tag + " " : "vl" + tag + " ";
+    if (rng.chance(0.05)) s += "\n";
+  }
+  return s;
+}
+
+std::string gap_soup(util::Rng& rng) {
+  static const char* const kLiterals[] = {"ab", "yz", "cd", "xy"};
+  std::string s;
+  for (int k = 4 + static_cast<int>(rng.below(10)); k > 0; --k)
+    s += rng.chance(0.5) ? std::string(kLiterals[rng.below(4)])
+                         : std::string(1 + rng.below(4), "abxyz "[rng.below(6)]);
+  return s;
+}
+
+TEST(TieredFlowSpill, ReorderedBatchesMatchTheFlatInspectorAcrossSpills) {
+  // Spills through both triggers — a fifth live bit (ADS heads, dense and
+  // delta tables) and a position record (a gap rule) — on reordered,
+  // duplicated packets cut at random seams, in single and batched
+  // delivery. The flat inspector, which keeps full heap contexts, is the
+  // reference.
+  struct Case {
+    const char* name;
+    std::vector<std::string> sources;
+    bool delta;
+  };
+  const std::vector<Case> cases = {
+      {"ads dense", ads_sources(40), false},
+      {"ads delta", ads_sources(40), true},
+      {"gap", {".*ab.{3,}yz", ".*cd.*xy"}, false},
+  };
+  for (const Case& c : cases) {
+    core::BuildOptions opts;
+    opts.delta = c.delta;
+    const auto m = core::build_mfa(compile_patterns(c.sources), opts);
+    ASSERT_TRUE(m.has_value()) << c.name;
+    for (std::uint64_t round = 0; round < 8; ++round) {
+      util::Rng rng(900 + round);
+      std::vector<Delivery> plan;
+      for (std::uint32_t f = 0; f < 12; ++f) {
+        const FlowKey key{f + 1, 5, 1000, 80, 6};
+        const std::string content =
+            c.sources.size() == 40 ? head_flood(40, rng) : gap_soup(rng);
+        auto flow_plan = plan_flow(key, content, rng);
+        plan.insert(plan.end(), flow_plan.begin(), flow_plan.end());
+      }
+      for (std::size_t i = 0; i + 1 < plan.size(); ++i)
+        if (rng.chance(0.5)) std::swap(plan[i], plan[i + 1]);
+
+      FlowInspector<core::Mfa> flat{*m};
+      const FlowMatches expected = run_plan_keyed(flat, plan, 0);
+      TieredFlowInspector<core::Mfa> single{*m};
+      EXPECT_EQ(run_plan_keyed(single, plan, 0), expected) << c.name << " " << round;
+      TieredFlowInspector<core::Mfa> batched{*m};
+      EXPECT_EQ(run_plan_keyed(batched, plan, 9), expected) << c.name << " " << round;
+      EXPECT_GT(single.spilled_flow_count(), 0u) << c.name << " " << round;
+      EXPECT_GT(batched.spilled_flow_count(), 0u) << c.name << " " << round;
+      // Reorder-only records went back; spilled flows keep theirs.
+      EXPECT_EQ(single.reassembly_pending_bytes(), 0u);
+      EXPECT_EQ(single.cold_record_count(), single.spilled_flow_count());
+    }
+  }
+}
+
+TEST(TieredFlowSpill, SwapsOverSpilledFlowsFreeTheOldGenerationAndItsRecords) {
+  const core::Mfa old_rules = build(ads_sources(8));
+  const core::Mfa new_rules = build({".*needle"});
+  const std::string heads = "hd0 hd1 hd2 hd3 hd4 hd5 ";  // six live bits
+  const std::string next = "vl3 a needle";
+  for (const SwapPolicy policy : {SwapPolicy::kResetOnNextPacket, SwapPolicy::kDrainOld}) {
+    TieredFlowInspector<core::Mfa> insp{old_rules};
+    CollectingSink sink;
+    for (std::uint32_t f = 0; f < 6; ++f)
+      insp.packet(make_packet(FlowKey{f, 1, 1, 1, 6}, 0, heads), sink);
+    ASSERT_EQ(insp.spilled_flow_count(), 6u);
+    ASSERT_EQ(insp.cold_record_count(), 6u);
+    insp.adopt_engine(new_rules, 1, policy);
+    for (std::uint32_t f = 0; f < 6; ++f)
+      insp.packet(make_packet(FlowKey{f, 1, 1, 1, 6}, heads.size(), next), sink);
+    if (policy == SwapPolicy::kResetOnNextPacket) {
+      // Back inline on the new ruleset: records returned, old engine freed.
+      EXPECT_EQ(sink.matches.size(), 6u);  // the needles, not vl3
+      EXPECT_EQ(insp.cold_record_count(), 0u);
+      EXPECT_EQ(insp.retired_generation_count(), 0u);
+      EXPECT_EQ(insp.flows_on_generation(1), 6u);
+    } else {
+      // Draining flows finish on the old ruleset from their spilled memory.
+      EXPECT_EQ(sink.matches.size(), 6u);  // vl3 against the live hd3 bit
+      for (const Match& hit : sink.matches) EXPECT_EQ(hit.id, 4u);
+      EXPECT_EQ(insp.retired_generation_count(), 1u);
+      EXPECT_EQ(insp.cold_record_count(), 6u);
+      for (std::uint32_t f = 0; f < 6; ++f) insp.evict(FlowKey{f, 1, 1, 1, 6});
+      EXPECT_EQ(insp.retired_generation_count(), 0u);
+      EXPECT_EQ(insp.cold_record_count(), 0u);
+    }
+    EXPECT_EQ(insp.cold_heap_bytes(), 0u);
+  }
+}
+
+TEST(TieredFlow, BytesPerFlowGaugeCountsWhatColdRecordsOwn) {
+  // 400 rules need 400 filter bits, so a spilled flow's heap Context owns
+  // overflow words past Memory's inline 256; reordering flows own their
+  // pending buffers. The gauge must count both.
+  const core::Mfa m = build(ads_sources(400));
+  obs::MetricsRegistry reg(1);
+  TieredFlowInspector<core::Mfa> insp{m};
+  insp.set_metrics(&reg, 0);
+  CountingSink sink;
+  const std::string heads = "hd0 hd1 hd2 hd3 hd4 ";
+  for (std::uint32_t f = 0; f < 3; ++f)  // spilled
+    insp.packet(make_packet(FlowKey{f, 2, 2, 2, 6}, 0, heads), sink);
+  insp.packet(make_packet(FlowKey{10, 2, 2, 2, 6}, 4, "seven!!"), sink);      // 7 B pending
+  insp.packet(make_packet(FlowKey{11, 2, 2, 2, 6}, 9, "eleven bytes"), sink);  // 12 B
+  insp.packet(make_packet(FlowKey{0, 2, 2, 2, 6}, 40, "late"), sink);  // spilled + pending
+  insp.packet(make_packet(FlowKey{20, 2, 2, 2, 6}, 0, "plain"), sink);
+  const std::size_t ctx_heap = m.make_context().memory.heap_bytes();
+  ASSERT_GT(ctx_heap, 0u);
+  EXPECT_EQ(insp.spilled_flow_count(), 3u);
+  EXPECT_EQ(reg.snapshot().totals().flows_spilled, 3u);
+  EXPECT_EQ(insp.cold_heap_bytes(), 3 * ctx_heap + 3 * sizeof(PendingSegment) + 7 + 12 + 4);
+
+  // The gauge's next sample is exactly (hot + cold slabs + record heap) / flows.
+  const auto gauge_sum = [&] { return reg.snapshot().totals().bytes_per_flow.sum; };
+  const std::uint64_t before = gauge_sum();
+  insp.packet(make_packet(FlowKey{20, 2, 2, 2, 6}, 5, " more"), sink);
+  EXPECT_EQ(gauge_sum() - before,
+            (insp.hot_bytes() + insp.cold_bytes() + insp.cold_heap_bytes()) /
+                insp.flow_count());
+
+  // Filled gaps return reorder-only records and their buffers.
+  insp.packet(make_packet(FlowKey{10, 2, 2, 2, 6}, 0, "gap!"), sink);
+  insp.packet(make_packet(FlowKey{11, 2, 2, 2, 6}, 0, "nine byte"), sink);
+  EXPECT_EQ(insp.cold_heap_bytes(), 3 * ctx_heap + sizeof(PendingSegment) + 4);
+  for (std::uint32_t f = 0; f < 3; ++f) insp.evict(FlowKey{f, 2, 2, 2, 6});
+  EXPECT_EQ(insp.cold_heap_bytes(), 0u);
+  EXPECT_EQ(insp.cold_record_count(), 0u);
 }
 
 TEST(TieredFlowFuzz, GrowUnderBatchedInsertBurstKeepsDeliveryExact) {
