@@ -10,7 +10,10 @@
 // FlowInspector::packet_batch in 64-packet bursts — the same path the
 // sharded pipeline's workers use. K=1 degenerates to the sequential feed
 // loop and is the baseline; the single-packet packet() path is also shown
-// for reference.
+// for reference. A last MFA-only sweep runs S31p over the C112-like noisy
+// trace ("multiplexed-noisy" rows), where about a third of all bytes enter
+// an accepting state: it guards the batched path's accept handling, which
+// the clean CDX-like traffic above barely exercises.
 //
 // --smoke shrinks the run for per-push CI; --json FILE writes the
 // mfa.bench.v1 schema with K recorded in the row's `shards` field
@@ -29,10 +32,10 @@ template <typename EngineT>
 void sweep_engine(const char* engine_name, const EngineT& engine,
                   const mfa::trace::Trace& t, const mfa::bench::Args& args,
                   mfa::obs::BenchReport& report, mfa::util::TextTable& table,
-                  const std::string& set_name) {
+                  const std::string& set_name, const char* trace_name = "multiplexed") {
   using namespace mfa;
   const eval::Throughput single = eval::measure_throughput(engine, t, args.reps);
-  report.add(set_name, "multiplexed", engine_name, single.cycles_per_byte,
+  report.add(set_name, trace_name, engine_name, single.cycles_per_byte,
              single.matches, /*shards=*/0);
   double k1_cpb = 0.0;
   for (const std::size_t lanes : {1u, 2u, 4u, 8u, 16u}) {
@@ -45,7 +48,7 @@ void sweep_engine(const char* engine_name, const EngineT& engine,
                        tp.cycles_per_byte > 0 ? k1_cpb / tp.cycles_per_byte : 0.0, 2),
                    std::to_string(tp.matches),
                    util::format_double(single.cycles_per_byte, 1)});
-    report.add(set_name, "multiplexed", engine_name, tp.cycles_per_byte, tp.matches,
+    report.add(set_name, trace_name, engine_name, tp.cycles_per_byte, tp.matches,
                /*shards=*/lanes);
     if (tp.matches != single.matches)
       std::fprintf(stderr, "WARNING: %s K=%zu matches %llu != single-packet %llu\n",
@@ -113,6 +116,21 @@ int main(int argc, char** argv) {
       std::printf("%s: DFA baseline exceeded %u states, skipping dense/compact rows\n",
                   set_name, d_opts.max_states);
     }
+  }
+  {
+    const patterns::PatternSet set = patterns::set_by_name("S31p");
+    const auto exemplars = eval::attack_exemplars(set, 2, 709);
+    trace::Trace t = trace::make_real_life(trace::RealLifeProfile::kCyberDefenseNoisy,
+                                           args.trace_bytes, 709, exemplars);
+    if (args.flows != 0) t = bench::with_flow_count(t, args.flows);
+    std::printf("=== %s (noisy): %zu patterns, trace %.2f MB ===\n", set.name.c_str(),
+                set.patterns.size(),
+                static_cast<double>(t.payload_bytes()) / (1024 * 1024));
+    if (const auto m = core::build_mfa(set.patterns))
+      sweep_engine(core::Mfa::kEngineName, *m, t, args, report, table, set.name,
+                   "multiplexed-noisy");
+    else
+      std::fprintf(stderr, "S31p: MFA construction failed\n");
   }
   bench::print_table(table, args.csv);
   std::printf("Reading: K=1 is the sequential feed loop; the climb to K=8 is\n"

@@ -149,41 +149,51 @@ int main(int argc, char** argv) {
             ? 100.0 * split.patterns_decomposed / split.patterns_in
             : 0.0;
 
-    util::TextTable table({"Engine", "States", "Bytes", "B/state", "Compile s", "CpB"});
+    // Quiet accepts: accepting states a flow with no live filter bit walks
+    // through without running the filter (DESIGN.md §6 #11).
+    const auto quiet_cell = [](const core::BuildStats& st, const core::Mfa& m) {
+      return std::to_string(st.quiet_accept_states) + "/" +
+             std::to_string(m.character_dfa().accepting_state_count());
+    };
+    util::TextTable table(
+        {"Engine", "States", "Bytes", "B/state", "Compile s", "CpB", "Quiet accepts"});
     table.add_row({"dfa",
                    bench::cell_or_dash(suite.dfa_build.ok, std::to_string(suite.dfa_build.states)),
                    bench::cell_or_dash(suite.dfa_build.ok, std::to_string(suite.dfa_build.image_bytes)),
                    bench::cell_or_dash(suite.dfa_build.ok,
                                        bytes_per_state(suite.dfa_build.image_bytes, suite.dfa_build.states)),
                    bench::cell_or_dash(rung == 0, fmt(suite.dfa_build.seconds)),
-                   "-"});
+                   "-", "-"});
     table.add_row({"nfa", std::to_string(suite.nfa_build.states),
                    std::to_string(suite.nfa_build.image_bytes),
                    bytes_per_state(suite.nfa_build.image_bytes, suite.nfa_build.states),
-                   fmt(suite.nfa_build.seconds), "-"});
+                   fmt(suite.nfa_build.seconds), "-", "-"});
     table.add_row({"hfa",
                    bench::cell_or_dash(suite.hfa_build.ok, std::to_string(suite.hfa_build.states)),
                    bench::cell_or_dash(suite.hfa_build.ok, std::to_string(suite.hfa_build.image_bytes)),
                    bench::cell_or_dash(suite.hfa_build.ok,
                                        bytes_per_state(suite.hfa_build.image_bytes, suite.hfa_build.states)),
-                   bench::cell_or_dash(rung == 0, fmt(suite.hfa_build.seconds)), "-"});
+                   bench::cell_or_dash(rung == 0, fmt(suite.hfa_build.seconds)), "-", "-"});
     table.add_row({"xfa",
                    bench::cell_or_dash(suite.xfa_build.ok, std::to_string(suite.xfa_build.states)),
                    bench::cell_or_dash(suite.xfa_build.ok, std::to_string(suite.xfa_build.image_bytes)),
                    bench::cell_or_dash(suite.xfa_build.ok,
                                        bytes_per_state(suite.xfa_build.image_bytes, suite.xfa_build.states)),
-                   bench::cell_or_dash(rung == 0, fmt(suite.xfa_build.seconds)), "-"});
+                   bench::cell_or_dash(rung == 0, fmt(suite.xfa_build.seconds)), "-", "-"});
     table.add_row({"mfa", std::to_string(piece_states),
                    std::to_string(dense_table_bytes),
                    bytes_per_state(dense_table_bytes, piece_states),
-                   fmt(suite.mfa_stats.seconds), fmt(dense_tp.cycles_per_byte)});
+                   fmt(suite.mfa_stats.seconds), fmt(dense_tp.cycles_per_byte),
+                   quiet_cell(suite.mfa_stats, *suite.mfa)});
     table.add_row({"compact_dfa", std::to_string(compact.state_count()),
                    std::to_string(compact_table_bytes),
-                   bytes_per_state(compact_table_bytes, compact.state_count()), "-", "-"});
+                   bytes_per_state(compact_table_bytes, compact.state_count()), "-", "-",
+                   "-"});
     table.add_row({"mfa-delta", std::to_string(d2.state_count()),
                    std::to_string(delta_table_bytes),
                    bytes_per_state(delta_table_bytes, d2.state_count()),
-                   fmt(del_stats.seconds), fmt(delta_tp.cycles_per_byte)});
+                   fmt(del_stats.seconds), fmt(delta_tp.cycles_per_byte),
+                   quiet_cell(del_stats, *delta_mfa)});
 
     std::printf("%zu rules (%u of %u decomposed, split coverage %.1f%%):\n",
                 nrules, split.patterns_decomposed, split.patterns_in, coverage);

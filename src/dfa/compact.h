@@ -125,12 +125,13 @@ class CompactDfa {
     (void)lanes;
     const std::uint32_t* offsets = row_offsets_.data();
     scan::interleaved_scan(
-        jobs, count, /*lanes=*/1, accept_states_,
+        jobs, count, /*lanes=*/1, [this](std::size_t) { return accept_states_; },
         [this](std::uint32_t s, std::uint8_t b) { return next(s, b); },
         [=](std::uint32_t s) { scan::prefetch_ro(offsets + s); },
         [&](std::size_t job, std::uint32_t s, std::uint64_t end) {
           const auto [first, last] = accepts(s);
           for (const auto* it = first; it != last; ++it) sink(job, *it, end);
+          return accept_states_;
         });
   }
 

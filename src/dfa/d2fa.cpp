@@ -144,6 +144,7 @@ D2fa::D2fa(const Dfa& dfa, const D2faOptions& options, D2faStats* stats) {
   defaults_.resize(n);
   row_offsets_.assign(n + 1, 0);
   std::uint64_t chain_sum = 0;
+  std::vector<Exception> exceptions;
   for (std::uint32_t s = 0; s < n; ++s) {
     const std::uint32_t* row = table + static_cast<std::size_t>(s) * ncols;
     if (parent[s] == kNoParent) {
@@ -156,24 +157,11 @@ D2fa::D2fa(const Dfa& dfa, const D2faOptions& options, D2faStats* stats) {
       const std::uint32_t p = parent[s];
       defaults_[s] = p;
       const std::uint32_t* prow = table + static_cast<std::size_t>(p) * ncols;
-      std::uint8_t code = 0;
-      std::uint32_t count = 0;
-      for (std::uint16_t c = 0; c < ncols; ++c) {
-        if (row[c] == prow[c]) continue;
-        code = std::max(code, width_code(zigzag(
-                                  static_cast<std::int32_t>(row[c] - p))));
-        ++count;
-      }
-      if (count > 0) {
-        exc_.push_back(code);
-        const std::uint32_t w = 1u << code;
-        for (std::uint16_t c = 0; c < ncols; ++c) {
-          if (row[c] == prow[c]) continue;
-          exc_.push_back(static_cast<std::uint8_t>(c));
-          store_le(exc_, zigzag(static_cast<std::int32_t>(row[c] - p)), w);
-        }
-      }
-      exception_entries_ += count;
+      exceptions.clear();
+      for (std::uint16_t c = 0; c < ncols; ++c)
+        if (row[c] != prow[c]) exceptions.emplace_back(static_cast<std::uint8_t>(c), row[c]);
+      encode_row(exc_, p, exceptions);
+      exception_entries_ += exceptions.size();
       max_chain_ = std::max(max_chain_, chain[s]);
       chain_sum += chain[s];
     }
@@ -189,6 +177,60 @@ D2fa::D2fa(const Dfa& dfa, const D2faOptions& options, D2faStats* stats) {
   st.avg_chain = n > 0 ? static_cast<double>(chain_sum) / n : 0.0;
   st.exception_entries = exception_entries_;
   st.seconds = timer.seconds();
+}
+
+void D2fa::encode_row(std::vector<std::uint8_t>& out, std::uint32_t parent,
+                      const std::vector<Exception>& row) {
+  if (row.empty()) return;
+  std::uint8_t code = 0;
+  for (const auto& [col, target] : row)
+    code = std::max(code, width_code(zigzag(static_cast<std::int32_t>(target - parent))));
+  out.push_back(code);
+  const std::uint32_t w = 1u << code;
+  for (const auto& [col, target] : row) {
+    out.push_back(col);
+    store_le(out, zigzag(static_cast<std::int32_t>(target - parent)), w);
+  }
+}
+
+void D2fa::renumber_accepting(const std::vector<std::uint32_t>& new_id) {
+  const std::uint32_t n = state_count_;
+  const auto rename = [&](std::uint32_t s) { return s < accept_states_ ? new_id[s] : s; };
+  // Root rows back to raw ids (read through the old root_raw_), renamed;
+  // they are tagged again once defaults_ is final.
+  for (std::uint32_t& t : dense_rows_) t = rename(untag(t));
+  for (std::uint32_t& s : root_raw_) s = rename(s);
+  std::vector<std::uint32_t> old_id(n);
+  for (std::uint32_t s = 0; s < n; ++s) old_id[rename(s)] = s;
+
+  // Defaults and exception rows in the new state order, each row decoded
+  // against its old parent and re-encoded against the renamed one.
+  std::vector<std::uint32_t> defaults(n);
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  std::vector<std::uint8_t> exc;
+  exc.reserve(exc_.size());
+  std::vector<Exception> row;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    const std::uint32_t s = old_id[t];
+    const std::uint32_t d = defaults_[s];
+    defaults[t] = (d & kRootFlag) != 0 ? d : rename(d);
+    row.clear();
+    const std::uint32_t lo = row_offsets_[s];
+    const std::uint32_t hi = row_offsets_[s + 1];
+    if (lo < hi) {
+      const std::uint32_t w = 1u << exc_[lo];
+      for (std::uint32_t p = lo + 1; p < hi; p += 1 + w)
+        row.emplace_back(exc_[p], rename(d + unzigzag(load_le(&exc_[p + 1], w))));
+    }
+    encode_row(exc, defaults[t], row);
+    offsets[t + 1] = static_cast<std::uint32_t>(exc.size());
+  }
+  defaults_ = std::move(defaults);
+  row_offsets_ = std::move(offsets);
+  exc_ = std::move(exc);
+  for (std::uint32_t& t : dense_rows_) t = tag_state(t);
+  permute_accept_lists(accept_offsets_, accept_ids_, new_id);
+  start_ = rename(start_);
 }
 
 std::vector<std::uint32_t> D2fa::expand_table() const {

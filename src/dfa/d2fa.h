@@ -146,6 +146,12 @@ class D2fa {
                 accept_ids_.begin() + accept_offsets_[s + 1], less);
   }
 
+  /// Rename the accepting states as Dfa::renumber_accepting does. Each
+  /// state keeps its default parent (renamed) and its exception columns;
+  /// the deltas are re-encoded against the renamed parent, so the image
+  /// may change by a few bytes.
+  void renumber_accepting(const std::vector<std::uint32_t>& new_id);
+
   /// Image: defaults + exception row index + exception byte stream + root
   /// dense rows (+ row -> raw-id map) + accept CSR + byte->column map.
   [[nodiscard]] std::size_t memory_image_bytes() const {
@@ -241,6 +247,15 @@ class D2fa {
   /// dense row. Clear: low bits are the default-parent state id. (Same bit
   /// value as kTagRoot, but defaults_ entries carry no accept bit.)
   static constexpr std::uint32_t kRootFlag = 0x80000000u;
+
+  /// One stored exception: (column, raw target state).
+  using Exception = std::pair<std::uint8_t, std::uint32_t>;
+
+  /// Append an exception row against default parent `parent` to `out`:
+  /// the width code of its widest zigzagged delta, then (column, delta) per
+  /// entry of `row` (ascending columns). An empty row appends nothing.
+  static void encode_row(std::vector<std::uint8_t>& out, std::uint32_t parent,
+                         const std::vector<Exception>& row);
 
   /// Chain walk for a non-root raw state id; returns a tagged value.
   /// Bounded by construction: at most max_chain_ default hops, then a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -578,6 +579,39 @@ bool Dfa::deserialize(util::BinReader& r, Dfa& out, bool allow_empty_table) {
   for (std::uint32_t s = 0; s < out.accept_states_; ++s)
     if (out.accept_offsets_[s] == out.accept_offsets_[s + 1]) return false;
   return accept_ids_unique(out.accept_offsets_, out.accept_ids_);
+}
+
+void Dfa::renumber_accepting(const std::vector<std::uint32_t>& new_id) {
+  assert(new_id.size() == accept_states_);
+  const auto rename = [&](std::uint32_t s) { return s < accept_states_ ? new_id[s] : s; };
+  if (!table_.empty()) {
+    const std::size_t row = ncols_;
+    const std::vector<std::uint32_t> rows(table_.begin(), table_.begin() + accept_states_ * row);
+    for (std::uint32_t s = 0; s < accept_states_; ++s)
+      std::copy(rows.begin() + s * row, rows.begin() + (s + 1) * row,
+                table_.begin() + new_id[s] * row);
+    for (std::uint32_t& t : table_) t = rename(t);
+  }
+  permute_accept_lists(accept_offsets_, accept_ids_, new_id);
+  start_ = rename(start_);
+}
+
+void permute_accept_lists(std::vector<std::uint32_t>& offsets,
+                          std::vector<std::uint32_t>& ids,
+                          const std::vector<std::uint32_t>& new_id) {
+  const auto n = static_cast<std::uint32_t>(new_id.size());
+  std::vector<std::uint32_t> old_id(n);
+  for (std::uint32_t s = 0; s < n; ++s) old_id[new_id[s]] = s;
+  std::vector<std::uint32_t> out_offsets(n + 1, 0);
+  std::vector<std::uint32_t> out_ids;
+  out_ids.reserve(ids.size());
+  for (std::uint32_t t = 0; t < n; ++t) {
+    const std::uint32_t s = old_id[t];
+    out_ids.insert(out_ids.end(), ids.begin() + offsets[s], ids.begin() + offsets[s + 1]);
+    out_offsets[t + 1] = static_cast<std::uint32_t>(out_ids.size());
+  }
+  offsets = std::move(out_offsets);
+  ids = std::move(out_ids);
 }
 
 bool accept_ids_unique(const std::vector<std::uint32_t>& offsets,

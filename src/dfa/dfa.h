@@ -85,6 +85,14 @@ class Dfa {
                 accept_ids_.begin() + accept_offsets_[s + 1], less);
   }
 
+  /// Rename the accepting states: old id s < accepting_state_count() becomes
+  /// new_id[s], a permutation of that range; other states keep their ids.
+  /// Table rows and targets, accept lists and start follow, so the
+  /// automaton is unchanged under the new names (a headless Dfa renames its
+  /// metadata only). The MFA numbers its loud accepting states first
+  /// (DESIGN.md §6 #11).
+  void renumber_accepting(const std::vector<std::uint32_t>& new_id);
+
   /// Memory image size. `full_alphabet` accounts a raw 256-wide table (the
   /// paper's DFA baseline accounting: C7p = 244k states ~= 250 MB); with
   /// false, the byte-class-compressed layout actually used for scanning is
@@ -157,11 +165,15 @@ class Dfa {
     // Routed through the runtime-dispatched dense kernel: AVX2 gathers when
     // the CPU has them (8 next-state loads per instruction), the scalar
     // interleaved kernel otherwise — same semantics either way.
+    // Every accepting state reports, so each lane's accept limit stays
+    // accepting_state_count().
     simd::dense_interleaved_scan(
-        table_.data(), ncols_, byte_to_col_.data(), accept_states_, jobs, count,
-        lanes, [&](std::size_t job, std::uint32_t s, std::uint64_t end) {
+        table_.data(), ncols_, byte_to_col_.data(), jobs, count, lanes,
+        [this](std::size_t) { return accept_states_; },
+        [&](std::size_t job, std::uint32_t s, std::uint64_t end) {
           const auto [first, last] = accepts(s);
           for (const auto* it = first; it != last; ++it) sink(job, *it, end);
+          return accept_states_;
         });
   }
 
@@ -230,6 +242,12 @@ std::pair<std::array<std::uint8_t, 256>, std::uint16_t> compute_byte_classes(
 /// id would run its action twice (duplicate alert, double counter bump).
 bool accept_ids_unique(const std::vector<std::uint32_t>& offsets,
                        const std::vector<std::uint32_t>& ids);
+
+/// Accept CSR (`offsets` into `ids`) with its states renamed by `new_id`
+/// (see Dfa::renumber_accepting): state new_id[s] takes state s's list.
+void permute_accept_lists(std::vector<std::uint32_t>& offsets,
+                          std::vector<std::uint32_t>& ids,
+                          const std::vector<std::uint32_t>& new_id);
 
 /// Back-compat wrapper over the Engine/Context split: an engine pointer
 /// plus one owned Context, with the historical scan()/feed() surface

@@ -78,6 +78,12 @@ struct Action {
            ctr_test == kNone && ctr_incr == kNone;
   }
 
+  /// True if the action changes nothing while no memory bit is set: it
+  /// tests a bit (and so stops at the test) or is a pure clear. An accept
+  /// state made only of quiet actions is skipped by the scan on a flow with
+  /// no live bit (DESIGN.md §6 #11).
+  [[nodiscard]] bool is_quiet() const { return test != kNone || is_pure_clear(); }
+
   /// Pseudocode rendering, e.g. "Test 0 to Set 1" (paper Tables III/IV).
   [[nodiscard]] std::string to_pseudocode() const;
 };

@@ -58,6 +58,14 @@ class Memory {
     word(static_cast<std::int32_t>(w * 64)) &= ~mask;
   }
 
+  /// True when no bit is set. Counters and positions are not consulted: a
+  /// quiet action (Action::is_quiet) changes nothing either way.
+  [[nodiscard]] bool no_bits() const {
+    const auto zero = [](std::uint64_t w) { return w == 0; };
+    return std::all_of(bits_.begin(), bits_.end(), zero) &&
+           std::all_of(ext_.begin(), ext_.end(), zero);
+  }
+
   void increment(std::int32_t c) { ++counters_[c]; }
   [[nodiscard]] std::uint32_t counter(std::int32_t c) const { return counters_[c]; }
 

@@ -49,23 +49,26 @@ std::optional<Mfa> build_mfa(const std::vector<nfa::PatternInput>& patterns,
   //    Before delta compression, which copies the lists as they stand.
   mfa.order_accepts();
 
-  // 4. Compile the literal prefilter (Teddy masks + DFA-verified skip
+  // 4. Delta mode: compress the dense table into default-transition chains
+  //    with delta-encoded exceptions, from the table in construction order
+  //    (so the D2fa picks the same default parents whatever step 5 does).
+  if (options.delta) mfa.delta_.emplace(mfa.dfa_, options.d2fa, &st.d2fa);
+
+  // 5. Number the accepting states loud first, in both tables (derived:
+  //    load() numbers them again, which is then the identity).
+  mfa.number_loud_first(st);
+
+  // 6. Compile the literal prefilter (Teddy masks + DFA-verified skip
   //    gate). Purely derived from (dfa, pieces, parse options): load()
   //    rebuilds it the same way, so MFAC artifacts need no new fields.
-  //    Must happen before delta compression — the gate proof walks the
-  //    dense table.
+  //    Must follow the renumbering (the gate holds state ids) and precede
+  //    dropping the dense table, which the gate proof walks — at
+  //    Snort-ruleset scale that table is nearly the whole memory image.
   mfa.prefilter_ =
       simd::Prefilter::build(mfa.dfa_, mfa.pieces_, mfa.parse_options_.icase);
+  if (options.delta) mfa.dfa_.drop_table();
 
-  // 5. Delta mode: compress the dense table into default-transition chains
-  //    with delta-encoded exceptions, then drop the dense table — at
-  //    Snort-ruleset scale the table is nearly the whole memory image.
-  if (options.delta) {
-    mfa.delta_.emplace(mfa.dfa_, options.d2fa, &st.d2fa);
-    mfa.dfa_.drop_table();
-  }
-
-  // 6. Fold clear-only accept states into word masks (derived, like the
+  // 7. Fold clear-only accept states into word masks (derived, like the
   //    prefilter: load() recomputes it).
   mfa.fold_clears(st);
 
@@ -77,6 +80,28 @@ void Mfa::order_accepts() {
   const filter::ActionOrderLess less{&program_.actions};
   dfa_.sort_accepts(less);
   if (delta_) delta_->sort_accepts(less);
+}
+
+void Mfa::number_loud_first(BuildStats& stats) {
+  constexpr std::uint32_t kQuiet = UINT32_MAX;
+  const std::uint32_t naccept = dfa_.accepting_state_count();
+  const auto quiet = [&](std::uint32_t id) { return program_.actions[id].is_quiet(); };
+  std::vector<std::uint32_t> new_id(naccept);
+  loud_ = 0;
+  for (std::uint32_t s = 0; s < naccept; ++s) {
+    const auto [first, last] = dfa_.accepts(s);
+    new_id[s] = std::all_of(first, last, quiet) ? kQuiet : loud_++;
+  }
+  std::uint32_t next_quiet = loud_;
+  bool identity = true;
+  for (std::uint32_t s = 0; s < naccept; ++s) {
+    if (new_id[s] == kQuiet) new_id[s] = next_quiet++;
+    identity &= new_id[s] == s;
+  }
+  stats.quiet_accept_states = naccept - loud_;
+  if (identity) return;
+  dfa_.renumber_accepting(new_id);
+  if (delta_) delta_->renumber_accepting(new_id);
 }
 
 void Mfa::fold_clears(BuildStats& stats) {

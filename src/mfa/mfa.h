@@ -49,6 +49,10 @@ struct BuildStats {
   /// (DESIGN.md §6 #10), and the action ids those states carry.
   std::uint32_t folded_accept_states = 0;
   std::uint32_t folded_actions = 0;
+  /// Accepting states whose actions are all quiet (filter::Action::is_quiet):
+  /// the scan walks through them while a flow has no filter bit set
+  /// (DESIGN.md §6 #11).
+  std::uint32_t quiet_accept_states = 0;
   double seconds = 0.0;  ///< total construction wall time
 };
 
@@ -81,6 +85,11 @@ class Mfa {
       std::uint32_t state) const {
     return delta_ ? delta_->accepts(state) : dfa_.accepts(state);
   }
+
+  /// Accepting states [0, loud_accept_states()) carry a non-quiet action;
+  /// the rest are quiet, and a flow with no filter bit set skips them
+  /// (DESIGN.md §6 #11). build_mfa() and load() number them that way.
+  [[nodiscard]] std::uint32_t loud_accept_states() const { return loud_; }
 
   /// Total memory image: compressed character-DFA table (with its accept
   /// lists) + filter program + the clear-fold index and masks. (Sec. V-C:
@@ -133,8 +142,11 @@ class Mfa {
   template <typename Sink>
   void feed(Context& ctx, const std::uint8_t* data, std::size_t size, std::uint64_t base,
             Sink&& sink) const {
-    scan(ctx.state, data, size, base,
-         [&](std::uint32_t s, std::uint64_t pos) { accept(s, pos, ctx.memory, sink); });
+    scan(ctx.state, data, size, base, full_accept_limit(),
+         [&](std::uint32_t s, std::uint64_t pos) {
+           accept(s, pos, ctx.memory, sink);
+           return accept_limit(ctx.memory);
+         });
   }
 
   /// Prefilter gate probe (works on Context and InlineContext alike): when
@@ -245,9 +257,11 @@ class Mfa {
       feed(full, data, size, base, sink);
       ic.state = full.state;
     } else {
-      scan(ic.state, data, size, base, [&](std::uint32_t s, std::uint64_t pos) {
-        accept_inline(ic, s, pos, spill, sink);
-      });
+      scan(ic.state, data, size, base, accept_limit(ic),
+           [&](std::uint32_t s, std::uint64_t pos) {
+             accept_inline(ic, s, pos, spill, sink);
+             return accept_limit(ic);
+           });
     }
     if (ic.spilled()) settle(ic, spill());
   }
@@ -263,10 +277,13 @@ class Mfa {
   void feed_many(FeedJob* jobs, std::size_t count, Sink&& sink,
                  std::size_t lanes = scan::kDefaultLanes) const {
     interleave(jobs, count, lanes,
+               [&](std::size_t) { return full_accept_limit(); },
                [&](std::size_t j, std::uint32_t s, std::uint64_t end) {
-                 accept(s, end, jobs[j].ctx->memory, [&](std::uint32_t id, std::uint64_t e) {
+                 filter::Memory& memory = jobs[j].ctx->memory;
+                 accept(s, end, memory, [&](std::uint32_t id, std::uint64_t e) {
                    sink(j, id, e);
                  });
+                 return accept_limit(memory);
                },
                [&](std::size_t j) {
                  feed(*jobs[j].ctx, jobs[j].data, jobs[j].size, jobs[j].base,
@@ -281,11 +298,12 @@ class Mfa {
   template <typename SpillFn, typename Sink>
   void feed_many(scan::FeedJob<InlineContext>* jobs, std::size_t count, SpillFn&& spill,
                  Sink&& sink, std::size_t lanes = scan::kDefaultLanes) const {
-    interleave(jobs, count, lanes,
+    interleave(jobs, count, lanes, [&](std::size_t j) { return accept_limit(*jobs[j].ctx); },
                [&](std::size_t j, std::uint32_t s, std::uint64_t end) {
                  const auto job_spill = [&]() -> Context& { return spill(j); };
                  accept_inline(*jobs[j].ctx, s, end, job_spill,
                                [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
+                 return accept_limit(*jobs[j].ctx);
                },
                [&](std::size_t j) {
                  feed(*jobs[j].ctx, jobs[j].data, jobs[j].size, jobs[j].base,
@@ -319,23 +337,54 @@ class Mfa {
   };
 
   /// One chunk-scheduling policy for both feed_many() forms. Dense mode
-  /// runs the interleaved kernel, with accept(job, state, end) on every
-  /// accepting state entered. Delta mode runs one job at a time through
-  /// feed_one(job), same as D2fa::feed_many: interleaving the tagged chain
-  /// walk regresses, and the per-job tagged loop keeps byte/match order
-  /// exactly feed()'s.
-  template <typename Ctx, typename AcceptFn, typename FeedOneFn>
+  /// runs the interleaved kernel: each lane starts at limit_fn(job), and
+  /// accept_fn(job, state, end) runs on every state entered below the
+  /// lane's limit and returns the new one (see scan()). Delta mode runs one
+  /// job at a time through feed_one(job), same as D2fa::feed_many:
+  /// interleaving the tagged chain walk regresses, and the per-job tagged
+  /// loop keeps byte/match order exactly feed()'s.
+  template <typename Ctx, typename LimitFn, typename AcceptFn, typename FeedOneFn>
   void interleave(scan::FeedJob<Ctx>* jobs, std::size_t count, std::size_t lanes,
-                  AcceptFn&& accept_fn, FeedOneFn&& feed_one) const {
+                  LimitFn&& limit_fn, AcceptFn&& accept_fn, FeedOneFn&& feed_one) const {
     if (delta_) {
       for (std::size_t j = 0; j < count; ++j)
         if (jobs[j].size != 0) feed_one(j);
       return;
     }
     simd::dense_interleaved_scan(dfa_.table_data(), dfa_.column_count(),
-                                 dfa_.byte_columns(), dfa_.accepting_state_count(),
-                                 jobs, count, lanes, std::forward<AcceptFn>(accept_fn));
+                                 dfa_.byte_columns(), jobs, count, lanes,
+                                 std::forward<LimitFn>(limit_fn),
+                                 std::forward<AcceptFn>(accept_fn));
   }
+
+  /// A flow's accept limit: the scan runs accept() only on accepting states
+  /// below it. With no filter bit set the quiet states can change nothing,
+  /// so only the loud ones [0, loud_) count; otherwise every accepting
+  /// state does (DESIGN.md §6 #11).
+  [[nodiscard]] std::uint32_t accept_limit(const filter::Memory& memory) const {
+    return memory.no_bits() ? loud_ : full_accept_limit();
+  }
+  /// The limit a full Context starts a chunk at: proving its memory has no
+  /// bit set reads every bit word, heap words at Snort scale, which costs
+  /// more per chunk than the one accept it could skip. Its first accept
+  /// narrows the limit.
+  [[nodiscard]] std::uint32_t full_accept_limit() const {
+    return dfa_.accepting_state_count();
+  }
+  /// The same for an inline flow: an empty live set, which also rules out a
+  /// spilled flow (its encoding has a live second entry).
+  [[nodiscard]] std::uint32_t accept_limit(const InlineContext& ic) const {
+    return ic.live[0] == filter::kSparseEmpty && ic.live[1] == filter::kSparseEmpty
+               ? loud_
+               : full_accept_limit();
+  }
+
+  /// Number the accepting states loud first (loud_ set, quiet ones after,
+  /// each group in its old order) in the Dfa and, in delta mode, the D2fa.
+  /// Derived like filter order: build_mfa() runs it after the D2fa is
+  /// built and before the prefilter; load() runs it again, a no-op on an
+  /// artifact that build_mfa() wrote.
+  void number_loud_first(BuildStats& stats);
 
   /// Sort the scanning table's accept lists into filter execution order
   /// (filter::ActionOrderLess). build_mfa() runs it before the D2fa copies
@@ -384,14 +433,9 @@ class Mfa {
   template <typename SpillFn, typename Sink>
   void accept_inline(InlineContext& ic, std::uint32_t s, std::uint64_t pos,
                      SpillFn& spill, Sink&& sink) const {
-    if (ic.live[0] == filter::kSparseEmpty) [[likely]] {
-      if (ic.spilled()) [[unlikely]] {
-        accept(s, pos, spill().memory, sink);
-        return;
-      }
-      // Nothing live: a clear-only state has nothing to do (the hot case
-      // on newline-dense traffic).
-      if (!fold_index_.empty() && fold_index_[s] != kUnfolded) return;
+    if (ic.spilled()) [[unlikely]] {
+      accept(s, pos, spill().memory, sink);
+      return;
     }
     filter::SparseMemory memory(ic.live);
     const std::uint32_t* rest = accept(s, pos, memory, sink);
@@ -437,20 +481,25 @@ class Mfa {
   }
 
   /// The character-DFA scan loop over one chunk, shared by both context
-  /// forms: on_accept(state, pos) on every accepting state entered. Delta
-  /// mode steps on D2fa tagged states, so a root-resident byte costs one
-  /// dense load and the accept test is a bit check (see the tagged-state
-  /// comment in d2fa.h); match semantics are identical.
+  /// forms: on_accept(state, pos) on every state entered below `limit`,
+  /// returning the limit from the next byte on (accept_limit() of the
+  /// flow). A flow with no filter bit set thus walks through quiet
+  /// accepting states without stopping. Delta mode steps on D2fa tagged
+  /// states, so a root-resident byte costs one dense load and the accept
+  /// test is a bit check (see the tagged-state comment in d2fa.h), with the
+  /// limit checked behind it; match semantics are identical.
   template <typename AcceptFn>
   void scan(std::uint32_t& state, const std::uint8_t* data, std::size_t size,
-            std::uint64_t base, AcceptFn&& on_accept) const {
+            std::uint64_t base, std::uint32_t limit, AcceptFn&& on_accept) const {
     if (delta_) {
       const dfa::D2fa& d = *delta_;
       std::uint32_t v = d.tag_state(state);
       for (std::size_t i = 0; i < size; ++i) {
         v = d.next_tagged(v, data[i]);
-        if (dfa::D2fa::tagged_accept(v)) [[unlikely]]
-          on_accept(d.untag(v), base + i);
+        if (dfa::D2fa::tagged_accept(v)) [[unlikely]] {
+          const std::uint32_t s = d.untag(v);
+          if (s < limit) limit = on_accept(s, base + i);
+        }
       }
       state = d.untag(v);
       return;
@@ -458,11 +507,10 @@ class Mfa {
     const std::uint32_t* table = dfa_.table_data();
     const std::uint8_t* cols = dfa_.byte_columns();
     const std::uint32_t ncols = dfa_.column_count();
-    const std::uint32_t naccept = dfa_.accepting_state_count();
     std::uint32_t s = state;
     for (std::size_t i = 0; i < size; ++i) {
       s = table[static_cast<std::size_t>(s) * ncols + cols[data[i]]];
-      if (s < naccept) on_accept(s, base + i);
+      if (s < limit) limit = on_accept(s, base + i);
     }
     state = s;
   }
@@ -475,6 +523,7 @@ class Mfa {
   // Per accepting state: first mask or kUnfolded; empty when nothing folds.
   std::vector<std::uint32_t> fold_index_;
   std::vector<ClearMask> fold_masks_;
+  std::uint32_t loud_ = 0;  ///< accepting states with a non-quiet action
   regex::ParseOptions parse_options_;
 };
 

@@ -18,9 +18,10 @@
 //   u64 piece count, then per piece: u32 length + regex source
 //   u64 FNV-1a digest of every byte above
 //
-// The table sections' accept lists are stored in filter order, but load()
-// sorts them again and never trusts the order in the file; the clear fold
-// and the prefilter are derived data and are not stored.
+// The table sections' accept lists are stored in filter order and their
+// accepting states loud first, but load() derives both again and never
+// trusts the file for either; the clear fold and the prefilter are derived
+// data and are not stored.
 //
 // Older versions still load. v1 has no parse options, table kind or
 // digest; v2 adds the parse options and the digest; v3 adds the table-kind
@@ -196,6 +197,10 @@ std::optional<Mfa> Mfa::load(const std::string& path) {
       if (!std::equal(df, dl, ef, el)) return std::nullopt;
     }
   }
+  // The loud-first numbering is derived too (the identity on an artifact
+  // build_mfa() wrote; older files may number their states otherwise).
+  BuildStats derived;
+  mfa.number_loud_first(derived);
 
   // The prefilter is derived data (Teddy masks + the DFA-verified gate):
   // rebuild it from the validated pieces exactly as build_mfa() does, so an
@@ -212,8 +217,7 @@ std::optional<Mfa> Mfa::load(const std::string& path) {
     mfa.prefilter_ =
         simd::Prefilter::build(mfa.dfa_, mfa.pieces_, mfa.parse_options_.icase);
   }
-  BuildStats fold_stats;
-  mfa.fold_clears(fold_stats);
+  mfa.fold_clears(derived);
   return mfa;
 }
 

@@ -18,20 +18,22 @@
 namespace mfa::simd {
 
 /// Advance `count` independent jobs through a dense table, up to `lanes` in
-/// lockstep; accept(job_index, state, end_offset) fires on every accepting
-/// state entered. Jobs must reference distinct contexts (their .state is
-/// read at lane fill and written back at retirement, as in interleaved_scan).
-template <typename Context, typename AcceptFn>
+/// lockstep, with interleaved_scan's accept-limit contract:
+/// accept(job_index, state, end_offset) fires on every state entered below
+/// the lane's limit (limit(job_index) at fill) and returns the new limit.
+/// Jobs must reference distinct contexts (their .state is read at lane fill
+/// and written back at retirement, as in interleaved_scan).
+template <typename Context, typename LimitFn, typename AcceptFn>
 void dense_interleaved_scan(const std::uint32_t* table, std::uint32_t ncols,
-                            const std::uint8_t* cols, std::uint32_t naccept,
-                            scan::FeedJob<Context>* jobs, std::size_t count,
-                            std::size_t lanes, AcceptFn&& accept) {
+                            const std::uint8_t* cols, scan::FeedJob<Context>* jobs,
+                            std::size_t count, std::size_t lanes, LimitFn&& limit,
+                            AcceptFn&& accept) {
   // The gather kernel is fixed at 8 lanes; narrower requests (CompactDfa's
   // sequential clamp, tiny batches) keep the scalar kernel, which handles
   // any width.
   if (level() != Level::kAvx2 || lanes < 8 || count < 2) {
     scan::interleaved_scan(
-        jobs, count, lanes, naccept,
+        jobs, count, lanes, limit,
         [=](std::uint32_t s, std::uint8_t b) {
           return table[static_cast<std::size_t>(s) * ncols + cols[b]];
         },
@@ -44,6 +46,7 @@ void dense_interleaved_scan(const std::uint32_t* table, std::uint32_t ncols,
 
   constexpr std::size_t kLanes = 8;
   std::uint32_t state[kLanes];
+  std::uint32_t lim[kLanes];
   const std::uint8_t* data[kLanes];
   std::size_t pos[kLanes];
   std::size_t size[kLanes];
@@ -60,6 +63,7 @@ void dense_interleaved_scan(const std::uint32_t* table, std::uint32_t ncols,
         continue;
       }
       state[active] = j.ctx->state;
+      lim[active] = limit(next);
       data[active] = j.data;
       pos[active] = 0;
       size[active] = j.size;
@@ -72,14 +76,12 @@ void dense_interleaved_scan(const std::uint32_t* table, std::uint32_t ncols,
   fill();
 
   // Accept trampoline: the AVX2 TU takes a C function pointer, so the
-  // caller's AcceptFn is re-typed through this capture block. Padded lanes
-  // (>= active) are decoys and never reported.
+  // caller's AcceptFn is re-typed through this capture block.
   struct Hook {
     AcceptFn* fn;
     const std::size_t* job_ix;
     const std::uint64_t* base;
     const std::size_t* pos;
-    std::size_t active;
   };
 
   while (active > 0) {
@@ -88,22 +90,22 @@ void dense_interleaved_scan(const std::uint32_t* table, std::uint32_t ncols,
       chunk = std::min(chunk, size[j] - pos[j]);
 
     // Pad idle lanes with lane 0 so the fixed-width kernel always runs 8:
-    // the duplicate pointers stay readable for `chunk` bytes and their
-    // states/accepts are ignored.
+    // the duplicate pointers stay readable for `chunk` bytes, their states
+    // are ignored, and their limit of 0 keeps them from ever accepting.
     const std::uint8_t* dptr[kLanes];
     std::uint32_t st[kLanes];
     for (std::size_t j = 0; j < kLanes; ++j) {
       const std::size_t src = j < active ? j : 0;
       dptr[j] = data[src] + pos[src];
       st[j] = state[src];
+      if (j >= active) lim[j] = 0;
     }
-    Hook hook{&accept, job_ix, base, pos, active};
+    Hook hook{&accept, job_ix, base, pos};
     dense_block_avx2(
-        table, ncols, cols, naccept, st, dptr, chunk,
-        [](void* u, std::size_t lane, std::uint32_t s, std::size_t i) {
+        table, ncols, cols, lim, st, dptr, chunk,
+        [](void* u, std::size_t lane, std::uint32_t s, std::size_t i) -> std::uint32_t {
           auto* h = static_cast<Hook*>(u);
-          if (lane >= h->active) return;
-          (*h->fn)(h->job_ix[lane], s, h->base[lane] + h->pos[lane] + i);
+          return (*h->fn)(h->job_ix[lane], s, h->base[lane] + h->pos[lane] + i);
         },
         &hook);
     for (std::size_t j = 0; j < active; ++j) {
@@ -120,6 +122,7 @@ void dense_interleaved_scan(const std::uint32_t* table, std::uint32_t ncols,
       }
       if (w != j) {
         state[w] = state[j];
+        lim[w] = lim[j];
         data[w] = data[j];
         pos[w] = pos[j];
         size[w] = size[j];

@@ -46,18 +46,22 @@ void teddy_block_avx2(const TeddyTables& t, const std::uint8_t* data,
 bool teddy_scan_avx2(const TeddyTables& t, const std::uint8_t* data,
                      std::size_t len, std::size_t* pos, std::uint8_t* bucket);
 
-/// Accept hook for the gather kernel: (uctx, lane, state, byte_index).
-using AcceptHook = void (*)(void*, std::size_t, std::uint32_t, std::size_t);
+/// Accept hook for the gather kernel: (uctx, lane, state, byte_index) ->
+/// the lane's new accept limit.
+using AcceptHook = std::uint32_t (*)(void*, std::size_t, std::uint32_t, std::size_t);
 
 /// Advance 8 lanes exactly `chunk` bytes through a dense row-major u32
 /// transition table with AVX2 gathers: per step, the 8 lanes' next-state
 /// loads issue as one gather, so their dependent chains overlap in the
 /// memory system (same motivation as scan::interleaved_scan, minus the
 /// scalar address arithmetic). states[8] is read and written back; data[8]
-/// are per-lane byte pointers (already offset). `hook` fires for every
-/// accepting state entered (state < naccept), in lane order within a step.
+/// are per-lane byte pointers (already offset). limits[8] are the lanes'
+/// accept limits, read and written back: `hook` fires for every state
+/// entered below its lane's limit, in lane order within a step, and its
+/// return value is that lane's limit from the next byte on. A lane with
+/// limit 0 never fires.
 void dense_block_avx2(const std::uint32_t* table, std::uint32_t ncols,
-                      const std::uint8_t* cols, std::uint32_t naccept,
+                      const std::uint8_t* cols, std::uint32_t* limits,
                       std::uint32_t* states, const std::uint8_t* const* data,
                       std::size_t chunk, AcceptHook hook, void* uctx);
 

@@ -74,14 +74,14 @@ bool teddy_scan_avx2(const TeddyTables& t, const std::uint8_t* data,
 }
 
 void dense_block_avx2(const std::uint32_t* table, std::uint32_t ncols,
-                      const std::uint8_t* cols, std::uint32_t naccept,
+                      const std::uint8_t* cols, std::uint32_t* limits,
                       std::uint32_t* states, const std::uint8_t* const* data,
                       std::size_t chunk, AcceptHook hook, void* uctx) {
   __m256i st = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(states));
   const __m256i vncols = _mm256_set1_epi32(static_cast<int>(ncols));
-  // Signed compares are exact here: states and naccept are bounded by the
+  // Signed compares are exact here: states and limits are bounded by the
   // DFA state cap (1<<20), far below 2^31.
-  const __m256i vnacc = _mm256_set1_epi32(static_cast<int>(naccept));
+  __m256i vlim = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(limits));
   const std::uint8_t* d0 = data[0];
   const std::uint8_t* d1 = data[1];
   const std::uint8_t* d2 = data[2];
@@ -97,12 +97,13 @@ void dense_block_avx2(const std::uint32_t* table, std::uint32_t ncols,
     const __m256i idx = _mm256_add_epi32(_mm256_mullo_epi32(st, vncols), vcol);
     st = _mm256_i32gather_epi32(reinterpret_cast<const int*>(table), idx, 4);
     const int am =
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(vnacc, st)));
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(vlim, st)));
     if (am != 0) [[unlikely]] {
       alignas(32) std::uint32_t tmp[8];
       _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), st);
       for (int l = 0; l < 8; ++l)
-        if ((am >> l) & 1) hook(uctx, static_cast<std::size_t>(l), tmp[l], i);
+        if ((am >> l) & 1) limits[l] = hook(uctx, static_cast<std::size_t>(l), tmp[l], i);
+      vlim = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(limits));
     }
   }
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(states), st);
@@ -126,7 +127,7 @@ bool teddy_scan_avx2(const TeddyTables&, const std::uint8_t*, std::size_t,
   std::abort();
 }
 void dense_block_avx2(const std::uint32_t*, std::uint32_t, const std::uint8_t*,
-                      std::uint32_t, std::uint32_t*, const std::uint8_t* const*,
+                      std::uint32_t*, std::uint32_t*, const std::uint8_t* const*,
                       std::size_t, AcceptHook, void*) {
   std::abort();
 }

@@ -55,21 +55,29 @@ inline void prefetch_ro(const void* p) {
 
 /// Advance `count` independent jobs, up to `lanes` in lockstep.
 ///
+///  - limit(job_index) -> u32                   (the job's accept limit)
 ///  - step(state, byte) -> next state           (the transition function)
 ///  - prefetch_state(state)                     (warm the next row)
-///  - accept(job_index, state, end_offset)      (called when state < naccept)
+///  - accept(job_index, state, end_offset) -> u32
+///        called when state < the lane's accept limit; returns the new one
 ///
+/// Accepting states are numbered first, so `state < limit` is the accept
+/// test. A plain table's limit is its accepting-state count; the MFA lowers
+/// it while a flow has no filter bit set (DESIGN.md §6 #11). A lane's limit
+/// is read when it fills and changes only through accept's return value.
 /// Per-job byte order is exactly Engine::feed's; only *cross-job* work
 /// interleaves, so the per-flow match semantics are unchanged. Jobs must
 /// reference distinct contexts. Contexts are written back when their job
 /// retires (and are final when this returns).
-template <typename Context, typename StepFn, typename PrefetchFn, typename AcceptFn>
+template <typename Context, typename LimitFn, typename StepFn, typename PrefetchFn,
+          typename AcceptFn>
 void interleaved_scan(FeedJob<Context>* jobs, std::size_t count, std::size_t lanes,
-                      std::uint32_t naccept, StepFn&& step, PrefetchFn&& prefetch_state,
+                      LimitFn&& limit, StepFn&& step, PrefetchFn&& prefetch_state,
                       AcceptFn&& accept) {
   lanes = std::clamp<std::size_t>(lanes, 1, kMaxLanes);
 
   std::uint32_t state[kMaxLanes];
+  std::uint32_t lim[kMaxLanes];
   const std::uint8_t* data[kMaxLanes];
   std::size_t pos[kMaxLanes];
   std::size_t size[kMaxLanes];
@@ -86,6 +94,7 @@ void interleaved_scan(FeedJob<Context>* jobs, std::size_t count, std::size_t lan
         continue;
       }
       state[active] = j.ctx->state;
+      lim[active] = limit(next);
       data[active] = j.data;
       pos[active] = 0;
       size[active] = j.size;
@@ -111,7 +120,7 @@ void interleaved_scan(FeedJob<Context>* jobs, std::size_t count, std::size_t lan
         const std::uint32_t s = step(state[j], data[j][pos[j] + i]);
         prefetch_state(s);
         state[j] = s;
-        if (s < naccept) [[unlikely]] accept(job_ix[j], s, base[j] + pos[j] + i);
+        if (s < lim[j]) [[unlikely]] lim[j] = accept(job_ix[j], s, base[j] + pos[j] + i);
       }
     }
     for (std::size_t j = 0; j < active; ++j) pos[j] += chunk;
@@ -125,6 +134,7 @@ void interleaved_scan(FeedJob<Context>* jobs, std::size_t count, std::size_t lan
       }
       if (w != j) {
         state[w] = state[j];
+        lim[w] = lim[j];
         data[w] = data[j];
         pos[w] = pos[j];
         size[w] = size[j];

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 
 #include "engine_test_util.h"
+#include "flow/tiered.h"
 #include "patterns/builtin.h"
 #include "regex/sample.h"
 #include "util/binio.h"
@@ -741,6 +743,252 @@ TEST(MfaSpill, SpillMidWaveRunsTheRestOfTheChunkOnTheFullMemory) {
       EXPECT_EQ(sorted(got[f]), ref(in[f])) << (delta ? "delta " : "dense ") << in[f];
       EXPECT_FALSE(got[f].empty());
     }
+  }
+}
+
+// --- Quiet accepting states: skipped while a flow has no live bit ---
+
+/// True when every action of accepting state `s` is quiet
+/// (filter::Action::is_quiet).
+bool quiet_state(const Mfa& m, std::uint32_t s) {
+  const auto [first, last] = m.ordered_actions(s);
+  return std::all_of(first, last,
+                     [&](std::uint32_t id) { return m.program().actions[id].is_quiet(); });
+}
+
+/// The loud-first numbering: accepting states [0, loud) each carry a
+/// non-quiet action and the rest carry none. The Dfa's accept lists, which
+/// the numbering is derived from, agree with the scanning table's.
+void expect_loud_first(const Mfa& m, const std::string& what) {
+  const dfa::Dfa& d = m.character_dfa();
+  const std::uint32_t loud = m.loud_accept_states();
+  ASSERT_LE(loud, d.accepting_state_count()) << what;
+  for (std::uint32_t s = 0; s < d.accepting_state_count(); ++s) {
+    EXPECT_EQ(quiet_state(m, s), s >= loud) << what << ": state " << s;
+    const auto [df, dl] = d.accepts(s);
+    const auto [af, al] = m.ordered_actions(s);
+    EXPECT_TRUE(std::equal(df, dl, af, al)) << what << ": state " << s;
+  }
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+TEST(MfaQuiet, S31pNumbersItsFoldedLineBreakStateQuiet) {
+  // S31p's line-break state (30 pure clears, the C112 hot spot) is quiet;
+  // dense and delta builds number the states identically.
+  const patterns::PatternSet set = patterns::set_by_name("S31p");
+  std::vector<Mfa> built;
+  for (const bool delta : {false, true}) {
+    BuildOptions opts;
+    opts.delta = delta;
+    BuildStats stats;
+    auto m = build_mfa(set.patterns, opts, &stats);
+    ASSERT_TRUE(m.has_value());
+    const char* what = delta ? "delta" : "dense";
+    expect_loud_first(*m, what);
+    const std::uint32_t naccept = m->character_dfa().accepting_state_count();
+    const std::uint32_t loud = m->loud_accept_states();
+    EXPECT_GT(loud, 0u) << what;
+    EXPECT_EQ(stats.quiet_accept_states, naccept - loud) << what;
+    std::uint32_t line_break = naccept;
+    for (std::uint32_t s = 0; s < naccept; ++s) {
+      const auto [first, last] = m->ordered_actions(s);
+      if (last - first == 30 && std::all_of(first, last, [&](std::uint32_t id) {
+            return m->program().actions[id].is_pure_clear();
+          }))
+        line_break = s;
+    }
+    ASSERT_LT(line_break, naccept) << what;
+    EXPECT_GE(line_break, loud) << what;
+    built.push_back(*std::move(m));
+  }
+  EXPECT_EQ(built[0].loud_accept_states(), built[1].loud_accept_states());
+  EXPECT_EQ(built[0].character_dfa().start(), built[1].character_dfa().start());
+}
+
+TEST(MfaQuiet, LoadNumbersLoudFirstAndResavesByteIdentical) {
+  // Legacy artifacts predate the numbering: load() derives it.
+  for (const char* name : {"kpats_dense_v2.mfac", "ruleset300_delta_v3.mfac"}) {
+    const auto loaded = Mfa::load(std::string(MFA_TEST_FIXTURE_DIR) + "/" + name);
+    ASSERT_TRUE(loaded.has_value()) << name;
+    expect_loud_first(*loaded, name);
+  }
+  // A fresh v4 artifact is numbered already, so loading it changes nothing.
+  const patterns::PatternSet set = patterns::set_by_name("S31p");
+  for (const bool delta : {false, true}) {
+    BuildOptions opts;
+    opts.delta = delta;
+    const auto built = build_mfa(set.patterns, opts);
+    ASSERT_TRUE(built.has_value());
+    const std::string first = ::testing::TempDir() + "quiet_first.mfac";
+    const std::string second = ::testing::TempDir() + "quiet_second.mfac";
+    ASSERT_TRUE(built->save(first));
+    const auto loaded = Mfa::load(first);
+    ASSERT_TRUE(loaded.has_value());
+    expect_loud_first(*loaded, delta ? "delta v4" : "dense v4");
+    EXPECT_EQ(loaded->loud_accept_states(), built->loud_accept_states());
+    ASSERT_TRUE(loaded->save(second));
+    EXPECT_EQ(file_bytes(first), file_bytes(second)) << (delta ? "delta" : "dense");
+    std::remove(first.c_str());
+    std::remove(second.c_str());
+  }
+}
+
+/// Rules whose quiet states fire as soon as a flow holds a bit: "ab" Sets
+/// a bit and the very next byte's "c" Tests it (a quiet guarded Test), and
+/// a line break Clears it (quiet). "xq\n" Clears and Sets (loud); "zz"
+/// reports unconditionally (loud).
+const std::vector<std::string> kQuietRules = {".*ab[^\\n]*c", ".*xq\\n.*yz", ".*zz"};
+
+/// Random runs of kQuietRules' tokens and filler: flows gain their first
+/// bit, test it, lose their last one and gain one again, mid-chunk.
+std::string quiet_mix(util::Rng& rng) {
+  static const char* const kTokens[] = {"abc", "ab", "c", "\n", "xq\n", "yz", "zz", "a", "b "};
+  std::string input;
+  for (int k = 6 + static_cast<int>(rng.below(20)); k > 0; --k)
+    input += rng.chance(0.75) ? std::string(kTokens[rng.below(std::size(kTokens))])
+                              : std::string(1 + rng.below(5), 'y');
+  return input;
+}
+
+/// kQuietRules after six ADS rules, whose head floods spill a flow.
+std::vector<std::string> quiet_and_ads_rules() {
+  std::vector<std::string> sources = ads_patterns(6);
+  sources.insert(sources.end(), kQuietRules.begin(), kQuietRules.end());
+  return sources;
+}
+
+TEST(MfaQuiet, EveryEntryPointMatchesTheReferenceAsTheLimitMoves) {
+  const Reference ref(kQuietRules, /*original_dfa=*/true);
+  const std::vector<std::string> mixed_sources = quiet_and_ads_rules();
+  const Reference mixed_ref(mixed_sources, /*original_dfa=*/false);
+  for (const bool delta : {false, true}) {
+    BuildOptions opts;
+    opts.delta = delta;
+    const auto m = build_mfa(compile_patterns(kQuietRules), opts);
+    ASSERT_TRUE(m.has_value());
+    ASSERT_LT(m->loud_accept_states(), m->character_dfa().accepting_state_count());
+    expect_entry_points_match(*m, ref, delta ? 52 : 51, quiet_mix);
+
+    // Spilled flows: a head flood spills every flow, a line break clears
+    // its full memory to no bits, and then it gains bits again.
+    const auto mixed = build_mfa(compile_patterns(mixed_sources), opts);
+    ASSERT_TRUE(mixed.has_value());
+    const auto flood = [](util::Rng& rng) {
+      return ads_flood_input(6, rng) + quiet_mix(rng) + "\n" + quiet_mix(rng);
+    };
+    EXPECT_EQ(expect_entry_points_match(*mixed, mixed_ref, delta ? 54 : 53, flood), 10u);
+  }
+}
+
+TEST(MfaQuiet, OneWaveWidensAndNarrowsEachLanesLimit) {
+  // One feed_many wave, one chunk per flow, at 8 lanes (the gather kernel
+  // where the CPU has it) and at 4 (the scalar kernel): each flow sets its
+  // first bit at its own offset and must report the guarded "c" on the next
+  // byte, loses the bit on a line break (the "c" after it stays silent), and
+  // every third flow spills on a head flood first.
+  const std::vector<std::string> sources = quiet_and_ads_rules();
+  const Reference ref(sources, /*original_dfa=*/false);
+  constexpr std::size_t kFlows = 13;
+  std::vector<std::string> in(kFlows);
+  for (std::size_t f = 0; f < kFlows; ++f) {
+    in[f] = std::string(f, 'y');
+    if (f % 3 == 0) in[f] += "hd0 hd1 hd2 hd3 hd4 vl3 ";
+    in[f] += "abc c\nc zz ab\nc abc";
+    if (f % 2 == 0) in[f] += " xq\nyz\n vl0 hd5 vl5";
+  }
+  const auto bytes = [&](std::size_t f) {
+    return reinterpret_cast<const std::uint8_t*>(in[f].data());
+  };
+  for (const bool delta : {false, true}) {
+    BuildOptions opts;
+    opts.delta = delta;
+    const auto m = build_mfa(compile_patterns(sources), opts);
+    ASSERT_TRUE(m.has_value());
+    for (const std::size_t lanes : {8u, 4u}) {
+      const std::string what =
+          std::string(delta ? "delta" : "dense") + " lanes " + std::to_string(lanes);
+      std::vector<Mfa::Context> ctx(kFlows, m->make_context());
+      std::vector<scan::FeedJob<Mfa::Context>> jobs;
+      for (std::size_t f = 0; f < kFlows; ++f) jobs.push_back({&ctx[f], bytes(f), in[f].size(), 0});
+      std::vector<MatchVec> got(kFlows);
+      const auto sink = [&](std::size_t j, std::uint32_t id, std::uint64_t e) {
+        got[j].push_back({id, e});
+      };
+      m->feed_many(jobs.data(), jobs.size(), sink, lanes);
+      for (std::size_t f = 0; f < kFlows; ++f) {
+        const MatchVec want = ref(in[f]);
+        EXPECT_FALSE(want.empty());
+        EXPECT_EQ(sorted(got[f]), want) << what << " Context flow " << f;
+      }
+
+      std::vector<Mfa::InlineContext> ictx(kFlows, m->make_inline_context());
+      std::vector<Mfa::Context> full(kFlows, m->make_context());
+      std::vector<int> spills(kFlows, 0);
+      std::vector<scan::FeedJob<Mfa::InlineContext>> ijobs;
+      for (std::size_t f = 0; f < kFlows; ++f) ijobs.push_back({&ictx[f], bytes(f), in[f].size(), 0});
+      got.assign(kFlows, {});
+      m->feed_many(
+          ijobs.data(), ijobs.size(),
+          [&](std::size_t j) -> Mfa::Context& {
+            if (!ictx[j].spilled()) {
+              full[j] = m->expand_inline(ictx[j]);
+              ++spills[j];
+            }
+            return full[j];
+          },
+          sink, lanes);
+      for (std::size_t f = 0; f < kFlows; ++f) {
+        EXPECT_EQ(spills[f], f % 3 == 0 ? 1 : 0) << what << " flow " << f;
+        EXPECT_EQ(sorted(got[f]), ref(in[f])) << what << " InlineContext flow " << f;
+      }
+    }
+  }
+}
+
+TEST(MfaQuiet, TieredPacketBatchMatchesTheReference) {
+  // The deployed path: TieredFlowInspector::packet_batch_flows, each burst
+  // one in-order segment of every live flow, so feed_many runs full waves
+  // of inline flows (every fourth one spilling on a head flood).
+  const std::vector<std::string> sources = quiet_and_ads_rules();
+  const Reference ref(sources, /*original_dfa=*/false);
+  constexpr std::uint32_t kFlows = 16;
+  for (const bool delta : {false, true}) {
+    BuildOptions opts;
+    opts.delta = delta;
+    const auto m = build_mfa(compile_patterns(sources), opts);
+    ASSERT_TRUE(m.has_value());
+    util::Rng rng(delta ? 62 : 61);
+    std::vector<std::string> content(kFlows);
+    for (std::uint32_t f = 0; f < kFlows; ++f)
+      content[f] = (f % 4 == 0 ? ads_flood_input(6, rng) : "") + quiet_mix(rng) + quiet_mix(rng);
+
+    flow::TieredFlowInspector<Mfa> insp{*m};
+    std::vector<std::size_t> off(kFlows, 0);
+    std::vector<MatchVec> got(kFlows);
+    for (;;) {
+      std::vector<flow::Packet> burst;
+      for (std::uint32_t f = 0; f < kFlows; ++f) {
+        if (off[f] == content[f].size()) continue;
+        const std::size_t len = std::min<std::size_t>(content[f].size() - off[f], 1 + rng.below(40));
+        burst.push_back(flow::Packet{flow::FlowKey{f + 1, 99, 1000, 80, 6}, off[f],
+                                     reinterpret_cast<const std::uint8_t*>(content[f].data()) + off[f],
+                                     static_cast<std::uint32_t>(len)});
+        off[f] += len;
+      }
+      if (burst.empty()) break;
+      insp.packet_batch_flows(
+          burst.data(), burst.size(),
+          [&](const flow::FlowKey& key, std::uint32_t id, std::uint64_t end) {
+            got[key.src_ip - 1].push_back({id, end});
+          },
+          [](const flow::Packet&) {});
+    }
+    for (std::uint32_t f = 0; f < kFlows; ++f)
+      EXPECT_EQ(sorted(got[f]), ref(content[f])) << (delta ? "delta" : "dense") << " flow " << f;
   }
 }
 
