@@ -2,9 +2,9 @@
 // Sec. 6), plus the MFA-vs-table-compression comparison. For each set and
 // each splitter variant, print the piece-DFA size, filter geometry, image
 // size, and scan throughput on a fixed trace; the final block compares the
-// dense/minimized/root-default DFA storage layouts.
+// dense and default-transition (D2FA) DFA storage layouts.
 #include "bench_common.h"
-#include "dfa/compact.h"
+#include "dfa/d2fa.h"
 
 int main(int argc, char** argv) {
   using namespace mfa;
@@ -72,10 +72,11 @@ int main(int argc, char** argv) {
   }
 
   // Storage-layout comparison on the plain DFA baseline: dense vs
-  // root-default compressed (the Sec. II related-work direction).
+  // default-transition compressed (D2FA, the Sec. II related-work
+  // direction; the same table core::BuildOptions::delta builds for MFA).
   std::printf("=== DFA storage layouts (baseline automaton) ===\n");
-  util::TextTable table({"Set", "dense MB", "compact MB", "ratio", "dense CpB",
-                         "compact CpB"});
+  util::TextTable table({"Set", "dense MB", "d2fa MB", "ratio", "dense CpB",
+                         "d2fa CpB"});
   for (const char* set_name : {"C8", "C10", "S24"}) {
     const patterns::PatternSet set = patterns::set_by_name(set_name);
     const nfa::Nfa n = nfa::build_nfa(set.patterns);
@@ -86,21 +87,21 @@ int main(int argc, char** argv) {
       table.add_row({set_name, "-", "-", "-", "-", "-"});
       continue;
     }
-    const dfa::CompactDfa compact(*d);
+    const dfa::D2fa d2fa(*d);
     const auto exemplars = eval::attack_exemplars(set, 2, 999);
     const trace::Trace t = trace::make_real_life(trace::RealLifeProfile::kCyberDefense,
                                                  args.trace_bytes, 999, exemplars);
     const auto dense_tp = eval::measure_throughput(*d, t, args.reps);
-    const auto compact_tp = eval::measure_throughput(compact, t, args.reps);
+    const auto d2fa_tp = eval::measure_throughput(d2fa, t, args.reps);
     table.add_row({set_name, util::format_bytes_mb(d->memory_image_bytes(false), 2),
-                   util::format_bytes_mb(compact.memory_image_bytes(), 2),
-                   util::format_double(compact.compression_vs_dense(*d), 3),
+                   util::format_bytes_mb(d2fa.memory_image_bytes(), 2),
+                   util::format_double(d2fa.compression_vs_dense(*d), 3),
                    util::format_double(dense_tp.cycles_per_byte, 1),
-                   util::format_double(compact_tp.cycles_per_byte, 1)});
+                   util::format_double(d2fa_tp.cycles_per_byte, 1)});
   }
   bench::print_table(table, args.csv);
   std::printf("Reading: decomposition families remove DFA states (rows 1 vs 6);\n"
-              "root-default compression removes transitions but pays per-byte\n"
-              "lookup cost — the opposite tradeoff to MFA.\n");
+              "default-transition compression removes transitions but pays\n"
+              "per-byte chain walks — the opposite tradeoff to MFA.\n");
   return 0;
 }

@@ -5,9 +5,9 @@
 // memory system idle most of the time. feed_many advances K independent
 // flow contexts in lockstep, giving the core K independent transition
 // loads per iteration to overlap (memory-level parallelism). This bench
-// sweeps K in {1, 2, 4, 8, 16} for every table-driven engine (dense DFA,
-// compact DFA, MFA) over a multiplexed many-flow trace, delivered through
-// FlowInspector::packet_batch in 64-packet bursts — the same path the
+// sweeps K in {1, 2, 4, 8, 16} for the table-driven engines (MFA, dense
+// DFA) over a multiplexed many-flow trace, delivered through the flow
+// inspector's packet_batch in 64-packet bursts — the same path the
 // sharded pipeline's workers use. K=1 degenerates to the sequential feed
 // loop and is the baseline; the single-packet packet() path is also shown
 // for reference. A last MFA-only sweep runs S31p over the C112-like noisy
@@ -20,13 +20,8 @@
 // (engine rows are distinguished by name; shards=0 is the single-packet
 // reference row).
 #include "bench_common.h"
-#include "dfa/compact.h"
 
 namespace {
-
-/// --assert-compact-batched-pct violations (batched compact DFA slower than
-/// its own sequential loop beyond the tolerance). Non-zero fails the run.
-int g_compact_violations = 0;
 
 template <typename EngineT>
 void sweep_engine(const char* engine_name, const EngineT& engine,
@@ -54,21 +49,6 @@ void sweep_engine(const char* engine_name, const EngineT& engine,
       std::fprintf(stderr, "WARNING: %s K=%zu matches %llu != single-packet %llu\n",
                    engine_name, lanes, static_cast<unsigned long long>(tp.matches),
                    static_cast<unsigned long long>(single.matches));
-    // The compact DFA clamps feed_many to lanes=1, so batched delivery must
-    // cost the same as the sequential loop (plus burst-assembly noise the
-    // tolerance absorbs). A real gap here means the clamp regressed.
-    if (args.assert_compact_batched_pct >= 0 && lanes > 1 &&
-        std::string(engine_name) == dfa::CompactDfa::kEngineName && k1_cpb > 0) {
-      const double limit = k1_cpb * (1.0 + args.assert_compact_batched_pct / 100.0);
-      if (tp.cycles_per_byte > limit) {
-        std::fprintf(stderr,
-                     "ASSERT FAIL: %s/%s K=%zu CpB %.2f exceeds K=1 CpB %.2f "
-                     "by more than %.0f%%\n",
-                     set_name.c_str(), engine_name, lanes, tp.cycles_per_byte,
-                     k1_cpb, args.assert_compact_batched_pct);
-        ++g_compact_violations;
-      }
-    }
   }
 }
 
@@ -109,11 +89,8 @@ int main(int argc, char** argv) {
     d_opts.max_states = args.dfa_cap;
     if (const auto d = dfa::build_dfa(n, d_opts)) {
       sweep_engine(dfa::Dfa::kEngineName, *d, t, args, report, table, set.name);
-      const dfa::CompactDfa compact(*d);
-      sweep_engine(dfa::CompactDfa::kEngineName, compact, t, args, report, table,
-                   set.name);
     } else {
-      std::printf("%s: DFA baseline exceeded %u states, skipping dense/compact rows\n",
+      std::printf("%s: DFA baseline exceeded %u states, skipping dense rows\n",
                   set_name, d_opts.max_states);
     }
   }
@@ -136,18 +113,9 @@ int main(int argc, char** argv) {
   std::printf("Reading: K=1 is the sequential feed loop; the climb to K=8 is\n"
               "pure memory-level parallelism (same instructions, overlapped\n"
               "transition loads). Gains flatten once lanes exceed the load\n"
-              "buffer / MSHR budget or the table fits in L1. The compact DFA\n"
-              "typically *loses* from interleaving: its per-byte cost is a\n"
-              "branchy exception scan over cache-resident rows, so there is\n"
-              "little load latency to hide and K lanes just thrash the branch\n"
-              "predictor — use K=1 (or the dense table) there. Matches must be\n"
+              "buffer / MSHR budget or the table fits in L1. Matches must be\n"
               "identical down the column — batching is a schedule, not a\n"
               "semantic change.\n");
   bench::write_report(args, report);
-  if (g_compact_violations != 0) {
-    std::fprintf(stderr, "%d compact-batched assertion failure(s)\n",
-                 g_compact_violations);
-    return 1;
-  }
   return 0;
 }

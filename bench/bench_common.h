@@ -38,12 +38,6 @@ struct Args {
   /// bench_flows only: exit non-zero if the tiered inspector's measured
   /// bytes/flow exceeds this ceiling (0 = no assertion). CI regression gate.
   std::size_t assert_bytes_per_flow = 0;
-  /// bench_batch only: exit non-zero if the compact DFA's batched CpB at any
-  /// K exceeds its K=1 sequential CpB by more than this percentage
-  /// (negative = no assertion). Guards the lanes=1 clamp in
-  /// CompactDfa::feed_many — batching must never make the compact engine
-  /// slower than the sequential loop it degenerates to.
-  double assert_compact_batched_pct = -1.0;
   /// bench_simd only: exit non-zero if the prefilter-gated scan's CpB on
   /// dirty traffic (every chunk carries a literal, so nothing is skipped)
   /// exceeds the ungated scan's by more than this percentage (negative = no
@@ -95,8 +89,6 @@ struct Args {
       else if (a == "--flows") args.flows = std::strtoull(next(), nullptr, 10);
       else if (a == "--assert-bytes-per-flow")
         args.assert_bytes_per_flow = std::strtoull(next(), nullptr, 10);
-      else if (a == "--assert-compact-batched-pct")
-        args.assert_compact_batched_pct = std::strtod(next(), nullptr);
       else if (a == "--assert-overhead-pct")
         args.assert_overhead_pct = std::strtod(next(), nullptr);
       else if (a == "--rules") args.rules = std::strtoull(next(), nullptr, 10);
@@ -111,7 +103,7 @@ struct Args {
       else if (a == "--help") {
         std::printf("options: --bytes N  --dfa-cap N  --reps N  --csv  --smoke"
                     "  --json FILE  --flows N  --assert-bytes-per-flow N"
-                    "  --assert-compact-batched-pct P  --assert-overhead-pct P"
+                    "  --assert-overhead-pct P"
                     "  --rules N  --assert-delta-ratio R  --assert-delta-cpb-pct P"
                     "  --assert-parallel-speedup R  --assert-compile-seconds S\n");
         std::exit(0);

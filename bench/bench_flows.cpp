@@ -1,14 +1,13 @@
-// Flow-state footprint and latency at high concurrent-flow counts: the flat
-// FlowInspector (unordered_map node + intrusive LRU per flow) against the
-// tiered hot/cold inspector (2-choice hot table with inline MFA contexts,
-// slab-arena cold tier, timing-wheel eviction — DESIGN.md Sec. 11).
+// Flow-state footprint and latency at high concurrent-flow counts through
+// the tiered hot/cold flow inspector (2-choice hot table with inline MFA
+// contexts, slab-arena cold tier, timing-wheel eviction — DESIGN.md
+// Sec. 11).
 //
 // Real memory is measured, not estimated: a global operator new/delete pair
 // tracks live heap bytes via malloc_usable_size, so allocator slack and
-// node headers — the overhead the tiering exists to eliminate — are
-// included. Reported per scenario: bytes/flow for both inspectors, the
-// reduction factor, p99 per-packet scan latency, and eviction-accounting
-// conservation under a bounded table (inserts == resident + evicted).
+// node headers are included. Reported per scenario: bytes/flow, CpB, p99
+// per-packet scan latency, and eviction-accounting conservation under a
+// bounded table (inserts == resident + evicted).
 //
 // --flows N pins one flow count (default sweep: 100k, and 1M when not
 // --smoke); --rules N replaces C8 with the generated N-rule Snort-dialect
@@ -156,8 +155,7 @@ int main(int argc, char** argv) {
   else flow_counts = {100000, 1000000};
 
   obs::BenchReport report("flows");
-  util::TextTable table({"flows", "inspector", "bytes/flow", "reduction", "CpB",
-                         "p99 scan ns", "matches"});
+  util::TextTable table({"flows", "bytes/flow", "CpB", "p99 scan ns", "matches"});
   bool gate_failed = false;
   bool conservation_failed = false;
 
@@ -165,34 +163,19 @@ int main(int argc, char** argv) {
     const Workload w(nflows, /*pkts_per_flow=*/4, /*payload_len=*/64);
     const std::string trace_label = "inorder-" + std::to_string(nflows);
 
-    flow::FlowInspector<core::Mfa> flat{*mfa};
-    const FlowRunResult fr = run_inspector(flat, w, ns_per_cycle);
-
     flow::TieredFlowInspector<core::Mfa> tiered{*mfa};
     tiered.reserve_flows(nflows);  // deployments size for max_flows; match that
     const FlowRunResult tr = run_inspector(tiered, w, ns_per_cycle);
 
-    if (fr.matches != tr.matches || fr.flows != tr.flows) {
-      std::fprintf(stderr,
-                   "MISMATCH at %zu flows: flat %llu matches/%zu flows, "
-                   "tiered %llu/%zu\n",
-                   nflows, static_cast<unsigned long long>(fr.matches), fr.flows,
-                   static_cast<unsigned long long>(tr.matches), tr.flows);
+    // Unbounded table: every distinct key must still be resident.
+    if (tr.flows != nflows) {
+      std::fprintf(stderr, "MISMATCH: %zu of %zu flows resident\n", tr.flows, nflows);
       conservation_failed = true;
     }
 
-    const double reduction =
-        tr.bytes_per_flow > 0 ? fr.bytes_per_flow / tr.bytes_per_flow : 0.0;
-    table.add_row({std::to_string(nflows), "flat",
-                   util::format_double(fr.bytes_per_flow, 1), "1.00",
-                   util::format_double(fr.cycles_per_byte, 1),
-                   std::to_string(fr.p99_scan_ns), std::to_string(fr.matches)});
-    table.add_row({std::to_string(nflows), "tiered",
-                   util::format_double(tr.bytes_per_flow, 1),
-                   util::format_double(reduction, 2),
+    table.add_row({std::to_string(nflows), util::format_double(tr.bytes_per_flow, 1),
                    util::format_double(tr.cycles_per_byte, 1),
                    std::to_string(tr.p99_scan_ns), std::to_string(tr.matches)});
-    report.add(set.name, trace_label, "mfa-flat", fr.cycles_per_byte, fr.matches);
     report.add(set.name, trace_label, "mfa-tiered", tr.cycles_per_byte, tr.matches);
 
     if (args.assert_bytes_per_flow != 0 &&
@@ -225,10 +208,9 @@ int main(int argc, char** argv) {
   bench::print_table(table, args.csv);
   std::printf(
       "Reading: bytes/flow is live heap delta (malloc_usable_size-accurate)\n"
-      "per resident flow. Flat pays an unordered_map node + LRU links + the\n"
-      "full filter memory per flow; tiered keeps in-order MFA flows in one\n"
-      "%zu-byte hot slot with the (q, m) context inline at any ruleset size,\n"
-      "cold slabs only for reordering or spilled flows.\n",
+      "per resident flow. In-order MFA flows live in one %zu-byte hot slot\n"
+      "with the (q, m) context inline at any ruleset size; cold slabs hold\n"
+      "only reordering or spilled flows.\n",
       sizeof(flow::TieredFlowInspector<core::Mfa>::HotSlot));
   bench::write_report(args, report);
   if (conservation_failed) return 1;

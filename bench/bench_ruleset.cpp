@@ -19,7 +19,6 @@
 
 #include <thread>
 
-#include "dfa/compact.h"
 #include "dfa/d2fa.h"
 #include "rules/rules.h"
 #include "rules/ruleset_gen.h"
@@ -116,12 +115,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     const dfa::D2fa& d2 = *delta_mfa->delta_table();
-    const dfa::CompactDfa compact(suite.mfa->character_dfa());
 
     const std::size_t dense_table_bytes =
         suite.mfa->character_dfa().memory_image_bytes(false);
     const std::size_t delta_table_bytes = d2.memory_image_bytes();
-    const std::size_t compact_table_bytes = compact.memory_image_bytes();
     const std::uint32_t piece_states = suite.mfa->character_dfa().state_count();
 
     // Throughput over a real-life trace carrying exemplars sampled from the
@@ -185,10 +182,6 @@ int main(int argc, char** argv) {
                    bytes_per_state(dense_table_bytes, piece_states),
                    fmt(suite.mfa_stats.seconds), fmt(dense_tp.cycles_per_byte),
                    quiet_cell(suite.mfa_stats, *suite.mfa)});
-    table.add_row({"compact_dfa", std::to_string(compact.state_count()),
-                   std::to_string(compact_table_bytes),
-                   bytes_per_state(compact_table_bytes, compact.state_count()), "-", "-",
-                   "-"});
     table.add_row({"mfa-delta", std::to_string(d2.state_count()),
                    std::to_string(delta_table_bytes),
                    bytes_per_state(delta_table_bytes, d2.state_count()),
@@ -220,8 +213,6 @@ int main(int argc, char** argv) {
                static_cast<double>(dense_table_bytes) / piece_states, piece_states);
     report.add(rung_name, "memory", "mfa-delta",
                static_cast<double>(delta_table_bytes) / piece_states, piece_states);
-    report.add(rung_name, "memory", "compact_dfa",
-               static_cast<double>(compact_table_bytes) / piece_states, piece_states);
 
     if (dense_tp.matches != delta_tp.matches) {
       std::fprintf(stderr, "FAIL: delta matches (%llu) != dense matches (%llu)\n",

@@ -1,7 +1,7 @@
 // SIMD prefilter + vectorized-kernel sweep (DESIGN.md §13).
 //
 // Measures the literal-prefilter gate's two regimes end to end through the
-// FlowInspector, A/B against the same engine with the gate switched off
+// flow inspector, A/B against the same engine with the gate switched off
 // (set_prefilter), so the delta is exactly the gate:
 //
 //   clean   every packet is literal-free: the gate skips the full MFA scan
@@ -76,7 +76,7 @@ GateRun measure(const core::Mfa& m, const trace::Trace& t, int reps, bool gate) 
   std::uint64_t cycles = 0;
   int timed = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    flow::FlowInspector<core::Mfa> insp(m);
+    flow::TieredFlowInspector<core::Mfa> insp(m);
     insp.set_prefilter(gate);
     CountingSink sink;
     const std::uint64_t start = util::rdtsc_now();

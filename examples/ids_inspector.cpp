@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   // Inspect: one shared engine, one (q, m) context per flow, alerts
   // aggregated per rule.
-  flow::FlowInspector<core::Mfa> inspector{*mfa};
+  flow::TieredFlowInspector<core::Mfa> inspector{*mfa};
   std::map<std::uint32_t, std::uint64_t> alerts;
   util::CycleTimer timer;
   t.for_each_packet([&](const flow::Packet& p) {

@@ -3,7 +3,7 @@
 // Related-work context (paper Sec. II and ROADMAP item 4): Kumar et al.'s
 // D2FA observes that IDS automaton rows are massively redundant — two
 // states often differ in a handful of byte transitions. Instead of one
-// modal target per row (CompactDfa), each state gets a *default
+// modal target per row, each state gets a *default
 // transition* to a similar state chosen by maximum-weight pairwise row
 // similarity; only the differing transitions are stored as exceptions.
 // Lookup follows default pointers until an exception (or a dense "root"
@@ -221,9 +221,10 @@ class D2fa {
   using FeedJob = scan::FeedJob<Context>;
 
   /// Batch scan (see Dfa::feed_many for the contract). Jobs run one at a
-  /// time, in order: interleaving tagged chain walks regresses (the same
-  /// reason CompactDfa clamps to one lane), and a sequential pass keeps the
-  /// per-job byte/match order exactly feed()'s. sink(job_index, id, end).
+  /// time, in order: interleaving tagged chain walks regresses (a branchy
+  /// walk over cache-resident rows has little load latency to hide), and a
+  /// sequential pass keeps the per-job byte/match order exactly feed()'s.
+  /// sink(job_index, id, end).
   template <typename Sink>
   void feed_many(FeedJob* jobs, std::size_t count, Sink&& sink,
                  std::size_t lanes = scan::kDefaultLanes) const {

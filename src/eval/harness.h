@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "dfa/dfa.h"
-#include "flow/flow.h"
+#include "flow/tiered.h"
 #include "hfa/hfa.h"
 #include "mfa/mfa.h"
 #include "nfa/nfa.h"
@@ -83,14 +83,14 @@ struct Throughput {
 /// reps > 1. Passing `metrics` attaches telemetry (shard slot 0) for every
 /// repetition — the measurement then includes instrumentation cost, so use
 /// it for observability runs, not for headline CpB numbers.
-template <typename EngineT, template <typename> class InspectorT = flow::FlowInspector>
+template <typename EngineT>
 Throughput measure_throughput(const EngineT& engine, const trace::Trace& trace,
                               int reps = 2, obs::MetricsRegistry* metrics = nullptr) {
   Throughput result;
   std::uint64_t cycles = 0;
   int timed_reps = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    InspectorT<EngineT> inspector(engine);
+    flow::TieredFlowInspector<EngineT> inspector(engine);
     if (metrics != nullptr) inspector.set_metrics(metrics, 0);
     CountingSink sink;
     const std::uint64_t start = util::rdtsc_now();
@@ -112,14 +112,14 @@ Throughput measure_throughput(const EngineT& engine, const trace::Trace& trace,
   return result;
 }
 
-/// Scan a trace through FlowInspector::packet_batch in fixed-size bursts
+/// Scan a trace through the inspector's packet_batch in fixed-size bursts
 /// and report cycles per payload byte. `lanes` is the interleave width K of
 /// the engine's feed_many kernel (1 degenerates to the sequential scan
 /// loop, so a lanes sweep isolates the memory-level-parallelism win);
 /// `burst` is how many packets each packet_batch call sees. Matches and
 /// reassembly semantics are identical to measure_throughput by the batching
 /// contract (DESIGN.md Sec. 7).
-template <typename EngineT, template <typename> class InspectorT = flow::FlowInspector>
+template <typename EngineT>
 Throughput measure_batched_throughput(const EngineT& engine, const trace::Trace& trace,
                                       std::size_t lanes, std::size_t burst = 64,
                                       int reps = 2) {
@@ -130,7 +130,7 @@ Throughput measure_batched_throughput(const EngineT& engine, const trace::Trace&
   std::uint64_t cycles = 0;
   int timed_reps = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    InspectorT<EngineT> inspector(engine);
+    flow::TieredFlowInspector<EngineT> inspector(engine);
     inspector.set_batch_lanes(lanes);
     CountingSink sink;
     const std::uint64_t start = util::rdtsc_now();

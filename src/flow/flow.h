@@ -1,33 +1,23 @@
-// Flow substrate: packets, 5-tuple flow keys, and a multiplexing inspector.
+// Flow substrate shared by the inspector, the pipeline and the traces:
+// packets, 5-tuple flow keys, the out-of-order segment list, and the engine
+// concepts and mode enums the flow inspector (flow/tiered.h) is written
+// against.
 //
 // Paper Sec. III-B: "To handle many flows arriving in multiplexed fashion,
-// all that is necessary is to keep a (q, m) pair for each flow". The
-// FlowInspector below is that mechanism under the Engine/Context split: it
-// holds ONE shared immutable Engine and stores only a small per-flow
-// Context (the (q, m) pair) plus reassembly bookkeeping in its flow table.
-// It restores the context when a packet of that flow arrives and performs
-// in-order reassembly (buffering out-of-order segments, bounded per flow)
-// so engines always see a contiguous byte stream.
+// all that is necessary is to keep a (q, m) pair for each flow". An engine
+// is one shared immutable automaton with a cheap per-flow Context (that
+// pair); the inspector stores one Context per flow and reassembles each
+// flow's segments so engines always see a contiguous byte stream.
 #pragma once
 
 #include <algorithm>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "obs/profile.h"
 #include "simd/prefilter.h"
-#include "util/faultpoint.h"
 #include "util/interleave.h"
-#include "util/timing.h"
 
 namespace mfa::flow {
 
@@ -77,14 +67,14 @@ inline constexpr std::size_t kDefaultMaxPendingBytes = 256 * 1024;
 /// sorted by `seq` (binary-search insert): segment counts are tiny — a
 /// handful of in-flight holes — so a flat sorted vector beats a node-based
 /// map on both memory (no per-node allocation) and drain locality. The
-/// tiered inspector's cold records use the same layout.
+/// inspector keeps one such list in each reordering flow's cold record.
 struct PendingSegment {
   std::uint64_t seq = 0;      ///< byte offset of bytes[0] within the flow
   std::uint64_t arrival = 0;  ///< inspector-wide tick, for oldest-drop
   std::vector<std::uint8_t> bytes;
 };
 
-/// Sorted-by-seq pending list shared by the flat and tiered inspectors.
+/// Sorted-by-seq pending list of one flow.
 using PendingList = std::vector<PendingSegment>;
 
 /// First segment with seq >= `seq` (lower bound in the sorted list).
@@ -95,10 +85,10 @@ inline PendingList::iterator pending_lower_bound(PendingList& list,
       [](const PendingSegment& s, std::uint64_t q) { return s.seq < q; });
 }
 
-/// Requirements FlowInspector places on an engine: an immutable, shareable
-/// compiled automaton exposing a cheap per-flow Context (the paper's
-/// (q, m)) and a context-threaded feed. All six engines (Nfa, Dfa,
-/// CompactDfa, Hfa, Xfa, Mfa) satisfy this.
+/// Requirements the flow inspector places on an engine: an immutable,
+/// shareable compiled automaton exposing a cheap per-flow Context (the
+/// paper's (q, m)) and a context-threaded feed. Every engine (Nfa, Dfa,
+/// D2fa, Hfa, Xfa, Mfa) satisfies this.
 template <typename EngineT>
 concept ScanEngine = requires(const EngineT& e, typename EngineT::Context& ctx,
                               const std::uint8_t* data) {
@@ -109,9 +99,9 @@ concept ScanEngine = requires(const EngineT& e, typename EngineT::Context& ctx,
 };
 
 /// Engines that additionally expose the K-way interleaved batch kernel
-/// (feed_many; today the table-driven Dfa, CompactDfa and Mfa).
-/// FlowInspector::packet_batch uses it when available and falls back to
-/// sequential feed() calls otherwise, so batching works with every engine.
+/// (feed_many; today the table-driven Dfa, D2fa and Mfa). The inspector's
+/// packet_batch uses it when available and falls back to sequential feed()
+/// calls otherwise, so batching works with every engine.
 template <typename EngineT>
 concept BatchScanEngine =
     ScanEngine<EngineT> &&
@@ -123,7 +113,7 @@ concept BatchScanEngine =
 /// Engines exposing the SIMD literal-prefilter gate (today the Mfa,
 /// DESIGN.md §13): prefilter_gate() may prove a chunk literal-free and
 /// advance the context past it without a full scan (simd::Gate::kSkip).
-/// The inspectors consult it before every in-order feed and count the
+/// The inspector consults it before every in-order feed and counts the
 /// outcomes (mfa_prefilter_{pass,skip}_total).
 template <typename EngineT>
 concept PrefilterEngine =
@@ -175,975 +165,6 @@ enum class SwapPolicy : std::uint8_t {
   /// their context; only new flows use the new engine. The old generation
   /// is retired epoch-style: its pin is released when its last flow goes.
   kDrainOld,
-};
-
-/// Multiplexing inspector over the Engine/Context split. Stores one shared
-/// Engine reference for ALL flows and exactly one Context per flow — no
-/// per-flow engine copies or pointers — so the per-flow footprint is
-/// engine.context_bytes() plus reassembly bookkeeping.
-///
-/// `max_flows` bounds the flow table (0 = unbounded): when a new flow would
-/// exceed it, the least-recently-active flow's context is evicted in O(1)
-/// via an intrusive LRU list — the standard DPI memory-bound strategy, and
-/// the reason small per-flow contexts matter (paper Sec. III-A).
-///
-/// `max_pending_bytes` bounds each flow's out-of-order buffer (0 =
-/// unbounded); overflow drops the oldest buffered segment and counts it in
-/// reassembly_dropped_count().
-///
-/// The engine must outlive the inspector. Not thread-safe; under the
-/// sharded pipeline each worker thread owns one FlowInspector.
-template <typename EngineT>
-  requires ScanEngine<EngineT>
-class FlowInspector {
- public:
-  using Context = typename EngineT::Context;
-
-  explicit FlowInspector(const EngineT& engine, std::size_t max_flows = 0,
-                         std::size_t max_pending_bytes = kDefaultMaxPendingBytes)
-      : engine_(&engine), max_flows_(max_flows), max_pending_(max_pending_bytes) {}
-
-  /// Per-flow record: one engine Context plus reassembly bookkeeping and
-  /// the intrusive LRU links. Public so tests can verify the storage
-  /// contract (no per-flow engine duplication) by inspecting its layout.
-  struct FlowState {
-    using PendingSegment = flow::PendingSegment;
-
-    Context ctx;  ///< the engine's per-flow (q, m)
-    std::uint64_t context_generation = 0;  ///< engine generation ctx belongs to
-    std::uint64_t next_offset = 0;
-    std::uint64_t pending_bytes = 0;
-    std::uint64_t batch_stamp = 0;  ///< last packet_batch wave that fed this flow
-    std::uint64_t scan_ticks = 0;   ///< cumulative TSC ticks spent scanning this flow
-    PendingList pending;  ///< sorted by seq
-    FlowState* lru_prev = nullptr;
-    FlowState* lru_next = nullptr;
-    FlowKey key;  ///< back-reference for O(1) LRU eviction
-  };
-
-  /// Attach telemetry (DESIGN.md Sec. 8): scan counters, latency histograms,
-  /// per-match-id counts, and trace-ring events flow into the registry's
-  /// shard slot `shard_index`. Pass nullptr to detach. When detached
-  /// (the default) the instrumented path reduces to one branch per packet.
-  void set_metrics(obs::MetricsRegistry* registry, std::size_t shard_index = 0) {
-    registry_ = registry;
-    metrics_ = registry != nullptr ? &registry->shard(shard_index) : nullptr;
-    // Pre-resolve the tick→ns factor so the per-packet path never pays the
-    // one-time TSC calibration.
-    if (registry != nullptr) ns_per_tick_ = 1e9 / util::tsc_ticks_per_second();
-  }
-
-  /// Attach the sampled cost profiler (DESIGN.md Sec. 12). Requires
-  /// set_metrics() to also be attached — profiling rides the instrumented
-  /// path and reuses its precise scan timing. 1-in-2^shift scan units
-  /// (packets on the packet() path, bursts on the batch path) attribute
-  /// their nanoseconds and bytes to the match-ids they produced and sample
-  /// the automaton state of the flows they touched. Pass nullptr to detach.
-  void set_profiler(obs::Profiler* profiler) {
-    profiler_ = profiler;
-    profile_mask_ = profiler != nullptr ? profiler->sample_mask() : 0;
-  }
-
-  /// Per-flow CPU budget (DESIGN.md Sec. 9): cumulative scan time charged
-  /// to each flow's context; a flow whose total crosses `ns` nanoseconds is
-  /// quarantined — its state evicted with an obs::kFlowQuarantinedEventId
-  /// trace event, and every later packet of that flow dropped (counted in
-  /// quarantined_packet_count()) — so one adversarial, ReDoS-shaped flow
-  /// cannot starve the siblings sharing this inspector. 0 disables (the
-  /// default; no timing is taken then). Under packet_batch the interleaved
-  /// kernel's time is apportioned to flows by bytes fed.
-  void set_cpu_budget_ns(std::uint64_t ns) {
-    cpu_budget_ns_ = ns;
-    budget_ticks_ = 0;
-    if (ns != 0) {
-      const double ticks =
-          static_cast<double>(ns) * util::tsc_ticks_per_second() / 1e9;
-      budget_ticks_ = ticks < 1.0 ? 1 : static_cast<std::uint64_t>(ticks);
-    }
-  }
-  [[nodiscard]] std::uint64_t cpu_budget_ns() const { return cpu_budget_ns_; }
-
-  /// True when `key` has been quarantined (and not yet aged out of the
-  /// bounded quarantine memory).
-  [[nodiscard]] bool is_quarantined(const FlowKey& key) const {
-    return !quarantined_.empty() && quarantined_.count(key) != 0;
-  }
-
-  /// Flows evicted for exceeding the CPU budget.
-  [[nodiscard]] std::uint64_t quarantined_flow_count() const {
-    return flows_quarantined_;
-  }
-
-  /// Packets dropped because their flow was already quarantined.
-  [[nodiscard]] std::uint64_t quarantined_packet_count() const {
-    return quarantined_packets_;
-  }
-
-  /// Chunks the literal prefilter proved clean and skipped (full scan
-  /// avoided, tail replay only). Always 0 unless the engine's gate is armed.
-  [[nodiscard]] std::uint64_t prefilter_skip_count() const {
-    return prefilter_skips_;
-  }
-
-  /// Gate-eligible chunks that carried a literal candidate, so the full
-  /// scan ran ("pass" = passed through the gate into the automaton).
-  [[nodiscard]] std::uint64_t prefilter_pass_count() const {
-    return prefilter_passes_;
-  }
-
-  // --- degraded scan modes (DESIGN.md §14) ---
-
-  /// Set the fidelity rung this inspector scans at. `sample_shift` is the
-  /// L1 sampling exponent: 1-in-2^shift flows keep the exact path. Owned by
-  /// the shard worker (the degradation controller runs worker-side), so no
-  /// synchronization: mode changes apply from the next chunk on.
-  void set_scan_mode(ScanMode mode, std::uint32_t sample_shift = 3) {
-    mode_ = mode;
-    sample_mask_ = (std::uint64_t{1} << (sample_shift < 63 ? sample_shift : 63)) - 1;
-  }
-  [[nodiscard]] ScanMode scan_mode() const { return mode_; }
-
-  /// Probe-positive chunks seen in kPrefilterOnly mode: "suspicious traffic
-  /// was present" detections recorded while the automaton was parked.
-  [[nodiscard]] std::uint64_t degraded_hit_count() const { return degraded_hits_; }
-
-  /// Deliver one packet. sink(match_id, flow_offset) fires for confirmed
-  /// matches; positions are byte offsets within the flow's stream. Packets
-  /// of quarantined flows are dropped (counted, never scanned).
-  template <typename Sink>
-  void packet(const Packet& p, Sink&& sink) {
-    if (is_quarantined(p.key)) {
-      ++quarantined_packets_;
-      return;
-    }
-    if (metrics_ == nullptr) {
-      deliver(p, [&](FlowState&, std::uint32_t id, std::uint64_t end) { sink(id, end); });
-      return;
-    }
-    obs::ShardMetrics& m = *metrics_;
-    m.packets.fetch_add(1, std::memory_order_relaxed);
-    m.bytes.fetch_add(p.length, std::memory_order_relaxed);
-    m.packet_bytes.record(p.length);
-    const bool sampled =
-        profiler_ != nullptr && (++profile_tick_ & profile_mask_) == 0;
-    if (sampled) profile_ids_.clear();
-    const std::uint64_t t0 = util::rdtsc_now();
-    deliver(p, [&](FlowState& fs, std::uint32_t id, std::uint64_t end) {
-      m.matches.fetch_add(1, std::memory_order_relaxed);
-      registry_->count_match(id);
-      if (generation_active_) registry_->count_match_generation(fs.context_generation);
-      registry_->trace().record(p.key.src_ip, p.key.dst_ip, p.key.src_port,
-                                p.key.dst_port, p.key.proto, id, end,
-                                util::rdtsc_now());
-      if (sampled) profile_ids_.push_back(id);
-      sink(id, end);
-    });
-    const double ticks = static_cast<double>(util::rdtsc_now() - t0);
-    const auto scan_ns = static_cast<std::uint64_t>(ticks * ns_per_tick_);
-    m.scan_ns.record(scan_ns);
-    if (sampled) {
-      profiler_->record_rules(profile_ids_.data(), profile_ids_.size(), scan_ns,
-                              p.length);
-      // The flow may be gone (quarantined mid-deliver), hence the lookup.
-      const auto it = flows_.find(p.key);
-      if (it != flows_.end())
-        profiler_->record_state(
-            engine_for(it->second).context_state(it->second.ctx));
-    }
-    // Gauges/counters mirrored every packet so mid-run snapshots are live.
-    m.flows.store(flows_.size(), std::memory_order_relaxed);
-    m.evictions.store(evicted_, std::memory_order_relaxed);
-    m.reassembly_drops.store(reassembly_dropped_, std::memory_order_relaxed);
-    m.reassembly_pending_bytes.store(total_pending_, std::memory_order_relaxed);
-  }
-
-  /// Interleave width for packet_batch() when the engine supports
-  /// feed_many (ignored otherwise). See DESIGN.md Sec. 7 on K selection.
-  void set_batch_lanes(std::size_t lanes) { batch_lanes_ = lanes == 0 ? 1 : lanes; }
-  [[nodiscard]] std::size_t batch_lanes() const { return batch_lanes_; }
-
-  /// Per-inspector kill-switch for the literal-prefilter gate (A/B runs,
-  /// bench overhead measurement). `MFA_PREFILTER=off` disarms the gate
-  /// process-wide at engine build time; this toggles it per inspector at
-  /// runtime. Off means every chunk takes the plain feed path.
-  void set_prefilter(bool on) { prefilter_on_ = on; }
-  [[nodiscard]] bool prefilter_enabled() const { return prefilter_on_; }
-
-  /// Deliver a burst of packets (any mix of flows) with exact per-flow
-  /// in-order semantics: packets of the same flow are applied in burst
-  /// order, one "wave" at a time, while distinct flows' in-order bytes
-  /// advance through the engine's K-way interleaved feed_many. Matches are
-  /// byte-identical to calling packet() per packet, except that flow-table
-  /// LRU recency (and therefore eviction choice under max_flows) is
-  /// burst-granular rather than packet-granular.
-  template <typename Sink>
-  void packet_batch(const Packet* pkts, std::size_t count, Sink&& sink) {
-    packet_batch_flows(
-        pkts, count,
-        [&](const FlowKey&, std::uint32_t id, std::uint64_t end) { sink(id, end); },
-        [](const Packet&) {});
-  }
-
-  /// packet_batch with flow attribution: sink(flow_key, match_id, offset)
-  /// for matches, dsink(packet) for every packet dropped because its flow is
-  /// quarantined. The pipeline's fault-tolerant accounting (and any caller
-  /// that must prove "every packet was scanned or counted") uses this form.
-  template <typename KeySink, typename DropSink>
-  void packet_batch_flows(const Packet* pkts, std::size_t count, KeySink&& sink,
-                          DropSink&& dsink) {
-    packet_batch_attributed(
-        pkts, count,
-        [&](const FlowKey& key, std::uint64_t, std::uint32_t id, std::uint64_t end) {
-          sink(key, id, end);
-        },
-        std::forward<DropSink>(dsink));
-  }
-
-  /// packet_batch_flows plus engine-generation attribution:
-  /// sink(flow_key, context_generation, match_id, offset). Across a hot
-  /// swap this is what lets the pipeline prove each match against the
-  /// ruleset generation that actually scanned the flow.
-  template <typename GenSink, typename DropSink>
-  void packet_batch_attributed(const Packet* pkts, std::size_t count, GenSink&& sink,
-                               DropSink&& dsink) {
-    if (count == 0) return;
-    if (metrics_ == nullptr) {
-      deliver_batch(
-          pkts, count,
-          [&](FlowState& fs, std::uint32_t id, std::uint64_t end) {
-            sink(fs.key, fs.context_generation, id, end);
-          },
-          dsink);
-      return;
-    }
-    obs::ShardMetrics& m = *metrics_;
-    // Mid-run snapshot ordering (DESIGN.md Sec. 8): packet_bytes records
-    // before the scan and packets increments after scan_ns, so a snapshot
-    // still sees packets <= scan_ns.count + 1 and
-    // packet_bytes.count >= scan_ns.count.
-    std::uint64_t burst_bytes = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      burst_bytes += pkts[i].length;
-      m.packet_bytes.record(pkts[i].length);
-    }
-    m.bytes.fetch_add(burst_bytes, std::memory_order_relaxed);
-    const bool sampled =
-        profiler_ != nullptr && (++profile_tick_ & profile_mask_) == 0;
-    if (sampled) profile_ids_.clear();
-    const std::uint64_t t0 = util::rdtsc_now();
-    deliver_batch(
-        pkts, count,
-        [&](FlowState& fs, std::uint32_t id, std::uint64_t end) {
-          m.matches.fetch_add(1, std::memory_order_relaxed);
-          registry_->count_match(id);
-          if (generation_active_) registry_->count_match_generation(fs.context_generation);
-          registry_->trace().record(fs.key.src_ip, fs.key.dst_ip, fs.key.src_port,
-                                    fs.key.dst_port, fs.key.proto, id, end,
-                                    util::rdtsc_now());
-          if (sampled) profile_ids_.push_back(id);
-          sink(fs.key, fs.context_generation, id, end);
-        },
-        dsink);
-    const double ticks = static_cast<double>(util::rdtsc_now() - t0);
-    // The burst is timed as one unit; scan_ns keeps its one-sample-per-
-    // packet contract by recording the per-packet share `count` times.
-    const auto per_packet = static_cast<std::uint64_t>(
-        ticks * ns_per_tick_ / static_cast<double>(count));
-    for (std::size_t i = 0; i < count; ++i) m.scan_ns.record(per_packet);
-    if (sampled) {
-      // Burst-granular sample: the whole burst's ns/bytes split across the
-      // match-ids it produced, states sampled per packet of the burst.
-      profiler_->record_rules(profile_ids_.data(), profile_ids_.size(),
-                              static_cast<std::uint64_t>(ticks * ns_per_tick_),
-                              burst_bytes);
-      for (std::size_t i = 0; i < count; ++i) {
-        const auto it = flows_.find(pkts[i].key);
-        if (it != flows_.end())
-          profiler_->record_state(
-              engine_for(it->second).context_state(it->second.ctx));
-      }
-    }
-    m.packets.fetch_add(count, std::memory_order_relaxed);
-    m.flows.store(flows_.size(), std::memory_order_relaxed);
-    m.evictions.store(evicted_, std::memory_order_relaxed);
-    m.reassembly_drops.store(reassembly_dropped_, std::memory_order_relaxed);
-    m.reassembly_pending_bytes.store(total_pending_, std::memory_order_relaxed);
-  }
-
-  /// Number of flows currently tracked.
-  [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
-
-  /// Flows evicted to honour max_flows.
-  [[nodiscard]] std::uint64_t evicted_count() const { return evicted_; }
-
-  /// Out-of-order segments dropped to honour max_pending_bytes.
-  [[nodiscard]] std::uint64_t reassembly_dropped_count() const {
-    return reassembly_dropped_;
-  }
-
-  /// Out-of-order bytes currently buffered across all flows.
-  [[nodiscard]] std::uint64_t reassembly_pending_bytes() const {
-    return total_pending_;
-  }
-
-  /// Logical per-flow context footprint (the engine's (q, m) bytes).
-  [[nodiscard]] std::size_t context_bytes() const { return engine_->context_bytes(); }
-
-  [[nodiscard]] const EngineT& engine() const { return *engine_; }
-
-  // --- live ruleset hot-swap (DESIGN.md Sec. 10) ---
-
-  /// Replace the engine all *new* work runs on. `generation` must be a
-  /// value never passed before (the pipeline hands out a monotonically
-  /// increasing counter); `pin` keeps the new engine's owner (e.g. a
-  /// reload::EngineSet) alive for as long as this inspector references it.
-  ///
-  /// Flows whose context belongs to the previous generation follow
-  /// `policy`; the previous generation is retired — its engine pointer and
-  /// pin are kept in a per-generation record until the last such flow is
-  /// reset, drained/evicted or cleared, at which point the pin drops and a
-  /// refcounted owner can be destroyed. With no live flows the old pin is
-  /// released immediately. Swaps are rare: the O(flow-table) census here is
-  /// paid per swap, never per packet.
-  void adopt_engine(const EngineT& engine, std::uint64_t generation, SwapPolicy policy,
-                    std::shared_ptr<const void> pin = nullptr) {
-    // Re-adopting the current generation (worker restart replaying a staged
-    // swap) is a no-op — in particular it must not retire the generation
-    // it is itself publishing.
-    if (generation_active_ && generation == current_generation_) return;
-    std::size_t live = 0;
-    for (const auto& [key, fs] : flows_)
-      if (fs.context_generation == current_generation_) ++live;
-    if (live > 0)
-      retired_.push_back(Retired{current_generation_, engine_, std::move(current_pin_),
-                                 live, policy == SwapPolicy::kDrainOld});
-    engine_ = &engine;
-    current_pin_ = std::move(pin);
-    current_generation_ = generation;
-    generation_active_ = true;
-  }
-
-  /// Generation all new flows (and, under kResetOnNextPacket, re-adopted
-  /// flows) are tagged with. 0 until the first adopt_engine().
-  [[nodiscard]] std::uint64_t current_generation() const { return current_generation_; }
-
-  /// Retired generations still pinned by at least one live flow context.
-  [[nodiscard]] std::size_t retired_generation_count() const { return retired_.size(); }
-
-  /// Live flows whose context still belongs to `generation`.
-  [[nodiscard]] std::size_t flows_on_generation(std::uint64_t generation) const {
-    std::size_t n = 0;
-    for (const auto& [key, fs] : flows_)
-      if (fs.context_generation == generation) ++n;
-    return n;
-  }
-
-  /// Drop a finished flow's context.
-  void evict(const FlowKey& key) {
-    auto it = flows_.find(key);
-    if (it == flows_.end()) return;
-    release_flow(it->second);
-    total_pending_ -= it->second.pending_bytes;
-    lru_unlink(&it->second);
-    flows_.erase(it);
-  }
-
-  /// Crash-recovery reset (DESIGN.md §14): drop `key`'s state so its next
-  /// packet re-creates a fresh context. Distinct from evict() only in
-  /// intent and accounting — the flow is not leaving for capacity reasons,
-  /// its last burst never committed, so this does NOT count an eviction.
-  /// Returns true when a flow actually existed (callers count those in
-  /// flows_recovered).
-  bool reset_flow(const FlowKey& key) {
-    auto it = flows_.find(key);
-    if (it == flows_.end()) return false;
-    release_flow(it->second);
-    total_pending_ -= it->second.pending_bytes;
-    lru_unlink(&it->second);
-    flows_.erase(it);
-    return true;
-  }
-
-  /// Drop every flow and reset all derived per-inspector bookkeeping in one
-  /// place — the recency/arrival tick, the batch-wave counter, buffered
-  /// reassembly accounting, and the live gauges mirrored into the metrics
-  /// shard (the watchdog calls this when it restarts a crashed worker, and
-  /// stale gauges would otherwise survive until the next packet).
-  ///
-  /// Deliberately NOT reset: the monotone totals (evicted_count,
-  /// reassembly_dropped_count, quarantined_flow/packet_count), which are
-  /// cumulative across restarts, and the quarantine memory itself — a
-  /// hostile flow must not escape quarantine by crashing the worker
-  /// (DESIGN.md Sec. 9).
-  void clear() {
-    flows_.clear();
-    retired_.clear();  // no live contexts left: every old-generation pin drops
-    total_pending_ = 0;
-    arrival_tick_ = 0;
-    batch_wave_ = 0;
-    batch_jobs_.clear();
-    batch_job_flows_.clear();
-    batch_cur_.clear();
-    batch_deferred_.clear();
-    lru_head_ = nullptr;
-    lru_tail_ = nullptr;
-    if (metrics_ != nullptr) {
-      metrics_->flows.store(0, std::memory_order_relaxed);
-      metrics_->reassembly_pending_bytes.store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  /// The uninstrumented delivery path; packet() wraps it with telemetry.
-  /// fsink(flow_state, id, end) so wrappers can attribute the match to the
-  /// owning flow and its engine generation.
-  template <typename FlowSink>
-  void deliver(const Packet& p, FlowSink&& fsink) {
-    FlowState& fs = flow(p.key);
-    if (p.seq > fs.next_offset) {
-      // Out of order: hold the segment until the gap fills.
-      buffer_segment(fs, p);
-      return;
-    }
-    const EngineT& eng = engine_for(fs);
-    const auto sink = [&](std::uint32_t id, std::uint64_t end) { fsink(fs, id, end); };
-    // Possibly-overlapping retransmission: skip already-delivered bytes.
-    const std::uint64_t skip = fs.next_offset - p.seq;
-    if (budget_ticks_ == 0) {
-      if (skip < p.length) {
-        feed_or_skip(eng, fs, p.payload + skip, p.length - skip, fs.next_offset, sink);
-        fs.next_offset += p.length - skip;
-      }
-      drain(fs, sink);
-      return;
-    }
-    const std::uint64_t t0 = util::rdtsc_now();
-    if (skip < p.length) {
-      feed_or_skip(eng, fs, p.payload + skip, p.length - skip, fs.next_offset, sink);
-      fs.next_offset += p.length - skip;
-    }
-    drain(fs, sink);
-    fs.scan_ticks += util::rdtsc_now() - t0;
-    maybe_quarantine(fs);  // may erase fs — nothing touches it afterwards
-  }
-
-  /// Gate-aware feed: consult the degraded-mode admission first, then the
-  /// engine's prefilter gate (when it has one), before paying for the full
-  /// scan. On any skip the caller still advances next_offset (only the
-  /// prefilter gate's kSkip also advances the context, via tail replay).
-  template <typename Sink>
-  void feed_or_skip(const EngineT& eng, FlowState& fs, const std::uint8_t* data,
-                    std::size_t size, std::uint64_t base, Sink&& sink) {
-    if (mode_ != ScanMode::kFull && !deep_scan_chunk(fs.key, data, size)) return;
-    if constexpr (PrefilterEngine<EngineT>) {
-      if (prefilter_on_) {
-        const simd::Gate g = eng.prefilter_gate(fs.ctx, data, size);
-        if (g != simd::Gate::kNone) note_prefilter(g == simd::Gate::kSkip);
-        if (g == simd::Gate::kSkip) return;
-      }
-    }
-    eng.feed(fs.ctx, data, size, base, sink);
-  }
-
-  /// Degraded-mode admission (DESIGN.md §14): does this chunk get an
-  /// automaton feed? kSampled admits sampled flows unconditionally and the
-  /// rest only on a positive literal probe; kPrefilterOnly admits nothing
-  /// and records probe-positive chunks as degraded hits.
-  bool deep_scan_chunk(const FlowKey& key, const std::uint8_t* data,
-                       std::size_t size) {
-    if (mode_ == ScanMode::kSampled &&
-        (FlowKeyHash{}(key) & sample_mask_) == 0)
-      return true;
-    const bool hit = probe_chunk(data, size);
-    if (mode_ == ScanMode::kPrefilterOnly) {
-      if (hit) note_degraded_hit();
-      return false;
-    }
-    return hit;  // kSampled, non-sampled flow: scan only suspicious chunks
-  }
-
-  [[nodiscard]] bool probe_chunk(const std::uint8_t* data, std::size_t size) const {
-    if constexpr (ProbeEngine<EngineT>) {
-      return engine_->prefilter_probe(data, size);
-    } else {
-      (void)data;
-      (void)size;
-      return true;  // no probe: cannot prove absence, everything suspicious
-    }
-  }
-
-  void note_degraded_hit() {
-    ++degraded_hits_;
-    if (metrics_ != nullptr)
-      metrics_->degraded_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void note_prefilter(bool skipped) {
-    if (skipped)
-      ++prefilter_skips_;
-    else
-      ++prefilter_passes_;
-    if (metrics_ != nullptr) {
-      auto& counter = skipped ? metrics_->prefilter_skip : metrics_->prefilter_pass;
-      counter.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Batch delivery core. fsink(flow_state, id, end) so the instrumented
-  /// wrapper can attribute matches (trace ring) to the owning flow.
-  ///
-  /// Wave discipline: each pass over the remaining packets claims at most
-  /// one in-order feed per flow (stamping the FlowState with the wave id);
-  /// later same-flow packets defer to the next wave, which runs only after
-  /// this wave's feed_many + drains. Cross-flow work interleaves, same-flow
-  /// work never does — the ordering guarantee DESIGN.md Sec. 7 documents.
-  template <typename FlowSink, typename DropSink>
-  void deliver_batch(const Packet* pkts, std::size_t count, FlowSink&& fsink,
-                     DropSink&& dsink) {
-    auto& jobs = batch_jobs_;
-    auto& jflows = batch_job_flows_;
-    auto& cur = batch_cur_;
-    auto& deferred = batch_deferred_;
-    jobs.clear();
-    jflows.clear();
-    cur.clear();
-    for (std::size_t i = 0; i < count; ++i) cur.push_back(static_cast<std::uint32_t>(i));
-
-    const auto flush = [&] {
-      if (jobs.empty()) return;
-      if (budget_ticks_ == 0) {
-        feed_jobs(jobs.data(), jobs.size(), fsink);
-        for (FlowState* fs : jflows)
-          drain(*fs, [&](std::uint32_t id, std::uint64_t end) { fsink(*fs, id, end); });
-      } else {
-        // Budgeted: the interleaved kernel runs K flows at once, so its
-        // time is apportioned to flows by bytes fed; drains are per-flow
-        // and timed exactly. Quarantine checks run last because they may
-        // erase FlowStates that jobs/jflows still reference.
-        std::uint64_t total_bytes = 0;
-        for (const auto& j : jobs) total_bytes += j.size;
-        const std::uint64_t t0 = util::rdtsc_now();
-        feed_jobs(jobs.data(), jobs.size(), fsink);
-        const std::uint64_t feed_ticks = util::rdtsc_now() - t0;
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-          jflows[i]->scan_ticks += total_bytes == 0
-                                       ? 0
-                                       : feed_ticks * jobs[i].size / total_bytes;
-        for (FlowState* fs : jflows) {
-          const std::uint64_t d0 = util::rdtsc_now();
-          drain(*fs, [&](std::uint32_t id, std::uint64_t end) { fsink(*fs, id, end); });
-          fs->scan_ticks += util::rdtsc_now() - d0;
-        }
-        for (FlowState* fs : jflows) maybe_quarantine(*fs);  // may erase fs
-      }
-      jobs.clear();
-      jflows.clear();
-    };
-
-    while (!cur.empty()) {
-      const std::uint64_t wave = ++batch_wave_;
-      deferred.clear();
-      for (const std::uint32_t idx : cur) {
-        const Packet& p = pkts[idx];
-        if (is_quarantined(p.key)) {
-          ++quarantined_packets_;
-          dsink(p);
-          continue;
-        }
-        // Feeding is deferred within a wave, so the LRU eviction a *new*
-        // flow's insertion can trigger might otherwise tear down a
-        // FlowState that still has a queued job: flush queued work first.
-        if (max_flows_ != 0 && flows_.size() >= max_flows_ && !jobs.empty() &&
-            flows_.find(p.key) == flows_.end())
-          flush();
-        FlowState& fs = flow(p.key);
-        if (fs.batch_stamp == wave) {
-          deferred.push_back(idx);  // same flow already fed this wave
-          continue;
-        }
-        if (p.seq > fs.next_offset) {
-          buffer_segment(fs, p);  // out of order: hold until the gap fills
-          continue;
-        }
-        const std::uint64_t skip = fs.next_offset - p.seq;
-        // Fully already-delivered bytes feed nothing, and pending segments
-        // all start past next_offset (drain invariant), so nothing drains.
-        if (skip >= p.length) continue;
-        fs.batch_stamp = wave;
-        const std::uint8_t* data = p.payload + skip;
-        const std::size_t len = p.length - skip;
-        const std::uint64_t base = fs.next_offset;
-        if (mode_ != ScanMode::kFull && !deep_scan_chunk(p.key, data, len)) {
-          // Degraded skip: no job, no context advance — but the offset moves
-          // and any gap the skipped bytes filled still drains (the drain's
-          // own feeds re-check the mode).
-          fs.next_offset += len;
-          const auto sink = [&](std::uint32_t id, std::uint64_t end) {
-            fsink(fs, id, end);
-          };
-          if (budget_ticks_ == 0) {
-            drain(fs, sink);
-          } else {
-            const std::uint64_t t0 = util::rdtsc_now();
-            drain(fs, sink);
-            fs.scan_ticks += util::rdtsc_now() - t0;
-            maybe_quarantine(fs);  // may erase fs — nothing touches it after
-          }
-          continue;
-        }
-        if constexpr (PrefilterEngine<EngineT>) {
-          // Gate at job-materialization time: a proven-clean chunk never
-          // becomes a job (its context is already advanced), so the
-          // interleaved kernel's lanes carry only chunks that need scanning.
-          const simd::Gate g = prefilter_on_
-                                   ? engine_for(fs).prefilter_gate(fs.ctx, data, len)
-                                   : simd::Gate::kNone;
-          if (g != simd::Gate::kNone) note_prefilter(g == simd::Gate::kSkip);
-          if (g == simd::Gate::kSkip) {
-            fs.next_offset += len;
-            // No job this wave, so flush() won't drain this flow — but the
-            // skipped bytes may have filled a gap; drain here instead.
-            const auto sink = [&](std::uint32_t id, std::uint64_t end) {
-              fsink(fs, id, end);
-            };
-            if (budget_ticks_ == 0) {
-              drain(fs, sink);
-            } else {
-              const std::uint64_t t0 = util::rdtsc_now();
-              drain(fs, sink);
-              fs.scan_ticks += util::rdtsc_now() - t0;
-              maybe_quarantine(fs);  // may erase fs — nothing touches it after
-            }
-            continue;
-          }
-        }
-        jobs.push_back({&fs.ctx, data, len, base});
-        jflows.push_back(&fs);
-        fs.next_offset += len;
-      }
-      flush();
-      cur.swap(deferred);
-    }
-  }
-
-  /// Feed the queued distinct-flow jobs: the engine's interleaved kernel
-  /// when it has one, sequential feed() calls otherwise. Right after a
-  /// kDrainOld swap a burst can mix generations; the interleaved kernel
-  /// must never advance two flows through *different* engines in one pass,
-  /// so mixed bursts run one feed_many per generation present (transient —
-  /// the moment old flows retire the homogeneous fast path is back).
-  template <typename FlowSink>
-  void feed_jobs(scan::FeedJob<Context>* jobs, std::size_t count, FlowSink& fsink) {
-    const auto lane_sink = [&](std::size_t job, std::uint32_t id, std::uint64_t end) {
-      fsink(*batch_job_flows_[job], id, end);
-    };
-    if constexpr (BatchScanEngine<EngineT>) {
-      const std::uint64_t g0 = batch_job_flows_[0]->context_generation;
-      bool mixed = false;
-      for (std::size_t i = 1; i < count && !mixed; ++i)
-        mixed = batch_job_flows_[i]->context_generation != g0;
-      if (!mixed) {
-        engine_for_generation(g0).feed_many(jobs, count, lane_sink, batch_lanes_);
-        return;
-      }
-      mixed_done_.assign(count, 0);
-      std::size_t remaining = count;
-      while (remaining > 0) {
-        mixed_jobs_.clear();
-        mixed_index_.clear();
-        std::uint64_t gen = 0;
-        bool have_gen = false;
-        for (std::size_t i = 0; i < count; ++i) {
-          if (mixed_done_[i] != 0) continue;
-          const std::uint64_t g = batch_job_flows_[i]->context_generation;
-          if (!have_gen) {
-            gen = g;
-            have_gen = true;
-          }
-          if (g != gen) continue;
-          mixed_jobs_.push_back(jobs[i]);  // FeedJob copies share the ctx pointer
-          mixed_index_.push_back(i);
-          mixed_done_[i] = 1;
-        }
-        remaining -= mixed_jobs_.size();
-        engine_for_generation(gen).feed_many(
-            mixed_jobs_.data(), mixed_jobs_.size(),
-            [&](std::size_t j, std::uint32_t id, std::uint64_t end) {
-              lane_sink(mixed_index_[j], id, end);
-            },
-            batch_lanes_);
-      }
-    } else {
-      for (std::size_t i = 0; i < count; ++i)
-        engine_for(*batch_job_flows_[i])
-            .feed(*jobs[i].ctx, jobs[i].data, jobs[i].size, jobs[i].base,
-                  [&](std::uint32_t id, std::uint64_t end) { lane_sink(i, id, end); });
-    }
-  }
-
-  FlowState& flow(const FlowKey& key) {
-    auto it = flows_.find(key);
-    if (it != flows_.end()) {
-      lru_touch(&it->second);
-      if (it->second.context_generation != current_generation_) adopt_flow(it->second);
-      return it->second;
-    }
-    if (max_flows_ != 0 && flows_.size() >= max_flows_) evict_oldest();
-    util::fault_maybe_bad_alloc("flow.table.alloc");
-    it = flows_.emplace(key, FlowState{engine_->make_context()}).first;
-    it->second.key = key;  // node addresses are stable in unordered_map
-    it->second.context_generation = current_generation_;
-    lru_push_back(&it->second);
-    return it->second;
-  }
-
-  // --- engine-generation bookkeeping (cold unless adopt_engine was used) ---
-
-  /// A previous engine generation still referenced by live flow contexts.
-  struct Retired {
-    std::uint64_t generation = 0;
-    const EngineT* engine = nullptr;
-    std::shared_ptr<const void> pin;  ///< keeps the engine's owner alive
-    std::size_t live_flows = 0;
-    bool drain = false;  ///< SwapPolicy::kDrainOld
-  };
-
-  [[nodiscard]] const Retired* find_retired(std::uint64_t generation) const {
-    for (const auto& r : retired_)
-      if (r.generation == generation) return &r;
-    return nullptr;
-  }
-
-  [[nodiscard]] const EngineT& engine_for_generation(std::uint64_t generation) const {
-    if (generation == current_generation_) return *engine_;
-    const Retired* r = find_retired(generation);
-    return r != nullptr ? *r->engine : *engine_;
-  }
-
-  [[nodiscard]] const EngineT& engine_for(const FlowState& fs) const {
-    return engine_for_generation(fs.context_generation);
-  }
-
-  /// A flow tagged with an older generation took a packet: under kDrainOld
-  /// it stays on its engine; under kResetOnNextPacket its (q, m) restarts
-  /// on the current engine — stream position and pending segments are kept,
-  /// so the byte stream continues seamlessly under the new rules.
-  void adopt_flow(FlowState& fs) {
-    const Retired* r = find_retired(fs.context_generation);
-    if (r != nullptr && r->drain) return;
-    const std::uint64_t old_generation = fs.context_generation;
-    fs.ctx = engine_->make_context();
-    fs.context_generation = current_generation_;
-    fs.scan_ticks = 0;  // fresh context, fresh CPU-budget account
-    release_generation(old_generation);
-  }
-
-  /// `fs` is leaving the table (evict/quarantine/LRU): drop its claim on a
-  /// retired generation, releasing the pin when the last claim goes.
-  void release_flow(const FlowState& fs) {
-    if (fs.context_generation != current_generation_)
-      release_generation(fs.context_generation);
-  }
-
-  void release_generation(std::uint64_t generation) {
-    for (std::size_t i = 0; i < retired_.size(); ++i) {
-      if (retired_[i].generation != generation) continue;
-      if (--retired_[i].live_flows == 0) retired_.erase(retired_.begin() + i);
-      return;
-    }
-  }
-
-  /// CPU-budget enforcement: evict an over-budget flow and remember its key
-  /// so later packets are dropped at the door. The memory is bounded
-  /// (oldest quarantine forgotten first) so hostile many-flow traffic
-  /// cannot grow it without limit.
-  void maybe_quarantine(FlowState& fs) {
-    if (budget_ticks_ == 0 || fs.scan_ticks < budget_ticks_) return;
-    ++flows_quarantined_;
-    if (registry_ != nullptr) {
-      metrics_->flows_quarantined.fetch_add(1, std::memory_order_relaxed);
-      registry_->trace().record(fs.key.src_ip, fs.key.dst_ip, fs.key.src_port,
-                                fs.key.dst_port, fs.key.proto,
-                                obs::kFlowQuarantinedEventId, fs.next_offset,
-                                util::rdtsc_now());
-    }
-    static constexpr std::size_t kMaxQuarantineRemembered = 65536;
-    if (quarantine_order_.size() >= kMaxQuarantineRemembered) {
-      quarantined_.erase(quarantine_order_.front());
-      quarantine_order_.pop_front();
-    }
-    quarantined_.insert(fs.key);
-    quarantine_order_.push_back(fs.key);
-    release_flow(fs);
-    total_pending_ -= fs.pending_bytes;
-    lru_unlink(&fs);
-    flows_.erase(fs.key);
-  }
-
-  // --- intrusive LRU list: head = least recently active, tail = most ---
-
-  void lru_push_back(FlowState* fs) {
-    fs->lru_prev = lru_tail_;
-    fs->lru_next = nullptr;
-    if (lru_tail_ != nullptr) lru_tail_->lru_next = fs;
-    lru_tail_ = fs;
-    if (lru_head_ == nullptr) lru_head_ = fs;
-  }
-
-  void lru_unlink(FlowState* fs) {
-    if (fs->lru_prev != nullptr) fs->lru_prev->lru_next = fs->lru_next;
-    if (fs->lru_next != nullptr) fs->lru_next->lru_prev = fs->lru_prev;
-    if (lru_head_ == fs) lru_head_ = fs->lru_next;
-    if (lru_tail_ == fs) lru_tail_ = fs->lru_prev;
-    fs->lru_prev = nullptr;
-    fs->lru_next = nullptr;
-  }
-
-  void lru_touch(FlowState* fs) {
-    if (lru_tail_ == fs) return;
-    lru_unlink(fs);
-    lru_push_back(fs);
-  }
-
-  void evict_oldest() {
-    FlowState* victim = lru_head_;
-    if (victim == nullptr) return;
-    release_flow(*victim);
-    total_pending_ -= victim->pending_bytes;
-    lru_unlink(victim);
-    flows_.erase(victim->key);
-    ++evicted_;
-  }
-
-  // --- bounded out-of-order reassembly ---
-
-  void buffer_segment(FlowState& fs, const Packet& p) {
-    if (p.length == 0) return;
-    // Reassembly buffering is the allocation-heavy path hostile traffic can
-    // drive at will; the fault point lets the soak test prove a bad_alloc
-    // here surfaces as a crashed-and-restarted worker, never a hang.
-    util::fault_maybe_bad_alloc("flow.reassembly.alloc");
-    auto it = pending_lower_bound(fs.pending, p.seq);
-    if (it != fs.pending.end() && it->seq == p.seq) {
-      // Duplicate sequence number: keep whichever segment carries more
-      // data. Only the *net growth* counts against the budget — a replaced
-      // segment's bytes leave the buffer, so charging the full incoming
-      // length would spuriously evict unrelated segments on retransmits.
-      if (it->bytes.size() >= p.length) return;
-      const std::uint64_t growth = p.length - it->bytes.size();
-      while (max_pending_ != 0 && fs.pending_bytes + growth > max_pending_ &&
-             fs.pending.size() > 1) {
-        drop_oldest_pending(fs, p.seq);
-        it = pending_lower_bound(fs.pending, p.seq);  // drops shift the vector
-      }
-      if (max_pending_ != 0 && fs.pending_bytes + growth > max_pending_) {
-        // Even alone the replacement exceeds the budget: keep the smaller
-        // buffered segment and count the oversized replacement as dropped.
-        ++reassembly_dropped_;
-        return;
-      }
-      it->bytes.assign(p.payload, p.payload + p.length);
-      it->arrival = ++arrival_tick_;
-      fs.pending_bytes += growth;
-      total_pending_ += growth;
-      return;
-    }
-    if (max_pending_ != 0 && p.length > max_pending_) {
-      // A single segment larger than the whole budget can never be held.
-      ++reassembly_dropped_;
-      return;
-    }
-    while (max_pending_ != 0 && fs.pending_bytes + p.length > max_pending_) {
-      drop_oldest_pending(fs);
-      it = pending_lower_bound(fs.pending, p.seq);
-    }
-    it = fs.pending.emplace(it, PendingSegment{p.seq, ++arrival_tick_, {}});
-    it->bytes.assign(p.payload, p.payload + p.length);
-    fs.pending_bytes += p.length;
-    total_pending_ += p.length;
-  }
-
-  /// Drop the oldest-arrival pending segment, optionally sparing the one at
-  /// `keep_seq` (the segment a duplicate replacement is about to grow in
-  /// place). Erasing shifts the vector, so callers re-derive iterators.
-  void drop_oldest_pending(FlowState& fs, std::uint64_t keep_seq = ~std::uint64_t{0}) {
-    auto oldest = fs.pending.end();
-    for (auto it = fs.pending.begin(); it != fs.pending.end(); ++it) {
-      if (it->seq == keep_seq) continue;
-      if (oldest == fs.pending.end() || it->arrival < oldest->arrival) oldest = it;
-    }
-    if (oldest == fs.pending.end()) return;
-    fs.pending_bytes -= oldest->bytes.size();
-    total_pending_ -= oldest->bytes.size();
-    fs.pending.erase(oldest);
-    ++reassembly_dropped_;
-  }
-
-  template <typename Sink>
-  void drain(FlowState& fs, Sink&& sink) {
-    std::size_t consumed = 0;
-    while (consumed < fs.pending.size()) {
-      PendingSegment& seg = fs.pending[consumed];
-      if (seg.seq > fs.next_offset) break;
-      const std::uint64_t skip = fs.next_offset - seg.seq;
-      if (skip < seg.bytes.size()) {
-        feed_or_skip(engine_for(fs), fs, seg.bytes.data() + skip,
-                     seg.bytes.size() - skip, fs.next_offset, sink);
-        fs.next_offset += seg.bytes.size() - skip;
-      }
-      fs.pending_bytes -= seg.bytes.size();
-      total_pending_ -= seg.bytes.size();
-      ++consumed;
-    }
-    if (consumed != 0)
-      fs.pending.erase(fs.pending.begin(),
-                       fs.pending.begin() + static_cast<std::ptrdiff_t>(consumed));
-  }
-
-  const EngineT* engine_;  ///< ONE engine for all flows (never per-flow)
-  std::uint64_t current_generation_ = 0;
-  bool generation_active_ = false;  ///< adopt_engine() was called at least once
-  std::shared_ptr<const void> current_pin_;  ///< keeps engine_'s owner alive
-  std::vector<Retired> retired_;  ///< old generations with live flow contexts
-  std::size_t max_flows_ = 0;
-  std::size_t max_pending_ = kDefaultMaxPendingBytes;
-  std::uint64_t evicted_ = 0;
-  std::uint64_t reassembly_dropped_ = 0;
-  std::uint64_t total_pending_ = 0;  ///< buffered OOO bytes across all flows
-  std::uint64_t arrival_tick_ = 0;
-  std::uint64_t cpu_budget_ns_ = 0;   ///< 0 = per-flow CPU budget disabled
-  std::uint64_t budget_ticks_ = 0;    ///< cpu_budget_ns_ in TSC ticks
-  std::uint64_t flows_quarantined_ = 0;
-  std::uint64_t quarantined_packets_ = 0;
-  std::uint64_t prefilter_skips_ = 0;   ///< gated chunks, scan avoided
-  std::uint64_t prefilter_passes_ = 0;  ///< gate-eligible chunks scanned
-  bool prefilter_on_ = true;            ///< set_prefilter() runtime switch
-  ScanMode mode_ = ScanMode::kFull;     ///< degradation-ladder rung (§14)
-  std::uint64_t sample_mask_ = 7;       ///< L1: 1-in-(mask+1) flows exact
-  std::uint64_t degraded_hits_ = 0;     ///< L2 probe-positive detections
-  std::unordered_set<FlowKey, FlowKeyHash> quarantined_;
-  std::deque<FlowKey> quarantine_order_;  ///< FIFO aging of quarantined_
-  obs::MetricsRegistry* registry_ = nullptr;  ///< telemetry root (optional)
-  obs::ShardMetrics* metrics_ = nullptr;      ///< this inspector's shard slot
-  double ns_per_tick_ = 0.0;
-  obs::Profiler* profiler_ = nullptr;  ///< sampled cost profiler (optional)
-  std::uint64_t profile_mask_ = 0;     ///< profiler_->sample_mask(), cached
-  std::uint64_t profile_tick_ = 0;     ///< scan units since attach
-  std::vector<std::uint32_t> profile_ids_;  ///< sampled unit's match ids
-  std::size_t batch_lanes_ = scan::kDefaultLanes;
-  std::uint64_t batch_wave_ = 0;
-  // Scratch reused across packet_batch() calls (inspector is one-thread).
-  std::vector<scan::FeedJob<Context>> batch_jobs_;
-  std::vector<FlowState*> batch_job_flows_;
-  std::vector<std::uint32_t> batch_cur_;
-  std::vector<std::uint32_t> batch_deferred_;
-  // Scratch for the (transient) mixed-generation burst path in feed_jobs.
-  std::vector<scan::FeedJob<Context>> mixed_jobs_;
-  std::vector<std::size_t> mixed_index_;
-  std::vector<char> mixed_done_;
-  FlowState* lru_head_ = nullptr;  ///< least recently active
-  FlowState* lru_tail_ = nullptr;  ///< most recently active
-  std::unordered_map<FlowKey, FlowState, FlowKeyHash> flows_;
 };
 
 }  // namespace mfa::flow

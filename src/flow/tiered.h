@@ -1,20 +1,21 @@
-// Hierarchical hot/cold flow state (DESIGN.md Sec. 11).
+// The flow inspector: hierarchical hot/cold flow state (DESIGN.md Sec. 11).
 //
-// The flat FlowInspector keeps every flow in an unordered_map node: ~200+
-// bytes of node/allocator overhead around a context that, for the paper's
-// MFA, is a 12-byte (q, m) pair (Sec. III-B). At millions of concurrent
-// flows that overhead — not the automaton — dominates memory, and the
-// per-packet LRU relink dirties two extra cache lines per packet.
+// Paper Sec. III-B multiplexes flows by keeping "a (q, m) pair for each
+// flow" next to one shared automaton. For the paper's MFA that pair is a
+// 12-byte context, so at millions of concurrent flows the table around it
+// — not the automaton — decides memory. A node-based map pays ~200 bytes
+// of node and allocator overhead per flow, and a per-packet LRU relink
+// dirties two extra cache lines per packet.
 //
 // TieredFlowInspector splits the flow table into two tiers:
 //
 //  - HOT: an open-addressed, 2-choice-hashed table of fixed-size slots
 //    (width-8 buckets, one cuckoo kick level, then grow). A slot holds the
 //    FlowKey, the stream offset, the last-active epoch, and — for engines
-//    exposing the InlineContext small-state API (Dfa, D2fa, CompactDfa,
-//    Mfa) — the whole per-flow scan state inline. In-order flows of such
-//    engines never touch the heap at all, at any ruleset size: an Mfa
-//    flow's filter memory rides along as up to four live bit ids.
+//    exposing the InlineContext small-state API (Dfa, D2fa, Mfa) — the
+//    whole per-flow scan state inline. In-order flows of such engines
+//    never touch the heap at all, at any ruleset size: an Mfa flow's
+//    filter memory rides along as up to four live bit ids.
 //  - COLD: per-shard slab-arena records (slab.h), allocated only for flows
 //    that reorder (buffered segments), run a big-state engine
 //    (Nfa/Hfa/Xfa), or spilled: an Mfa flow whose filter memory still
@@ -23,17 +24,12 @@
 //    until re-adoption or eviction.
 //    A reorder-only record is freed again the moment its gap fills.
 //
-// Eviction replaces the intrusive LRU with a hashed timing wheel
-// (timing_wheel.h) driven by a per-shard packet epoch: touching a flow
-// writes one epoch field in its hot slot — no list relinking — and wheel
-// entries are validated lazily when they surface. Capacity eviction
-// (max_flows) consumes the oldest-surfacing valid entry; an optional idle
-// TTL evicts flows untouched for N epochs. All O(1) amortized.
-//
-// API parity: this class mirrors the flat FlowInspector surface (packet,
-// packet_batch*, quarantine/CPU budgets, adopt_engine generations, metrics)
-// plus tiering extras (reserve_flows, set_idle_ttl, hot/cold accounting).
-// The flat inspector remains available; the sharded pipeline uses this one.
+// Eviction uses a hashed timing wheel (timing_wheel.h) driven by a
+// per-shard packet epoch: touching a flow writes one epoch field in its hot
+// slot — no list relinking — and wheel entries are validated lazily when
+// they surface. Capacity eviction (max_flows) consumes the oldest-surfacing
+// valid entry; an optional idle TTL evicts flows untouched for N epochs.
+// All O(1) amortized.
 //
 // Capacity note: wheel entries encode (slot << 8 | stamp) in 32 bits, so a
 // single inspector is capped at 2^24 hot slots (~16M flows per shard).
@@ -53,6 +49,7 @@
 #include "flow/slab.h"
 #include "flow/timing_wheel.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "util/faultpoint.h"
 #include "util/interleave.h"
 #include "util/timing.h"
@@ -121,12 +118,22 @@ struct InlineStateOf<EngineT, true> {
 
 }  // namespace detail
 
-/// Two-tier multiplexing inspector. See file comment; the flat
-/// FlowInspector's contract (ordering, reassembly budgets, quarantine,
-/// generations, metrics) is preserved verbatim unless noted.
+/// Multiplexing inspector over the Engine/Context split. Stores one shared
+/// Engine reference for ALL flows and one scan state per flow — no
+/// per-flow engine copies or pointers — so the per-flow footprint is the
+/// engine's context plus reassembly bookkeeping (see file comment for
+/// where each lives).
 ///
-/// Not thread-safe; one instance per pipeline shard. The engine must
-/// outlive the inspector.
+/// `max_flows` bounds the flow table (0 = unbounded): when a new flow would
+/// exceed it, the longest-untouched flow (to timing-wheel precision) is
+/// evicted and counted in evicted_count().
+///
+/// `max_pending_bytes` bounds each flow's out-of-order buffer (0 =
+/// unbounded); overflow drops the oldest-arrival buffered segment and
+/// counts it in reassembly_dropped_count().
+///
+/// Not thread-safe; under the sharded pipeline each worker thread owns one
+/// inspector. The engine must outlive the inspector.
 template <typename EngineT>
   requires ScanEngine<EngineT>
 class TieredFlowInspector {
@@ -176,23 +183,40 @@ class TieredFlowInspector {
     std::uint64_t pending_bytes = 0;
   };
 
-  // --- telemetry / budgets (contract identical to FlowInspector) ---
+  // --- telemetry / budgets ---
 
+  /// Attach telemetry (DESIGN.md Sec. 8): scan counters, latency histograms,
+  /// per-match-id counts, and trace-ring events flow into the registry's
+  /// shard slot `shard_index`. Pass nullptr to detach. When detached
+  /// (the default) the instrumented path reduces to one branch per packet.
   void set_metrics(obs::MetricsRegistry* registry, std::size_t shard_index = 0) {
     registry_ = registry;
     metrics_ = registry != nullptr ? &registry->shard(shard_index) : nullptr;
+    // Pre-resolve the tick->ns factor so the per-packet path never pays the
+    // one-time TSC calibration.
     if (registry != nullptr) ns_per_tick_ = 1e9 / util::tsc_ticks_per_second();
   }
 
-  /// Sampled cost profiler, contract identical to FlowInspector: requires
-  /// set_metrics(), samples 1-in-2^shift scan units, attributes ns/bytes to
-  /// match ids and samples automaton states (inline or cold, wherever the
-  /// flow's state lives).
+  /// Attach the sampled cost profiler (DESIGN.md Sec. 12). Requires
+  /// set_metrics() to also be attached — profiling rides the instrumented
+  /// path and reuses its precise scan timing. 1-in-2^shift scan units
+  /// (packets on the packet() path, bursts on the batch path) attribute
+  /// their nanoseconds and bytes to the match-ids they produced and sample
+  /// the automaton state of the flows they touched, inline or cold. Pass
+  /// nullptr to detach.
   void set_profiler(obs::Profiler* profiler) {
     profiler_ = profiler;
     profile_mask_ = profiler != nullptr ? profiler->sample_mask() : 0;
   }
 
+  /// Per-flow CPU budget (DESIGN.md Sec. 9): cumulative scan time charged
+  /// to each flow; a flow whose total crosses `ns` nanoseconds is
+  /// quarantined — its state evicted with an obs::kFlowQuarantinedEventId
+  /// trace event, and every later packet of that flow dropped (counted in
+  /// quarantined_packet_count()) — so one adversarial, ReDoS-shaped flow
+  /// cannot starve the siblings sharing this inspector. 0 disables (the
+  /// default; no timing is taken then). Under packet_batch the interleaved
+  /// kernel's time is apportioned to flows by bytes fed.
   void set_cpu_budget_ns(std::uint64_t ns) {
     cpu_budget_ns_ = ns;
     budget_ticks_ = 0;
@@ -207,19 +231,24 @@ class TieredFlowInspector {
   }
   [[nodiscard]] std::uint64_t cpu_budget_ns() const { return cpu_budget_ns_; }
 
+  /// True when `key` has been quarantined (and not yet aged out of the
+  /// bounded quarantine memory).
   [[nodiscard]] bool is_quarantined(const FlowKey& key) const {
     return !quarantined_.empty() && quarantined_.count(key) != 0;
   }
+  /// Flows evicted for exceeding the CPU budget.
   [[nodiscard]] std::uint64_t quarantined_flow_count() const {
     return flows_quarantined_;
   }
+  /// Packets dropped because their flow was already quarantined.
   [[nodiscard]] std::uint64_t quarantined_packet_count() const {
     return quarantined_packets_;
   }
 
-  /// Prefilter gate outcomes, contract identical to FlowInspector: skips
-  /// are chunks proven clean (scan avoided), passes are gate-eligible
-  /// chunks that carried a literal candidate and were scanned in full.
+  /// Prefilter gate outcomes: skips are chunks the literal prefilter proved
+  /// clean (full scan avoided, tail replay only), passes are gate-eligible
+  /// chunks that carried a literal candidate and were scanned in full. Both
+  /// stay 0 unless the engine's gate is armed.
   [[nodiscard]] std::uint64_t prefilter_skip_count() const {
     return prefilter_skips_;
   }
@@ -227,22 +256,31 @@ class TieredFlowInspector {
     return prefilter_passes_;
   }
 
+  /// Interleave width for packet_batch() when the engine supports
+  /// feed_many (ignored otherwise). See DESIGN.md Sec. 7 on K selection.
   void set_batch_lanes(std::size_t lanes) { batch_lanes_ = lanes == 0 ? 1 : lanes; }
 
-  /// Per-inspector kill-switch for the literal-prefilter gate (see
-  /// FlowInspector::set_prefilter).
+  /// Per-inspector kill-switch for the literal-prefilter gate (A/B runs,
+  /// bench overhead measurement). `MFA_PREFILTER=off` disarms the gate
+  /// process-wide at engine build time; this toggles it per inspector at
+  /// runtime. Off means every chunk takes the plain feed path.
   void set_prefilter(bool on) { prefilter_on_ = on; }
   [[nodiscard]] bool prefilter_enabled() const { return prefilter_on_; }
   [[nodiscard]] std::size_t batch_lanes() const { return batch_lanes_; }
 
-  /// Degraded scan modes, contract identical to FlowInspector (§14): the
-  /// shard worker owns this inspector, so the controller flips modes
-  /// without synchronization and they apply from the next chunk on.
+  // --- degraded scan modes (DESIGN.md §14) ---
+
+  /// Set the fidelity rung this inspector scans at. `sample_shift` is the
+  /// L1 sampling exponent: 1-in-2^shift flows keep the exact path. Owned by
+  /// the shard worker (the degradation controller runs worker-side), so no
+  /// synchronization: mode changes apply from the next chunk on.
   void set_scan_mode(ScanMode mode, std::uint32_t sample_shift = 3) {
     mode_ = mode;
     sample_mask_ = (std::uint64_t{1} << (sample_shift < 63 ? sample_shift : 63)) - 1;
   }
   [[nodiscard]] ScanMode scan_mode() const { return mode_; }
+  /// Probe-positive chunks seen in kPrefilterOnly mode: "suspicious traffic
+  /// was present" detections recorded while the automaton was parked.
   [[nodiscard]] std::uint64_t degraded_hit_count() const { return degraded_hits_; }
 
   // --- tiering knobs ---
@@ -268,8 +306,11 @@ class TieredFlowInspector {
   /// once per delivered packet; u32, wraps).
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
 
-  // --- delivery (contract identical to FlowInspector) ---
+  // --- delivery ---
 
+  /// Deliver one packet. sink(match_id, flow_offset) fires for confirmed
+  /// matches; positions are byte offsets within the flow's stream. Packets
+  /// of quarantined flows are dropped (counted, never scanned).
   template <typename Sink>
   void packet(const Packet& p, Sink&& sink) {
     if (is_quarantined(p.key)) {
@@ -313,6 +354,11 @@ class TieredFlowInspector {
     store_gauges(m);
   }
 
+  /// Deliver a burst of packets (any mix of flows) with exact per-flow
+  /// in-order semantics: packets of the same flow are applied in burst
+  /// order, one "wave" at a time, while distinct flows' in-order bytes
+  /// advance through the engine's K-way interleaved feed_many. Matches are
+  /// identical to calling packet() per packet.
   template <typename Sink>
   void packet_batch(const Packet* pkts, std::size_t count, Sink&& sink) {
     packet_batch_flows(
@@ -321,6 +367,10 @@ class TieredFlowInspector {
         [](const Packet&) {});
   }
 
+  /// packet_batch with flow attribution: sink(flow_key, match_id, offset)
+  /// for matches, dsink(packet) for every packet dropped because its flow is
+  /// quarantined. The pipeline's fault-tolerant accounting (and any caller
+  /// that must prove "every packet was scanned or counted") uses this form.
   template <typename KeySink, typename DropSink>
   void packet_batch_flows(const Packet* pkts, std::size_t count, KeySink&& sink,
                           DropSink&& dsink) {
@@ -332,6 +382,10 @@ class TieredFlowInspector {
         std::forward<DropSink>(dsink));
   }
 
+  /// packet_batch_flows plus engine-generation attribution:
+  /// sink(flow_key, context_generation, match_id, offset). Across a hot
+  /// swap this is what lets the pipeline prove each match against the
+  /// ruleset generation that actually scanned the flow.
   template <typename GenSink, typename DropSink>
   void packet_batch_attributed(const Packet* pkts, std::size_t count, GenSink&& sink,
                                DropSink&& dsink) {
@@ -346,6 +400,10 @@ class TieredFlowInspector {
       return;
     }
     obs::ShardMetrics& m = *metrics_;
+    // Mid-run snapshot ordering (DESIGN.md Sec. 8): packet_bytes records
+    // before the scan and packets increments after scan_ns, so a snapshot
+    // still sees packets <= scan_ns.count + 1 and
+    // packet_bytes.count >= scan_ns.count.
     std::uint64_t burst_bytes = 0;
     for (std::size_t i = 0; i < count; ++i) {
       burst_bytes += pkts[i].length;
@@ -371,12 +429,14 @@ class TieredFlowInspector {
         },
         dsink);
     const double ticks = static_cast<double>(util::rdtsc_now() - t0);
+    // The burst is timed as one unit; scan_ns keeps its one-sample-per-
+    // packet contract by recording the per-packet share `count` times.
     const auto per_packet = static_cast<std::uint64_t>(
         ticks * ns_per_tick_ / static_cast<double>(count));
     for (std::size_t i = 0; i < count; ++i) m.scan_ns.record(per_packet);
     if (sampled) {
-      // Burst-granular sample, matching FlowInspector: the burst's ns/bytes
-      // split across its match ids, states sampled per packet of the burst.
+      // Burst-granular sample: the burst's ns/bytes split across its match
+      // ids, states sampled per packet of the burst.
       profiler_->record_rules(profile_ids_.data(), profile_ids_.size(),
                               static_cast<std::uint64_t>(ticks * ns_per_tick_),
                               burst_bytes);
@@ -390,16 +450,21 @@ class TieredFlowInspector {
     store_gauges(m);
   }
 
-  // --- accounting (contract identical to FlowInspector) ---
+  // --- accounting ---
 
+  /// Number of flows currently tracked.
   [[nodiscard]] std::size_t flow_count() const { return live_; }
+  /// Flows evicted to honour max_flows.
   [[nodiscard]] std::uint64_t evicted_count() const { return evicted_; }
+  /// Out-of-order segments dropped to honour max_pending_bytes.
   [[nodiscard]] std::uint64_t reassembly_dropped_count() const {
     return reassembly_dropped_;
   }
+  /// Out-of-order bytes currently buffered across all flows.
   [[nodiscard]] std::uint64_t reassembly_pending_bytes() const {
     return total_pending_;
   }
+  /// Logical per-flow context footprint (the engine's (q, m) bytes).
   [[nodiscard]] std::size_t context_bytes() const { return engine_->context_bytes(); }
   [[nodiscard]] const EngineT& engine() const { return *engine_; }
 
@@ -445,10 +510,25 @@ class TieredFlowInspector {
   /// Entries currently held by the timing wheel (live flows + stale ghosts).
   [[nodiscard]] std::size_t wheel_entries() const { return wheel_.pending(); }
 
-  // --- live ruleset hot-swap (contract identical to FlowInspector) ---
+  // --- live ruleset hot-swap (DESIGN.md Sec. 10) ---
 
+  /// Replace the engine all *new* work runs on. `generation` must be a
+  /// value never passed before (the pipeline hands out a monotonically
+  /// increasing counter); `pin` keeps the new engine's owner (e.g. a
+  /// reload::EngineSet) alive for as long as this inspector references it.
+  ///
+  /// Flows whose context belongs to the previous generation follow
+  /// `policy`; the previous generation is retired — its engine pointer and
+  /// pin are kept in a per-generation record until the last such flow is
+  /// reset, drained/evicted or cleared, at which point the pin drops and a
+  /// refcounted owner can be destroyed. With no live flows the old pin is
+  /// released immediately. Swaps are rare: the O(table) census here is paid
+  /// per swap, never per packet.
   void adopt_engine(const EngineT& engine, std::uint64_t generation, SwapPolicy policy,
                     std::shared_ptr<const void> pin = nullptr) {
+    // Re-adopting the current generation (worker restart replaying a staged
+    // swap) is a no-op — in particular it must not retire the generation
+    // it is itself publishing.
     if (generation_active_ && generation == current_generation_) return;
     if (!generation_active_)
       generations_.assign(slots_.size(), current_generation_);
@@ -466,9 +546,13 @@ class TieredFlowInspector {
     generation_active_ = true;
   }
 
+  /// Generation all new flows (and, under kResetOnNextPacket, re-adopted
+  /// flows) are tagged with. 0 until the first adopt_engine().
   [[nodiscard]] std::uint64_t current_generation() const { return current_generation_; }
+  /// Retired generations still pinned by at least one live flow context.
   [[nodiscard]] std::size_t retired_generation_count() const { return retired_.size(); }
 
+  /// Live flows whose context still belongs to `generation`.
   [[nodiscard]] std::size_t flows_on_generation(std::uint64_t generation) const {
     std::size_t n = 0;
     for (std::uint32_t si = 0; si < slots_.size(); ++si)
@@ -482,9 +566,11 @@ class TieredFlowInspector {
     if (si != kNoSlot) evict_slot_core(si);
   }
 
-  /// Crash-recovery reset, contract identical to FlowInspector::reset_flow:
-  /// drop `key`'s state (fresh context on its next packet) without counting
-  /// an eviction; true when a flow actually existed.
+  /// Crash-recovery reset (DESIGN.md §14): drop `key`'s state so its next
+  /// packet re-creates a fresh context. Distinct from evict() only in
+  /// intent — the flow is not leaving for capacity reasons, its last burst
+  /// never committed. Neither counts an eviction. Returns true when a flow
+  /// actually existed (callers count those in flows_recovered).
   bool reset_flow(const FlowKey& key) {
     const std::uint32_t si = find_slot(key, FlowKeyHash{}(key));
     if (si == kNoSlot) return false;
@@ -492,10 +578,17 @@ class TieredFlowInspector {
     return true;
   }
 
-  /// Drop every flow and reset derived bookkeeping; monotone totals and the
-  /// quarantine memory deliberately survive (same contract and rationale as
-  /// FlowInspector::clear — a hostile flow must not escape quarantine by
-  /// crashing its worker).
+  /// Drop every flow and reset all derived per-inspector bookkeeping in one
+  /// place — the epoch, the batch-wave counter, buffered reassembly
+  /// accounting, and the live gauges mirrored into the metrics shard (the
+  /// watchdog calls this when it restarts a crashed worker, and stale
+  /// gauges would otherwise survive until the next packet).
+  ///
+  /// Deliberately NOT reset: the monotone totals (evicted_count,
+  /// reassembly_dropped_count, quarantined_flow/packet_count), which are
+  /// cumulative across restarts, and the quarantine memory itself — a
+  /// hostile flow must not escape quarantine by crashing the worker
+  /// (DESIGN.md Sec. 9).
   void clear() {
     for (auto& s : slots_) {
       s.flags = 0;
@@ -828,12 +921,13 @@ class TieredFlowInspector {
     });
   }
 
-  // --- engine-generation bookkeeping (mirrors FlowInspector) ---
+  // --- engine-generation bookkeeping (cold unless adopt_engine was used) ---
 
+  /// A previous engine generation still referenced by live flow contexts.
   struct Retired {
     std::uint64_t generation = 0;
     const EngineT* engine = nullptr;
-    std::shared_ptr<const void> pin;
+    std::shared_ptr<const void> pin;  ///< keeps the engine's owner alive
     std::size_t live_flows = 0;
     bool drain = false;  ///< SwapPolicy::kDrainOld
   };
@@ -861,7 +955,8 @@ class TieredFlowInspector {
   /// kResetOnNextPacket re-adoption: the flow's scan state restarts on the
   /// current engine — a spilled flow back in its hot slot, its context
   /// returned to the slab — while the stream offset and any buffered
-  /// segments are kept, exactly as in the flat inspector.
+  /// segments are kept, so the byte stream continues seamlessly under the
+  /// new rules. Under kDrainOld the flow stays on its own engine.
   void adopt_flow(std::uint32_t si) {
     const Retired* r = find_retired(generations_[si]);
     if (r != nullptr && r->drain) return;
@@ -884,8 +979,12 @@ class TieredFlowInspector {
     release_generation(old_generation);
   }
 
-  // --- quarantine (mirrors FlowInspector) ---
+  // --- quarantine ---
 
+  /// CPU-budget enforcement: evict an over-budget flow and remember its key
+  /// so later packets are dropped at the door. The memory is bounded
+  /// (oldest quarantine forgotten first) so hostile many-flow traffic
+  /// cannot grow it without limit.
   void maybe_quarantine(std::uint32_t si) {
     if (budget_ticks_ == 0 || ticks_[si] < budget_ticks_) return;
     HotSlot& s = slots_[si];
@@ -996,8 +1095,7 @@ class TieredFlowInspector {
 
   /// Gate-aware feed_slot: degraded-mode admission first, then the
   /// prefilter gate — a skipped chunk advances only the offset (gate skips
-  /// also advance the context via tail replay). Contract identical to
-  /// FlowInspector::feed_or_skip.
+  /// also advance the context via tail replay).
   template <typename Sink>
   void feed_or_skip_slot(std::uint32_t si, const std::uint8_t* data,
                          std::size_t size, std::uint64_t base, Sink&& sink) {
@@ -1009,7 +1107,10 @@ class TieredFlowInspector {
     feed_slot(si, data, size, base, sink);
   }
 
-  /// Degraded-mode admission, mirroring FlowInspector::deep_scan_chunk.
+  /// Degraded-mode admission (DESIGN.md §14): does this chunk get an
+  /// automaton feed? kSampled admits sampled flows unconditionally and the
+  /// rest only on a positive literal probe; kPrefilterOnly admits nothing
+  /// and records probe-positive chunks as degraded hits.
   bool deep_scan_chunk(const FlowKey& key, const std::uint8_t* data,
                        std::size_t size) {
     if (mode_ == ScanMode::kSampled &&
@@ -1103,9 +1204,12 @@ class TieredFlowInspector {
     maybe_quarantine(si);  // may erase the flow — nothing touches it afterwards
   }
 
-  /// Batch delivery: same wave discipline as the flat inspector (at most
-  /// one in-order feed per flow per wave; cross-flow work interleaves,
-  /// same-flow work never does). Jobs are queued as slot references and the
+  /// Batch delivery core. Wave discipline: each pass over the remaining
+  /// packets claims at most one in-order feed per flow (stamping the slot
+  /// with the wave id); later same-flow packets defer to the next wave,
+  /// which runs only after this wave's feed_many + drains. Cross-flow work
+  /// interleaves, same-flow work never does — the ordering guarantee
+  /// DESIGN.md Sec. 7 documents. Jobs are queued as slot references and the
   /// engine-facing pointer arrays are materialized at flush time, because
   /// inline contexts live in slots that can move while the wave runs.
   template <typename FlowSink, typename DropSink>
@@ -1179,8 +1283,9 @@ class TieredFlowInspector {
           }
           continue;
         }
-        // Gate at job-materialization time (same rationale as the flat
-        // inspector): a proven-clean chunk never becomes a job.
+        // Gate at job-materialization time: a proven-clean chunk never
+        // becomes a job (its context is already advanced), so the
+        // interleaved kernel's lanes carry only chunks that need scanning.
         const simd::Gate g = gate_slot(si, data, len);
         if (g != simd::Gate::kNone) note_prefilter(g == simd::Gate::kSkip);
         if (g == simd::Gate::kSkip) {
@@ -1318,10 +1423,13 @@ class TieredFlowInspector {
     batch_jobs_.clear();
   }
 
-  // --- bounded out-of-order reassembly (mirrors FlowInspector) ---
+  // --- bounded out-of-order reassembly ---
 
   void buffer_segment(std::uint32_t si, const Packet& p) {
     if (p.length == 0) return;
+    // Reassembly buffering is the allocation-heavy path hostile traffic can
+    // drive at will; the fault point lets the soak test prove a bad_alloc
+    // here surfaces as a crashed-and-restarted worker, never a hang.
     util::fault_maybe_bad_alloc("flow.reassembly.alloc");
     HotSlot& s = slots_[si];
     const std::size_t heap_before = slot_heap_bytes(s);
@@ -1335,7 +1443,9 @@ class TieredFlowInspector {
     auto it = pending_lower_bound(rec.pending, p.seq);
     if (it != rec.pending.end() && it->seq == p.seq) {
       // Duplicate sequence number: keep whichever segment carries more
-      // data; only the net growth counts against the budget.
+      // data. Only the *net growth* counts against the budget — a replaced
+      // segment's bytes leave the buffer, so charging the full incoming
+      // length would spuriously evict unrelated segments on retransmits.
       if (it->bytes.size() >= p.length) return;
       const std::uint64_t growth = p.length - it->bytes.size();
       while (max_pending_ != 0 && rec.pending_bytes + growth > max_pending_ &&
@@ -1344,6 +1454,8 @@ class TieredFlowInspector {
         it = pending_lower_bound(rec.pending, p.seq);  // drops shift the vector
       }
       if (max_pending_ != 0 && rec.pending_bytes + growth > max_pending_) {
+        // Even alone the replacement exceeds the budget: keep the smaller
+        // buffered segment and count the oversized replacement as dropped.
         ++reassembly_dropped_;
         return;
       }
@@ -1369,6 +1481,9 @@ class TieredFlowInspector {
     total_pending_ += p.length;
   }
 
+  /// Drop the oldest-arrival pending segment, optionally sparing the one at
+  /// `keep_seq` (the segment a duplicate replacement is about to grow in
+  /// place). Erasing shifts the vector, so callers re-derive iterators.
   void drop_oldest_pending(ColdRecord& rec,
                            std::uint64_t keep_seq = ~std::uint64_t{0}) {
     auto oldest = rec.pending.end();

@@ -1,6 +1,6 @@
 // Hashed timing wheel over a per-shard packet epoch (DESIGN.md Sec. 11).
 //
-// Replaces the flat inspector's intrusive LRU for the tiered flow table:
+// Recency tracking for the tiered flow table without an intrusive LRU:
 // instead of relinking a list node on every packet, a touched flow only
 // stores its new last-active epoch in its hot slot, and the wheel holds one
 // lazily-validated entry per flow. Entries surface in approximate expiry

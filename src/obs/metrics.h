@@ -406,8 +406,8 @@ struct RegistrySnapshot {
 /// The telemetry root shared by all engines and the sharded pipeline: N
 /// cache-line-aligned ShardMetrics, a per-match-id counter table, and one
 /// match-event trace ring. Construct once, hand shard slots to inspectors
-/// (FlowInspector::set_metrics / pipeline::Options::metrics), snapshot from
-/// anywhere at any time.
+/// (TieredFlowInspector::set_metrics / pipeline::Options::metrics),
+/// snapshot from anywhere at any time.
 class MetricsRegistry {
  public:
   struct Options {

@@ -1,14 +1,14 @@
 // Sharded multi-worker flow inspection (ROADMAP: sharding/async scaling).
 //
 // One immutable Engine (built once, shared read-only) serves N worker
-// threads. Each worker owns a private FlowInspector — a flow table of small
-// per-flow Contexts, the paper's (q, m) pairs — and a bounded SPSC packet
-// queue. The dispatcher hashes each packet's FlowKey to a shard, so every
+// threads. Each worker owns a private flow inspector
+// (flow::TieredFlowInspector) — a flow table of small per-flow Contexts,
+// the paper's (q, m) pairs — and a bounded SPSC packet queue. The dispatcher hashes each packet's FlowKey to a shard, so every
 // flow is pinned to exactly one worker: flow tables need no locks, and the
 // only cross-thread traffic is the queues themselves. The hot path is
 // batched end to end (DESIGN.md Sec. 7): submit() buffers per shard and
 // flushes bursts with one queue release-store, workers pop bursts and run
-// them through FlowInspector::packet_batch, which interleaves distinct
+// them through the inspector's packet_batch, which interleaves distinct
 // flows through the engine's K-way feed_many kernel. Matches and stats
 // accumulate shard-locally and are merged after finish(); attaching an
 // obs::MetricsRegistry (Options::metrics) additionally mirrors every
@@ -22,7 +22,7 @@
 //    crashed workers (fresh per-flow contexts) and detects stalled ones via
 //    heartbeats; a shard that keeps crashing is failed over to shedding.
 //  - Per-flow CPU budgets: Options::flow_cpu_budget_ns quarantines flows
-//    that monopolize scan time (FlowInspector evicts them; later packets of
+//    that monopolize scan time (the inspector evicts them; later packets of
 //    a quarantined flow are shed, never scanned).
 //  - Exact accounting: every submitted packet is either scanned or counted
 //    in exactly one shed bucket, so totals() always satisfies
@@ -34,7 +34,7 @@
 //
 // Thread-safety contract (see DESIGN.md "Engine/Context split & pipeline"):
 //  - Engines are immutable after construction and shareable across threads.
-//  - Contexts (and the FlowInspectors holding them) are confined to one
+//  - Contexts (and the inspectors holding them) are confined to one
 //    shard's worker thread; the watchdog touches an inspector only after
 //    joining its dead worker.
 //  - submit() must be called from a single producer thread; packet payload
@@ -205,7 +205,7 @@ struct Options {
   /// Packet batching (DESIGN.md Sec. 7): submit() buffers up to this many
   /// packets per shard before flushing them into the SPSC queue in one
   /// burst, and each worker pops/processes bursts of the same size through
-  /// FlowInspector::packet_batch. 1 disables batching (per-packet push/pop).
+  /// the inspector's packet_batch. 1 disables batching (per-packet push/pop).
   std::size_t batch_size = 32;
   /// Interleave width K for the workers' batched scans (engines with
   /// feed_many); see DESIGN.md Sec. 7 on K selection.
@@ -1398,8 +1398,12 @@ class ShardedInspector {
         dg_last_shed = shed_now;
         dg_last_total = total_now;
       } else {
-        // Idle poll, no new packets: pressure from shedding decays.
+        // Idle poll, no new packets: pressure from shedding decays, and so
+        // does the scan-cost estimate — an empty queue costs nothing to
+        // drain, and a shard whose last burst was expensive must not keep
+        // forecasting that burst's latency forever.
         shed_ratio_ewma *= 0.98;
+        scan_ns_ewma *= 0.98;
       }
       sig.shed_ratio = shed_ratio_ewma;
       sig.reassembly_bytes = inspector.reassembly_pending_bytes();

@@ -28,9 +28,8 @@ void dense_interleaved_scan(const std::uint32_t* table, std::uint32_t ncols,
                             const std::uint8_t* cols, scan::FeedJob<Context>* jobs,
                             std::size_t count, std::size_t lanes, LimitFn&& limit,
                             AcceptFn&& accept) {
-  // The gather kernel is fixed at 8 lanes; narrower requests (CompactDfa's
-  // sequential clamp, tiny batches) keep the scalar kernel, which handles
-  // any width.
+  // The gather kernel is fixed at 8 lanes; narrower requests (K < 8 lane
+  // sweeps, tiny batches) keep the scalar kernel, which handles any width.
   if (level() != Level::kAvx2 || lanes < 8 || count < 2) {
     scan::interleaved_scan(
         jobs, count, lanes, limit,

@@ -5,7 +5,7 @@
 // classic libpcap file format (magic 0xa1b2c3d4, microsecond or nanosecond
 // variants, either endianness), parses Ethernet/IPv4/{TCP,UDP} headers to
 // recover the 5-tuple and the L4 payload, and emits a Trace whose packets
-// carry TCP sequence-relative offsets so the FlowInspector can reassemble
+// carry TCP sequence-relative offsets so the flow inspector can reassemble
 // exactly like it does for generated traces. Stream offsets are 64-bit:
 // the 32-bit wire sequence is unwrapped via its signed delta from the last
 // seen position, so flows longer than 4 GiB keep monotone offsets instead

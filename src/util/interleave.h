@@ -9,9 +9,9 @@
 // transition loads per iteration and lets DRAM/L2 latency overlap —
 // memory-level parallelism the per-packet pipeline leaves on the floor.
 //
-// This header is engine-agnostic: Dfa, CompactDfa and Mfa each instantiate
+// This header is engine-agnostic: Dfa and Mfa each instantiate
 // interleaved_scan() with their own transition/accept callables (see
-// feed_many in src/dfa/dfa.h, src/dfa/compact.h, src/mfa/mfa.h). Lane state
+// feed_many in src/dfa/dfa.h and src/mfa/mfa.h). Lane state
 // lives in small stack arrays; exhausted lanes are retired (context written
 // back) and refilled from the remaining jobs, so any number of jobs runs
 // with at most `lanes` streams in flight.

@@ -1,6 +1,6 @@
 // Batched-scan path tests: the K-way interleaved feed_many kernel must be
 // byte-for-byte equivalent to sequential feed() for every table-driven
-// engine; FlowInspector::packet_batch must preserve exact per-flow
+// engine; the flow inspector's packet_batch must preserve exact per-flow
 // semantics versus the single-packet path under fragmentation, reorder and
 // retransmission; and the SPSC queue's batch push/pop must keep the FIFO
 // contract of the scalar operations.
@@ -10,10 +10,10 @@
 #include <thread>
 #include <vector>
 
-#include "dfa/compact.h"
+#include "dfa/d2fa.h"
 #include "dfa/dfa.h"
 #include "engine_test_util.h"
-#include "flow/flow.h"
+#include "flow/tiered.h"
 #include "mfa/mfa.h"
 #include "nfa/nfa.h"
 #include "pipeline/spsc_queue.h"
@@ -118,14 +118,6 @@ TEST(InterleavedScan, DfaFeedManyMatchesSequentialFeed) {
     check_feed_many_equivalence(*d, 4200 + seed);
 }
 
-TEST(InterleavedScan, CompactDfaFeedManyMatchesSequentialFeed) {
-  const auto d = dfa::build_dfa(nfa::build_nfa(compile_patterns(kSources)));
-  ASSERT_TRUE(d.has_value());
-  const dfa::CompactDfa compact(*d);
-  for (std::uint64_t seed = 0; seed < 10; ++seed)
-    check_feed_many_equivalence(compact, 4300 + seed);
-}
-
 TEST(InterleavedScan, MfaFeedManyMatchesSequentialFeed) {
   const auto m = core::build_mfa(compile_patterns(kSources));
   ASSERT_TRUE(m.has_value());
@@ -197,12 +189,12 @@ TEST(FlowBatch, PacketBatchMatchesSinglePacketPath) {
     const auto plan = plan_traffic(rng, &expected, ref);
     const auto pkts = to_packets(plan);
 
-    flow::FlowInspector<core::Mfa> single{*m};
+    flow::TieredFlowInspector<core::Mfa> single{*m};
     CollectingSink ssink;
     for (const auto& p : pkts) single.packet(p, ssink);
 
     const std::size_t lanes = 1 + rng.below(16);
-    flow::FlowInspector<core::Mfa> batched{*m};
+    flow::TieredFlowInspector<core::Mfa> batched{*m};
     batched.set_batch_lanes(lanes);
     CollectingSink bsink;
     std::size_t i = 0;
@@ -237,7 +229,7 @@ TEST(FlowBatch, SameFlowRunInOneBurstStaysInOrder) {
     plan.push_back({key, off, text.substr(off, 3)});
   const auto pkts = to_packets(plan);
 
-  flow::FlowInspector<core::Mfa> insp{*m};
+  flow::TieredFlowInspector<core::Mfa> insp{*m};
   CollectingSink sink;
   insp.packet_batch(pkts.data(), pkts.size(), sink);
   ASSERT_EQ(sink.matches.size(), 1u);
@@ -250,13 +242,13 @@ TEST(FlowBatch, FallsBackToSequentialFeedForNonBatchEngines) {
   static_assert(!flow::BatchScanEngine<nfa::Nfa>);
   static_assert(flow::BatchScanEngine<core::Mfa>);
   static_assert(flow::BatchScanEngine<dfa::Dfa>);
-  static_assert(flow::BatchScanEngine<dfa::CompactDfa>);
+  static_assert(flow::BatchScanEngine<dfa::D2fa>);
   const nfa::Nfa n = nfa::build_nfa(compile_patterns(kSources));
   util::Rng rng(31337);
   MatchVec expected;
   const auto plan = plan_traffic(rng, &expected, n);
   const auto pkts = to_packets(plan);
-  flow::FlowInspector<nfa::Nfa> insp{n};
+  flow::TieredFlowInspector<nfa::Nfa> insp{n};
   CollectingSink sink;
   insp.packet_batch(pkts.data(), pkts.size(), sink);
   EXPECT_EQ(sorted(std::move(sink.matches)), sorted(std::move(expected)));
@@ -268,7 +260,7 @@ TEST(FlowBatch, EvictionDuringBurstKeepsQueuedJobsValid) {
   // catch a dangling context here).
   const auto m = core::build_mfa(compile_patterns({".*wxyz"}));
   ASSERT_TRUE(m.has_value());
-  flow::FlowInspector<core::Mfa> insp{*m, /*max_flows=*/2};
+  flow::TieredFlowInspector<core::Mfa> insp{*m, /*max_flows=*/2};
   std::vector<Delivery> plan;
   for (std::uint32_t f = 0; f < 8; ++f)
     plan.push_back({flow::FlowKey{f + 1, 1, 1, 1, 6}, 0, "wxyz"});

@@ -8,9 +8,9 @@
 //     to an exact scan (every flow sampled).
 //  3. The closed loop in the pipeline — real overload escalates the ladder
 //     and the shard walks back to L0 once the load is gone; a worker crash
-//     mid-burst restarts with the journal replayed, preserving sequential
-//     parity for every flow the crash did not touch (including flows on
-//     the restarted shard itself).
+//     mid-burst restarts with the journal replayed, preserving parity with
+//     the reassembly-then-NFA oracle (flow_oracle.h) for every flow the
+//     crash did not touch (including flows on the restarted shard itself).
 #include "pipeline/degrade.h"
 
 #include <gtest/gtest.h>
@@ -22,12 +22,12 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "engine_test_util.h"
 #include "flow/tiered.h"
+#include "flow_oracle.h"
 #include "mfa/mfa.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
@@ -39,24 +39,17 @@ namespace {
 
 using mfa::testing::compile_patterns;
 
-using PerFlowMatches =
-    std::unordered_map<flow::FlowKey, MatchVec, flow::FlowKeyHash>;
-
-template <typename EngineT>
-PerFlowMatches per_flow_reference(const EngineT& engine, const trace::Trace& t) {
-  flow::FlowInspector<EngineT> insp{engine};
-  PerFlowMatches out;
-  t.for_each_packet([&](const flow::Packet& p) {
-    insp.packet(p, [&](std::uint32_t id, std::uint64_t end) {
-      out[p.key].push_back(Match{id, end});
-    });
-  });
-  for (auto& [key, v] : out) std::sort(v.begin(), v.end());
-  return out;
-}
+using mfa::testing::PerFlowMatches;
 
 const std::vector<std::string> kPatterns = {".*attack[0-9]", ".*worm77",
                                             ".*beacon.ping"};
+
+/// Ground truth: per-flow sorted kPatterns matches from the oracle.
+PerFlowMatches per_flow_reference(const trace::Trace& t) {
+  mfa::testing::FlowOracle oracle;
+  t.for_each_packet([&](const flow::Packet& p) { oracle.packet(p); });
+  return oracle.per_flow(nfa::build_nfa(compile_patterns(kPatterns)));
+}
 
 trace::Trace make_trace(std::uint64_t seed) {
   return trace::make_real_life(trace::RealLifeProfile::kCyberDefense, 3000000,
@@ -226,7 +219,7 @@ TEST_F(DegradeTest, SampledModeWithShiftZeroIsExact) {
   const auto m = core::build_mfa(compile_patterns(kPatterns));
   ASSERT_TRUE(m.has_value());
   const trace::Trace t = make_trace(77);
-  const PerFlowMatches reference = per_flow_reference(*m, t);
+  const PerFlowMatches reference = per_flow_reference(t);
   ASSERT_FALSE(reference.empty());
 
   // sample_shift=0 -> mask 0 -> (hash & 0) == 0 for every flow: all flows
@@ -348,6 +341,59 @@ TEST_F(DegradeTest, OverloadEscalatesLadderAndRecoversToL0) {
               (unsigned long long)total.shed_bypass);
 }
 
+// Regression: an idle shard used to keep the last per-packet scan cost it
+// measured, so one expensive packet under an SLO below that cost pinned the
+// latency forecast over the SLO — the ladder escalated and never came back.
+// Idle polls must decay the estimate until the shard returns to L0.
+TEST_F(DegradeTest, IdleShardForgetsItsLastExpensiveBurst) {
+  const auto m = core::build_mfa(compile_patterns({".*zzz9q"}));
+  ASSERT_TRUE(m.has_value());
+  const std::string payload(65536, 'a');
+  const auto make = [&](std::uint32_t src) {
+    return flow::Packet{flow::FlowKey{src, 0, 1, 2, 6}, 0,
+                        reinterpret_cast<const std::uint8_t*>(payload.data()),
+                        static_cast<std::uint32_t>(payload.size())};
+  };
+  // Calibrate one large packet's scan cost on this machine.
+  double ns_per_packet;
+  {
+    flow::TieredFlowInspector<core::Mfa> probe{*m};
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint32_t i = 0; i < 16; ++i)
+      probe.packet(make(i), [](std::uint32_t, std::uint64_t) {});
+    ns_per_packet =
+        std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0)
+            .count() /
+        16.0;
+  }
+
+  obs::MetricsRegistry metrics(1);
+  Options opt;
+  opt.shards = 1;
+  opt.batch_size = 1;
+  opt.metrics = &metrics;
+  // Below one packet's cost: the burst alone forecasts an SLO breach.
+  opt.slo.p99_ns = static_cast<std::uint64_t>(ns_per_packet / 4.0) + 1;
+  opt.degrade.dwell_ms = 5;
+  ShardedInspector<core::Mfa> pipe(*m, opt);
+  pipe.start();
+  pipe.submit(make(1));  // batch_size 1: handed to the worker at once
+  const auto level = [&] { return metrics.snapshot().shards.at(0).degrade_level; };
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (metrics.snapshot().shards.at(0).packets < 1 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Idle for many dwell periods: a stale forecast would have walked the
+  // ladder up by now and kept it there.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (level() != 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(level(), 0u) << "idle shard stuck degraded after one expensive burst";
+  pipe.finish();
+  check_invariant(pipe.totals(), "totals");
+}
+
 // Deterministic ladder walk via the injected overload spike (Debug only):
 // the spike site forces pressure 4.0 regardless of real load, so the ladder
 // must reach L3 and, once the fault schedule runs dry, return to L0.
@@ -407,7 +453,7 @@ TEST_F(DegradeTest, CrashRecoveryPreservesParityOnRestartedShard) {
   const auto m = core::build_mfa(compile_patterns(kPatterns));
   ASSERT_TRUE(m.has_value());
   const trace::Trace t = make_trace(53);
-  const PerFlowMatches reference = per_flow_reference(*m, t);
+  const PerFlowMatches reference = per_flow_reference(t);
   util::FaultRegistry::instance().arm(
       "pipeline.worker.crash", {13, 1000000, /*after=*/40, /*max_fires=*/1, 0});
 
@@ -440,7 +486,7 @@ TEST_F(DegradeTest, CrashRecoveryPreservesParityOnRestartedShard) {
 
   // Parity including the restarted shard: the journal reset only flows of
   // the crashed burst, and those flows are exactly the crash-shed ones the
-  // sink collected. Everything else must match the sequential reference —
+  // sink collected. Everything else must match the oracle reference —
   // a restart may no longer wipe undisturbed flows' contexts.
   bool shard_restarted = false;
   std::vector<bool> shard_failed(pipe.shard_count(), false);

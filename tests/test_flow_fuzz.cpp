@@ -1,9 +1,11 @@
-// Randomized flow-delivery fuzzing: the FlowInspector must present every
-// engine with the same reassembled byte stream no matter how a flow is
-// fragmented, reordered, or retransmitted — so NFA, DFA, and MFA must all
-// report exactly the matches a linear scan of the stream produces. Plus
-// regression coverage for the intrusive LRU, the bounded reassembly buffer,
-// and the per-flow storage contract of the Engine/Context split.
+// Randomized flow-delivery fuzzing against the reassembly-then-NFA oracle
+// (flow_oracle.h): the flow inspector must present every engine with the
+// same reassembled byte stream no matter how a flow is fragmented,
+// reordered, or retransmitted — so its matches must be exactly the NFA's
+// over each flow's stream, for every engine, table form, gate setting,
+// delivery path and shard count. Plus regression coverage for the bounded
+// reassembly buffer and the per-flow storage contract of the
+// Engine/Context split.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,90 +13,45 @@
 
 #include "dfa/dfa.h"
 #include "engine_test_util.h"
-#include "flow/flow.h"
+#include "flow/tiered.h"
+#include "flow_oracle.h"
 #include "mfa/mfa.h"
 #include "nfa/nfa.h"
+#include "pipeline/pipeline.h"
 #include "util/rng.h"
 
 namespace mfa::flow {
 namespace {
 
 using mfa::testing::compile_patterns;
-using mfa::testing::sorted;
+using mfa::testing::Delivery;
+using mfa::testing::FlowMatch;
+using mfa::testing::FlowMatches;
+using mfa::testing::kFuzzSources;
+using mfa::testing::oracle_of;
+using mfa::testing::plan_flow;
+using mfa::testing::run_plan;
 
-const std::vector<std::string> kSources = {".*ab12.*cd34", ".*wxyz",
-                                           ".*ha[0-9]ck"};
-
-/// One flow's payload with planted pattern content.
-std::string make_content(util::Rng& rng) {
-  std::string s;
-  const std::size_t chunks = 2 + rng.below(5);
-  for (std::size_t i = 0; i < chunks; ++i) {
-    s += rng.lower_string(3 + rng.below(20));
-    switch (rng.below(5)) {
-      case 0: s += "ab12"; break;
-      case 1: s += "cd34"; break;
-      case 2: s += "wxyz"; break;
-      case 3: s += "ha7ck"; break;
-      default: break;  // filler only
-    }
-  }
-  return s;
-}
-
-struct Delivery {
-  FlowKey key;
-  std::uint64_t seq = 0;
-  std::string bytes;  // owned: Packet payloads point here
-};
-
-/// Fragment `content` into segments, then shuffle within a bounded window
-/// and splice in duplicates and overlapping retransmissions. Every original
-/// byte is delivered at least once, so reassembly must reproduce `content`.
-std::vector<Delivery> plan_flow(const FlowKey& key, const std::string& content,
-                                util::Rng& rng) {
+/// Plans for 1-4 interleaved flows of `content(rng)`, cut into segments of
+/// up to `max_seg` bytes, with a bounded-window shuffle across the merge.
+template <typename ContentFn>
+std::vector<Delivery> plan_round(util::Rng& rng, std::uint64_t mix_seed,
+                                 std::size_t max_seg, ContentFn&& content) {
   std::vector<Delivery> plan;
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const std::size_t len = std::min(content.size() - off, 1 + rng.below(9));
-    plan.push_back({key, off, content.substr(off, len)});
-    off += len;
+  const std::size_t nflows = 1 + rng.below(4);
+  for (std::uint32_t f = 0; f < nflows; ++f) {
+    const FlowKey key{f + 1, 99, 1000, 80, 6};
+    auto flow_plan = plan_flow(key, content(rng), rng, max_seg);
+    plan.insert(plan.end(), flow_plan.begin(), flow_plan.end());
   }
-  // Overlapping retransmissions: re-send a random earlier slice.
-  const std::size_t extras = rng.below(3);
-  for (std::size_t i = 0; i < extras && !content.empty(); ++i) {
-    const std::size_t start = rng.below(content.size());
-    const std::size_t len = std::min(content.size() - start, 1 + rng.below(12));
-    plan.push_back({key, start, content.substr(start, len)});
-  }
-  // Bounded-window shuffle: swap neighbours up to 4 apart. Keeps the
-  // pending buffer small while still exercising out-of-order arrival.
-  for (std::size_t i = 0; i + 1 < plan.size(); ++i) {
-    const std::size_t j = i + 1 + rng.below(std::min<std::size_t>(4, plan.size() - i - 1));
-    if (rng.chance(0.5)) std::swap(plan[i], plan[j]);
-  }
-  // Duplicate a few deliveries verbatim (pure retransmission).
-  const std::size_t dups = rng.below(3);
-  for (std::size_t i = 0; i < dups; ++i)
-    plan.push_back(plan[rng.below(plan.size())]);
+  util::Rng mix(mix_seed);
+  for (std::size_t i = 0; i + 1 < plan.size(); ++i)
+    if (mix.chance(0.5)) std::swap(plan[i], plan[i + 1]);
   return plan;
 }
 
-template <typename EngineT>
-MatchVec run_plan(const EngineT& engine, const std::vector<Delivery>& plan) {
-  FlowInspector<EngineT> insp{engine};
-  CollectingSink sink;
-  for (const auto& d : plan) {
-    const Packet p{d.key, d.seq,
-                   reinterpret_cast<const std::uint8_t*>(d.bytes.data()),
-                   static_cast<std::uint32_t>(d.bytes.size())};
-    insp.packet(p, sink);
-  }
-  return sorted(std::move(sink.matches));
-}
-
 TEST(FlowFuzz, EnginesAgreeUnderFragmentationReorderRetransmission) {
-  const auto inputs = compile_patterns(kSources);
+  const auto inputs = compile_patterns(kFuzzSources);
   const nfa::Nfa n = nfa::build_nfa(inputs);
   const auto d = dfa::build_dfa(n);
   ASSERT_TRUE(d.has_value());
@@ -103,83 +60,102 @@ TEST(FlowFuzz, EnginesAgreeUnderFragmentationReorderRetransmission) {
 
   for (std::uint64_t round = 0; round < 25; ++round) {
     util::Rng rng(9000 + round);
-    // Several interleaved flows per round.
-    MatchVec expected;  // linear per-flow scans, the ground truth
-    std::vector<Delivery> plan;
-    const std::size_t nflows = 1 + rng.below(4);
-    for (std::uint32_t f = 0; f < nflows; ++f) {
-      const FlowKey key{f + 1, 99, 1000, 80, 6};
-      const std::string content = make_content(rng);
-      nfa::NfaScanner ref(n);
-      for (const Match& mm : ref.scan(content)) expected.push_back(mm);
-      auto flow_plan = plan_flow(key, content, rng);
-      plan.insert(plan.end(), flow_plan.begin(), flow_plan.end());
-    }
-    // Interleave flows: bounded-window shuffle across the merged plan.
-    util::Rng mix(777 + round);
-    for (std::size_t i = 0; i + 1 < plan.size(); ++i)
-      if (mix.chance(0.5)) std::swap(plan[i], plan[i + 1]);
-
-    const MatchVec nfa_got = run_plan(n, plan);
-    EXPECT_EQ(nfa_got, sorted(std::move(expected))) << "round " << round;
-    EXPECT_EQ(run_plan(*d, plan), nfa_got) << "round " << round;
-    EXPECT_EQ(run_plan(*m, plan), nfa_got) << "round " << round;
+    const auto plan = plan_round(rng, 777 + round, 9, mfa::testing::fuzz_content);
+    const FlowMatches expected = oracle_of(plan).matches(n);
+    TieredFlowInspector<nfa::Nfa> nfa_insp{n};
+    TieredFlowInspector<dfa::Dfa> dfa_insp{*d};
+    TieredFlowInspector<core::Mfa> mfa_insp{*m};
+    EXPECT_EQ(run_plan(nfa_insp, plan), expected) << "round " << round;
+    EXPECT_EQ(run_plan(dfa_insp, plan), expected) << "round " << round;
+    EXPECT_EQ(run_plan(mfa_insp, plan), expected) << "round " << round;
   }
 }
 
-TEST(FlowLru, EvictionFollowsRecencyAcrossManyTouches) {
-  const auto m = core::build_mfa(compile_patterns({".*needle"}));
-  ASSERT_TRUE(m.has_value());
-  FlowInspector<core::Mfa> insp{*m, /*max_flows=*/3};
-  CountingSink sink;
-  const auto touch = [&](std::uint32_t id) {
-    insp.packet(Packet{FlowKey{id, 0, 0, 0, 6}, 0,
-                       reinterpret_cast<const std::uint8_t*>("x"), 0},
-                sink);
-  };
-  touch(1);
-  touch(2);
-  touch(3);
-  touch(1);  // order now (LRU→MRU): 2 3 1
-  touch(4);  // evicts 2
-  EXPECT_EQ(insp.evicted_count(), 1u);
-  touch(3);  // order: 1 4 3
-  touch(5);  // evicts 1
-  EXPECT_EQ(insp.evicted_count(), 2u);
-  EXPECT_EQ(insp.flow_count(), 3u);
-  // Flows 3, 4, 5 must still be resident: touching them evicts nothing.
-  touch(3);
-  touch(4);
-  touch(5);
-  EXPECT_EQ(insp.evicted_count(), 2u);
+/// Gate-friendly flow content: runs of filler the literal prefilter proves
+/// clean (no byte of it can start a kFuzzSources literal), with literals
+/// planted between the runs.
+std::string gated_content(util::Rng& rng) {
+  static const char kFiller[] = "EFGJLMNOPQ";
+  std::string s;
+  for (int k = 2 + static_cast<int>(rng.below(6)); k > 0; --k) {
+    for (std::size_t i = 1 + rng.below(400); i > 0; --i)
+      s += kFiller[rng.below(sizeof kFiller - 1)];
+    switch (rng.below(5)) {
+      case 0: s += "ab12"; break;
+      case 1: s += "cd34"; break;
+      case 2: s += "wxyz"; break;
+      case 3: s += "ha7ck"; break;
+      default: break;
+    }
+  }
+  return s;
 }
 
-TEST(FlowLru, ManualEvictionKeepsListConsistent) {
-  const auto m = core::build_mfa(compile_patterns({".*needle"}));
-  ASSERT_TRUE(m.has_value());
-  FlowInspector<core::Mfa> insp{*m, /*max_flows=*/3};
-  CountingSink sink;
-  const auto touch = [&](std::uint32_t id) {
-    insp.packet(Packet{FlowKey{id, 0, 0, 0, 6}, 0,
-                       reinterpret_cast<const std::uint8_t*>("x"), 0},
-                sink);
-  };
-  touch(1);
-  touch(2);
-  touch(3);
-  insp.evict(FlowKey{2, 0, 0, 0, 6});  // unlink from the middle of the list
-  EXPECT_EQ(insp.flow_count(), 2u);
-  touch(4);  // table has room again; nothing evicted
-  EXPECT_EQ(insp.evicted_count(), 0u);
-  touch(5);  // now over cap: LRU head (flow 1) goes
-  EXPECT_EQ(insp.evicted_count(), 1u);
-  EXPECT_EQ(insp.flow_count(), 3u);
+// The oracle grid: dense and delta tables x gate on/off x packet and
+// packet_batch through one inspector, and the sharded pipeline at 1-4
+// shards, all on randomized reorder/retransmit/overlap plans whose
+// segments straddle the gate's size floor.
+TEST(FlowOracle, InspectorsMatchTheOracleAcrossTheGrid) {
+  const auto inputs = compile_patterns(kFuzzSources);
+  const nfa::Nfa n = nfa::build_nfa(inputs);
+  std::uint64_t gate_skips = 0;
+  for (const bool delta : {false, true}) {
+    core::BuildOptions opts;
+    opts.delta = delta;
+    const auto m = core::build_mfa(inputs, opts);
+    ASSERT_TRUE(m.has_value());
+    ASSERT_EQ(m->delta_mode(), delta);
+    ASSERT_TRUE(m->prefilter().gate_enabled()) << m->prefilter().status();
+    for (std::uint64_t round = 0; round < 12; ++round) {
+      util::Rng rng(5100 + round);
+      const auto plan = plan_round(rng, 5200 + round, 300, gated_content);
+      const FlowMatches expected = oracle_of(plan).matches(n);
+      const auto where = [&](const char* path) {
+        return std::string(delta ? "delta " : "dense ") + path + " round " +
+               std::to_string(round);
+      };
+
+      for (const bool gate : {true, false}) {
+        for (const std::size_t burst : {std::size_t{0}, std::size_t{1} + rng.below(16)}) {
+          TieredFlowInspector<core::Mfa> insp{*m};
+          insp.set_prefilter(gate);
+          EXPECT_EQ(run_plan(insp, plan, burst), expected)
+              << where(gate ? "gated" : "ungated") << " burst " << burst;
+          if (gate) {
+            gate_skips += insp.prefilter_skip_count();
+          } else {
+            EXPECT_EQ(insp.prefilter_skip_count(), 0u);
+          }
+        }
+      }
+
+      for (std::size_t shards = 1; shards <= 4; ++shards) {
+        pipeline::Options popt;
+        popt.shards = shards;
+        popt.batch_size = 1 + rng.below(32);
+        popt.collect_flow_matches = true;
+        pipeline::ShardedInspector<core::Mfa> pipe(*m, popt);
+        pipe.start();
+        for (const Delivery& d : plan) pipe.submit(d.packet());
+        pipe.finish();
+        FlowMatches got;
+        for (const pipeline::FlowMatch& fm : pipe.flow_matches())
+          got.push_back(FlowMatch{fm.key, fm.match.id, fm.match.end});
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expected) << where("sharded") << " shards " << shards;
+      }
+    }
+  }
+  // The grid is vacuous for the gate if it never skipped a chunk.
+  EXPECT_GT(gate_skips, 0u);
 }
+
+// --- bounded reassembly ---
 
 TEST(FlowReassembly, PendingCapDropsOldestSegments) {
   const auto m = core::build_mfa(compile_patterns({".*needle"}));
   ASSERT_TRUE(m.has_value());
-  FlowInspector<core::Mfa> insp{*m, /*max_flows=*/0, /*max_pending_bytes=*/4};
+  TieredFlowInspector<core::Mfa> insp{*m, /*max_flows=*/0, /*max_pending_bytes=*/4};
   CountingSink sink;
   const FlowKey key{1, 2, 3, 4, 6};
   const auto ooo = [&](std::uint64_t seq, const std::string& bytes) {
@@ -194,6 +170,7 @@ TEST(FlowReassembly, PendingCapDropsOldestSegments) {
   EXPECT_EQ(insp.reassembly_dropped_count(), 1u);
   ooo(40, "DDDDDD");  // bigger than the whole budget: dropped outright
   EXPECT_EQ(insp.reassembly_dropped_count(), 2u);
+  EXPECT_EQ(insp.reassembly_pending_bytes(), 4u);
 }
 
 TEST(FlowReassembly, DuplicateReplacementChargesNetGrowthOnly) {
@@ -202,7 +179,7 @@ TEST(FlowReassembly, DuplicateReplacementChargesNetGrowthOnly) {
   // replaced bytes, spuriously evicting unrelated pending segments.
   const auto m = core::build_mfa(compile_patterns({".*needle"}));
   ASSERT_TRUE(m.has_value());
-  FlowInspector<core::Mfa> insp{*m, /*max_flows=*/0, /*max_pending_bytes=*/10};
+  TieredFlowInspector<core::Mfa> insp{*m, /*max_flows=*/0, /*max_pending_bytes=*/10};
   CountingSink sink;
   const FlowKey key{1, 2, 3, 4, 6};
   const auto ooo = [&](std::uint64_t seq, const std::string& bytes) {
@@ -226,7 +203,7 @@ TEST(FlowReassembly, DuplicateReplacementChargesNetGrowthOnly) {
 TEST(FlowReassembly, UnboundedWhenCapIsZero) {
   const auto m = core::build_mfa(compile_patterns({".*needle"}));
   ASSERT_TRUE(m.has_value());
-  FlowInspector<core::Mfa> insp{*m, 0, /*max_pending_bytes=*/0};
+  TieredFlowInspector<core::Mfa> insp{*m, 0, /*max_pending_bytes=*/0};
   CollectingSink sink;
   const FlowKey key{1, 2, 3, 4, 6};
   const std::string text = "there is a needle in here";
@@ -241,25 +218,21 @@ TEST(FlowReassembly, UnboundedWhenCapIsZero) {
 }
 
 TEST(FlowStorage, PerFlowStateIsContextPlusBookkeepingOnly) {
-  // The Engine/Context contract: a flow record holds exactly one engine
-  // Context plus reassembly bookkeeping — no per-flow engine copy, pointer,
-  // or scanner. A mirror struct with those fields must have the same size.
-  using Insp = FlowInspector<core::Mfa>;
+  // The Engine/Context contract: an in-order flow's record holds its key,
+  // stream offset, recency and tier bookkeeping, and the engine's inline
+  // context — no per-flow engine copy, pointer, or scanner. A mirror struct
+  // with those fields must have the same size.
+  using Insp = TieredFlowInspector<core::Mfa>;
   struct Bookkeeping {
-    core::Mfa::Context ctx;
-    std::uint64_t next_offset;
-    std::uint64_t pending_bytes;
-    std::uint64_t batch_stamp;
-    std::uint64_t scan_ticks;
-    std::uint64_t context_generation;
-    std::vector<Insp::FlowState::PendingSegment> pending;  // sorted by seq
-    Insp::FlowState* lru_prev;
-    Insp::FlowState* lru_next;
     FlowKey key;
+    std::uint32_t off_lo, off_hi, last_epoch, cold;
+    core::Mfa::InlineContext ictx;
+    std::uint16_t batch_stamp;
+    std::uint8_t stamp, flags;
   };
-  static_assert(sizeof(Insp::FlowState) == sizeof(Bookkeeping),
-                "FlowState must store only the Context and bookkeeping");
-  EXPECT_EQ(sizeof(Insp::FlowState), sizeof(Bookkeeping));
+  static_assert(sizeof(Insp::HotSlot) == sizeof(Bookkeeping),
+                "HotSlot must store only the context and bookkeeping");
+  EXPECT_EQ(sizeof(Insp::HotSlot), sizeof(Bookkeeping));
 
   // And the advertised per-flow context footprint is the engine's, shared
   // through one engine reference rather than duplicated per flow.

@@ -1,22 +1,30 @@
 // Whole-pipeline integration: builtin rule sets compiled through every
 // engine, scanned over generated traces via the flow inspector, compared
-// engine-to-engine; persisted automata; failure injection.
+// against the reassembly-then-NFA oracle and engine-to-engine; persisted
+// automata; failure injection.
 #include <gtest/gtest.h>
 
 #include "eval/harness.h"
+#include "flow_oracle.h"
 #include "rules/rules.h"
 
 namespace mfa {
 namespace {
 
-/// Collect (id, flow-offset) alerts per engine via the flow inspector and
-/// compare across all constructable engines.
+/// Count (id, flow-offset) alerts of one engine via the flow inspector.
 template <typename EngineT>
 std::uint64_t count_alerts(const EngineT& engine, const trace::Trace& t) {
-  flow::FlowInspector<EngineT> inspector{engine};
+  flow::TieredFlowInspector<EngineT> inspector{engine};
   CountingSink sink;
   t.for_each_packet([&](const flow::Packet& p) { inspector.packet(p, sink); });
   return sink.count;
+}
+
+/// The reference alert count: the NFA over every flow's reassembled stream.
+std::uint64_t oracle_alerts(const nfa::Nfa& nfa, const trace::Trace& t) {
+  mfa::testing::FlowOracle oracle;
+  t.for_each_packet([&](const flow::Packet& p) { oracle.packet(p); });
+  return oracle.matches(nfa).size();
 }
 
 TEST(Integration, S24OverCdxTraceAllEnginesAgree) {
@@ -27,12 +35,13 @@ TEST(Integration, S24OverCdxTraceAllEnginesAgree) {
   const auto exemplars = eval::attack_exemplars(set, 3, 42);
   const trace::Trace t = trace::make_real_life(trace::RealLifeProfile::kCyberDefenseNoisy,
                                                400000, 42, exemplars);
-  const std::uint64_t dfa_alerts = count_alerts(*suite.dfa, t);
-  EXPECT_GT(dfa_alerts, 0u);
-  EXPECT_EQ(count_alerts(suite.nfa, t), dfa_alerts);
-  EXPECT_EQ(count_alerts(*suite.mfa, t), dfa_alerts);
-  EXPECT_EQ(count_alerts(*suite.hfa, t), dfa_alerts);
-  EXPECT_EQ(count_alerts(*suite.xfa, t), dfa_alerts);
+  const std::uint64_t reference = oracle_alerts(suite.nfa, t);
+  EXPECT_GT(reference, 0u);
+  EXPECT_EQ(count_alerts(suite.nfa, t), reference);
+  EXPECT_EQ(count_alerts(*suite.dfa, t), reference);
+  EXPECT_EQ(count_alerts(*suite.mfa, t), reference);
+  EXPECT_EQ(count_alerts(*suite.hfa, t), reference);
+  EXPECT_EQ(count_alerts(*suite.xfa, t), reference);
 }
 
 TEST(Integration, C10SyntheticHighPmAllEnginesAgree) {
@@ -40,11 +49,12 @@ TEST(Integration, C10SyntheticHighPmAllEnginesAgree) {
   const eval::Suite suite = eval::build_suite(set);
   ASSERT_TRUE(suite.dfa && suite.mfa && suite.hfa && suite.xfa);
   const trace::Trace t = trace::make_synthetic(*suite.dfa, 0.95, 100000, 9);
-  const std::uint64_t dfa_alerts = count_alerts(*suite.dfa, t);
-  EXPECT_GT(dfa_alerts, 0u);  // p_M 0.95 must actually produce matches
-  EXPECT_EQ(count_alerts(*suite.mfa, t), dfa_alerts);
-  EXPECT_EQ(count_alerts(*suite.hfa, t), dfa_alerts);
-  EXPECT_EQ(count_alerts(*suite.xfa, t), dfa_alerts);
+  const std::uint64_t reference = oracle_alerts(suite.nfa, t);
+  EXPECT_GT(reference, 0u);  // p_M 0.95 must actually produce matches
+  EXPECT_EQ(count_alerts(*suite.dfa, t), reference);
+  EXPECT_EQ(count_alerts(*suite.mfa, t), reference);
+  EXPECT_EQ(count_alerts(*suite.hfa, t), reference);
+  EXPECT_EQ(count_alerts(*suite.xfa, t), reference);
 }
 
 TEST(Integration, B217pMfaSurvivesWhereDfaFails) {
@@ -61,8 +71,7 @@ TEST(Integration, B217pMfaSurvivesWhereDfaFails) {
   const trace::Trace t = trace::make_real_life(trace::RealLifeProfile::kCyberDefenseNoisy,
                                                300000, 5, exemplars);
   const std::uint64_t mfa_alerts = count_alerts(*suite.mfa, t);
-  const std::uint64_t nfa_alerts = count_alerts(suite.nfa, t);
-  EXPECT_EQ(mfa_alerts, nfa_alerts);
+  EXPECT_EQ(mfa_alerts, oracle_alerts(suite.nfa, t));
   EXPECT_GT(mfa_alerts, 0u);
 }
 
@@ -126,7 +135,7 @@ TEST(Integration, RulesFileToTraceAlerts) {
                                               "Evil-UA 2.0 probe"};
   const trace::Trace t = trace::make_real_life(trace::RealLifeProfile::kCyberDefenseNoisy,
                                                400000, 13, exemplars);
-  flow::FlowInspector<core::Mfa> inspector{*mfa};
+  flow::TieredFlowInspector<core::Mfa> inspector{*mfa};
   std::set<std::uint32_t> sids;
   t.for_each_packet([&](const flow::Packet& p) {
     inspector.packet(p, [&](std::uint32_t id, std::uint64_t) { sids.insert(id); });

@@ -1,5 +1,5 @@
 // Telemetry layer: histogram bucket boundaries and merge, trace-ring
-// overwrite semantics, FlowInspector instrumentation, Prometheus/JSON
+// overwrite semantics, flow-inspector instrumentation, Prometheus/JSON
 // exporter golden output (and that both render the same snapshot), and the
 // periodic stats writer.
 #include "obs/metrics.h"
@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "engine_test_util.h"
-#include "flow/flow.h"
 #include "flow/tiered.h"
 #include "obs/export.h"
 #include "obs/profile.h"
@@ -159,13 +158,13 @@ TEST(MetricsRegistry, SnapshotAggregatesShardsAndMatchIds) {
   EXPECT_EQ(reg.match_count(5), 2u);
 }
 
-// --- FlowInspector instrumentation ---
+// --- flow inspector instrumentation ---
 
 TEST(FlowInspectorTelemetry, CountsPacketsMatchesAndTraceEvents) {
   auto m = core::build_mfa(compile_patterns({".*needle"}));
   ASSERT_TRUE(m.has_value());
   MetricsRegistry reg({.shards = 1, .match_id_capacity = 16, .trace_capacity = 16});
-  flow::FlowInspector<core::Mfa> insp(*m);
+  flow::TieredFlowInspector<core::Mfa> insp(*m);
   insp.set_metrics(&reg, 0);
 
   const std::string payload = "xx needle yy";
@@ -213,7 +212,7 @@ TEST(FlowInspectorTelemetry, DetachedInspectorTouchesNothing) {
   auto m = core::build_mfa(compile_patterns({".*needle"}));
   ASSERT_TRUE(m.has_value());
   MetricsRegistry reg(1);
-  flow::FlowInspector<core::Mfa> insp(*m);  // never attached
+  flow::TieredFlowInspector<core::Mfa> insp(*m);  // never attached
   const std::string payload = "a needle";
   CollectingSink sink;
   insp.packet(flow::Packet{flow::FlowKey{1, 2, 3, 4, 6}, 0,
@@ -705,17 +704,16 @@ TEST(Profiler, ProfileJsonAndTableRender) {
   EXPECT_NE(table.find("hot/tracked: 1/4"), std::string::npos);
 }
 
-// --- Profiler wired through both flow inspectors (tiered parity) ---
+// --- Profiler wired through the flow inspector ---
 
-template <typename InspectorT>
-void expect_profiler_attribution() {
+TEST(TieredFlowInspectorProfiler, AttributesCostToRulesAndStates) {
   auto m = core::build_mfa(compile_patterns({".*needle"}));
   ASSERT_TRUE(m.has_value());
   MetricsRegistry reg(1);
   Profiler prof({.rule_capacity = 8,
                  .state_capacity = m->state_count(),
                  .sample_shift = 0});  // sample every scan unit
-  InspectorT insp(*m);
+  flow::TieredFlowInspector<core::Mfa> insp(*m);
   insp.set_metrics(&reg, 0);
   insp.set_profiler(&prof);
   const std::string hit = "xx needle yy";
@@ -742,14 +740,6 @@ void expect_profiler_attribution() {
   std::uint64_t visits = 0;
   for (const std::uint64_t v : s.state_visits) visits += v;
   EXPECT_EQ(visits + s.state_overflow, 2u);
-}
-
-TEST(FlowInspectorProfiler, AttributesCostToRulesAndStates) {
-  expect_profiler_attribution<flow::FlowInspector<core::Mfa>>();
-}
-
-TEST(TieredFlowInspectorProfiler, AttributesCostToRulesAndStates) {
-  expect_profiler_attribution<flow::TieredFlowInspector<core::Mfa>>();
 }
 
 // --- Latency spans through the sharded pipeline ---

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "engine_test_util.h"
+#include "flow/tiered.h"
 #include "mfa/mfa.h"
 
 namespace mfa::trace {
@@ -245,7 +246,7 @@ TEST(Pcap, MalformedCorpusNeverCrashes) {
 }
 
 TEST(Pcap, OutOfOrderTcpReassembledByInspector) {
-  // Data segment for offset 6 arrives before offset 0; the FlowInspector
+  // Data segment for offset 6 arrives before offset 0; the flow inspector
   // must reassemble and the pattern spanning both must match.
   PcapBuilder b;
   b.tcp_packet(kFlow, 100, 0x02, "");        // SYN: base = 101
@@ -255,7 +256,7 @@ TEST(Pcap, OutOfOrderTcpReassembledByInspector) {
   ASSERT_TRUE(r.ok) << r.error;
   auto m = core::build_mfa(mfa::testing::compile_patterns({".*a needle"}));
   ASSERT_TRUE(m.has_value());
-  flow::FlowInspector<core::Mfa> insp{*m};
+  flow::TieredFlowInspector<core::Mfa> insp{*m};
   CollectingSink sink;
   r.trace.for_each_packet([&](const flow::Packet& p) { insp.packet(p, sink); });
   ASSERT_EQ(sink.matches.size(), 1u);
@@ -271,7 +272,7 @@ TEST(Pcap, EndToEndScanThroughMfa) {
   ASSERT_TRUE(r.ok);
   auto m = core::build_mfa(mfa::testing::compile_patterns({".*cmd\\.exe"}));
   ASSERT_TRUE(m.has_value());
-  flow::FlowInspector<core::Mfa> insp{*m};
+  flow::TieredFlowInspector<core::Mfa> insp{*m};
   CollectingSink sink;
   r.trace.for_each_packet([&](const flow::Packet& p) { insp.packet(p, sink); });
   ASSERT_EQ(sink.matches.size(), 1u);  // spans the two kFlow segments
@@ -307,7 +308,7 @@ TEST(Pcap, SeqWrapAcrossZeroReassembles) {
   EXPECT_EQ(r.trace.packet(1).seq, 6u);
   auto m = core::build_mfa(mfa::testing::compile_patterns({".*a needle"}));
   ASSERT_TRUE(m.has_value());
-  flow::FlowInspector<core::Mfa> insp{*m};
+  flow::TieredFlowInspector<core::Mfa> insp{*m};
   CollectingSink sink;
   r.trace.for_each_packet([&](const flow::Packet& p) { insp.packet(p, sink); });
   ASSERT_EQ(sink.matches.size(), 1u);

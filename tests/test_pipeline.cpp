@@ -1,6 +1,7 @@
 // Sharded pipeline: SPSC queue unit behaviour, and the correctness contract
-// of ShardedInspector — any shard count must produce exactly the sequential
-// FlowInspector's matches, because flows are pinned to shards by hash.
+// of ShardedInspector — any shard count must produce exactly the
+// reassembly-then-NFA oracle's matches, because flows are pinned to shards
+// by hash.
 #include "pipeline/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "engine_test_util.h"
+#include "flow_oracle.h"
 #include "mfa/mfa.h"
 #include "pipeline/spsc_queue.h"
 #include "trace/trace.h"
@@ -110,38 +112,37 @@ TEST(SpscQueue, TwoThreadHandoffDeliversEverything) {
   EXPECT_EQ(sum, kCount * (kCount + 1) / 2);
 }
 
-// --- ShardedInspector vs sequential FlowInspector ---
+// --- ShardedInspector vs the oracle ---
 
 struct Fixture {
   core::Mfa mfa;
   trace::Trace trace;
-  MatchVec sequential;  // sorted matches from a plain FlowInspector
+  MatchVec reference;  // sorted oracle matches over the whole trace
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
 };
 
 Fixture make_fixture() {
   Fixture f;
-  auto m = core::build_mfa(
-      compile_patterns({".*atk1.*vec2", ".*worm77", ".*sig[0-9]end"}));
+  const auto inputs = compile_patterns({".*atk1.*vec2", ".*worm77", ".*sig[0-9]end"});
+  auto m = core::build_mfa(inputs);
   EXPECT_TRUE(m.has_value());
   f.mfa = *std::move(m);
   f.trace = trace::make_real_life(trace::RealLifeProfile::kCyberDefense, 200000, 77,
                                   {"atk1 and vec2", "worm77", "sig5end"});
-  flow::FlowInspector<core::Mfa> insp{f.mfa};
-  CollectingSink sink;
+  mfa::testing::FlowOracle oracle;
   f.trace.for_each_packet([&](const flow::Packet& p) {
     ++f.packets;
     f.bytes += p.length;
-    insp.packet(p, sink);
+    oracle.packet(p);
   });
-  f.sequential = mfa::testing::sorted(std::move(sink.matches));
+  f.reference = mfa::testing::unattributed(oracle.matches(nfa::build_nfa(inputs)));
   return f;
 }
 
 TEST(ShardedInspector, MatchesSequentialAtEveryShardCount) {
   const Fixture f = make_fixture();
-  ASSERT_FALSE(f.sequential.empty());
+  ASSERT_FALSE(f.reference.empty());
   for (const std::size_t shards : {1u, 2u, 4u}) {
     Options opt;
     opt.shards = shards;
@@ -150,8 +151,8 @@ TEST(ShardedInspector, MatchesSequentialAtEveryShardCount) {
     pipe.start();
     f.trace.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
     pipe.finish();
-    EXPECT_EQ(pipe.merged_matches(), f.sequential) << shards << " shards";
-    EXPECT_EQ(pipe.totals().matches, f.sequential.size()) << shards << " shards";
+    EXPECT_EQ(pipe.merged_matches(), f.reference) << shards << " shards";
+    EXPECT_EQ(pipe.totals().matches, f.reference.size()) << shards << " shards";
   }
 }
 
@@ -167,7 +168,7 @@ TEST(ShardedInspector, PerShardStatsSumToTraceTotals) {
   const ShardStats t = pipe.totals();
   EXPECT_EQ(t.packets, f.packets);
   EXPECT_EQ(t.bytes, f.bytes);
-  EXPECT_EQ(t.matches, f.sequential.size());
+  EXPECT_EQ(t.matches, f.reference.size());
   // Hashing must actually spread this many flows over 4 shards.
   std::size_t active = 0;
   for (const auto& s : pipe.stats()) active += s.packets > 0 ? 1 : 0;
@@ -224,7 +225,7 @@ TEST(ShardedInspector, TinyQueueStillDeliversEverything) {
   f.trace.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
   pipe.finish();
   EXPECT_EQ(pipe.totals().packets, f.packets);
-  EXPECT_EQ(pipe.totals().matches, f.sequential.size());
+  EXPECT_EQ(pipe.totals().matches, f.reference.size());
   EXPECT_LE(pipe.totals().max_queue_depth, 4u);
 }
 
@@ -264,7 +265,7 @@ TEST(ShardedInspector, LiveSnapshotWhileScanning) {
     EXPECT_LE(s.bytes, f.bytes);
     EXPECT_GE(s.packet_bytes.count, s.scan_ns.count);
   }
-  EXPECT_LE(mid.totals().matches, f.sequential.size());
+  EXPECT_LE(mid.totals().matches, f.reference.size());
 
   for (std::size_t i = half; i < packets.size(); ++i) pipe.submit(packets[i]);
   const obs::RegistrySnapshot later = pipe.snapshot();
@@ -275,13 +276,13 @@ TEST(ShardedInspector, LiveSnapshotWhileScanning) {
   const obs::ShardSnapshot t = fin.totals();
   EXPECT_EQ(t.packets, f.packets);
   EXPECT_EQ(t.bytes, f.bytes);
-  EXPECT_EQ(t.matches, f.sequential.size());
+  EXPECT_EQ(t.matches, f.reference.size());
   EXPECT_EQ(t.scan_ns.count, f.packets);
   EXPECT_EQ(t.packet_bytes.sum, f.bytes);
   std::uint64_t hits = 0;
   for (const auto& [id, count] : fin.match_counts) hits += count;
-  EXPECT_EQ(hits + fin.match_id_overflow, f.sequential.size());
-  EXPECT_EQ(fin.trace_recorded, f.sequential.size());
+  EXPECT_EQ(hits + fin.match_id_overflow, f.reference.size());
+  EXPECT_EQ(fin.trace_recorded, f.reference.size());
 
   // Shard i of the pipeline writes registry slot i (4 shards each), so the
   // two accounting paths must agree exactly per shard.
@@ -331,7 +332,7 @@ TEST(ShardedInspector, RestartAfterFinishStartsClean) {
     f.trace.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
     pipe.finish();
     EXPECT_EQ(pipe.totals().packets, f.packets) << "round " << round;
-    EXPECT_EQ(pipe.totals().matches, f.sequential.size()) << "round " << round;
+    EXPECT_EQ(pipe.totals().matches, f.reference.size()) << "round " << round;
   }
 }
 
@@ -358,7 +359,7 @@ TEST(ShardedInspector, SubmitOutsideStartFinishThrows) {
 
 TEST(ShardedInspector, BatchSizeOneBehavesLikeUnbatched) {
   // batch_size=1 must flush every submit immediately and still match the
-  // sequential reference (the pre-batching behavior as a special case).
+  // oracle reference (the pre-batching behavior as a special case).
   const Fixture f = make_fixture();
   Options opt;
   opt.shards = 2;
@@ -368,7 +369,7 @@ TEST(ShardedInspector, BatchSizeOneBehavesLikeUnbatched) {
   pipe.start();
   f.trace.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
   pipe.finish();
-  EXPECT_EQ(pipe.merged_matches(), f.sequential);
+  EXPECT_EQ(pipe.merged_matches(), f.reference);
   EXPECT_EQ(pipe.totals().packets, f.packets);
 }
 
@@ -384,7 +385,7 @@ TEST(ShardedInspector, LargeBatchAndLaneSweepMatchesSequential) {
     pipe.start();
     f.trace.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
     pipe.finish();
-    EXPECT_EQ(pipe.merged_matches(), f.sequential) << "lanes " << lanes;
+    EXPECT_EQ(pipe.merged_matches(), f.reference) << "lanes " << lanes;
   }
 }
 

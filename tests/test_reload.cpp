@@ -1,4 +1,4 @@
-// Live ruleset hot swap (DESIGN.md Sec. 10): FlowInspector generation
+// Live ruleset hot swap (DESIGN.md Sec. 10): flow-inspector generation
 // adoption/retirement, the reload registry/HotSwapper, and the
 // swap-under-load contract on the sharded pipeline — no packet lost, every
 // match attributed to the generation that scanned it, old EngineSets
@@ -17,7 +17,8 @@
 #include <vector>
 
 #include "engine_test_util.h"
-#include "flow/flow.h"
+#include "flow/tiered.h"
+#include "flow_oracle.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 
@@ -42,12 +43,12 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-// --- FlowInspector generation layer -----------------------------------------
+// --- flow-inspector generation layer ----------------------------------------
 
 TEST(FlowSwap, ResetOnNextPacketRestartsContextOnNewEngine) {
   const core::Mfa a = build({".*abcd"});              // id 1
   const core::Mfa b = build({".*zzzz", ".*wxyz"});    // wxyz = id 2
-  flow::FlowInspector<core::Mfa> insp{a};
+  flow::TieredFlowInspector<core::Mfa> insp{a};
   const flow::FlowKey key{1, 2, 3, 4, 6};
   CollectingSink sink;
   const std::string first = "ab", second = "cdwxyz";
@@ -68,7 +69,7 @@ TEST(FlowSwap, ResetOnNextPacketRestartsContextOnNewEngine) {
 TEST(FlowSwap, DrainOldFinishesExistingFlowsOnOldEngine) {
   const core::Mfa a = build({".*abcd"});              // id 1
   const core::Mfa b = build({".*zzzz", ".*wxyz"});    // wxyz = id 2
-  flow::FlowInspector<core::Mfa> insp{a};
+  flow::TieredFlowInspector<core::Mfa> insp{a};
   const flow::FlowKey old_key{1, 2, 3, 4, 6};
   const flow::FlowKey new_key{5, 6, 7, 8, 6};
   CollectingSink sink;
@@ -99,7 +100,7 @@ TEST(FlowSwap, RetiredPinReleasedWhenLastDrainingFlowRetires) {
   auto owner_c = std::make_shared<core::Mfa>(build({".*ijkl"}));
   std::weak_ptr<core::Mfa> weak_b = owner_b;
 
-  flow::FlowInspector<core::Mfa> insp{base};
+  flow::TieredFlowInspector<core::Mfa> insp{base};
   insp.adopt_engine(*owner_b, 1, flow::SwapPolicy::kDrainOld, owner_b);
   const flow::FlowKey key{9, 9, 9, 9, 6};
   CollectingSink sink;
@@ -121,7 +122,7 @@ TEST(FlowSwap, ClearReleasesEveryRetiredGeneration) {
   const core::Mfa base = build({".*abcd"});
   auto owner_b = std::make_shared<core::Mfa>(build({".*efgh"}));
   std::weak_ptr<core::Mfa> weak_b = owner_b;
-  flow::FlowInspector<core::Mfa> insp{base};
+  flow::TieredFlowInspector<core::Mfa> insp{base};
   insp.adopt_engine(*owner_b, 1, flow::SwapPolicy::kDrainOld, owner_b);
   CollectingSink sink;
   const std::string payload = "efgh";
@@ -136,7 +137,7 @@ TEST(FlowSwap, ClearReleasesEveryRetiredGeneration) {
 TEST(FlowSwap, ReAdoptingCurrentGenerationIsANoOp) {
   const core::Mfa a = build({".*abcd"});
   auto owner_b = std::make_shared<core::Mfa>(build({".*efgh"}));
-  flow::FlowInspector<core::Mfa> insp{a};
+  flow::TieredFlowInspector<core::Mfa> insp{a};
   CollectingSink sink;
   const std::string payload = "x";
   insp.packet(packet(flow::FlowKey{1, 1, 1, 1, 6}, 0, payload), sink);
@@ -152,7 +153,7 @@ TEST(FlowSwap, ReAdoptingCurrentGenerationIsANoOp) {
 TEST(FlowSwap, MixedGenerationBurstScansEachFlowWithItsOwnEngine) {
   const core::Mfa a = build({".*olda"});              // id 1
   const core::Mfa b = build({".*zzzz", ".*newb"});    // newb = id 2
-  flow::FlowInspector<core::Mfa> insp{a};
+  flow::TieredFlowInspector<core::Mfa> insp{a};
   CollectingSink pre;
   const std::string pad = "pad.";
   std::vector<flow::FlowKey> keys;
@@ -311,12 +312,14 @@ TEST(HotSwap, LoadsSavedArtifactAndSwaps) {
 // --- Swap under load on the sharded pipeline --------------------------------
 
 /// Deterministic kDrainOld parity: flows opened before the swap must produce
-/// exactly the matches a sequential FlowInspector on the OLD engine produces
-/// for their full streams; flows opened after it, the NEW engine's matches.
+/// exactly the oracle's matches under the OLD ruleset for their full
+/// streams; flows opened after it, the NEW ruleset's matches.
 TEST(SwapUnderLoad, DrainOldKeepsPerFlowParityWithSequentialInspectors) {
-  const core::Mfa a = build({".*atk1.*vec2"});             // id 1
+  const std::vector<std::string> rules_a = {".*atk1.*vec2"};             // id 1
+  const std::vector<std::string> rules_b = {".*atk1.*vec2", ".*worm77"};
+  const core::Mfa a = build(rules_a);
   reload::RulesetRegistry<core::Mfa> registry;
-  auto set = registry.publish(build({".*atk1.*vec2", ".*worm77"}), "b");
+  auto set = registry.publish(build(rules_b), "b");
 
   // Multi-packet old flows straddle the swap; their streams only match when
   // both halves are scanned by one context on one engine.
@@ -327,24 +330,17 @@ TEST(SwapUnderLoad, DrainOldKeepsPerFlowParityWithSequentialInspectors) {
   for (std::uint32_t i = 1; i <= 16; ++i) old_keys.push_back(flow::FlowKey{i, 10, 1, 2, 6});
   for (std::uint32_t i = 1; i <= 16; ++i) new_keys.push_back(flow::FlowKey{i, 20, 1, 2, 6});
 
-  // Sequential references, per flow.
-  std::unordered_map<flow::FlowKey, MatchVec, flow::FlowKeyHash> expect;
+  // Oracle references per flow: old flows under ruleset a, new under b.
+  mfa::testing::PerFlowMatches expect;
   {
-    flow::FlowInspector<core::Mfa> seq_a{a};
-    flow::FlowInspector<core::Mfa> seq_b{set->engine};
+    mfa::testing::FlowOracle seq_a, seq_b;
     for (const auto& key : old_keys) {
-      auto sink = [&](std::uint32_t id, std::uint64_t end) {
-        expect[key].push_back(Match{id, end});
-      };
-      seq_a.packet(packet(key, 0, half1), sink);
-      seq_a.packet(packet(key, half1.size(), half2), sink);
+      seq_a.packet(packet(key, 0, half1));
+      seq_a.packet(packet(key, half1.size(), half2));
     }
-    for (const auto& key : new_keys) {
-      auto sink = [&](std::uint32_t id, std::uint64_t end) {
-        expect[key].push_back(Match{id, end});
-      };
-      seq_b.packet(packet(key, 0, fresh), sink);
-    }
+    for (const auto& key : new_keys) seq_b.packet(packet(key, 0, fresh));
+    expect = seq_a.per_flow(nfa::build_nfa(compile_patterns(rules_a)));
+    expect.merge(seq_b.per_flow(nfa::build_nfa(compile_patterns(rules_b))));
   }
 
   Options opt;

@@ -7,8 +7,8 @@
 //   - simd::Prefilter / Mfa::feed_gated: the skip gate is byte-identical to
 //     the plain scan (states, match ids, offsets) and disarms itself on
 //     unprefilterable sets;
-//   - flow-layer gating: gated FlowInspector / TieredFlowInspector output
-//     (ids, offsets, generations) is identical to ungated delivery across
+//   - flow-layer gating: gated flow-inspector output (ids, offsets,
+//     generations) is identical to ungated delivery across
 //     fragmentation, reorder, retransmission, batching, and icase corpora —
 //     and the skip counters prove the gate actually fired.
 //
@@ -23,7 +23,6 @@
 
 #include "dfa/dfa.h"
 #include "engine_test_util.h"
-#include "flow/flow.h"
 #include "flow/tiered.h"
 #include "mfa/mfa.h"
 #include "nfa/nfa.h"
@@ -600,11 +599,11 @@ TEST(GatedFlowFuzz, GatedEqualsUngatedAcrossDeliveryShapes) {
     }
     const MatchVec want = sorted(std::move(expected));
 
-    flow::FlowInspector<core::Mfa> gated{*m};
-    flow::FlowInspector<core::Mfa> ungated{*m};
-    flow::FlowInspector<core::Mfa> reordered{*m};
-    flow::FlowInspector<core::Mfa> batched{*m};
-    flow::FlowInspector<nfa::Nfa> plain_nfa{n};
+    flow::TieredFlowInspector<core::Mfa> gated{*m};
+    flow::TieredFlowInspector<core::Mfa> ungated{*m};
+    flow::TieredFlowInspector<core::Mfa> reordered{*m};
+    flow::TieredFlowInspector<core::Mfa> batched{*m};
+    flow::TieredFlowInspector<nfa::Nfa> plain_nfa{n};
     EXPECT_EQ(run_packets(gated, big), want) << "round " << round;
     EXPECT_EQ(run_packets(ungated, small), want) << "round " << round;
     EXPECT_EQ(run_packets(reordered, shuffled), want) << "round " << round;
@@ -613,12 +612,6 @@ TEST(GatedFlowFuzz, GatedEqualsUngatedAcrossDeliveryShapes) {
     EXPECT_EQ(ungated.prefilter_skip_count(), 0u);  // floor keeps it dark
     total_skips += gated.prefilter_skip_count() + batched.prefilter_skip_count();
     total_passes += gated.prefilter_pass_count();
-
-    flow::TieredFlowInspector<core::Mfa> tiered{*m};
-    flow::TieredFlowInspector<core::Mfa> tiered_batched{*m};
-    EXPECT_EQ(run_packets(tiered, big), want) << "round " << round;
-    EXPECT_EQ(run_bursts(tiered_batched, big, 64), want) << "round " << round;
-    total_skips += tiered.prefilter_skip_count();
   }
   // The fuzz is vacuous if the gate never armed in anger.
   EXPECT_GT(total_skips, 0u);
@@ -651,8 +644,8 @@ TEST(GatedFlowFuzz, IcaseCorpusStaysByteIdentical) {
     const flow::FlowKey key{1, 7, 1000, 443, 6};
     const auto big = plan_flow(key, content, 120, 300, false, rng);
     const auto small = plan_flow(key, content, 8, 48, false, rng);
-    flow::FlowInspector<core::Mfa> gated{*m};
-    flow::FlowInspector<core::Mfa> ungated{*m};
+    flow::TieredFlowInspector<core::Mfa> gated{*m};
+    flow::TieredFlowInspector<core::Mfa> ungated{*m};
     EXPECT_EQ(run_packets(gated, big), want) << "round " << round;
     EXPECT_EQ(run_packets(ungated, small), want) << "round " << round;
   }
@@ -679,7 +672,7 @@ TEST(GatedFlow, AttributedMatchesAgreeAcrossGenerations) {
   // Segmentation deliberately differs between the two runs; only the
   // reassembled byte stream (and therefore the attribution) is shared.
   const auto run = [&](std::size_t min_seg, std::size_t max_seg) {
-    flow::FlowInspector<core::Mfa> insp{*m1};
+    flow::TieredFlowInspector<core::Mfa> insp{*m1};
     std::vector<Attributed> out;
     const auto deliver = [&](const std::vector<Delivery>& plan) {
       std::vector<flow::Packet> pkts;
@@ -717,7 +710,7 @@ TEST(GatedFlow, CountersTrackPassAndSkip) {
   const auto m = build_gated_mfa();
   ASSERT_TRUE(m.has_value());
   util::Rng rng(55);
-  flow::FlowInspector<core::Mfa> insp{*m};
+  flow::TieredFlowInspector<core::Mfa> insp{*m};
   CountingSink sink;
   const flow::FlowKey key{9, 9, 9, 9, 6};
   std::uint64_t seq = 0;

@@ -5,8 +5,9 @@
 //     exactly one shed bucket (submitted == scanned + shed_total), per
 //     shard and in aggregate, no matter which faults fire.
 //  2. Parity on undisturbed flows — flows untouched by sheds, crashes and
-//     restarts produce byte-identical per-flow matches to a sequential
-//     FlowInspector, and the NFA/DFA/MFA engines agree with each other.
+//     restarts produce byte-identical per-flow matches to the
+//     reassembly-then-NFA oracle, and so does the flow inspector over each
+//     of the NFA/DFA/MFA engines.
 // Plus regressions for watchdog restart, load-shedding policies, per-flow
 // CPU quarantine, and bounded-deadline shutdown.
 #include "pipeline/pipeline.h"
@@ -22,13 +23,13 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "dfa/dfa.h"
 #include "engine_test_util.h"
 #include "flow/tiered.h"
+#include "flow_oracle.h"
 #include "mfa/mfa.h"
 #include "nfa/nfa.h"
 #include "obs/export.h"
@@ -41,13 +42,22 @@ namespace {
 
 using mfa::testing::compile_patterns;
 
-using PerFlowMatches =
-    std::unordered_map<flow::FlowKey, MatchVec, flow::FlowKeyHash>;
+using mfa::testing::PerFlowMatches;
 
-/// Sequential ground truth: per-flow sorted matches from one FlowInspector.
+const std::vector<std::string> kPatterns = {".*attack[0-9]", ".*worm77",
+                                            ".*beacon.ping"};
+
+/// Ground truth: per-flow sorted kPatterns matches from the oracle.
+PerFlowMatches per_flow_reference(const trace::Trace& t) {
+  mfa::testing::FlowOracle oracle;
+  t.for_each_packet([&](const flow::Packet& p) { oracle.packet(p); });
+  return oracle.per_flow(nfa::build_nfa(compile_patterns(kPatterns)));
+}
+
+/// Per-flow sorted matches of one engine through the flow inspector.
 template <typename EngineT>
-PerFlowMatches per_flow_reference(const EngineT& engine, const trace::Trace& t) {
-  flow::FlowInspector<EngineT> insp{engine};
+PerFlowMatches per_flow_matches(const EngineT& engine, const trace::Trace& t) {
+  flow::TieredFlowInspector<EngineT> insp{engine};
   PerFlowMatches out;
   t.for_each_packet([&](const flow::Packet& p) {
     insp.packet(p, [&](std::uint32_t id, std::uint64_t end) {
@@ -57,9 +67,6 @@ PerFlowMatches per_flow_reference(const EngineT& engine, const trace::Trace& t) 
   for (auto& [key, v] : out) std::sort(v.begin(), v.end());
   return out;
 }
-
-const std::vector<std::string> kPatterns = {".*attack[0-9]", ".*worm77",
-                                            ".*beacon.ping"};
 
 trace::Trace make_soak_trace(std::uint64_t seed) {
   // Big enough for a real flow population (dozens of flows): the soak
@@ -91,20 +98,11 @@ TEST_F(SoakTest, NfaDfaMfaAgreePerFlowOnCleanTraffic) {
   const auto m = core::build_mfa(inputs);
   ASSERT_TRUE(m.has_value());
   const trace::Trace t = make_soak_trace(11);
-  const PerFlowMatches ref_n = per_flow_reference(n, t);
-  const PerFlowMatches ref_d = per_flow_reference(*d, t);
-  const PerFlowMatches ref_m = per_flow_reference(*m, t);
-  EXPECT_FALSE(ref_n.empty());
-  EXPECT_EQ(ref_n.size(), ref_d.size());
-  EXPECT_EQ(ref_n.size(), ref_m.size());
-  for (const auto& [key, matches] : ref_n) {
-    const auto itd = ref_d.find(key);
-    const auto itm = ref_m.find(key);
-    ASSERT_NE(itd, ref_d.end());
-    ASSERT_NE(itm, ref_m.end());
-    EXPECT_EQ(matches, itd->second) << "NFA vs DFA";
-    EXPECT_EQ(matches, itm->second) << "NFA vs MFA";
-  }
+  const PerFlowMatches reference = per_flow_reference(t);
+  EXPECT_FALSE(reference.empty());
+  EXPECT_EQ(per_flow_matches(n, t), reference) << "NFA";
+  EXPECT_EQ(per_flow_matches(*d, t), reference) << "DFA";
+  EXPECT_EQ(per_flow_matches(*m, t), reference) << "MFA";
 }
 
 TEST_F(SoakTest, FaultSoakKeepsAccountingExactAndUndisturbedFlowsIdentical) {
@@ -113,7 +111,7 @@ TEST_F(SoakTest, FaultSoakKeepsAccountingExactAndUndisturbedFlowsIdentical) {
   const auto m = core::build_mfa(compile_patterns(kPatterns));
   ASSERT_TRUE(m.has_value());
   const trace::Trace t = make_soak_trace(23);
-  const PerFlowMatches reference = per_flow_reference(*m, t);
+  const PerFlowMatches reference = per_flow_reference(t);
 
   std::size_t compared_across_seeds = 0;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
@@ -469,14 +467,14 @@ TEST_F(SoakTest, WatchdogFlagsStalledWorker) {
 //     one caught bad_alloc (scanned + dropped == total), and the inspector
 //     object stays usable after every throw.
 //  2. Parity on undisturbed flows — flows that never had a packet dropped
-//     produce byte-identical matches to the sequential reference.
+//     produce byte-identical matches to the oracle reference.
 TEST_F(SoakTest, TieredInspectorSurvivesAllocFaultsWithExactAccounting) {
   if (!util::faultpoints_enabled())
     GTEST_SKIP() << "fault points compiled out (Release build)";
   const auto m = core::build_mfa(compile_patterns(kPatterns));
   ASSERT_TRUE(m.has_value());
   const trace::Trace t = make_soak_trace(29);
-  const PerFlowMatches reference = per_flow_reference(*m, t);
+  const PerFlowMatches reference = per_flow_reference(t);
   ASSERT_FALSE(reference.empty());
   // The table site is only reached on new-flow creation, so fire
   // deterministically on a run of creations mid-trace; the reassembly site

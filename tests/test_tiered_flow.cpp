@@ -1,19 +1,19 @@
-// Tiered flow-state tests (DESIGN.md Sec. 11): the hashed timing wheel,
-// the cold-tier slab arena, and the TieredFlowInspector — including a
-// randomized parity fuzz against the flat FlowInspector, which is the
-// ground truth for delivery semantics.
+// Flow-inspector tests (DESIGN.md Sec. 11): flow keys, the hashed timing
+// wheel, the cold-tier slab arena, and the TieredFlowInspector — including
+// randomized hostile-delivery fuzzes against the reassembly-then-NFA
+// oracle (flow_oracle.h), the ground truth for delivery semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "dfa/dfa.h"
 #include "engine_test_util.h"
 #include "flow/flow.h"
 #include "flow/slab.h"
+#include "flow_oracle.h"
 #include "flow/tiered.h"
 #include "flow/timing_wheel.h"
 #include "hfa/hfa.h"
@@ -26,7 +26,9 @@ namespace mfa::flow {
 namespace {
 
 using mfa::testing::compile_patterns;
-using mfa::testing::sorted;
+using mfa::testing::FlowMatch;
+using mfa::testing::FlowMatches;
+using mfa::testing::FlowOracle;
 
 core::Mfa build(const std::vector<std::string>& sources) {
   auto m = core::build_mfa(compile_patterns(sources));
@@ -46,6 +48,16 @@ std::vector<std::string> ads_sources(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
     sources.push_back(".*hd" + std::to_string(i) + "[^\\n]*vl" + std::to_string(i));
   return sources;
+}
+
+TEST(FlowKey, EqualityAndHash) {
+  const FlowKey a{1, 2, 3, 4, 6};
+  const FlowKey b{1, 2, 3, 4, 6};
+  const FlowKey c{1, 2, 3, 5, 6};
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_EQ(FlowKeyHash{}(a), FlowKeyHash{}(b));
+  EXPECT_NE(FlowKeyHash{}(a), FlowKeyHash{}(c));  // overwhelmingly likely
 }
 
 // --- TimingWheel ---
@@ -221,6 +233,33 @@ TEST(TieredFlow, CrossFlowIsolation) {
   ASSERT_EQ(sink.matches.size(), 1u);
 }
 
+TEST(FlowInspector, InterleavedFlows) {
+  const core::Mfa m = build({".*abc.*xyz"});
+  TieredFlowInspector<core::Mfa> insp{m};
+  CollectingSink sink;
+  const FlowKey a{1, 2, 3, 4, 6};
+  const FlowKey b{5, 6, 7, 8, 6};
+  insp.packet(make_packet(a, 0, "ab"), sink);
+  insp.packet(make_packet(b, 0, "abc"), sink);
+  insp.packet(make_packet(a, 2, "c xyz"), sink);
+  insp.packet(make_packet(b, 3, " xyz"), sink);
+  EXPECT_EQ(sink.matches.size(), 2u);
+}
+
+TEST(FlowInspector, ManyFlows) {
+  const core::Mfa m = build({".*needle"});
+  TieredFlowInspector<core::Mfa> insp{m};
+  CountingSink sink;
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    const FlowKey key{i, 2, 3, 4, 6};
+    insp.packet(make_packet(key, 0, "has a needle inside"), sink);
+  }
+  EXPECT_EQ(sink.count, 500u);
+  EXPECT_EQ(insp.flow_count(), 500u);
+  insp.clear();
+  EXPECT_EQ(insp.flow_count(), 0u);
+}
+
 TEST(TieredFlow, EvictDropsContext) {
   const core::Mfa m = build({".*abc.*xyz"});
   TieredFlowInspector<core::Mfa> insp{m};
@@ -242,25 +281,30 @@ TEST(TieredFlow, InOrderMfaFlowsNeverTouchTheColdTier) {
   std::vector<std::string> sources = {".*needle"};
   for (int i = 0; i < 300; ++i)
     sources.push_back(".*hd" + std::to_string(i) + "[^\\n]*vl" + std::to_string(i));
-  const core::Mfa m = build(sources);
-  ASSERT_GT(m.program().memory_bits, 64u);
-  TieredFlowInspector<core::Mfa> insp{m};
-  FlowInspector<core::Mfa> flat{m};
+  const auto inputs = compile_patterns(sources);
+  const auto m = core::build_mfa(inputs);
+  ASSERT_TRUE(m.has_value());
+  ASSERT_GT(m->program().memory_bits, 64u);
+  TieredFlowInspector<core::Mfa> insp{*m};
+  FlowOracle oracle;
   EXPECT_TRUE(insp.inline_eligible());
-  CollectingSink sink, flat_sink;
+  FlowMatches got;
   for (std::uint32_t f = 0; f < 500; ++f) {
     const std::string tag = std::to_string(f % 300);
     const std::string payload = "a needle here, hd" + tag + " vl" + tag;
     const Packet p = make_packet(FlowKey{f, 0, 0, 0, 6}, 0, payload);
-    insp.packet(p, sink);
-    flat.packet(p, flat_sink);
+    insp.packet(p, [&](std::uint32_t id, std::uint64_t end) {
+      got.push_back(FlowMatch{p.key, id, end});
+    });
+    oracle.packet(p);
   }
   EXPECT_EQ(insp.flow_count(), 500u);
   EXPECT_EQ(insp.cold_record_count(), 0u);  // all state inline in hot slots
   EXPECT_EQ(insp.spilled_flow_count(), 0u);
   EXPECT_EQ(insp.cold_heap_bytes(), 0u);
-  EXPECT_GE(sink.matches.size(), 1000u);  // every needle and every own rule
-  EXPECT_EQ(sorted(sink.matches), sorted(flat_sink.matches));
+  EXPECT_GE(got.size(), 1000u);  // every needle and every own rule
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, oracle.matches(nfa::build_nfa(inputs)));
 }
 
 TEST(TieredFlow, ReorderingFlowBorrowsAndReturnsAColdRecord) {
@@ -407,82 +451,20 @@ TEST(TieredFlow, AdoptEngineResetRestartsFlowsOnTheNewRuleset) {
   EXPECT_EQ(insp.retired_generation_count(), 0u);
 }
 
-// --- parity fuzz: tiered vs flat under hostile delivery ---
+// --- hostile-delivery fuzz against the oracle ---
 
-struct Delivery {
-  FlowKey key;
-  std::uint64_t seq = 0;
-  std::string bytes;  // owned: Packet payloads point here
-};
+using mfa::testing::Delivery;
+using mfa::testing::kFuzzSources;
+using mfa::testing::oracle_of;
+using mfa::testing::plan_flow;
+using mfa::testing::run_plan;
 
-std::string make_content(util::Rng& rng) {
-  std::string s;
-  const std::size_t chunks = 2 + rng.below(5);
-  for (std::size_t i = 0; i < chunks; ++i) {
-    s += rng.lower_string(3 + rng.below(20));
-    switch (rng.below(5)) {
-      case 0: s += "ab12"; break;
-      case 1: s += "cd34"; break;
-      case 2: s += "wxyz"; break;
-      case 3: s += "ha7ck"; break;
-      default: break;
-    }
-  }
-  return s;
-}
-
-std::vector<Delivery> plan_flow(const FlowKey& key, const std::string& content,
-                                util::Rng& rng) {
-  std::vector<Delivery> plan;
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const std::size_t len = std::min(content.size() - off, 1 + rng.below(9));
-    plan.push_back({key, off, content.substr(off, len)});
-    off += len;
-  }
-  const std::size_t extras = rng.below(3);
-  for (std::size_t i = 0; i < extras && !content.empty(); ++i) {
-    const std::size_t start = rng.below(content.size());
-    const std::size_t len = std::min(content.size() - start, 1 + rng.below(12));
-    plan.push_back({key, start, content.substr(start, len)});
-  }
-  for (std::size_t i = 0; i + 1 < plan.size(); ++i) {
-    const std::size_t j =
-        i + 1 + rng.below(std::min<std::size_t>(4, plan.size() - i - 1));
-    if (rng.chance(0.5)) std::swap(plan[i], plan[j]);
-  }
-  const std::size_t dups = rng.below(3);
-  for (std::size_t i = 0; i < dups; ++i)
-    plan.push_back(plan[rng.below(plan.size())]);
-  return plan;
-}
-
-template <typename InspT>
-MatchVec run_plan(InspT& insp, const std::vector<Delivery>& plan) {
-  CollectingSink sink;
-  for (const auto& d : plan)
-    insp.packet(make_packet(d.key, d.seq, d.bytes), sink);
-  return sorted(std::move(sink.matches));
-}
-
-template <typename InspT>
-MatchVec run_plan_batched(InspT& insp, const std::vector<Delivery>& plan,
-                          std::size_t burst) {
-  std::vector<Packet> packets;
-  packets.reserve(plan.size());
-  for (const auto& d : plan) packets.push_back(make_packet(d.key, d.seq, d.bytes));
-  CollectingSink sink;
-  for (std::size_t i = 0; i < packets.size(); i += burst)
-    insp.packet_batch(packets.data() + i, std::min(burst, packets.size() - i), sink);
-  return sorted(std::move(sink.matches));
-}
-
-TEST(TieredFlowFuzz, AgreesWithFlatInspectorUnderHostileDelivery) {
-  const std::vector<std::string> sources = {".*ab12.*cd34", ".*wxyz", ".*ha[0-9]ck"};
-  const auto inputs = compile_patterns(sources);
+TEST(TieredFlowFuzz, AgreesWithOracleUnderHostileDelivery) {
+  const auto inputs = compile_patterns(kFuzzSources);
+  const nfa::Nfa n = nfa::build_nfa(inputs);
   const auto m = core::build_mfa(inputs);
   ASSERT_TRUE(m.has_value());
-  const auto d = dfa::build_dfa(nfa::build_nfa(inputs));
+  const auto d = dfa::build_dfa(n);
   ASSERT_TRUE(d.has_value());
 
   for (std::uint64_t round = 0; round < 25; ++round) {
@@ -491,25 +473,19 @@ TEST(TieredFlowFuzz, AgreesWithFlatInspectorUnderHostileDelivery) {
     const std::size_t nflows = 1 + rng.below(6);
     for (std::uint32_t f = 0; f < nflows; ++f) {
       const FlowKey key{f + 1, 99, 1000, 80, 6};
-      auto flow_plan = plan_flow(key, make_content(rng), rng);
+      auto flow_plan = plan_flow(key, mfa::testing::fuzz_content(rng), rng);
       plan.insert(plan.end(), flow_plan.begin(), flow_plan.end());
     }
     util::Rng mix(1234 + round);
     for (std::size_t i = 0; i + 1 < plan.size(); ++i)
       if (mix.chance(0.5)) std::swap(plan[i], plan[i + 1]);
-
-    // The flat inspector is the semantic reference.
-    FlowInspector<core::Mfa> flat{*m};
-    const MatchVec expected = run_plan(flat, plan);
+    const FlowMatches expected = oracle_of(plan).matches(n);
 
     TieredFlowInspector<core::Mfa> tiered{*m};
     EXPECT_EQ(run_plan(tiered, plan), expected) << "round " << round;
-
-    // Batched delivery, same plan, must be byte-for-byte equivalent.
     TieredFlowInspector<core::Mfa> batched{*m};
-    EXPECT_EQ(run_plan_batched(batched, plan, 7), expected) << "round " << round;
-
-    // DFA under tiering (inline 4-byte state) agrees with MFA under tiering.
+    EXPECT_EQ(run_plan(batched, plan, 7), expected) << "round " << round;
+    // DFA under tiering (inline 4-byte state).
     TieredFlowInspector<dfa::Dfa> tiered_dfa{*d};
     EXPECT_EQ(run_plan(tiered_dfa, plan), expected) << "round " << round;
 
@@ -523,34 +499,6 @@ TEST(TieredFlowFuzz, AgreesWithFlatInspectorUnderHostileDelivery) {
 }
 
 // --- spilled flows: inline state that outgrew its slot ---
-
-/// Matches attributed to their flow (src_ip, id, end), sorted. burst == 0
-/// delivers packet by packet, otherwise through packet_batch_flows().
-using FlowMatches = std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>>;
-
-template <typename InspT>
-FlowMatches run_plan_keyed(InspT& insp, const std::vector<Delivery>& plan,
-                           std::size_t burst) {
-  FlowMatches got;
-  std::vector<Packet> packets;
-  for (const auto& d : plan) packets.push_back(make_packet(d.key, d.seq, d.bytes));
-  if (burst == 0) {
-    for (const Packet& p : packets)
-      insp.packet(p, [&](std::uint32_t id, std::uint64_t end) {
-        got.emplace_back(p.key.src_ip, id, end);
-      });
-  } else {
-    for (std::size_t i = 0; i < packets.size(); i += burst)
-      insp.packet_batch_flows(
-          packets.data() + i, std::min(burst, packets.size() - i),
-          [&](const FlowKey& key, std::uint32_t id, std::uint64_t end) {
-            got.emplace_back(key.src_ip, id, end);
-          },
-          [](const Packet&) {});
-  }
-  std::sort(got.begin(), got.end());
-  return got;
-}
 
 /// Flow content that drives ads_sources(n) rules past four live bits: runs
 /// of heads, some tails, occasional line breaks.
@@ -573,12 +521,11 @@ std::string gap_soup(util::Rng& rng) {
   return s;
 }
 
-TEST(TieredFlowSpill, ReorderedBatchesMatchTheFlatInspectorAcrossSpills) {
+TEST(TieredFlowSpill, ReorderedBatchesMatchTheOracleAcrossSpills) {
   // Spills through both triggers — a fifth live bit (ADS heads, dense and
   // delta tables) and a position record (a gap rule) — on reordered,
   // duplicated packets cut at random seams, in single and batched
-  // delivery. The flat inspector, which keeps full heap contexts, is the
-  // reference.
+  // delivery.
   struct Case {
     const char* name;
     std::vector<std::string> sources;
@@ -592,7 +539,9 @@ TEST(TieredFlowSpill, ReorderedBatchesMatchTheFlatInspectorAcrossSpills) {
   for (const Case& c : cases) {
     core::BuildOptions opts;
     opts.delta = c.delta;
-    const auto m = core::build_mfa(compile_patterns(c.sources), opts);
+    const auto inputs = compile_patterns(c.sources);
+    const nfa::Nfa n = nfa::build_nfa(inputs);
+    const auto m = core::build_mfa(inputs, opts);
     ASSERT_TRUE(m.has_value()) << c.name;
     for (std::uint64_t round = 0; round < 8; ++round) {
       util::Rng rng(900 + round);
@@ -607,12 +556,11 @@ TEST(TieredFlowSpill, ReorderedBatchesMatchTheFlatInspectorAcrossSpills) {
       for (std::size_t i = 0; i + 1 < plan.size(); ++i)
         if (rng.chance(0.5)) std::swap(plan[i], plan[i + 1]);
 
-      FlowInspector<core::Mfa> flat{*m};
-      const FlowMatches expected = run_plan_keyed(flat, plan, 0);
+      const FlowMatches expected = oracle_of(plan).matches(n);
       TieredFlowInspector<core::Mfa> single{*m};
-      EXPECT_EQ(run_plan_keyed(single, plan, 0), expected) << c.name << " " << round;
+      EXPECT_EQ(run_plan(single, plan), expected) << c.name << " " << round;
       TieredFlowInspector<core::Mfa> batched{*m};
-      EXPECT_EQ(run_plan_keyed(batched, plan, 9), expected) << c.name << " " << round;
+      EXPECT_EQ(run_plan(batched, plan, 9), expected) << c.name << " " << round;
       EXPECT_GT(single.spilled_flow_count(), 0u) << c.name << " " << round;
       EXPECT_GT(batched.spilled_flow_count(), 0u) << c.name << " " << round;
       // Reorder-only records went back; spilled flows keep theirs.
@@ -699,9 +647,10 @@ TEST(TieredFlow, BytesPerFlowGaugeCountsWhatColdRecordsOwn) {
 TEST(TieredFlowFuzz, GrowUnderBatchedInsertBurstKeepsDeliveryExact) {
   // Many brand-new flows inside single packet_batch bursts force table
   // growth (and job re-resolution) while jobs are queued.
-  const core::Mfa m = build({".*needle"});
-  FlowInspector<core::Mfa> flat{m};
-  TieredFlowInspector<core::Mfa> tiered{m};
+  const auto inputs = compile_patterns({".*needle"});
+  const auto m = core::build_mfa(inputs);
+  ASSERT_TRUE(m.has_value());
+  TieredFlowInspector<core::Mfa> tiered{*m};
   std::vector<Delivery> plan;
   util::Rng rng(77);
   for (std::uint32_t f = 0; f < 400; ++f) {
@@ -711,9 +660,9 @@ TEST(TieredFlowFuzz, GrowUnderBatchedInsertBurstKeepsDeliveryExact) {
   }
   for (std::size_t i = 0; i + 1 < plan.size(); ++i)
     if (rng.chance(0.5)) std::swap(plan[i], plan[i + 1]);
-  const MatchVec expected = run_plan(flat, plan);
+  const FlowMatches expected = oracle_of(plan).matches(nfa::build_nfa(inputs));
   EXPECT_EQ(expected.size(), 400u);
-  EXPECT_EQ(run_plan_batched(tiered, plan, 64), expected);
+  EXPECT_EQ(run_plan(tiered, plan, 64), expected);
   EXPECT_EQ(tiered.flow_count(), 400u);
 }
 

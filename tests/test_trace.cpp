@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "engine_test_util.h"
+#include "flow/tiered.h"
 
 namespace mfa::trace {
 namespace {
@@ -132,7 +133,7 @@ TEST(RealLifeTrace, AttackExemplarsProduceMatches) {
   // Exemplar = a full sampled match of the pattern.
   const Trace t = make_real_life(RealLifeProfile::kCyberDefense, 200000, 11,
                                  {"maliciouscmd 1337 rootshell"});
-  flow::FlowInspector<dfa::Dfa> insp{*d};
+  flow::TieredFlowInspector<dfa::Dfa> insp{*d};
   CountingSink sink;
   t.for_each_packet([&](const flow::Packet& p) { insp.packet(p, sink); });
   EXPECT_GT(sink.count, 0u);
