@@ -7,8 +7,9 @@
 // Reported per rung: engine states, memory image, bytes/state, compile
 // seconds, and cycles/byte over a synthetic real-life trace seeded with
 // exemplars sampled from the ruleset itself. Also: split coverage (what
-// fraction of rules the decomposition touched), parallel subset-construction
-// speedup, and the delta table's chain statistics.
+// fraction of rules the decomposition touched), compile seconds per phase
+// (split, NFA, subset, minimise, prefilter proof, D2FA), parallel
+// subset-construction speedup, and the delta table's chain statistics.
 //
 // CI gates (exit non-zero): --assert-delta-ratio (delta table must be R×
 // smaller than the dense table), --assert-delta-cpb-pct (delta CpB within
@@ -34,6 +35,14 @@ std::string fmt(double v, const char* spec = "%.3g") {
 std::string bytes_per_state(std::size_t bytes, std::uint32_t states) {
   if (states == 0) return "-";
   return fmt(static_cast<double>(bytes) / static_cast<double>(states), "%.1f");
+}
+
+void print_phases(const char* label, const mfa::core::BuildStats& st) {
+  const auto& p = st.phases;
+  std::printf("  phases (%s): split %.3fs, nfa %.3fs, subset %.3fs, minimise %.3fs, "
+              "prefilter %.3fs, d2fa %.3fs; sum %.3fs of %.3fs\n",
+              label, p.split, p.nfa, p.subset, p.minimize, p.prefilter, p.d2fa, p.sum(),
+              st.seconds);
 }
 
 }  // namespace
@@ -197,6 +206,8 @@ int main(int argc, char** argv) {
                 del_stats.d2fa.roots, del_stats.d2fa.max_chain,
                 del_stats.d2fa.avg_chain,
                 static_cast<unsigned long long>(del_stats.d2fa.exception_entries));
+    print_phases("dense, 1 thread", suite.mfa_stats);
+    print_phases("delta, parallel", del_stats);
     std::printf("  compile: dfa phase %.3gs (1 thread) vs %.3gs (parallel) = %.2fx;"
                 " matches dense=%llu delta=%llu\n\n",
                 dfa_seq_s, dfa_par_s, speedup,

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cassert>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -126,12 +127,300 @@ std::pair<std::vector<std::uint32_t>, std::uint32_t> minimize_partition(
   return {std::move(block), block_count};
 }
 
+// --- Sticky-state factoring (DESIGN.md §6 #12) ---
+//
+// A sticky NFA state self-loops on every byte class: the shared `.*` prefix
+// loop and any internal `.*` loop. Once in a subset it is in every successor,
+// and at Snort scale the prefix loop's row is nearly all of a subset's
+// expansion work. So the explorers never store or expand a subset X whole:
+//  - T0 is the union of the sticky rows' targets; X is keyed by the pair
+//    (X ∩ T0, X \ T0) = (head, residual). The split is unique for every X,
+//    so two subsets share a key exactly when they are equal, and states are
+//    numbered as whole-subset keys would number them.
+//  - Heads are few (31 at 5k generated rules) and interned once, in a
+//    shared HeadTable. Residuals are short (3.4 NFA states on average at 5k).
+//  - Per DFA state, only the head's non-sticky members and the residual are
+//    expanded. The sticky members' per-class successors (all inside T0) are
+//    built once per distinct sticky set Σ and reused, with their head ids.
+
+/// Sticky states and T0 membership, per NFA state.
+struct StickySplit {
+  std::vector<std::uint8_t> sticky;
+  std::vector<std::uint8_t> in_t0;
+};
+
+StickySplit find_sticky(const ClassifiedNfa& cn, std::uint16_t ncls) {
+  const auto nstates = static_cast<std::uint32_t>(cn.row_offsets.size() - 1);
+  StickySplit out{std::vector<std::uint8_t>(nstates, 0),
+                  std::vector<std::uint8_t>(nstates, 0)};
+  for (std::uint32_t s = 0; s < nstates; ++s) {
+    // Rows are sorted by (class, target), so a repeated (c, s) is adjacent.
+    std::uint32_t loops = 0;
+    std::uint32_t last = UINT32_MAX;
+    for (std::uint32_t e = cn.row_offsets[s]; e < cn.row_offsets[s + 1]; ++e) {
+      const auto [c, target] = cn.entries[e];
+      if (target == s && c != last) {
+        ++loops;
+        last = c;
+      }
+    }
+    if (loops != ncls) continue;
+    out.sticky[s] = 1;
+    for (std::uint32_t e = cn.row_offsets[s]; e < cn.row_offsets[s + 1]; ++e)
+      out.in_t0[cn.entries[e].second] = 1;
+  }
+  return out;
+}
+
+/// Interned heads, shared by every explorer thread. Heads are interned
+/// rarely (each SubsetStep caches what it has seen), so one mutex suffices.
+class HeadTable {
+ public:
+  std::uint32_t intern(const std::vector<std::uint32_t>& members) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto [it, fresh] =
+        ids_.try_emplace(members, static_cast<std::uint32_t>(by_id_.size()));
+    if (fresh) by_id_.push_back(&it->first);
+    return it->second;
+  }
+  /// Members of head `id`. Map keys never move, so the reference stays valid.
+  const std::vector<std::uint32_t>& members(std::uint32_t id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return *by_id_[id];
+  }
+  std::uint32_t size() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<std::uint32_t>(by_id_.size());
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<std::vector<std::uint32_t>, std::uint32_t, VecHash> ids_;
+  std::vector<const std::vector<std::uint32_t>*> by_id_;
+};
+
+/// A DFA state's key record: {head, residual length, residual...}.
+using KeyRecord = const std::uint32_t*;
+
+std::uint32_t key_hash(std::uint32_t head, const std::vector<std::uint32_t>& residual) {
+  std::uint64_t h = 0xcbf29ce484222325ULL ^ head;
+  for (const std::uint32_t x : residual) {
+    h ^= x;
+    h *= 0x100000001b3ULL;
+  }
+  // FNV's low bits depend only on the inputs' low bits; mix before probing.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return static_cast<std::uint32_t>(h);
+}
+
+/// Open-addressing map from subset key to state id. A lookup hashes and
+/// compares in place; only add() stores anything. Key records live in
+/// append-only chunks and never move, so the parallel explorer can publish
+/// pointers to them while other keys are added.
+class SubsetMap {
+ public:
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+
+  [[nodiscard]] std::uint32_t find(std::uint32_t hash, std::uint32_t head,
+                                   const std::vector<std::uint32_t>& residual) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.rec == nullptr) return kAbsent;
+      if (slot.hash == hash && slot.rec[0] == head && slot.rec[1] == residual.size() &&
+          std::equal(residual.begin(), residual.end(), slot.rec + 2))
+        return slot.id;
+    }
+  }
+
+  /// Add a key find() reported absent; returns its record.
+  KeyRecord add(std::uint32_t hash, std::uint32_t head,
+                const std::vector<std::uint32_t>& residual, std::uint32_t id) {
+    const std::size_t n = residual.size() + 2;
+    if (chunks_.empty() || used_ + n > capacity_) {
+      capacity_ = std::max<std::size_t>(kChunk, n);
+      chunks_.push_back(std::make_unique<std::uint32_t[]>(capacity_));
+      used_ = 0;
+    }
+    std::uint32_t* rec = chunks_.back().get() + used_;
+    used_ += n;
+    rec[0] = head;
+    rec[1] = static_cast<std::uint32_t>(residual.size());
+    std::copy(residual.begin(), residual.end(), rec + 2);
+
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    place(Slot{rec, hash, id});
+    ++size_;
+    return rec;
+  }
+
+ private:
+  struct Slot {
+    KeyRecord rec = nullptr;
+    std::uint32_t hash = 0;
+    std::uint32_t id = 0;
+  };
+
+  void place(const Slot& s) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = s.hash & mask;
+    while (slots_[i].rec != nullptr) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& s : old)
+      if (s.rec != nullptr) place(s);
+  }
+
+  static constexpr std::size_t kChunk = std::size_t{1} << 16;  // words
+  std::vector<Slot> slots_ = std::vector<Slot>(16);  // power of two
+  std::size_t size_ = 0;
+  std::vector<std::unique_ptr<std::uint32_t[]>> chunks_;
+  std::size_t used_ = 0;
+  std::size_t capacity_ = 0;
+};
+
+/// The successor step both explorers share. Each thread owns one; its
+/// caches (heads split into Σ and loose members, Σ rows, extended heads)
+/// sit over the shared HeadTable, so head ids agree across threads.
+class SubsetStep {
+ public:
+  SubsetStep(const ClassifiedNfa& cn, const StickySplit& sp, HeadTable& heads,
+             std::uint16_t ncls)
+      : cn_(cn), sp_(sp), heads_(heads), ncls_(ncls), buckets_(ncls) {}
+
+  /// Key of the subset {s}.
+  std::pair<std::uint32_t, std::vector<std::uint32_t>> singleton(std::uint32_t s) {
+    if (sp_.in_t0[s] != 0) return {heads_.intern({s}), {}};
+    return {heads_.intern({}), {s}};
+  }
+
+  /// Successors of the subset keyed by `rec`, in class order:
+  /// emit(c, head, residual) returns false to stop (cap overflow).
+  template <typename Emit>
+  bool expand(KeyRecord rec, Emit&& emit) {
+    const Head& head = head_info(rec[0]);
+    const Sigma& sigma = sigmas_[head.sigma];
+    for (const std::uint16_t c : dirty_) buckets_[c].clear();
+    dirty_.clear();
+    const auto spill = [&](std::uint32_t m) {
+      for (std::uint32_t e = cn_.row_offsets[m]; e < cn_.row_offsets[m + 1]; ++e) {
+        const auto [c, target] = cn_.entries[e];
+        if (buckets_[c].empty()) dirty_.push_back(c);
+        buckets_[c].push_back(target);
+      }
+    };
+    for (const std::uint32_t m : head.loose) spill(m);
+    for (std::uint32_t i = 0; i < rec[1]; ++i) spill(rec[2 + i]);
+
+    for (std::uint16_t c = 0; c < ncls_; ++c) {
+      auto& b = buckets_[c];
+      std::sort(b.begin(), b.end());
+      b.erase(std::unique(b.begin(), b.end()), b.end());
+      const std::uint32_t* row_first = sigma.ids.data() + sigma.offsets[c];
+      const std::uint32_t* row_last = sigma.ids.data() + sigma.offsets[c + 1];
+      extra_.clear();
+      residual_.clear();
+      for (const std::uint32_t t : b) {
+        if (sp_.in_t0[t] == 0) residual_.push_back(t);
+        else if (!std::binary_search(row_first, row_last, t)) extra_.push_back(t);
+      }
+      const std::uint32_t next_head =
+          extra_.empty() ? sigma.row_head[c]
+                         : extended_head(sigma.row_head[c], row_first, row_last);
+      if (!emit(c, next_head, residual_)) return false;
+    }
+    return true;
+  }
+
+ private:
+  struct Head {
+    std::uint32_t sigma = UINT32_MAX;  ///< UINT32_MAX = not cached yet
+    std::vector<std::uint32_t> loose;  ///< non-sticky head members
+  };
+  /// Per-class successors of a sticky set, as a CSR, and their head ids.
+  struct Sigma {
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> ids;
+    std::vector<std::uint32_t> row_head;
+  };
+
+  const Head& head_info(std::uint32_t id) {
+    if (id >= local_heads_.size()) local_heads_.resize(id + 1);
+    if (local_heads_[id].sigma != UINT32_MAX) return local_heads_[id];
+    std::vector<std::uint32_t> sticky;
+    Head info;
+    for (const std::uint32_t m : heads_.members(id))
+      (sp_.sticky[m] != 0 ? sticky : info.loose).push_back(m);
+    info.sigma = sigma_of(sticky);
+    local_heads_[id] = std::move(info);
+    return local_heads_[id];
+  }
+
+  std::uint32_t sigma_of(const std::vector<std::uint32_t>& sticky) {
+    const auto [it, fresh] =
+        sigma_ids_.try_emplace(sticky, static_cast<std::uint32_t>(sigmas_.size()));
+    if (!fresh) return it->second;
+    std::vector<std::vector<std::uint32_t>> rows(ncls_);
+    for (const std::uint32_t s : sticky)
+      for (std::uint32_t e = cn_.row_offsets[s]; e < cn_.row_offsets[s + 1]; ++e)
+        rows[cn_.entries[e].first].push_back(cn_.entries[e].second);
+    Sigma sigma;
+    sigma.offsets.push_back(0);
+    for (auto& row : rows) {
+      std::sort(row.begin(), row.end());
+      row.erase(std::unique(row.begin(), row.end()), row.end());
+      sigma.ids.insert(sigma.ids.end(), row.begin(), row.end());
+      sigma.offsets.push_back(static_cast<std::uint32_t>(sigma.ids.size()));
+      sigma.row_head.push_back(heads_.intern(row));
+    }
+    sigmas_.push_back(std::move(sigma));
+    return it->second;
+  }
+
+  /// Head of a Σ row plus the T0 members in extra_ that the row lacks.
+  std::uint32_t extended_head(std::uint32_t row_head, const std::uint32_t* row_first,
+                              const std::uint32_t* row_last) {
+    extended_key_.assign(1, row_head);
+    extended_key_.insert(extended_key_.end(), extra_.begin(), extra_.end());
+    if (const auto it = extended_.find(extended_key_); it != extended_.end())
+      return it->second;
+    std::vector<std::uint32_t> merged;
+    merged.reserve(static_cast<std::size_t>(row_last - row_first) + extra_.size());
+    std::merge(row_first, row_last, extra_.begin(), extra_.end(), std::back_inserter(merged));
+    const std::uint32_t id = heads_.intern(merged);
+    extended_.emplace(extended_key_, id);
+    return id;
+  }
+
+  const ClassifiedNfa& cn_;
+  const StickySplit& sp_;
+  HeadTable& heads_;
+  std::uint16_t ncls_;
+  std::vector<Head> local_heads_;
+  std::unordered_map<std::vector<std::uint32_t>, std::uint32_t, VecHash> sigma_ids_;
+  std::vector<Sigma> sigmas_;
+  std::unordered_map<std::vector<std::uint32_t>, std::uint32_t, VecHash> extended_;
+  // Scratch, reused across states.
+  std::vector<std::vector<std::uint32_t>> buckets_;
+  std::vector<std::uint16_t> dirty_;
+  std::vector<std::uint32_t> extra_;
+  std::vector<std::uint32_t> residual_;
+  std::vector<std::uint32_t> extended_key_;
+};
+
 /// Output of the (sequential or parallel) reachable-subset exploration, in
 /// canonical numbering: state 0 is the start subset, successors numbered in
 /// discovery order walking byte classes 0..ncls-1 — exactly the order the
 /// sequential explorer interns them in.
 struct Explored {
-  std::vector<std::vector<std::uint32_t>> subsets;
+  std::unique_ptr<HeadTable> heads = std::make_unique<HeadTable>();
+  std::vector<SubsetMap> maps;   ///< own the records in `keys`
+  std::vector<KeyRecord> keys;   ///< per state
   std::vector<std::uint32_t> table;  // state_count * ncls
   bool failed = false;
   std::uint32_t discovered = 0;  ///< states found (== cap when failed)
@@ -141,65 +430,53 @@ struct Explored {
 /// a subset that would make the count exceed max_states aborts right there
 /// instead of one processed state later.
 Explored explore_sequential(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
-                            std::uint16_t ncls, std::uint32_t max_states) {
+                            const StickySplit& sp, std::uint16_t ncls,
+                            std::uint32_t max_states) {
   Explored out;
-  std::unordered_map<std::vector<std::uint32_t>, std::uint32_t, VecHash> subset_to_id;
-  auto& subsets = out.subsets;
+  SubsetStep step(cn, sp, *out.heads, ncls);
+  SubsetMap& map = out.maps.emplace_back();
+  auto& keys = out.keys;
   auto& table = out.table;
 
   bool overflow = false;
-  const auto intern = [&](std::vector<std::uint32_t> subset) -> std::uint32_t {
-    const auto [it, inserted] =
-        subset_to_id.try_emplace(std::move(subset), static_cast<std::uint32_t>(subsets.size()));
-    if (inserted) {
-      if (subsets.size() >= max_states) {
-        overflow = true;
-        return UINT32_MAX;
-      }
-      subsets.push_back(it->first);
+  const auto intern = [&](std::uint32_t head,
+                          const std::vector<std::uint32_t>& residual) -> std::uint32_t {
+    const std::uint32_t hash = key_hash(head, residual);
+    const std::uint32_t found = map.find(hash, head, residual);
+    if (found != SubsetMap::kAbsent) return found;
+    if (keys.size() >= max_states) {
+      overflow = true;
+      return UINT32_MAX;
     }
-    return it->second;
+    const auto id = static_cast<std::uint32_t>(keys.size());
+    keys.push_back(map.add(hash, head, residual, id));
+    return id;
   };
 
-  intern({nfa.start()});
+  const auto [start_head, start_residual] = step.singleton(nfa.start());
+  intern(start_head, start_residual);
   if (overflow) {  // max_states == 0
     out.failed = true;
     out.discovered = 0;
     return out;
   }
 
-  // Per-class target buckets, reused across states; dirty list for cheap reset.
-  std::vector<std::vector<std::uint32_t>> buckets(ncls);
-  std::vector<std::uint16_t> dirty;
-
-  for (std::uint32_t ds = 0; ds < subsets.size() && !overflow; ++ds) {
-    // Work on a copy: `subsets` may reallocate when interning successors.
-    const std::vector<std::uint32_t> members = subsets[ds];
-    for (const std::uint16_t c : dirty) buckets[c].clear();
-    dirty.clear();
-    for (const std::uint32_t m : members) {
-      for (std::uint32_t e = cn.row_offsets[m]; e < cn.row_offsets[m + 1]; ++e) {
-        const auto [c, target] = cn.entries[e];
-        if (buckets[c].empty()) dirty.push_back(c);
-        buckets[c].push_back(target);
-      }
-    }
+  // Classes with no outgoing transition go to the dead subset {}; an NFA
+  // with unanchored dot-star prefixes keeps its sticky prefix loop, so the
+  // empty subset only appears for fully-anchored pattern sets, where it
+  // acts as a plain sink state.
+  for (std::uint32_t ds = 0; ds < keys.size() && !overflow; ++ds) {
     table.resize(static_cast<std::size_t>(ds + 1) * ncls, UINT32_MAX);
-    // Classes with no outgoing transition go to the dead subset {}; an NFA
-    // with unanchored dot-star prefixes keeps its start self-loop, so the
-    // empty subset only appears for fully-anchored pattern sets, where it
-    // acts as a plain sink state.
-    for (std::uint16_t c = 0; c < ncls; ++c) {
-      auto& b = buckets[c];
-      std::sort(b.begin(), b.end());
-      b.erase(std::unique(b.begin(), b.end()), b.end());
-      const std::uint32_t id = intern(b);
-      if (overflow) break;
+    step.expand(keys[ds], [&](std::uint16_t c, std::uint32_t head,
+                              const std::vector<std::uint32_t>& residual) {
+      const std::uint32_t id = intern(head, residual);
+      if (overflow) return false;
       table[static_cast<std::size_t>(ds) * ncls + c] = id;
-    }
+      return true;
+    });
   }
 
-  out.discovered = static_cast<std::uint32_t>(subsets.size());
+  out.discovered = static_cast<std::uint32_t>(keys.size());
   out.failed = overflow;
   return out;
 }
@@ -208,32 +485,34 @@ Explored explore_sequential(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
 ///
 /// Interning is striped over 64 mutex-guarded maps; every new subset gets a
 /// provisional id from one atomic counter and is published to a paged slot
-/// array (release store of the map node's stable key address). The work
-/// list needs no queue at all: provisional ids are dense, so workers CLAIM
-/// the next unprocessed id range off a second atomic cursor — stealing is
-/// just fetch-add on shared state, and a claimed id's subset is awaited via
-/// its published slot. Termination: processed == assigned, stable.
+/// array (release store of its stable key record). The work list needs no
+/// queue at all: provisional ids are dense, so workers CLAIM the next
+/// unprocessed id range off a second atomic cursor — stealing is just
+/// fetch-add on shared state, and a claimed id's key is awaited via its
+/// published slot. Termination: processed == assigned, stable. Each worker
+/// runs the same SubsetStep as the sequential explorer.
 ///
 /// Provisional numbering is race order, so a canonical BFS renumbering
 /// afterwards (start first, successors in class order) makes the result
 /// byte-identical to the sequential explorer for any thread count.
 Explored explore_parallel(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
-                          std::uint16_t ncls, std::uint32_t max_states,
-                          std::uint32_t threads) {
+                          const StickySplit& sp, std::uint16_t ncls,
+                          std::uint32_t max_states, std::uint32_t threads) {
   constexpr std::size_t kShardCount = 64;
-  constexpr std::uint32_t kPage = 1024;          // subset slots per page
+  constexpr std::uint32_t kPage = 1024;          // key slots per page
   constexpr std::uint64_t kClaimBatch = 8;       // ids claimed per steal
 
+  Explored out;
   struct Shard {
     std::mutex mu;
-    std::unordered_map<std::vector<std::uint32_t>, std::uint32_t, VecHash> map;
+    SubsetMap map;
   };
   std::vector<Shard> shards(kShardCount);
 
-  // Paged publication slots: subset members by provisional id. Pages are
+  // Paged publication slots: key records by provisional id. Pages are
   // allocated on demand (double-checked via atomic page pointers) so a tiny
   // automaton under a huge cap does not pre-pay cap-sized storage.
-  using Slot = std::atomic<const std::vector<std::uint32_t>*>;
+  using Slot = std::atomic<KeyRecord>;
   const std::size_t page_count = static_cast<std::size_t>(max_states) / kPage + 1;
   std::vector<std::atomic<Slot*>> pages(page_count);
   for (auto& p : pages) p.store(nullptr, std::memory_order_relaxed);
@@ -259,25 +538,29 @@ Explored explore_parallel(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
   std::atomic<std::uint64_t> processed{0};
   std::atomic<bool> overflow{false};
 
-  const auto intern = [&](std::vector<std::uint32_t> subset) -> std::uint32_t {
-    const std::size_t h = VecHash{}(subset);
-    Shard& sh = shards[h % kShardCount];
+  const auto intern = [&](std::uint32_t head,
+                          const std::vector<std::uint32_t>& residual) -> std::uint32_t {
+    const std::uint32_t hash = key_hash(head, residual);
+    // Shard on the high bits; the map probes from the low ones.
+    Shard& sh = shards[(hash >> 26) % kShardCount];
     std::lock_guard<std::mutex> lock(sh.mu);
-    const auto it = sh.map.find(subset);
-    if (it != sh.map.end()) return it->second;
+    const std::uint32_t found = sh.map.find(hash, head, residual);
+    if (found != SubsetMap::kAbsent) return found;
     const auto id =
         static_cast<std::uint32_t>(assigned.fetch_add(1, std::memory_order_acq_rel));
     if (id >= max_states) {
       overflow.store(true, std::memory_order_release);
       return UINT32_MAX;
     }
-    const auto [node, fresh] = sh.map.emplace(std::move(subset), id);
-    (void)fresh;
-    slot_of(id).store(&node->first, std::memory_order_release);
+    slot_of(id).store(sh.map.add(hash, head, residual, id), std::memory_order_release);
     return id;
   };
 
-  intern({nfa.start()});
+  {
+    SubsetStep step(cn, sp, *out.heads, ncls);
+    const auto [start_head, start_residual] = step.singleton(nfa.start());
+    intern(start_head, start_residual);
+  }
 
   // Per-worker row output: (provisional id, row) pairs, scattered into the
   // provisional table after the join. No cross-thread row sharing.
@@ -286,9 +569,8 @@ Explored explore_parallel(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
   };
   std::vector<WorkerOut> outs(threads);
 
-  const auto worker = [&](WorkerOut& out) {
-    std::vector<std::vector<std::uint32_t>> buckets(ncls);
-    std::vector<std::uint16_t> dirty;
+  const auto worker = [&](WorkerOut& wout) {
+    SubsetStep step(cn, sp, *out.heads, ncls);
     for (;;) {
       if (overflow.load(std::memory_order_acquire)) return;
       std::uint64_t k = next_claim.load(std::memory_order_acquire);
@@ -311,31 +593,21 @@ Explored explore_parallel(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
       for (std::uint64_t id = k; id < k + take; ++id) {
         // Await publication (the assigning thread stores the slot right
         // after taking the id).
-        const std::vector<std::uint32_t>* members_ptr;
-        while ((members_ptr = slot_of(static_cast<std::uint32_t>(id))
-                    .load(std::memory_order_acquire)) == nullptr) {
+        KeyRecord rec;
+        while ((rec = slot_of(static_cast<std::uint32_t>(id))
+                          .load(std::memory_order_acquire)) == nullptr) {
           if (overflow.load(std::memory_order_acquire)) return;
           std::this_thread::yield();
         }
-        const std::vector<std::uint32_t>& members = *members_ptr;
-        for (const std::uint16_t c : dirty) buckets[c].clear();
-        dirty.clear();
-        for (const std::uint32_t m : members) {
-          for (std::uint32_t e = cn.row_offsets[m]; e < cn.row_offsets[m + 1]; ++e) {
-            const auto [c, target] = cn.entries[e];
-            if (buckets[c].empty()) dirty.push_back(c);
-            buckets[c].push_back(target);
-          }
-        }
         std::vector<std::uint32_t> row(ncls, UINT32_MAX);
-        for (std::uint16_t c = 0; c < ncls; ++c) {
-          auto& b = buckets[c];
-          std::sort(b.begin(), b.end());
-          b.erase(std::unique(b.begin(), b.end()), b.end());
-          row[c] = intern(b);
-          if (overflow.load(std::memory_order_relaxed)) return;
-        }
-        out.rows.emplace_back(static_cast<std::uint32_t>(id), std::move(row));
+        const bool complete = step.expand(
+            rec, [&](std::uint16_t c, std::uint32_t head,
+                     const std::vector<std::uint32_t>& residual) {
+              row[c] = intern(head, residual);
+              return !overflow.load(std::memory_order_relaxed);
+            });
+        if (!complete) return;
+        wout.rows.emplace_back(static_cast<std::uint32_t>(id), std::move(row));
         processed.fetch_add(1, std::memory_order_acq_rel);
       }
     }
@@ -349,20 +621,22 @@ Explored explore_parallel(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
     for (auto& th : pool) th.join();
   }
 
-  Explored out;
+  const auto release_pages = [&] {
+    for (auto& p : pages) delete[] p.load(std::memory_order_relaxed);
+  };
   if (overflow.load(std::memory_order_acquire)) {
     out.failed = true;
     out.discovered = max_states;
-    for (auto& p : pages) delete[] p.load(std::memory_order_relaxed);
+    release_pages();
     return out;
   }
 
   const auto n = static_cast<std::uint32_t>(assigned.load(std::memory_order_acquire));
-  // Scatter provisional rows and subset pointers into id-indexed arrays.
-  std::vector<const std::vector<std::uint32_t>*> prov_subset(n, nullptr);
+  // Scatter provisional rows and key records into id-indexed arrays.
+  std::vector<KeyRecord> prov_key(n, nullptr);
   std::vector<std::uint32_t> prov_table(static_cast<std::size_t>(n) * ncls, UINT32_MAX);
   for (std::uint32_t id = 0; id < n; ++id)
-    prov_subset[id] = slot_of(id).load(std::memory_order_acquire);
+    prov_key[id] = slot_of(id).load(std::memory_order_acquire);
   for (const auto& w : outs) {
     for (const auto& [id, row] : w.rows)
       std::copy(row.begin(), row.end(),
@@ -387,17 +661,52 @@ Explored explore_parallel(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
     }
   }
 
-  out.subsets.resize(n);
+  out.keys.resize(n);
   out.table.assign(static_cast<std::size_t>(n) * ncls, UINT32_MAX);
   for (std::uint32_t cid = 0; cid < n; ++cid) {
     const std::uint32_t prov = order[cid];
-    out.subsets[cid] = *prov_subset[prov];
+    out.keys[cid] = prov_key[prov];
     for (std::uint16_t c = 0; c < ncls; ++c)
       out.table[static_cast<std::size_t>(cid) * ncls + c] =
           canon[prov_table[static_cast<std::size_t>(prov) * ncls + c]];
   }
+  for (auto& sh : shards) out.maps.push_back(std::move(sh.map));
   out.discovered = n;
-  for (auto& p : pages) delete[] p.load(std::memory_order_relaxed);
+  release_pages();
+  return out;
+}
+
+/// Accept id set of every explored state: the head's ids (computed once per
+/// head) merged with the residual members' ids, sorted and unique.
+std::vector<std::vector<std::uint32_t>> accept_sets_of(const nfa::Nfa& nfa,
+                                                       Explored& explored) {
+  HeadTable& heads = *explored.heads;
+  std::vector<std::vector<std::uint32_t>> head_ids(heads.size());
+  std::vector<std::uint8_t> head_done(heads.size(), 0);
+  std::vector<std::vector<std::uint32_t>> out(explored.keys.size());
+  for (std::size_t ds = 0; ds < explored.keys.size(); ++ds) {
+    const KeyRecord rec = explored.keys[ds];
+    auto& hid = head_ids[rec[0]];
+    if (head_done[rec[0]] == 0) {
+      head_done[rec[0]] = 1;
+      for (const std::uint32_t m : heads.members(rec[0])) {
+        const auto& ids = nfa.accepts(m);
+        hid.insert(hid.end(), ids.begin(), ids.end());
+      }
+      std::sort(hid.begin(), hid.end());
+      hid.erase(std::unique(hid.begin(), hid.end()), hid.end());
+    }
+    std::vector<std::uint32_t>& ids = out[ds];
+    ids = hid;
+    for (std::uint32_t i = 0; i < rec[1]; ++i) {
+      const auto& more = nfa.accepts(rec[2 + i]);
+      ids.insert(ids.end(), more.begin(), more.end());
+    }
+    if (rec[1] != 0) {
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    }
+  }
   return out;
 }
 
@@ -411,6 +720,7 @@ std::optional<Dfa> build_dfa(const nfa::Nfa& nfa, const BuildOptions& options,
 
   const auto [byte_to_col, ncls] = compute_byte_classes(nfa);
   const ClassifiedNfa cn = classify(nfa, byte_to_col, ncls);
+  const StickySplit sp = find_sticky(cn, ncls);
 
   std::uint32_t threads = options.threads;
   if (threads == 0) {
@@ -419,30 +729,17 @@ std::optional<Dfa> build_dfa(const nfa::Nfa& nfa, const BuildOptions& options,
   }
   Explored explored =
       threads <= 1
-          ? explore_sequential(nfa, cn, ncls, options.max_states)
-          : explore_parallel(nfa, cn, ncls, options.max_states, threads);
+          ? explore_sequential(nfa, cn, sp, ncls, options.max_states)
+          : explore_parallel(nfa, cn, sp, ncls, options.max_states, threads);
   if (explored.failed) {
     st.failed = true;
     st.seconds = timer.seconds();
     st.states = explored.discovered;
     return std::nullopt;
   }
-  std::vector<std::vector<std::uint32_t>>& subsets = explored.subsets;
+  std::vector<std::vector<std::uint32_t>> accept_sets = accept_sets_of(nfa, explored);
   std::vector<std::uint32_t>& table = explored.table;
-
-  const auto n = static_cast<std::uint32_t>(subsets.size());
-
-  // Accept sets per DFA state.
-  std::vector<std::vector<std::uint32_t>> accept_sets(n);
-  for (std::uint32_t ds = 0; ds < n; ++ds) {
-    std::vector<std::uint32_t>& out = accept_sets[ds];
-    for (const std::uint32_t m : subsets[ds]) {
-      const auto& ids = nfa.accepts(m);
-      out.insert(out.end(), ids.begin(), ids.end());
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-  }
+  const auto n = static_cast<std::uint32_t>(explored.keys.size());
 
   st.states = n;
   st.minimized = n;
@@ -453,6 +750,7 @@ std::optional<Dfa> build_dfa(const nfa::Nfa& nfa, const BuildOptions& options,
   std::vector<std::uint32_t> min_table;
   std::vector<std::vector<std::uint32_t>> min_accepts;
   if (options.minimize) {
+    const util::WallTimer minimize_timer;
     auto [block, block_count] = minimize_partition(table, ncls, accept_sets);
     final_n = block_count;
     min_table.assign(static_cast<std::size_t>(final_n) * ncls, 0);
@@ -469,6 +767,7 @@ std::optional<Dfa> build_dfa(const nfa::Nfa& nfa, const BuildOptions& options,
     }
     state_map = std::move(block);
     st.minimized = final_n;
+    st.minimize_seconds = minimize_timer.seconds();
   } else {
     for (std::uint32_t s = 0; s < n; ++s) state_map[s] = s;
     min_table = std::move(table);

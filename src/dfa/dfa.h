@@ -33,15 +33,18 @@ struct BuildOptions {
   /// construction. Off by default to mirror standard DFA construction.
   bool minimize = false;
   /// Worker threads for subset construction. 1 = the sequential explorer;
-  /// 0 = one per hardware thread. Any thread count produces byte-identical
-  /// automata: parallel exploration assigns provisional state ids in race
-  /// order, then a canonical BFS renumbering (start first, successors in
-  /// byte-class order) restores exactly the sequential numbering.
+  /// 0 = one per hardware thread. Both explorers run the same successor
+  /// step (sticky `.*` states factored out, DESIGN.md §6 #12). Any thread
+  /// count produces byte-identical automata: parallel exploration assigns
+  /// provisional state ids in race order, then a canonical BFS renumbering
+  /// (start first, successors in byte-class order) restores exactly the
+  /// sequential numbering.
   std::uint32_t threads = 1;
 };
 
 struct BuildStats {
   double seconds = 0.0;           ///< wall time spent in construction
+  double minimize_seconds = 0.0;  ///< the Moore refinement part of `seconds`
   std::uint32_t states = 0;       ///< states discovered (pre-minimization)
   std::uint32_t minimized = 0;    ///< states after minimization (== states if off)
   bool failed = false;            ///< true if max_states was exceeded

@@ -13,8 +13,10 @@ std::optional<Mfa> build_mfa(const std::vector<nfa::PatternInput>& patterns,
   BuildStats& st = stats != nullptr ? *stats : local;
 
   // 1. Regex splitting (Algorithm 1).
+  util::WallTimer phase;
   split::SplitResult sr = split_patterns(patterns, options.split);
   st.split = sr.stats;
+  st.phases.split = phase.seconds();
 
   // Reject programs whose geometry exceeds the per-flow Memory (e.g. more
   // guard bits than kMaxMemoryBits) before paying for DFA construction; a
@@ -26,12 +28,16 @@ std::optional<Mfa> build_mfa(const std::vector<nfa::PatternInput>& patterns,
 
   // 2. Standard NFA + DFA construction over the decomposed pieces, with
   //    piece engine-ids as the DFA's match ids.
+  phase.reset();
   std::vector<nfa::PatternInput> piece_inputs;
   piece_inputs.reserve(sr.pieces.size());
   for (const auto& piece : sr.pieces)
     piece_inputs.push_back(nfa::PatternInput{piece.regex, piece.engine_id});
   const nfa::Nfa piece_nfa = nfa::build_nfa(piece_inputs);
+  st.phases.nfa = phase.seconds();
   std::optional<dfa::Dfa> d = dfa::build_dfa(piece_nfa, options.dfa, &st.dfa);
+  st.phases.subset = st.dfa.seconds - st.dfa.minimize_seconds;
+  st.phases.minimize = st.dfa.minimize_seconds;
   if (!d.has_value()) {
     st.seconds = timer.seconds();
     return std::nullopt;
@@ -53,6 +59,7 @@ std::optional<Mfa> build_mfa(const std::vector<nfa::PatternInput>& patterns,
   //    with delta-encoded exceptions, from the table in construction order
   //    (so the D2fa picks the same default parents whatever step 5 does).
   if (options.delta) mfa.delta_.emplace(mfa.dfa_, options.d2fa, &st.d2fa);
+  st.phases.d2fa = st.d2fa.seconds;
 
   // 5. Number the accepting states loud first, in both tables (derived:
   //    load() numbers them again, which is then the identity).
@@ -64,8 +71,10 @@ std::optional<Mfa> build_mfa(const std::vector<nfa::PatternInput>& patterns,
   //    Must follow the renumbering (the gate holds state ids) and precede
   //    dropping the dense table, which the gate proof walks — at
   //    Snort-ruleset scale that table is nearly the whole memory image.
+  phase.reset();
   mfa.prefilter_ =
       simd::Prefilter::build(mfa.dfa_, mfa.pieces_, mfa.parse_options_.icase);
+  st.phases.prefilter = phase.seconds();
   if (options.delta) mfa.dfa_.drop_table();
 
   // 7. Fold clear-only accept states into word masks (derived, like the

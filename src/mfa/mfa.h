@@ -54,6 +54,23 @@ struct BuildStats {
   /// (DESIGN.md §6 #11).
   std::uint32_t quiet_accept_states = 0;
   double seconds = 0.0;  ///< total construction wall time
+
+  /// Wall seconds per construction phase. `subset` is build_dfa() less its
+  /// minimisation; `minimize` and `d2fa` repeat dfa.minimize_seconds and
+  /// d2fa.seconds. What `seconds` holds beyond sum() is accept ordering,
+  /// loud-first numbering and clear folding.
+  struct PhaseSeconds {
+    double split = 0.0;
+    double nfa = 0.0;
+    double subset = 0.0;
+    double minimize = 0.0;
+    double prefilter = 0.0;  ///< Teddy masks and the skip-gate proof
+    double d2fa = 0.0;       ///< 0 unless BuildOptions::delta
+    [[nodiscard]] double sum() const {
+      return split + nfa + subset + minimize + prefilter + d2fa;
+    }
+  };
+  PhaseSeconds phases;
 };
 
 class Mfa {

@@ -303,7 +303,13 @@ TEST_F(DegradeTest, OverloadEscalatesLadderAndRecoversToL0) {
   pipe.start();
   const flow::FlowKey key{1, 2, 3, 4, 6};
   std::uint64_t off = 0;
-  for (std::size_t i = 0; i < 3000; ++i) {
+  // Sustain the overload for a wall-clock window of many dwell periods, not
+  // a fixed packet count: on a fast scan a few thousand packets drain in
+  // less than one dwell, and the controller may not move before then.
+  const auto load_end = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(40 * opt.degrade.dwell_ms);
+  for (std::size_t i = 0; i < 3000 || std::chrono::steady_clock::now() < load_end;
+       ++i) {
     pipe.submit(flow::Packet{key, off,
                              reinterpret_cast<const std::uint8_t*>(payload.data()),
                              static_cast<std::uint32_t>(payload.size())});

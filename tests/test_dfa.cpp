@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "dfa_reference.h"
 #include "engine_test_util.h"
+#include "patterns/builtin.h"
 #include "regex/sample.h"
+#include "rules/rules.h"
+#include "rules/ruleset_gen.h"
+#include "split/splitter.h"
 #include "util/binio.h"
 #include "util/rng.h"
 
@@ -278,6 +284,156 @@ TEST(Dfa, RandomRegexDfaEqualsNfaProperty) {
     nfa::NfaScanner ns(n);
     DfaScanner ds(*d);
     EXPECT_EQ(sorted(ns.scan(input)), sorted(ds.scan(input))) << input;
+  }
+}
+
+
+// --- Differential tests: build_dfa() against the textbook reference ---
+
+std::vector<std::uint8_t> image_of(const Dfa& d) {
+  util::FilePtr f(std::tmpfile());
+  EXPECT_NE(f, nullptr);
+  util::BinWriter w(f.get());
+  d.serialize(w);
+  EXPECT_TRUE(w.ok());
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(std::ftell(f.get())));
+  std::rewind(f.get());
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f.get()), bytes.size());
+  return bytes;
+}
+
+/// build_dfa() at 1 and 4 threads must equal reference_dfa() field by field
+/// (so its serialised image is fixed too), or fail at the same count.
+void expect_reference(const nfa::Nfa& n, std::uint32_t max_states, const std::string& label) {
+  const mfa::testing::ReferenceDfa ref = mfa::testing::reference_dfa(n, max_states);
+  std::vector<std::uint8_t> one_thread_image;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(label + ", threads " + std::to_string(threads));
+    BuildOptions opts;
+    opts.max_states = max_states;
+    opts.threads = threads;
+    BuildStats stats;
+    const auto d = build_dfa(n, opts, &stats);
+    ASSERT_EQ(d.has_value(), !ref.failed);
+    EXPECT_EQ(stats.failed, ref.failed);
+    EXPECT_EQ(stats.states, ref.discovered);
+    if (ref.failed) continue;
+    const auto [cls, ncls] = compute_byte_classes(n);
+    ASSERT_EQ(d->column_count(), ncls);
+    EXPECT_TRUE(std::equal(cls.begin(), cls.end(), d->byte_columns()));
+    ASSERT_EQ(d->state_count(), ref.discovered);
+    EXPECT_EQ(d->start(), ref.start);
+    EXPECT_EQ(d->max_match_id(), n.max_match_id());
+    ASSERT_EQ(d->accepting_state_count(), ref.accepting);
+    EXPECT_TRUE(std::equal(ref.table.begin(), ref.table.end(), d->table_data()));
+    std::uint32_t accept_mismatches = 0;
+    for (std::uint32_t s = 0; s < ref.accepting; ++s) {
+      const auto [first, last] = d->accepts(s);
+      if (!std::equal(first, last, ref.accepts[s].begin(), ref.accepts[s].end()))
+        ++accept_mismatches;
+    }
+    EXPECT_EQ(accept_mismatches, 0u);
+    if (threads == 1) one_thread_image = image_of(*d);
+    else EXPECT_EQ(image_of(*d), one_thread_image);
+  }
+}
+
+/// The NFA build_mfa() subset-constructs: the split pieces of `patterns`.
+nfa::Nfa piece_nfa(const std::vector<nfa::PatternInput>& patterns) {
+  const split::SplitResult sr = split::split_patterns(patterns);
+  std::vector<nfa::PatternInput> pieces;
+  for (const auto& piece : sr.pieces) pieces.push_back({piece.regex, piece.engine_id});
+  return nfa::build_nfa(pieces);
+}
+
+TEST(DfaDifferential, PaperSetPieces) {
+  for (const auto& set : patterns::builtin_sets())
+    expect_reference(piece_nfa(set.patterns), 1u << 20, set.name + " pieces");
+}
+
+TEST(DfaDifferential, PaperSetCappedUnions) {
+  // Every full union outgrows 2,000 states and must stop at the same
+  // discovered count as the reference; C8's (4,513 states) also builds whole.
+  for (const auto& set : patterns::builtin_sets())
+    expect_reference(nfa::build_nfa(set.patterns), 2000, set.name + " union");
+  expect_reference(nfa::build_nfa(patterns::make_c8().patterns), 1u << 20, "C8 union");
+}
+
+TEST(DfaDifferential, GeneratedRulesetPieces) {
+  for (const std::size_t rules : {300u, 1000u}) {
+    const auto loaded = rules::parse_rules(rules::generate_ruleset({rules, 42}));
+    ASSERT_TRUE(loaded.ok());
+    expect_reference(piece_nfa(rules::to_pattern_inputs(loaded.rules)), 1u << 20,
+                     std::to_string(rules) + " rules");
+  }
+}
+
+TEST(DfaDifferential, FullyAnchoredSetReachesTheDeadSubset) {
+  // No sticky state at all: every subset is keyed by its residual, and the
+  // empty subset is a reachable sink.
+  const nfa::Nfa n =
+      nfa::build_nfa(compile_patterns({"^abc", "^a[0-9]+z", "^x.y", "^(ab|cd)e"}));
+  expect_reference(n, 1u << 20, "anchored");
+  const auto d = build_dfa(n);
+  ASSERT_TRUE(d.has_value());
+  // The dead subset loops to itself on every class.
+  bool has_sink = false;
+  for (std::uint32_t s = 0; s < d->state_count() && !has_sink; ++s) {
+    bool sink = true;
+    for (std::uint16_t c = 0; c < d->column_count(); ++c)
+      sink &= d->table_data()[static_cast<std::size_t>(s) * d->column_count() + c] == s;
+    has_sink = sink;
+  }
+  EXPECT_TRUE(has_sink);
+}
+
+TEST(DfaDifferential, SeveralInternalDotStarLoops) {
+  // Each internal `.*` is its own sticky state, so subsets carry several
+  // distinct sticky sets, entered in different orders.
+  expect_reference(
+      nfa::build_nfa(compile_patterns(
+          {".*ab.*cd.*ef", ".*gh.*ij", "^k.*l.*m", "xy.*z", ".*cd.*ab"})),
+      1u << 20, "internal loops");
+}
+
+TEST(DfaDifferential, LoopOnAllClassesButOneIsNotSticky) {
+  // [^q]* loops on every class except q's; treating it as sticky would
+  // keep it in successors on q.
+  expect_reference(
+      nfa::build_nfa(compile_patterns({".*a[^q]*b", "c[^q]*q", "^q.*r", "[^q]*s"})),
+      1u << 20, "almost sticky");
+}
+
+TEST(DfaDifferential, ExactCapBoundary) {
+  // The boundary Dfa.StateCapIsExact pins: the exact state count builds,
+  // one less fails with exactly that many states discovered.
+  const nfa::Nfa n = nfa::build_nfa(compile_patterns({".*abc.*def"}));
+  const auto unbounded = build_dfa(n);
+  ASSERT_TRUE(unbounded.has_value());
+  const std::uint32_t exact = unbounded->state_count();
+  expect_reference(n, exact, "at cap");
+  expect_reference(n, exact - 1, "below cap");
+  expect_reference(n, 0, "zero cap");
+}
+
+TEST(DfaDifferential, RandomPatternSets) {
+  // Small random sets over a four-letter alphabet mixing anchors, `.*`,
+  // almost-dot-stars and classes.
+  const std::vector<std::string> tokens = {"a",  "b",    "cd",   ".*", "[^a]*", "[ab]",
+                                           "d+", "(a|c)", "b?", ".",  "[^d]"};
+  util::Rng rng(2016);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<std::string> pats;
+    const std::size_t count = 1 + rng.below(5);
+    for (std::size_t p = 0; p < count; ++p) {
+      std::string pat = rng.below(4) == 0 ? "^" : "";
+      const std::size_t len = 1 + rng.below(5);
+      for (std::size_t t = 0; t < len; ++t) pat += tokens[rng.below(tokens.size())];
+      pats.push_back(pat);
+    }
+    std::string label = "random:";
+    for (const auto& pat : pats) label += " " + pat;
+    expect_reference(nfa::build_nfa(compile_patterns(pats)), 1u << 20, label);
   }
 }
 

@@ -110,6 +110,30 @@ TEST(Mfa, BuildStatsPopulated) {
   EXPECT_GT(stats.seconds, 0.0);
 }
 
+TEST(Mfa, BuildStatsPhasesSplitTheCompile) {
+  // Every phase that ran is timed, the phases fit inside the total, and
+  // the optional ones read 0 when off.
+  const auto patterns = compile_patterns({".*ab12.*cd34", ".*plain", "x[0-9]+y"});
+  for (const bool delta : {false, true}) {
+    BuildOptions opts;
+    opts.delta = delta;
+    opts.dfa.minimize = delta;
+    BuildStats stats;
+    ASSERT_TRUE(build_mfa(patterns, opts, &stats).has_value());
+    const auto& p = stats.phases;
+    EXPECT_GT(p.split, 0.0);
+    EXPECT_GT(p.nfa, 0.0);
+    EXPECT_GT(p.subset, 0.0);
+    EXPECT_GT(p.prefilter, 0.0);
+    EXPECT_EQ(p.minimize > 0.0, delta);
+    EXPECT_EQ(p.d2fa > 0.0, delta);
+    EXPECT_DOUBLE_EQ(p.minimize, stats.dfa.minimize_seconds);
+    EXPECT_DOUBLE_EQ(p.subset + p.minimize, stats.dfa.seconds);
+    EXPECT_DOUBLE_EQ(p.d2fa, stats.d2fa.seconds);
+    EXPECT_LE(p.sum(), stats.seconds);
+  }
+}
+
 TEST(Mfa, RepeatedMatchesReported) {
   const Mfa m = build({".*ab.*cd"});
   const MatchVec v = scan(m, "ab cd cd cd");
