@@ -33,6 +33,8 @@ D2fa::D2fa(const Dfa& dfa, const D2faOptions& options, D2faStats* stats) {
   D2faStats local_stats;
   D2faStats& st = stats != nullptr ? *stats : local_stats;
 
+  // Rows are compared on the Dfa's premultiplied targets (equal exactly
+  // when the raw ids are); raw ids go through dfa.state_of().
   const std::uint32_t n = dfa.state_count();
   const std::uint16_t ncols = dfa.column_count();
   const std::uint32_t* table = dfa.table_data();
@@ -41,7 +43,7 @@ D2fa::D2fa(const Dfa& dfa, const D2faOptions& options, D2faStats* stats) {
   start_ = dfa.start();
   accept_states_ = dfa.accepting_state_count();
   max_match_id_ = dfa.max_match_id();
-  ncols_ = ncols;
+  rows_ = util::RowStride(ncols);
   std::memcpy(byte_to_col_.data(), dfa.byte_columns(), 256);
   accept_offsets_.assign(accept_states_ + 1, 0);
   for (std::uint32_t s = 0; s < accept_states_; ++s) {
@@ -65,7 +67,7 @@ D2fa::D2fa(const Dfa& dfa, const D2faOptions& options, D2faStats* stats) {
       const std::uint32_t s = queue.front();
       queue.pop_front();
       for (std::uint16_t c = 0; c < ncols; ++c) {
-        const std::uint32_t t = table[static_cast<std::size_t>(s) * ncols + c];
+        const std::uint32_t t = dfa.target(s, c);
         if (depth[t] == UINT32_MAX) {
           depth[t] = depth[s] + 1;
           queue.push_back(t);
@@ -102,7 +104,7 @@ D2fa::D2fa(const Dfa& dfa, const D2faOptions& options, D2faStats* stats) {
     for (std::size_t i = 0; i < row_copy.size();) {
       std::size_t j = i;
       while (j < row_copy.size() && row_copy[j] == row_copy[i]) ++j;
-      freq.emplace_back(static_cast<std::uint32_t>(j - i), row_copy[i]);
+      freq.emplace_back(static_cast<std::uint32_t>(j - i), dfa.state_of(row_copy[i]));
       i = j;
     }
     // Count desc, id asc: deterministic candidate order.
@@ -148,9 +150,8 @@ D2fa::D2fa(const Dfa& dfa, const D2faOptions& options, D2faStats* stats) {
   for (std::uint32_t s = 0; s < n; ++s) {
     const std::uint32_t* row = table + static_cast<std::size_t>(s) * ncols;
     if (parent[s] == kNoParent) {
-      const auto root_idx = static_cast<std::uint32_t>(dense_rows_.size() / ncols);
-      defaults_[s] = kRootFlag | root_idx;
-      dense_rows_.insert(dense_rows_.end(), row, row + ncols);
+      defaults_[s] = kRootFlag | static_cast<std::uint32_t>(dense_rows_.size());
+      for (std::uint16_t c = 0; c < ncols; ++c) dense_rows_.push_back(dfa.state_of(row[c]));
       root_raw_.push_back(s);
       ++st.roots;
     } else {
@@ -159,7 +160,8 @@ D2fa::D2fa(const Dfa& dfa, const D2faOptions& options, D2faStats* stats) {
       const std::uint32_t* prow = table + static_cast<std::size_t>(p) * ncols;
       exceptions.clear();
       for (std::uint16_t c = 0; c < ncols; ++c)
-        if (row[c] != prow[c]) exceptions.emplace_back(static_cast<std::uint8_t>(c), row[c]);
+        if (row[c] != prow[c])
+          exceptions.emplace_back(static_cast<std::uint8_t>(c), dfa.state_of(row[c]));
       encode_row(exc_, p, exceptions);
       exception_entries_ += exceptions.size();
       max_chain_ = std::max(max_chain_, chain[s]);
@@ -235,7 +237,7 @@ void D2fa::renumber_accepting(const std::vector<std::uint32_t>& new_id) {
 
 std::vector<std::uint32_t> D2fa::expand_table() const {
   const std::uint32_t n = state_count_;
-  const std::uint16_t ncols = ncols_;
+  const std::uint16_t ncols = column_count();
   std::vector<std::uint32_t> out(static_cast<std::size_t>(n) * ncols);
   // Expand in chain-length order so a parent's row is always materialized
   // before its children copy it.
@@ -258,8 +260,7 @@ std::vector<std::uint32_t> D2fa::expand_table() const {
     std::uint32_t* row = out.data() + static_cast<std::size_t>(s) * ncols;
     const std::uint32_t d = defaults_[s];
     if ((d & kRootFlag) != 0) {
-      const std::uint32_t* src =
-          dense_rows_.data() + static_cast<std::size_t>(d & ~kRootFlag) * ncols;
+      const std::uint32_t* src = dense_rows_.data() + (d & ~kRootFlag);
       for (std::uint16_t c = 0; c < ncols; ++c) row[c] = untag(src[c]);
       continue;
     }
@@ -281,15 +282,19 @@ void D2fa::serialize(util::BinWriter& w) const {
   w.u32(start_);
   w.u32(accept_states_);
   w.u32(max_match_id_);
-  w.u16(ncols_);
+  w.u16(column_count());
   w.u32(max_chain_);
   w.u64(exception_entries_);
   w.bytes(byte_to_col_.data(), byte_to_col_.size());
-  w.pod_vec(defaults_);
+  // The artifact stores root row indices and raw state ids; the in-memory
+  // row offsets, tag bits (and the root_raw_ map they need) are a
+  // load-time scan optimization, not format.
+  std::vector<std::uint32_t> defaults = defaults_;
+  for (std::uint32_t& d : defaults)
+    if ((d & kRootFlag) != 0) d = kRootFlag | rows_.id(d & ~kRootFlag);
+  w.pod_vec(defaults);
   w.pod_vec(row_offsets_);
   w.pod_vec(exc_);
-  // The artifact stores raw state ids; the in-memory tag bits (and the
-  // root_raw_ map they need) are a load-time scan optimization, not format.
   std::vector<std::uint32_t> raw_rows(dense_rows_.size());
   for (std::size_t i = 0; i < dense_rows_.size(); ++i)
     raw_rows[i] = untag(dense_rows_[i]);
@@ -303,10 +308,15 @@ bool D2fa::deserialize(util::BinReader& r, D2fa& out) {
   out.start_ = r.u32();
   out.accept_states_ = r.u32();
   out.max_match_id_ = r.u32();
-  out.ncols_ = r.u16();
+  const std::uint16_t ncols = r.u16();
   out.max_chain_ = r.u32();
   out.exception_entries_ = r.u64();
   r.bytes(out.byte_to_col_.data(), out.byte_to_col_.size());
+  // Geometry first: the premultiplied cap (which also keeps tagged ids
+  // within their 30 bits) is checked before any table is allocated.
+  if (!r.ok() || ncols == 0 || ncols > 256 || !util::RowStride::fits(out.state_count_, ncols))
+    return false;
+  out.rows_ = util::RowStride(ncols);
   out.defaults_ = r.pod_vec<std::uint32_t>();
   out.row_offsets_ = r.pod_vec<std::uint32_t>();
   out.exc_ = r.pod_vec<std::uint8_t>();
@@ -318,19 +328,17 @@ bool D2fa::deserialize(util::BinReader& r, D2fa& out) {
   // Structural validation: a corrupt delta table must fail here, never in
   // the bounded-chain scan loop.
   const std::uint32_t n = out.state_count_;
-  if (out.ncols_ == 0 || out.ncols_ > 256) return false;
   if (n == 0 || out.start_ >= n) return false;
-  if (n > kTagIdMask) return false;  // tagged ids carry two metadata bits
   if (out.accept_states_ > n) return false;
   if (out.max_chain_ > 255) return false;
   for (const std::uint8_t col : out.byte_to_col_)
-    if (col >= out.ncols_) return false;
+    if (col >= ncols) return false;
   if (out.defaults_.size() != n) return false;
   if (out.row_offsets_.size() != n + 1u) return false;
   if (out.row_offsets_.front() != 0 || out.row_offsets_.back() != out.exc_.size())
     return false;
-  if (out.dense_rows_.size() % out.ncols_ != 0) return false;
-  const auto roots = static_cast<std::uint32_t>(out.dense_rows_.size() / out.ncols_);
+  if (out.dense_rows_.size() % ncols != 0) return false;
+  const auto roots = static_cast<std::uint32_t>(out.dense_rows_.size() / ncols);
   for (const std::uint32_t t : out.dense_rows_)
     if (t >= n) return false;
 
@@ -355,7 +363,7 @@ bool D2fa::deserialize(util::BinReader& r, D2fa& out) {
     std::int32_t prev_col = -1;
     for (std::uint32_t p = lo + 1; p < hi; p += 1 + w) {
       const std::uint8_t col = out.exc_[p];
-      if (col >= out.ncols_ || static_cast<std::int32_t>(col) <= prev_col)
+      if (col >= ncols || static_cast<std::int32_t>(col) <= prev_col)
         return false;
       prev_col = col;
       if (d + unzigzag(load_le(&out.exc_[p + 1], w)) >= n) return false;
@@ -397,14 +405,16 @@ bool D2fa::deserialize(util::BinReader& r, D2fa& out) {
   if (!accept_ids_unique(out.accept_offsets_, out.accept_ids_)) return false;
 
   // Rebuild the in-memory scan form: the root row -> raw id map (each row
-  // must be claimed by exactly one state — untag() depends on it), then tag
-  // the raw dense-row targets (see d2fa.h).
+  // must be claimed by exactly one state — untag() depends on it), root
+  // defaults as row offsets, then tag the raw dense-row targets (see
+  // d2fa.h).
   out.root_raw_.assign(roots, UINT32_MAX);
   for (std::uint32_t s = 0; s < n; ++s) {
-    const std::uint32_t d = out.defaults_[s];
+    std::uint32_t& d = out.defaults_[s];
     if ((d & kRootFlag) == 0) continue;
     if (out.root_raw_[d & ~kRootFlag] != UINT32_MAX) return false;
     out.root_raw_[d & ~kRootFlag] = s;
+    d = kRootFlag | out.rows_.offset(d & ~kRootFlag);
   }
   for (const std::uint32_t s : out.root_raw_)
     if (s == UINT32_MAX) return false;

@@ -67,11 +67,13 @@ class D2fa {
 
   [[nodiscard]] std::uint32_t state_count() const { return state_count_; }
   [[nodiscard]] std::uint32_t start() const { return start_; }
-  [[nodiscard]] std::uint16_t column_count() const { return ncols_; }
+  [[nodiscard]] std::uint16_t column_count() const {
+    return static_cast<std::uint16_t>(rows_.ncols());
+  }
   [[nodiscard]] std::uint32_t accepting_state_count() const { return accept_states_; }
   [[nodiscard]] std::uint32_t max_match_id() const { return max_match_id_; }
   [[nodiscard]] std::uint32_t root_count() const {
-    return static_cast<std::uint32_t>(dense_rows_.size() / ncols_);
+    return static_cast<std::uint32_t>(root_raw_.size());
   }
   [[nodiscard]] std::uint32_t max_chain() const { return max_chain_; }
   [[nodiscard]] std::uint64_t exception_entries() const { return exception_entries_; }
@@ -84,18 +86,21 @@ class D2fa {
   // which is most of D2FA's throughput gap (knob sweeps barely move it).
   // So stored transition *targets* carry their routing metadata inline:
   //
-  //   bit 31 (kTagRoot)    target is a forest root; low bits index its row
+  //   bit 31 (kTagRoot)    target is a forest root; low bits are its row
   //   bit 30 (kTagAccept)  target is an accepting state
-  //   bits 0..29           dense-row index (root) or raw state id (non-root)
+  //   bits 0..29           dense-row offset (root: row index x ncols, the
+  //                        premultiplied form of DESIGN.md §6 #13) or raw
+  //                        state id (non-root)
   //
   // dense_rows_ holds tagged values IN MEMORY ONLY (serialization converts
   // to/from raw state ids, keeping the artifact format unchanged), so a
   // root-resident flow steps with exactly one dependent load per byte —
-  // the same chain the dense table pays — and the accept test is one AND.
-  // The chain walk survives only on non-root states, which root_depth and
-  // the similarity threshold make cold by construction. Two tag bits cap
-  // state_count at 2^30; a dense table near that size would be terabytes,
-  // and deserialize rejects anything larger.
+  // the same add-and-load chain the dense table pays — and the accept test
+  // is one AND. The chain walk survives only on non-root states, which
+  // root_depth and the similarity threshold make cold by construction. The
+  // two tag bits are why state_count x ncols (and so root rows x ncols)
+  // stays below util::kMaxRowOffsets = 2^30; deserialize rejects anything
+  // larger before allocating.
   static constexpr std::uint32_t kTagRoot = 0x80000000u;
   static constexpr std::uint32_t kTagAccept = 0x40000000u;
   static constexpr std::uint32_t kTagIdMask = 0x3fffffffu;
@@ -109,7 +114,7 @@ class D2fa {
 
   /// Raw state id behind a tagged value (accept lookup, context write-back).
   [[nodiscard]] std::uint32_t untag(std::uint32_t v) const {
-    return (v & kTagRoot) != 0 ? root_raw_[v & kTagIdMask] : (v & kTagIdMask);
+    return (v & kTagRoot) != 0 ? root_raw_[rows_.id(v & kTagIdMask)] : (v & kTagIdMask);
   }
 
   [[nodiscard]] static bool tagged_accept(std::uint32_t v) {
@@ -120,8 +125,7 @@ class D2fa {
   /// cold non-root states.
   [[nodiscard]] std::uint32_t next_tagged(std::uint32_t v, unsigned char byte) const {
     const std::uint8_t col = byte_to_col_[byte];
-    if ((v & kTagRoot) != 0)
-      return dense_rows_[static_cast<std::size_t>(v & kTagIdMask) * ncols_ + col];
+    if ((v & kTagRoot) != 0) return dense_rows_[(v & kTagIdMask) + col];
     return next_cold(v & kTagIdMask, col);
   }
 
@@ -201,15 +205,9 @@ class D2fa {
   template <typename Sink>
   void feed(Context& ctx, const std::uint8_t* data, std::size_t size, std::uint64_t base,
             Sink&& sink) const {
-    const std::uint8_t* cols = byte_to_col_.data();
-    const std::uint32_t* rows = dense_rows_.data();
-    const std::uint32_t ncols = ncols_;
     std::uint32_t v = tag_state(ctx.state);
     for (std::size_t i = 0; i < size; ++i) {
-      const std::uint8_t col = cols[data[i]];
-      v = (v & kTagRoot) != 0
-              ? rows[static_cast<std::size_t>(v & kTagIdMask) * ncols + col]
-              : next_cold(v & kTagIdMask, col);
+      v = next_tagged(v, data[i]);
       if (tagged_accept(v)) [[unlikely]] {
         const auto [first, last] = accepts(untag(v));
         for (const auto* it = first; it != last; ++it) sink(*it, base + i);
@@ -244,9 +242,10 @@ class D2fa {
   static bool deserialize(util::BinReader& r, D2fa& out);
 
  private:
-  /// High bit of defaults_[s]: s is a forest root; low 31 bits index its
-  /// dense row. Clear: low bits are the default-parent state id. (Same bit
-  /// value as kTagRoot, but defaults_ entries carry no accept bit.)
+  /// High bit of defaults_[s]: s is a forest root; in memory the low bits
+  /// are its dense row's offset (the artifact stores the row index). Clear:
+  /// low bits are the default-parent state id. (Same bit value as
+  /// kTagRoot, but defaults_ entries carry no accept bit.)
   static constexpr std::uint32_t kRootFlag = 0x80000000u;
 
   /// One stored exception: (column, raw target state).
@@ -265,7 +264,7 @@ class D2fa {
     for (;;) {
       const std::uint32_t d = defaults_[s];
       if ((d & kRootFlag) != 0)  // dense_rows_ entries are already tagged
-        return dense_rows_[static_cast<std::size_t>(d & ~kRootFlag) * ncols_ + col];
+        return dense_rows_[(d & ~kRootFlag) + col];
       const std::uint32_t lo = row_offsets_[s];
       const std::uint32_t hi = row_offsets_[s + 1];
       if (lo < hi) {
@@ -304,11 +303,11 @@ class D2fa {
   std::uint32_t start_ = 0;
   std::uint32_t accept_states_ = 0;
   std::uint32_t max_match_id_ = 0;
-  std::uint16_t ncols_ = 0;
+  util::RowStride rows_;  // column count; root row index <-> offset
   std::uint32_t max_chain_ = 0;
   std::uint64_t exception_entries_ = 0;
   std::array<std::uint8_t, 256> byte_to_col_{};
-  std::vector<std::uint32_t> defaults_;     // per state: parent id or root flag
+  std::vector<std::uint32_t> defaults_;     // per state: parent id or root flag | offset
   std::vector<std::uint32_t> row_offsets_;  // state_count + 1, into exc_
   std::vector<std::uint8_t> exc_;          // delta-encoded exception rows
   std::vector<std::uint32_t> dense_rows_;  // root_count * ncols, TAGGED targets

@@ -727,10 +727,13 @@ std::optional<Dfa> build_dfa(const nfa::Nfa& nfa, const BuildOptions& options,
     threads = std::max(1u, std::thread::hardware_concurrency());
     threads = std::min(threads, 64u);
   }
+  // The premultiplied table must stay below util::kMaxRowOffsets entries;
+  // capping the explorers keeps a build past it a clean, early failure.
+  const auto max_states = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      options.max_states, (util::kMaxRowOffsets - 1) / ncls));
   Explored explored =
-      threads <= 1
-          ? explore_sequential(nfa, cn, sp, ncls, options.max_states)
-          : explore_parallel(nfa, cn, sp, ncls, options.max_states, threads);
+      threads <= 1 ? explore_sequential(nfa, cn, sp, ncls, max_states)
+                   : explore_parallel(nfa, cn, sp, ncls, max_states, threads);
   if (explored.failed) {
     st.failed = true;
     st.seconds = timer.seconds();
@@ -789,14 +792,14 @@ std::optional<Dfa> build_dfa(const nfa::Nfa& nfa, const BuildOptions& options,
   dfa.state_count_ = final_n;
   dfa.accept_states_ = accept_count;
   dfa.max_match_id_ = nfa.max_match_id();
-  dfa.ncols_ = ncls;
+  dfa.rows_ = util::RowStride(ncls);
   dfa.byte_to_col_ = byte_to_col;
   dfa.start_ = remap[state_map[0]];
   dfa.table_.assign(static_cast<std::size_t>(final_n) * ncls, 0);
   for (std::uint32_t s = 0; s < final_n; ++s) {
     for (std::uint16_t c = 0; c < ncls; ++c)
       dfa.table_[static_cast<std::size_t>(remap[s]) * ncls + c] =
-          remap[min_table[static_cast<std::size_t>(s) * ncls + c]];
+          dfa.row_offset(remap[min_table[static_cast<std::size_t>(s) * ncls + c]]);
   }
   dfa.accept_offsets_.assign(accept_count + 1, 0);
   for (std::uint32_t s = 0; s < final_n; ++s) {
@@ -817,7 +820,7 @@ std::optional<Dfa> build_dfa(const nfa::Nfa& nfa, const BuildOptions& options,
 }
 
 std::size_t Dfa::memory_image_bytes(bool full_alphabet) const {
-  const std::size_t cols = full_alphabet ? 256 : ncols_;
+  const std::size_t cols = full_alphabet ? 256 : column_count();
   std::size_t bytes = static_cast<std::size_t>(state_count_) * cols * sizeof(std::uint32_t);
   if (!full_alphabet) bytes += 256;  // byte -> column map
   bytes += accept_offsets_.size() * sizeof(std::uint32_t);
@@ -834,9 +837,12 @@ void Dfa::serialize(util::BinWriter& w) const {
   w.u32(start_);
   w.u32(accept_states_);
   w.u32(max_match_id_);
-  w.u16(ncols_);
+  w.u16(column_count());
   w.bytes(byte_to_col_.data(), byte_to_col_.size());
-  w.pod_vec(table_);
+  // The image stores raw ids; row offsets are an in-memory scan form.
+  std::vector<std::uint32_t> raw(table_.size());
+  for (std::size_t i = 0; i < table_.size(); ++i) raw[i] = state_of(table_[i]);
+  w.pod_vec(raw);
   w.pod_vec(accept_offsets_);
   w.pod_vec(accept_ids_);
 }
@@ -846,8 +852,12 @@ bool Dfa::deserialize(util::BinReader& r, Dfa& out, bool allow_empty_table) {
   out.start_ = r.u32();
   out.accept_states_ = r.u32();
   out.max_match_id_ = r.u32();
-  out.ncols_ = r.u16();
+  const std::uint16_t ncols = r.u16();
   r.bytes(out.byte_to_col_.data(), out.byte_to_col_.size());
+  // Geometry first, so an oversized table is rejected before allocation.
+  if (!r.ok() || ncols == 0 || ncols > 256 || !util::RowStride::fits(out.state_count_, ncols))
+    return false;
+  out.rows_ = util::RowStride(ncols);
   out.table_ = r.pod_vec<std::uint32_t>();
   out.accept_offsets_ = r.pod_vec<std::uint32_t>();
   out.accept_ids_ = r.pod_vec<std::uint32_t>();
@@ -855,15 +865,14 @@ bool Dfa::deserialize(util::BinReader& r, Dfa& out, bool allow_empty_table) {
 
   // Structural validation: a corrupt file must fail here, not crash later
   // in the scanning hot loop.
-  if (out.ncols_ == 0 || out.ncols_ > 256) return false;
   if (out.state_count_ == 0 || out.start_ >= out.state_count_) return false;
   if (out.accept_states_ > out.state_count_) return false;
   const bool headless = allow_empty_table && out.table_.empty();
   if (!headless && out.table_.size() !=
-                       static_cast<std::size_t>(out.state_count_) * out.ncols_)
+                       static_cast<std::size_t>(out.state_count_) * ncols)
     return false;
   for (const std::uint8_t col : out.byte_to_col_)
-    if (col >= out.ncols_) return false;
+    if (col >= ncols) return false;
   for (const std::uint32_t target : out.table_)
     if (target >= out.state_count_) return false;
   if (out.accept_offsets_.size() != out.accept_states_ + 1u) return false;
@@ -877,19 +886,21 @@ bool Dfa::deserialize(util::BinReader& r, Dfa& out, bool allow_empty_table) {
     if (id > out.max_match_id_) return false;
   for (std::uint32_t s = 0; s < out.accept_states_; ++s)
     if (out.accept_offsets_[s] == out.accept_offsets_[s + 1]) return false;
-  return accept_ids_unique(out.accept_offsets_, out.accept_ids_);
+  if (!accept_ids_unique(out.accept_offsets_, out.accept_ids_)) return false;
+  for (std::uint32_t& t : out.table_) t = out.row_offset(t);
+  return true;
 }
 
 void Dfa::renumber_accepting(const std::vector<std::uint32_t>& new_id) {
   assert(new_id.size() == accept_states_);
   const auto rename = [&](std::uint32_t s) { return s < accept_states_ ? new_id[s] : s; };
   if (!table_.empty()) {
-    const std::size_t row = ncols_;
+    const std::size_t row = column_count();
     const std::vector<std::uint32_t> rows(table_.begin(), table_.begin() + accept_states_ * row);
     for (std::uint32_t s = 0; s < accept_states_; ++s)
       std::copy(rows.begin() + s * row, rows.begin() + (s + 1) * row,
                 table_.begin() + new_id[s] * row);
-    for (std::uint32_t& t : table_) t = rename(t);
+    for (std::uint32_t& t : table_) t = row_offset(rename(state_of(t)));
   }
   permute_accept_lists(accept_offsets_, accept_ids_, new_id);
   start_ = rename(start_);

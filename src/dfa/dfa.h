@@ -19,11 +19,14 @@
 #include "util/binio.h"
 #include "util/interleave.h"
 #include "util/match.h"
+#include "util/row_stride.h"
 
 namespace mfa::dfa {
 
 struct BuildOptions {
-  /// Abort construction when more than this many DFA states are discovered.
+  /// Abort construction when more than this many DFA states are discovered
+  /// (or more than the premultiplied-table cap allows: state_count x
+  /// classes stays below util::kMaxRowOffsets, whatever this is set to).
   /// Enforced exactly at insertion time: a build whose reachable subset
   /// count is precisely max_states succeeds; interning the (max_states+1)th
   /// subset fails immediately (the Fig. 3 "DFA fails to construct" outcome,
@@ -57,12 +60,37 @@ class Dfa {
 
   [[nodiscard]] std::uint32_t state_count() const { return state_count_; }
   [[nodiscard]] std::uint32_t start() const { return start_; }
-  [[nodiscard]] std::uint16_t column_count() const { return ncols_; }
+  [[nodiscard]] std::uint16_t column_count() const {
+    return static_cast<std::uint16_t>(rows_.ncols());
+  }
   [[nodiscard]] std::uint32_t accepting_state_count() const { return accept_states_; }
   [[nodiscard]] std::uint32_t max_match_id() const { return max_match_id_; }
 
+  // --- State encoding (DESIGN.md §6 #13) ---
+  // The in-memory table stores every target as its row offset (id * ncols,
+  // util/row_stride.h), so a scan steps with step() and no multiply; raw
+  // ids live in contexts, accept lists and artifacts.
+
+  /// Row offset of raw state `state`: a scan loop's entry conversion.
+  [[nodiscard]] std::uint32_t row_offset(std::uint32_t state) const {
+    return rows_.offset(state);
+  }
+  /// Raw state id of a row offset (exact division; accept and exit only).
+  [[nodiscard]] std::uint32_t state_of(std::uint32_t offset) const {
+    return rows_.id(offset);
+  }
+  /// One scan step on row offsets: the only per-byte transition form.
+  [[nodiscard]] std::uint32_t step(std::uint32_t offset, unsigned char byte) const {
+    return table_[offset + byte_to_col_[byte]];
+  }
+
+  /// Raw-id transition on byte class `col`: the one accessor for readers
+  /// outside the scan loops (D2fa construction, the prefilter proof, tests).
+  [[nodiscard]] std::uint32_t target(std::uint32_t state, std::uint16_t col) const {
+    return state_of(table_[row_offset(state) + col]);
+  }
   [[nodiscard]] std::uint32_t next(std::uint32_t state, unsigned char byte) const {
-    return table_[static_cast<std::size_t>(state) * ncols_ + byte_to_col_[byte]];
+    return target(state, byte_to_col_[byte]);
   }
 
   /// Accepting states are remapped to ids [0, accepting_state_count()).
@@ -102,8 +130,7 @@ class Dfa {
   /// accounted (what MFA images use, Fig. 2).
   [[nodiscard]] std::size_t memory_image_bytes(bool full_alphabet) const;
 
-  // Raw access for the scanning hot loop and for the HFA/XFA engines that
-  // extend this table.
+  // Raw access for the scan kernels: row-offset targets (see step()).
   [[nodiscard]] const std::uint32_t* table_data() const { return table_.data(); }
   [[nodiscard]] const std::uint8_t* byte_columns() const { return byte_to_col_.data(); }
 
@@ -138,19 +165,16 @@ class Dfa {
   template <typename Sink>
   void feed(Context& ctx, const std::uint8_t* data, std::size_t size, std::uint64_t base,
             Sink&& sink) const {
-    const std::uint32_t* table = table_.data();
-    const std::uint8_t* cols = byte_to_col_.data();
-    const std::uint32_t ncols = ncols_;
-    const std::uint32_t naccept = accept_states_;
-    std::uint32_t s = ctx.state;
+    const std::uint32_t limit = row_offset(accept_states_);
+    std::uint32_t s = row_offset(ctx.state);
     for (std::size_t i = 0; i < size; ++i) {
-      s = table[static_cast<std::size_t>(s) * ncols + cols[data[i]]];
-      if (s < naccept) {
-        const auto [first, last] = accepts(s);
+      s = step(s, data[i]);
+      if (s < limit) {
+        const auto [first, last] = accepts(state_of(s));
         for (const auto* it = first; it != last; ++it) sink(*it, base + i);
       }
     }
-    ctx.state = s;
+    ctx.state = state_of(s);
   }
 
   using FeedJob = scan::FeedJob<Context>;
@@ -171,8 +195,7 @@ class Dfa {
     // Every accepting state reports, so each lane's accept limit stays
     // accepting_state_count().
     simd::dense_interleaved_scan(
-        table_.data(), ncols_, byte_to_col_.data(), jobs, count, lanes,
-        [this](std::size_t) { return accept_states_; },
+        *this, jobs, count, lanes, [this](std::size_t) { return accept_states_; },
         [&](std::size_t job, std::uint32_t s, std::uint64_t end) {
           const auto [first, last] = accepts(s);
           for (const auto* it = first; it != last; ++it) sink(job, *it, end);
@@ -180,9 +203,12 @@ class Dfa {
         });
   }
 
-  /// Binary (de)serialization for compiled-automaton files. deserialize
-  /// validates structural invariants (transition targets in range, CSR
-  /// monotone) and fails the reader on any violation. `allow_empty_table`
+  /// Binary (de)serialization for compiled-automaton files. The image
+  /// stores raw target ids; deserialize premultiplies them in place.
+  /// deserialize validates structural invariants (transition targets in
+  /// range, CSR monotone, state_count x ncols below util::kMaxRowOffsets,
+  /// checked before the table is allocated) and fails the reader on any
+  /// violation. `allow_empty_table`
   /// accepts a headless image (metadata + accept tables, zero-length
   /// transition table) — the MFAC v3 delta-table layout, where transitions
   /// live in a D2fa and the dense table is not persisted.
@@ -204,13 +230,14 @@ class Dfa {
   }
   [[nodiscard]] bool has_table() const { return !table_.empty(); }
 
-  /// Reinstall a dense table (state_count*ncols targets, each in range).
-  /// Returns false (leaving the object headless) on a geometry or range
-  /// violation.
+  /// Reinstall a dense table (state_count*ncols raw target ids, each in
+  /// range), premultiplied in place. Returns false (leaving the object
+  /// headless) on a geometry or range violation.
   bool restore_table(std::vector<std::uint32_t> table) {
-    if (table.size() != static_cast<std::size_t>(state_count_) * ncols_) return false;
+    if (table.size() != static_cast<std::size_t>(state_count_) * rows_.ncols()) return false;
     for (const std::uint32_t t : table)
       if (t >= state_count_) return false;
+    for (std::uint32_t& t : table) t = row_offset(t);
     table_ = std::move(table);
     return true;
   }
@@ -221,9 +248,9 @@ class Dfa {
   std::uint32_t start_ = 0;
   std::uint32_t accept_states_ = 0;
   std::uint32_t max_match_id_ = 0;
-  std::uint16_t ncols_ = 0;
+  util::RowStride rows_;  // column count; id <-> row offset
   std::array<std::uint8_t, 256> byte_to_col_{};
-  std::vector<std::uint32_t> table_;           // state_count * ncols
+  std::vector<std::uint32_t> table_;           // state_count * ncols row offsets
   std::vector<std::uint32_t> accept_offsets_;  // accept_states + 1
   std::vector<std::uint32_t> accept_ids_;
 };

@@ -368,8 +368,7 @@ class Mfa {
         if (jobs[j].size != 0) feed_one(j);
       return;
     }
-    simd::dense_interleaved_scan(dfa_.table_data(), dfa_.column_count(),
-                                 dfa_.byte_columns(), jobs, count, lanes,
+    simd::dense_interleaved_scan(dfa_, jobs, count, lanes,
                                  std::forward<LimitFn>(limit_fn),
                                  std::forward<AcceptFn>(accept_fn));
   }
@@ -489,12 +488,10 @@ class Mfa {
         v = delta_->next_tagged(v, *p);
       return delta_->untag(v);
     }
-    const std::uint32_t* table = dfa_.table_data();
-    const std::uint8_t* cols = dfa_.byte_columns();
-    const std::uint32_t ncols = dfa_.column_count();
+    s = dfa_.row_offset(s);
     for (const std::uint8_t* p = data + (size - w); p != data + size; ++p)
-      s = table[static_cast<std::size_t>(s) * ncols + cols[*p]];
-    return s;
+      s = dfa_.step(s, *p);
+    return dfa_.state_of(s);
   }
 
   /// The character-DFA scan loop over one chunk, shared by both context
@@ -504,7 +501,10 @@ class Mfa {
   /// accepting states without stopping. Delta mode steps on D2fa tagged
   /// states, so a root-resident byte costs one dense load and the accept
   /// test is a bit check (see the tagged-state comment in d2fa.h), with the
-  /// limit checked behind it; match semantics are identical.
+  /// limit checked behind it; match semantics are identical. Dense mode
+  /// steps on row offsets (DESIGN.md §6 #13): `state` and the limit are
+  /// multiplied once here, and a state is divided back only on an accept
+  /// below the limit and at the chunk's end.
   template <typename AcceptFn>
   void scan(std::uint32_t& state, const std::uint8_t* data, std::size_t size,
             std::uint64_t base, std::uint32_t limit, AcceptFn&& on_accept) const {
@@ -521,15 +521,14 @@ class Mfa {
       state = d.untag(v);
       return;
     }
-    const std::uint32_t* table = dfa_.table_data();
-    const std::uint8_t* cols = dfa_.byte_columns();
-    const std::uint32_t ncols = dfa_.column_count();
-    std::uint32_t s = state;
+    const dfa::Dfa& d = dfa_;
+    std::uint32_t s = d.row_offset(state);
+    limit = d.row_offset(limit);
     for (std::size_t i = 0; i < size; ++i) {
-      s = table[static_cast<std::size_t>(s) * ncols + cols[data[i]]];
-      if (s < limit) limit = on_accept(s, base + i);
+      s = d.step(s, data[i]);
+      if (s < limit) limit = d.row_offset(on_accept(d.state_of(s), base + i));
     }
-    state = s;
+    state = d.state_of(s);
   }
 
   dfa::Dfa dfa_;

@@ -53,15 +53,16 @@ using AcceptHook = std::uint32_t (*)(void*, std::size_t, std::uint32_t, std::siz
 /// Advance 8 lanes exactly `chunk` bytes through a dense row-major u32
 /// transition table with AVX2 gathers: per step, the 8 lanes' next-state
 /// loads issue as one gather, so their dependent chains overlap in the
-/// memory system (same motivation as scan::interleaved_scan, minus the
-/// scalar address arithmetic). states[8] is read and written back; data[8]
-/// are per-lane byte pointers (already offset). limits[8] are the lanes'
-/// accept limits, read and written back: `hook` fires for every state
-/// entered below its lane's limit, in lane order within a step, and its
-/// return value is that lane's limit from the next byte on. A lane with
-/// limit 0 never fires.
-void dense_block_avx2(const std::uint32_t* table, std::uint32_t ncols,
-                      const std::uint8_t* cols, std::uint32_t* limits,
+/// memory system (same motivation as the scalar interleaved kernel in
+/// dense_scan.h). The table is premultiplied (DESIGN.md §6 #13): entries,
+/// states and limits are row offsets, so a step is `table[state + col]`.
+/// states[8] is read and written back; data[8] are per-lane byte pointers
+/// (already offset). limits[8] are the lanes' accept limits, read and
+/// written back: `hook` fires for every state entered below its lane's
+/// limit, in lane order within a step, and its return value is that lane's
+/// limit from the next byte on. A lane with limit 0 never fires.
+void dense_block_avx2(const std::uint32_t* table, const std::uint8_t* cols,
+                      std::uint32_t* limits,
                       std::uint32_t* states, const std::uint8_t* const* data,
                       std::size_t chunk, AcceptHook hook, void* uctx);
 

@@ -73,14 +73,14 @@ bool teddy_scan_avx2(const TeddyTables& t, const std::uint8_t* data,
   return false;
 }
 
-void dense_block_avx2(const std::uint32_t* table, std::uint32_t ncols,
-                      const std::uint8_t* cols, std::uint32_t* limits,
-                      std::uint32_t* states, const std::uint8_t* const* data,
-                      std::size_t chunk, AcceptHook hook, void* uctx) {
+void dense_block_avx2(const std::uint32_t* table, const std::uint8_t* cols,
+                      std::uint32_t* limits, std::uint32_t* states,
+                      const std::uint8_t* const* data, std::size_t chunk,
+                      AcceptHook hook, void* uctx) {
   __m256i st = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(states));
-  const __m256i vncols = _mm256_set1_epi32(static_cast<int>(ncols));
-  // Signed compares are exact here: states and limits are bounded by the
-  // DFA state cap (1<<20), far below 2^31.
+  // The signed gather index and signed limit compare are exact here: row
+  // offsets and limits stay below util::kMaxRowOffsets (2^30), which
+  // build_dfa() and the loaders enforce whatever max_states is set to.
   __m256i vlim = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(limits));
   const std::uint8_t* d0 = data[0];
   const std::uint8_t* d1 = data[1];
@@ -94,8 +94,8 @@ void dense_block_avx2(const std::uint32_t* table, std::uint32_t ncols,
     const __m256i vcol = _mm256_setr_epi32(cols[d0[i]], cols[d1[i]], cols[d2[i]],
                                            cols[d3[i]], cols[d4[i]], cols[d5[i]],
                                            cols[d6[i]], cols[d7[i]]);
-    const __m256i idx = _mm256_add_epi32(_mm256_mullo_epi32(st, vncols), vcol);
-    st = _mm256_i32gather_epi32(reinterpret_cast<const int*>(table), idx, 4);
+    st = _mm256_i32gather_epi32(reinterpret_cast<const int*>(table),
+                                _mm256_add_epi32(st, vcol), 4);
     const int am =
         _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(vlim, st)));
     if (am != 0) [[unlikely]] {
@@ -126,9 +126,9 @@ bool teddy_scan_avx2(const TeddyTables&, const std::uint8_t*, std::size_t,
                      std::size_t*, std::uint8_t*) {
   std::abort();
 }
-void dense_block_avx2(const std::uint32_t*, std::uint32_t, const std::uint8_t*,
-                      std::uint32_t*, std::uint32_t*, const std::uint8_t* const*,
-                      std::size_t, AcceptHook, void*) {
+void dense_block_avx2(const std::uint32_t*, const std::uint8_t*, std::uint32_t*,
+                      std::uint32_t*, const std::uint8_t* const*, std::size_t,
+                      AcceptHook, void*) {
   std::abort();
 }
 

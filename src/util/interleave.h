@@ -1,4 +1,5 @@
-// K-way interleaved scan kernel for table-driven automata.
+// Shared vocabulary of the K-way interleaved scan (the kernel itself is
+// simd::dense_interleaved_scan in src/simd/dense_scan.h).
 //
 // A single flow's scan is a dependent chain: the address of byte i+1's
 // transition load is the state produced by byte i's load, so the memory
@@ -9,15 +10,10 @@
 // transition loads per iteration and lets DRAM/L2 latency overlap —
 // memory-level parallelism the per-packet pipeline leaves on the floor.
 //
-// This header is engine-agnostic: Dfa and Mfa each instantiate
-// interleaved_scan() with their own transition/accept callables (see
-// feed_many in src/dfa/dfa.h and src/mfa/mfa.h). Lane state
-// lives in small stack arrays; exhausted lanes are retired (context written
-// back) and refilled from the remaining jobs, so any number of jobs runs
-// with at most `lanes` streams in flight.
+// This header is engine-agnostic: the job type, the lane bounds and the
+// prefetch helper the Dfa and Mfa feed_many() paths share.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -51,101 +47,6 @@ inline void prefetch_ro(const void* p) {
 #else
   (void)p;
 #endif
-}
-
-/// Advance `count` independent jobs, up to `lanes` in lockstep.
-///
-///  - limit(job_index) -> u32                   (the job's accept limit)
-///  - step(state, byte) -> next state           (the transition function)
-///  - prefetch_state(state)                     (warm the next row)
-///  - accept(job_index, state, end_offset) -> u32
-///        called when state < the lane's accept limit; returns the new one
-///
-/// Accepting states are numbered first, so `state < limit` is the accept
-/// test. A plain table's limit is its accepting-state count; the MFA lowers
-/// it while a flow has no filter bit set (DESIGN.md §6 #11). A lane's limit
-/// is read when it fills and changes only through accept's return value.
-/// Per-job byte order is exactly Engine::feed's; only *cross-job* work
-/// interleaves, so the per-flow match semantics are unchanged. Jobs must
-/// reference distinct contexts. Contexts are written back when their job
-/// retires (and are final when this returns).
-template <typename Context, typename LimitFn, typename StepFn, typename PrefetchFn,
-          typename AcceptFn>
-void interleaved_scan(FeedJob<Context>* jobs, std::size_t count, std::size_t lanes,
-                      LimitFn&& limit, StepFn&& step, PrefetchFn&& prefetch_state,
-                      AcceptFn&& accept) {
-  lanes = std::clamp<std::size_t>(lanes, 1, kMaxLanes);
-
-  std::uint32_t state[kMaxLanes];
-  std::uint32_t lim[kMaxLanes];
-  const std::uint8_t* data[kMaxLanes];
-  std::size_t pos[kMaxLanes];
-  std::size_t size[kMaxLanes];
-  std::uint64_t base[kMaxLanes];
-  std::size_t job_ix[kMaxLanes];
-
-  std::size_t next = 0;
-  std::size_t active = 0;
-  const auto fill = [&] {
-    while (active < lanes && next < count) {
-      const FeedJob<Context>& j = jobs[next];
-      if (j.size == 0) {
-        ++next;
-        continue;
-      }
-      state[active] = j.ctx->state;
-      lim[active] = limit(next);
-      data[active] = j.data;
-      pos[active] = 0;
-      size[active] = j.size;
-      base[active] = j.base;
-      job_ix[active] = next;
-      ++active;
-      ++next;
-    }
-  };
-  fill();
-
-  while (active > 0) {
-    // Every active lane has at least `chunk` bytes left, so the hot loop
-    // below runs with no per-byte bounds checks or lane retirement.
-    std::size_t chunk = size[0] - pos[0];
-    for (std::size_t j = 1; j < active; ++j) chunk = std::min(chunk, size[j] - pos[j]);
-
-    for (std::size_t i = 0; i < chunk; ++i) {
-      // One independent transition load per lane per iteration: lane j's
-      // load does not depend on lane k's, so the misses overlap. The
-      // prefetch starts lane j's *next* row fetch while lanes j+1..K run.
-      for (std::size_t j = 0; j < active; ++j) {
-        const std::uint32_t s = step(state[j], data[j][pos[j] + i]);
-        prefetch_state(s);
-        state[j] = s;
-        if (s < lim[j]) [[unlikely]] lim[j] = accept(job_ix[j], s, base[j] + pos[j] + i);
-      }
-    }
-    for (std::size_t j = 0; j < active; ++j) pos[j] += chunk;
-
-    // Retire exhausted lanes (write the context back), compact, refill.
-    std::size_t w = 0;
-    for (std::size_t j = 0; j < active; ++j) {
-      if (pos[j] == size[j]) {
-        jobs[job_ix[j]].ctx->state = state[j];
-        continue;
-      }
-      if (w != j) {
-        state[w] = state[j];
-        lim[w] = lim[j];
-        data[w] = data[j];
-        pos[w] = pos[j];
-        size[w] = size[j];
-        base[w] = base[j];
-        job_ix[w] = job_ix[j];
-      }
-      ++w;
-    }
-    active = w;
-    fill();
-  }
 }
 
 }  // namespace mfa::scan

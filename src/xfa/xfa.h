@@ -111,17 +111,15 @@ class Xfa {
   template <typename Sink>
   void feed(Context& ctx, const std::uint8_t* data, std::size_t size, std::uint64_t base,
             Sink&& sink) const {
-    const std::uint32_t* table = dfa_.table_data();
-    const std::uint8_t* cols = dfa_.byte_columns();
-    const std::uint32_t ncols = dfa_.column_count();
-    std::uint32_t s = ctx.state;
+    std::uint32_t s = dfa_.row_offset(ctx.state);
     for (std::size_t i = 0; i < size; ++i) {
-      s = table[static_cast<std::size_t>(s) * ncols + cols[data[i]]];
-      // The defining XFA cost: consult the per-state program on every entry.
-      const auto [ip, end] = program(s);
+      s = dfa_.step(s, data[i]);
+      // The defining XFA cost: consult the per-state program on every entry
+      // (its raw id is off the step chain, which continues from `s`).
+      const auto [ip, end] = program(dfa_.state_of(s));
       for (const auto* in = ip; in != end; ++in) execute(*in, base + i, ctx.memory, sink);
     }
-    ctx.state = s;
+    ctx.state = dfa_.state_of(s);
   }
 
  private:

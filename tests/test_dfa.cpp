@@ -157,9 +157,9 @@ TEST(Dfa, HeadlessSerializeRoundTrip) {
   // A dense automaton saved without its table (the MFAC v3 delta layout)
   // must load with allow_empty_table and accept a restored table.
   const Dfa d = build({"abc", ".*xy"});
-  std::vector<std::uint32_t> table(
-      d.table_data(),
-      d.table_data() + static_cast<std::size_t>(d.state_count()) * d.column_count());
+  std::vector<std::uint32_t> table;  // raw ids, the restore_table() form
+  for (std::uint32_t s = 0; s < d.state_count(); ++s)
+    for (std::uint16_t c = 0; c < d.column_count(); ++c) table.push_back(d.target(s, c));
 
   Dfa headless = d;
   headless.drop_table();
@@ -190,6 +190,10 @@ TEST(Dfa, HeadlessSerializeRoundTrip) {
   bad[0] = d.state_count();
   EXPECT_FALSE(loaded.restore_table(std::move(bad)));
   ASSERT_TRUE(loaded.restore_table(table));
+  EXPECT_TRUE(std::equal(table.begin(), table.end(), loaded.table_data(),
+                         [&](std::uint32_t raw, std::uint32_t offset) {
+                           return loaded.row_offset(raw) == offset;
+                         }));
   DfaScanner a(d);
   DfaScanner b(loaded);
   EXPECT_EQ(sorted(a.scan(std::string("zzabcxyzz"))),
@@ -325,7 +329,20 @@ void expect_reference(const nfa::Nfa& n, std::uint32_t max_states, const std::st
     EXPECT_EQ(d->start(), ref.start);
     EXPECT_EQ(d->max_match_id(), n.max_match_id());
     ASSERT_EQ(d->accepting_state_count(), ref.accepting);
-    EXPECT_TRUE(std::equal(ref.table.begin(), ref.table.end(), d->table_data()));
+    // Entry by entry through the raw accessors: target() per class, next()
+    // per byte, and the premultiplied table itself.
+    std::uint32_t table_mismatches = 0;
+    for (std::uint32_t s = 0; s < ref.discovered; ++s) {
+      const std::size_t row = static_cast<std::size_t>(s) * ncls;
+      for (std::uint16_t c = 0; c < ncls; ++c) {
+        table_mismatches += d->target(s, c) != ref.table[row + c];
+        table_mismatches += d->table_data()[row + c] != d->row_offset(ref.table[row + c]);
+      }
+      for (unsigned b = 0; b < 256; ++b)
+        table_mismatches +=
+            d->next(s, static_cast<unsigned char>(b)) != ref.table[row + cls[b]];
+    }
+    EXPECT_EQ(table_mismatches, 0u);
     std::uint32_t accept_mismatches = 0;
     for (std::uint32_t s = 0; s < ref.accepting; ++s) {
       const auto [first, last] = d->accepts(s);
@@ -381,7 +398,7 @@ TEST(DfaDifferential, FullyAnchoredSetReachesTheDeadSubset) {
   for (std::uint32_t s = 0; s < d->state_count() && !has_sink; ++s) {
     bool sink = true;
     for (std::uint16_t c = 0; c < d->column_count(); ++c)
-      sink &= d->table_data()[static_cast<std::size_t>(s) * d->column_count() + c] == s;
+      sink &= d->target(s, c) == s;
     has_sink = sink;
   }
   EXPECT_TRUE(has_sink);

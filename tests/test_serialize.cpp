@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 
 #include "engine_test_util.h"
 #include "mfa/mfa.h"
@@ -13,6 +16,39 @@
 #include "rules/ruleset_gen.h"
 #include "util/binio.h"
 #include "util/rng.h"
+
+namespace {
+// Largest single heap request made while g_track_alloc is set: lets a test
+// prove a loader rejects a crafted geometry before allocating for it.
+std::atomic<bool> g_track_alloc{false};
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+namespace {
+void* tracked_malloc(std::size_t n) noexcept {
+  if (g_track_alloc.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_alloc.compare_exchange_weak(seen, n)) {
+    }
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+}  // namespace
+
+// Every single-object form is replaced, so each new pairs with a delete of
+// this set (a sanitizer runtime supplies whichever form is left out). The
+// deletes stay out of line, so callers pair operator new with operator
+// delete rather than with an inlined free().
+void* operator new(std::size_t n) {
+  if (void* p = tracked_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return tracked_malloc(n); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace mfa::core {
 namespace {
@@ -465,6 +501,67 @@ void expect_repeated_accept_ids_rejected(const Table& table, const char* name) {
   EXPECT_TRUE(loads_with_ids(2, 1)) << name;  // any order: MFA artifacts store filter order
   EXPECT_FALSE(loads_with_ids(1, 1)) << name;
   EXPECT_FALSE(loads_with_ids(2, 2)) << name;
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, OversizedTableGeometryIsRejectedBeforeAllocating) {
+  // Row offsets (state x ncols) must stay below 2^30. A crafted artifact
+  // claiming states x ncols >= 2^30, with a table count the reader's 1 GiB
+  // cap would still admit (2^24 words = 64 MiB), must load as nullopt
+  // without that allocation: the geometry is checked first. The digest is
+  // recomputed, so only the geometry check can refuse the file in time.
+  const auto built = build_mfa(compile_patterns({".*ab.*cd", "ef[0-9]+gh"}));
+  ASSERT_TRUE(built.has_value());
+  const std::uint16_t ncols = built->character_dfa().column_count();
+  const std::string path = temp_path("oversized.mfac");
+  ASSERT_TRUE(built->save(path));
+  const std::vector<char> bytes = read_file_bytes(path);
+  constexpr std::size_t kDfaAt = 4 + 4 + 1 + 1 + 4 + 4 + 1;  // v4 header
+  constexpr std::size_t kTableCountAt = kDfaAt + 4 * 4 + 2 + 256;
+  const auto peak_while = [](const auto& fn) {
+    g_largest_alloc = 0;
+    g_track_alloc = true;
+    const bool ok = fn();
+    g_track_alloc = false;
+    EXPECT_FALSE(ok);
+    return g_largest_alloc.load();
+  };
+  const std::uint64_t claimed = std::uint64_t{1} << 24;
+
+  const auto at_cap = static_cast<std::uint32_t>(((1u << 30) + ncols - 1) / ncols);
+  for (const std::uint32_t states : {at_cap, at_cap + 1, 0xffffffffu}) {
+    std::vector<char> mutated = bytes;
+    std::memcpy(mutated.data() + kDfaAt, &states, 4);
+    std::memcpy(mutated.data() + kTableCountAt, &claimed, 8);
+    const std::uint64_t digest = util::detail::fnv1a(util::detail::kFnvOffset,
+                                                     mutated.data(), mutated.size() - 8);
+    std::memcpy(mutated.data() + mutated.size() - 8, &digest, 8);
+    write_file_bytes(path, mutated);
+    EXPECT_LT(peak_while([&] { return Mfa::load(path).has_value(); }), 1u << 20)
+        << "states " << states;
+  }
+
+  // The delta table's loader checks the same geometry before its first
+  // vector (defaults_, one word per state).
+  const dfa::D2fa delta(built->character_dfa());
+  {
+    util::FilePtr f(std::fopen(path.c_str(), "wb"));
+    util::BinWriter w(f.get());
+    delta.serialize(w);
+    ASSERT_TRUE(w.ok());
+  }
+  std::vector<char> blob = read_file_bytes(path);
+  constexpr std::size_t kDefaultsCountAt = 4 * 4 + 2 + 4 + 8 + 256;
+  std::memcpy(blob.data(), &at_cap, 4);
+  std::memcpy(blob.data() + kDefaultsCountAt, &claimed, 8);
+  write_file_bytes(path, blob);
+  EXPECT_LT(peak_while([&] {
+              util::FilePtr f(std::fopen(path.c_str(), "rb"));
+              util::BinReader r(f.get());
+              dfa::D2fa out;
+              return dfa::D2fa::deserialize(r, out);
+            }),
+            1u << 20);
   std::remove(path.c_str());
 }
 

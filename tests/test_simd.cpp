@@ -34,6 +34,7 @@
 #include "simd/teddy.h"
 #include "split/literals.h"
 #include "util/rng.h"
+#include "util/row_stride.h"
 
 namespace mfa {
 namespace {
@@ -359,131 +360,169 @@ TEST(DenseKernel, FeedManyMatchesSequentialFeed) {
     EXPECT_EQ(many_ctx[i].state, seq_ctx[i].state) << "job " << i;
 }
 
-/// A random dense table over 4 byte columns whose first `naccept` states
-/// are accepting, and the per-lane accept-limit policy the limit tests run:
-/// each lane starts at its own limit, and every accept moves it to a new
-/// one derived from (lane, state, byte index) — sometimes 0, which silences
-/// the lane, sometimes past naccept.
+/// A random dense table over `ncols` byte columns whose first `naccept`
+/// states are accepting, in the premultiplied form the kernels step on
+/// (DESIGN.md §6 #13), with the table interface dense_interleaved_scan
+/// takes; and the per-lane accept-limit policy the limit tests run: each
+/// lane starts at its own limit, and every accept moves it to a new one
+/// derived from (lane, state, byte index) — sometimes 0, which silences the
+/// lane, sometimes past naccept. Limits and states are raw ids here; the
+/// kernels see them as row offsets.
 struct LimitTable {
   static constexpr std::uint32_t kStates = 24;
-  static constexpr std::uint32_t kCols = 4;
   static constexpr std::uint32_t kAccept = 7;
-  std::vector<std::uint32_t> table;
+  util::RowStride rows;
+  std::vector<std::uint32_t> raw;    // raw target ids: the sequential model
+  std::vector<std::uint32_t> table;  // the same targets as row offsets
   std::uint8_t cols[256];
 
-  explicit LimitTable(util::Rng& rng) {
-    for (std::uint32_t i = 0; i < kStates * kCols; ++i)
-      table.push_back(static_cast<std::uint32_t>(rng.below(kStates)));
-    for (int b = 0; b < 256; ++b) cols[b] = static_cast<std::uint8_t>(b % kCols);
+  LimitTable(util::Rng& rng, std::uint32_t ncols) : rows(ncols) {
+    for (std::uint32_t i = 0; i < kStates * ncols; ++i) {
+      raw.push_back(static_cast<std::uint32_t>(rng.below(kStates)));
+      table.push_back(rows.offset(raw.back()));
+    }
+    for (int b = 0; b < 256; ++b) cols[b] = static_cast<std::uint8_t>(b % ncols);
   }
   static std::uint32_t first_limit(std::size_t lane) { return lane % (kAccept + 2); }
   static std::uint32_t next_limit(std::size_t lane, std::uint32_t s, std::uint64_t i) {
     return static_cast<std::uint32_t>((s * 5 + i * 3 + lane) % (kAccept + 2));
   }
-  std::uint32_t step(std::uint32_t s, std::uint8_t b) const {
-    return table[s * kCols + cols[b]];
+  /// Raw-id step of the sequential model.
+  std::uint32_t next(std::uint32_t s, std::uint8_t b) const {
+    return raw[s * rows.ncols() + cols[b]];
   }
+
+  // Table interface (see simd::dense_interleaved_scan).
+  const std::uint32_t* table_data() const { return table.data(); }
+  const std::uint8_t* byte_columns() const { return cols; }
+  std::uint32_t step(std::uint32_t offset, std::uint8_t b) const {
+    return table[offset + cols[b]];
+  }
+  std::uint32_t row_offset(std::uint32_t id) const { return rows.offset(id); }
+  std::uint32_t state_of(std::uint32_t offset) const { return rows.id(offset); }
 };
 
 using LimitHit = std::tuple<std::size_t, std::uint32_t, std::uint64_t>;
 
+/// Table widths the limit tests run: a power of two, an odd width whose
+/// row offsets a shift alone cannot undo, and the full alphabet.
+constexpr std::uint32_t kLimitWidths[] = {4, 65, 256};
+
 TEST(DenseKernel, GatherBlockHonoursPerLaneLimitsSetInTheHook) {
   if (simd::level() != simd::Level::kAvx2) GTEST_SKIP() << "no AVX2 gather kernel here";
   util::Rng rng(4242);
-  const LimitTable t(rng);
-  constexpr std::size_t kChunk = 300;
-  std::vector<std::string> bytes(8);
-  const std::uint8_t* data[8];
-  std::uint32_t states[8];
-  std::uint32_t limits[8];
-  for (std::size_t l = 0; l < 8; ++l) {
-    for (std::size_t i = 0; i < kChunk; ++i) bytes[l] += static_cast<char>(rng.below(256));
-    data[l] = reinterpret_cast<const std::uint8_t*>(bytes[l].data());
-    states[l] = static_cast<std::uint32_t>(rng.below(LimitTable::kStates));
-    limits[l] = LimitTable::first_limit(l);
-  }
-
-  // Sequential model: each lane on its own, limit changed after each accept.
-  std::vector<LimitHit> want;
-  std::uint32_t want_state[8];
-  for (std::size_t l = 0; l < 8; ++l) {
-    std::uint32_t s = states[l];
-    std::uint32_t lim = limits[l];
-    for (std::size_t i = 0; i < kChunk; ++i) {
-      s = t.step(s, data[l][i]);
-      if (s < lim) {
-        want.emplace_back(l, s, i);
-        lim = LimitTable::next_limit(l, s, i);
-      }
+  for (const std::uint32_t ncols : kLimitWidths) {
+    SCOPED_TRACE("ncols " + std::to_string(ncols));
+    const LimitTable t(rng, ncols);
+    constexpr std::size_t kChunk = 300;
+    std::vector<std::string> bytes(8);
+    const std::uint8_t* data[8];
+    std::uint32_t start[8];
+    std::uint32_t states[8];
+    std::uint32_t limits[8];
+    for (std::size_t l = 0; l < 8; ++l) {
+      for (std::size_t i = 0; i < kChunk; ++i) bytes[l] += static_cast<char>(rng.below(256));
+      data[l] = reinterpret_cast<const std::uint8_t*>(bytes[l].data());
+      start[l] = static_cast<std::uint32_t>(rng.below(LimitTable::kStates));
+      states[l] = t.row_offset(start[l]);
+      limits[l] = t.row_offset(LimitTable::first_limit(l));
     }
-    want_state[l] = s;
-  }
 
-  std::vector<LimitHit> got;
-  simd::dense_block_avx2(
-      t.table.data(), LimitTable::kCols, t.cols, limits, states, data, kChunk,
-      [](void* u, std::size_t lane, std::uint32_t s, std::size_t i) -> std::uint32_t {
-        static_cast<std::vector<LimitHit>*>(u)->emplace_back(lane, s, i);
-        return LimitTable::next_limit(lane, s, i);
-      },
-      &got);
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  EXPECT_EQ(got, want);
-  EXPECT_GT(want.size(), 30u);
-  for (std::size_t l = 0; l < 8; ++l) EXPECT_EQ(states[l], want_state[l]) << "lane " << l;
+    // Sequential raw-id model: each lane on its own, limit changed after
+    // each accept.
+    std::vector<LimitHit> want;
+    std::uint32_t want_state[8];
+    for (std::size_t l = 0; l < 8; ++l) {
+      std::uint32_t s = start[l];
+      std::uint32_t lim = LimitTable::first_limit(l);
+      for (std::size_t i = 0; i < kChunk; ++i) {
+        s = t.next(s, data[l][i]);
+        if (s < lim) {
+          want.emplace_back(l, s, i);
+          lim = LimitTable::next_limit(l, s, i);
+        }
+      }
+      want_state[l] = s;
+    }
+
+    // The gather kernel sees offsets only: the hook converts both ways.
+    struct HookCtx {
+      const LimitTable* t;
+      std::vector<LimitHit> got;
+    } hook{&t, {}};
+    simd::dense_block_avx2(
+        t.table_data(), t.cols, limits, states, data, kChunk,
+        [](void* u, std::size_t lane, std::uint32_t s, std::size_t i) -> std::uint32_t {
+          auto* h = static_cast<HookCtx*>(u);
+          const std::uint32_t id = h->t->state_of(s);
+          h->got.emplace_back(lane, id, i);
+          return h->t->row_offset(LimitTable::next_limit(lane, id, i));
+        },
+        &hook);
+    std::sort(hook.got.begin(), hook.got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(hook.got, want);
+    EXPECT_GT(want.size(), 30u);
+    for (std::size_t l = 0; l < 8; ++l)
+      EXPECT_EQ(states[l], t.row_offset(want_state[l])) << "lane " << l;
+  }
 }
 
 TEST(DenseKernel, InterleavedScanKeepsEachJobsLimitAcrossRefills) {
-  // 21 jobs through 8 lanes (and 4, the scalar kernel on any host): lanes
-  // retire and refill mid-run, and each job's limit must travel with it.
+  // 21 jobs through 8 lanes (the gather kernel on AVX2 hosts) and 4 (the
+  // scalar kernel on any host): lanes retire and refill mid-run, and each
+  // job's limit must travel with it. Both kernels must equal the
+  // sequential raw-id model, so they agree with each other at every width.
   util::Rng rng(777);
-  const LimitTable t(rng);
-  struct Ctx {
-    std::uint32_t state = 0;
-  };
-  constexpr std::size_t kJobs = 21;
-  std::vector<std::string> bytes;
-  std::vector<LimitHit> want;
-  std::vector<std::uint32_t> want_state;
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    std::string b;
-    for (std::size_t i = 0, n = rng.below(200); i < n; ++i)
-      b += static_cast<char>(rng.below(256));
-    std::uint32_t s = static_cast<std::uint32_t>(j % LimitTable::kStates);
-    std::uint32_t lim = LimitTable::first_limit(j);
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      s = t.step(s, static_cast<std::uint8_t>(b[i]));
-      if (s < lim) {
-        want.emplace_back(j, s, 1000 * j + i);
-        lim = LimitTable::next_limit(j, s, i);
-      }
-    }
-    want_state.push_back(s);
-    bytes.push_back(std::move(b));
-  }
-  std::sort(want.begin(), want.end());
-
-  for (const std::size_t lanes : {8u, 4u}) {
-    std::vector<Ctx> ctx(kJobs);
-    std::vector<scan::FeedJob<Ctx>> jobs;
+  for (const std::uint32_t ncols : kLimitWidths) {
+    SCOPED_TRACE("ncols " + std::to_string(ncols));
+    const LimitTable t(rng, ncols);
+    struct Ctx {
+      std::uint32_t state = 0;
+    };
+    constexpr std::size_t kJobs = 21;
+    std::vector<std::string> bytes;
+    std::vector<LimitHit> want;
+    std::vector<std::uint32_t> want_state;
     for (std::size_t j = 0; j < kJobs; ++j) {
-      ctx[j].state = static_cast<std::uint32_t>(j % LimitTable::kStates);
-      jobs.push_back({&ctx[j], reinterpret_cast<const std::uint8_t*>(bytes[j].data()),
-                      bytes[j].size(), 1000 * j});
+      std::string b;
+      for (std::size_t i = 0, n = rng.below(200); i < n; ++i)
+        b += static_cast<char>(rng.below(256));
+      std::uint32_t s = static_cast<std::uint32_t>(j % LimitTable::kStates);
+      std::uint32_t lim = LimitTable::first_limit(j);
+      for (std::size_t i = 0; i < b.size(); ++i) {
+        s = t.next(s, static_cast<std::uint8_t>(b[i]));
+        if (s < lim) {
+          want.emplace_back(j, s, 1000 * j + i);
+          lim = LimitTable::next_limit(j, s, i);
+        }
+      }
+      want_state.push_back(s);
+      bytes.push_back(std::move(b));
     }
-    std::vector<LimitHit> got;
-    simd::dense_interleaved_scan(
-        t.table.data(), LimitTable::kCols, t.cols, jobs.data(), jobs.size(), lanes,
-        [](std::size_t j) { return LimitTable::first_limit(j); },
-        [&](std::size_t j, std::uint32_t s, std::uint64_t end) {
-          got.emplace_back(j, s, end);
-          return LimitTable::next_limit(j, s, end - 1000 * j);
-        });
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want) << "lanes " << lanes << ", kernel level " << simd::level_name();
-    for (std::size_t j = 0; j < kJobs; ++j)
-      EXPECT_EQ(ctx[j].state, want_state[j]) << "lanes " << lanes << " job " << j;
+    std::sort(want.begin(), want.end());
+
+    for (const std::size_t lanes : {8u, 4u}) {
+      std::vector<Ctx> ctx(kJobs);
+      std::vector<scan::FeedJob<Ctx>> jobs;
+      for (std::size_t j = 0; j < kJobs; ++j) {
+        ctx[j].state = static_cast<std::uint32_t>(j % LimitTable::kStates);
+        jobs.push_back({&ctx[j], reinterpret_cast<const std::uint8_t*>(bytes[j].data()),
+                        bytes[j].size(), 1000 * j});
+      }
+      std::vector<LimitHit> got;
+      simd::dense_interleaved_scan(
+          t, jobs.data(), jobs.size(), lanes,
+          [](std::size_t j) { return LimitTable::first_limit(j); },
+          [&](std::size_t j, std::uint32_t s, std::uint64_t end) {
+            got.emplace_back(j, s, end);
+            return LimitTable::next_limit(j, s, end - 1000 * j);
+          });
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "lanes " << lanes << ", kernel level " << simd::level_name();
+      for (std::size_t j = 0; j < kJobs; ++j)
+        EXPECT_EQ(ctx[j].state, want_state[j]) << "lanes " << lanes << " job " << j;
+    }
   }
 }
 

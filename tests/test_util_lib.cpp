@@ -2,6 +2,7 @@
 
 #include "util/dynamic_bitset.h"
 #include "util/rng.h"
+#include "util/row_stride.h"
 #include "util/table.h"
 #include "util/timing.h"
 
@@ -157,6 +158,29 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(format_double(1.2345, 2), "1.23");
   EXPECT_EQ(format_bytes_mb(1024 * 1024), "1.00");
   EXPECT_EQ(format_bytes_mb(256 * 1024 * 1024, 0), "256");
+}
+
+TEST(RowStride, ExactDivisionForEveryWidthUpToTheCap) {
+  // Every table width, ids from 0 up to the last row the cap admits:
+  // offset() is the plain product and id() inverts it exactly. Widths like
+  // 65 (odd part > 1) and 192 (shift and inverse) both have to hold.
+  Rng rng(65);
+  for (std::uint32_t ncols = 1; ncols <= 256; ++ncols) {
+    const RowStride rows(ncols);
+    const auto max_rows = static_cast<std::uint32_t>((kMaxRowOffsets - 1) / ncols);
+    ASSERT_TRUE(RowStride::fits(max_rows, ncols)) << ncols;
+    ASSERT_FALSE(RowStride::fits(std::uint64_t{max_rows} + 1, ncols)) << ncols;
+    std::uint32_t bad = 0;
+    const auto check = [&](std::uint32_t id) {
+      const std::uint32_t off = rows.offset(id);
+      bad += off != static_cast<std::uint64_t>(id) * ncols || rows.id(off) != id;
+    };
+    for (std::uint32_t id = 0; id < 512; ++id) check(id);
+    for (std::uint32_t id = max_rows - 511; id <= max_rows; ++id) check(id);
+    for (int i = 0; i < 512; ++i) check(static_cast<std::uint32_t>(rng.below(max_rows)));
+    EXPECT_EQ(bad, 0u) << "ncols " << ncols;
+    EXPECT_EQ(rows.ncols(), ncols);
+  }
 }
 
 }  // namespace
