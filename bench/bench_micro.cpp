@@ -47,9 +47,9 @@ Fixture& fixture() {
   return f;
 }
 
-template <typename ScannerT, typename EngineT>
+template <typename EngineT>
 void scan_loop(benchmark::State& state, const EngineT& engine, const std::string& data) {
-  ScannerT scanner(engine);
+  Scanner scanner(engine);
   CountingSink sink;
   for (auto _ : state) {
     scanner.reset();
@@ -60,26 +60,26 @@ void scan_loop(benchmark::State& state, const EngineT& engine, const std::string
 }
 
 void BM_DfaScanQuiet(benchmark::State& s) {
-  scan_loop<dfa::DfaScanner>(s, fixture().dfa_engine, fixture().quiet);
+  scan_loop(s, fixture().dfa_engine, fixture().quiet);
 }
 void BM_DfaScanNoisy(benchmark::State& s) {
-  scan_loop<dfa::DfaScanner>(s, fixture().dfa_engine, fixture().noisy);
+  scan_loop(s, fixture().dfa_engine, fixture().noisy);
 }
 void BM_MfaScanQuiet(benchmark::State& s) {
-  scan_loop<core::MfaScanner>(s, fixture().mfa_engine, fixture().quiet);
+  scan_loop(s, fixture().mfa_engine, fixture().quiet);
 }
 void BM_MfaScanNoisy(benchmark::State& s) {
-  scan_loop<core::MfaScanner>(s, fixture().mfa_engine, fixture().noisy);
+  scan_loop(s, fixture().mfa_engine, fixture().noisy);
 }
 void BM_HfaScanQuiet(benchmark::State& s) {
-  scan_loop<hfa::HfaScanner>(s, fixture().hfa_engine, fixture().quiet);
+  scan_loop(s, fixture().hfa_engine, fixture().quiet);
 }
 void BM_XfaScanQuiet(benchmark::State& s) {
-  scan_loop<xfa::XfaScanner>(s, fixture().xfa_engine, fixture().quiet);
+  scan_loop(s, fixture().xfa_engine, fixture().quiet);
 }
 void BM_NfaScanQuiet(benchmark::State& s) {
   // NFA is orders of magnitude slower; use a slice to keep iterations sane.
-  scan_loop<nfa::NfaScanner>(s, fixture().nfa_engine, fixture().quiet.substr(0, 64 << 10));
+  scan_loop(s, fixture().nfa_engine, fixture().quiet.substr(0, 64 << 10));
 }
 
 BENCHMARK(BM_DfaScanQuiet);

@@ -154,19 +154,15 @@ int main(int argc, char** argv) {
 
   std::uint64_t total = 0;
   const auto scan_one = [&](const std::string& name, const std::string& data) {
-    core::MfaScanner scanner(*mfa);
-    std::uint64_t here = 0;
-    scanner.reset();
-    CollectingSink sink;
-    scanner.feed(reinterpret_cast<const std::uint8_t*>(data.data()), data.size(), 0, sink);
-    here = sink.matches.size();
+    const MatchVec matches = Scanner(*mfa).scan(data);
+    const std::uint64_t here = matches.size();
     total += here;
     if (cfg.quiet) return;
     if (cfg.count_only) {
       std::printf("%s: %llu\n", name.c_str(), static_cast<unsigned long long>(here));
       return;
     }
-    for (const Match& m : sink.matches)
+    for (const Match& m : matches)
       std::printf("%s: pattern %u at offset %llu\n", name.c_str(), m.id,
                   static_cast<unsigned long long>(m.end));
   };

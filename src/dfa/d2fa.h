@@ -259,8 +259,12 @@ class D2fa {
 
   /// Chain walk for a non-root raw state id; returns a tagged value.
   /// Bounded by construction: at most max_chain_ default hops, then a
-  /// root's dense row resolves unconditionally.
-  [[nodiscard]] std::uint32_t next_cold(std::uint32_t s, std::uint8_t col) const {
+  /// root's dense row resolves unconditionally. Kept out of line so that
+  /// next_tagged(), the per-byte step, stays a few instructions: with this
+  /// walk inlined into it, next_tagged() was a ~300-byte function, called
+  /// per byte from the scan loops, whose speed moved with code placement.
+  [[nodiscard, gnu::noinline]] std::uint32_t next_cold(std::uint32_t s,
+                                                       std::uint8_t col) const {
     for (;;) {
       const std::uint32_t d = defaults_[s];
       if ((d & kRootFlag) != 0)  // dense_rows_ entries are already tagged
@@ -314,34 +318,6 @@ class D2fa {
   std::vector<std::uint32_t> root_raw_;    // dense row index -> raw state id
   std::vector<std::uint32_t> accept_offsets_;
   std::vector<std::uint32_t> accept_ids_;
-};
-
-/// Back-compat wrapper (engine pointer + one Context); same Match contract
-/// as DfaScanner.
-class D2faScanner {
- public:
-  explicit D2faScanner(const D2fa& dfa) : dfa_(&dfa), ctx_(dfa.make_context()) {}
-
-  void reset() { dfa_->reset(ctx_); }
-
-  template <typename Sink>
-  void feed(const std::uint8_t* data, std::size_t size, std::uint64_t base, Sink&& sink) {
-    dfa_->feed(ctx_, data, size, base, sink);
-  }
-
-  MatchVec scan(const std::uint8_t* data, std::size_t size) {
-    reset();
-    CollectingSink sink;
-    feed(data, size, 0, sink);
-    return std::move(sink.matches);
-  }
-  MatchVec scan(const std::string& data) {
-    return scan(reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
-  }
-
- private:
-  const D2fa* dfa_;
-  D2fa::Context ctx_;
 };
 
 }  // namespace mfa::dfa

@@ -279,38 +279,4 @@ void permute_accept_lists(std::vector<std::uint32_t>& offsets,
                           std::vector<std::uint32_t>& ids,
                           const std::vector<std::uint32_t>& new_id);
 
-/// Back-compat wrapper over the Engine/Context split: an engine pointer
-/// plus one owned Context, with the historical scan()/feed() surface
-/// (paper Sec. V: ~19 CpB in the authors' OCaml build; fastest baseline).
-class DfaScanner {
- public:
-  explicit DfaScanner(const Dfa& dfa) : dfa_(&dfa), ctx_(dfa.make_context()) {}
-
-  void reset() { dfa_->reset(ctx_); }
-  [[nodiscard]] std::uint32_t state() const { return ctx_.state; }
-  void set_state(std::uint32_t s) { ctx_.state = s; }
-
-  template <typename Sink>
-  void feed(const std::uint8_t* data, std::size_t size, std::uint64_t base, Sink&& sink) {
-    dfa_->feed(ctx_, data, size, base, sink);
-  }
-
-  MatchVec scan(const std::uint8_t* data, std::size_t size) {
-    reset();
-    CollectingSink sink;
-    feed(data, size, 0, sink);
-    return std::move(sink.matches);
-  }
-  MatchVec scan(const std::string& data) {
-    return scan(reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
-  }
-
-  /// Per-flow context is a single DFA state.
-  [[nodiscard]] static std::size_t context_bytes() { return sizeof(std::uint32_t); }
-
- private:
-  const Dfa* dfa_;
-  Dfa::Context ctx_;
-};
-
 }  // namespace mfa::dfa

@@ -6,19 +6,11 @@ namespace mfa::filter {
 
 std::string Action::to_pseudocode() const {
   std::ostringstream out;
-  bool have_guard = false;
-  if (test != kNone) {
-    out << "Test " << test;
-    have_guard = true;
-  }
-  if (ctr_test != kNone) {
-    out << (have_guard ? " and " : "") << "Counter " << ctr_test << " >= " << ctr_threshold;
-    have_guard = true;
-  }
+  const bool have_guard = test != kNone;
+  if (have_guard) out << "Test " << test;
   std::vector<std::string> effects;
   if (clear != kNone) effects.push_back("Clear " + std::to_string(clear));
   if (set != kNone) effects.push_back("Set " + std::to_string(set));
-  if (ctr_incr != kNone) effects.push_back("Increment " + std::to_string(ctr_incr));
   if (report != kNone) effects.push_back("Match " + std::to_string(report));
   if (effects.empty()) effects.push_back("Nop");
   if (have_guard) out << " to ";
@@ -42,9 +34,6 @@ bool Program::validate(std::string* error) const {
   const auto bit_ok = [&](std::int32_t b) {
     return b == kNone || (b >= 0 && static_cast<std::uint32_t>(b) < memory_bits);
   };
-  const auto ctr_ok = [&](std::int32_t c) {
-    return c == kNone || (c >= 0 && static_cast<std::uint32_t>(c) < counters);
-  };
   const auto slot_ok = [&](std::int32_t s) {
     return s == kNone || (s >= 0 && static_cast<std::uint32_t>(s) < position_slots);
   };
@@ -53,13 +42,13 @@ bool Program::validate(std::string* error) const {
     if (!bit_ok(a.test) || !bit_ok(a.set) || !bit_ok(a.clear))
       return fail("action " + std::to_string(i) + " references a bit outside [0, " +
                   std::to_string(memory_bits) + ")");
-    if (!ctr_ok(a.ctr_test) || !ctr_ok(a.ctr_incr))
-      return fail("action " + std::to_string(i) + " references a counter outside [0, " +
-                  std::to_string(counters) + ")");
     if (!slot_ok(a.set_slot) || !slot_ok(a.test_slot))
       return fail("action " + std::to_string(i) +
                   " references a position slot outside [0, " +
                   std::to_string(position_slots) + ")");
+    if (a.min_gap > 0 && (a.test == kNone || a.test_slot == kNone))
+      return fail("action " + std::to_string(i) +
+                  " requires a gap but names no tested bit and slot");
   }
   return true;
 }

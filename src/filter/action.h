@@ -2,10 +2,10 @@
 //
 // The paper encodes each filter action as 4 integers: a memory bit that
 // must be set for the action to take effect (test), a bit to set, a bit to
-// clear, and the match id to report. We keep exactly that encoding and add
-// the counter fields the paper's future-work section (Sec. VI) sketches for
-// counting constraints; the default splitter never emits counters, but the
-// engine and tests support them.
+// clear, and the match id to report. We keep exactly that encoding, plus
+// the offset-tracking fields gap separators need and a same-position rank.
+// Counting constraints (the paper's Sec. VI future work) are not
+// supported.
 #pragma once
 
 #include <cstdint>
@@ -34,12 +34,6 @@ struct Action {
   std::int32_t clear = kNone;   ///< bit cleared when the action fires
   std::int32_t report = kNone;  ///< original match id to report, or kNone
 
-  // Counter extension (Sec. VI): optional guard "counter >= threshold" and
-  // optional post-increment.
-  std::int32_t ctr_test = kNone;       ///< counter that must reach ctr_threshold
-  std::int32_t ctr_threshold = 0;
-  std::int32_t ctr_incr = kNone;       ///< counter to increment when firing
-
   // Offset-tracking extension (Sec. VI "tracking the offsets of previous
   // matches"): a Set with `set_slot` records the *earliest* position its
   // bit fired at; a Test with `min_gap` additionally requires
@@ -66,16 +60,14 @@ struct Action {
 
   /// True if the action does nothing but report unconditionally.
   [[nodiscard]] bool is_plain_report() const {
-    return test == kNone && set == kNone && clear == kNone && ctr_test == kNone &&
-           ctr_incr == kNone && report != kNone;
+    return test == kNone && set == kNone && clear == kNone && report != kNone;
   }
 
   /// True if the action does nothing but clear a bit unconditionally: no
-  /// test, set, report or counter. Pure clears commute, so an accept state
-  /// made only of them folds into per-word masks (DESIGN.md §6 #10).
+  /// test, set or report. Pure clears commute, so an accept state made only
+  /// of them folds into per-word masks (DESIGN.md §6 #10).
   [[nodiscard]] bool is_pure_clear() const {
-    return clear != kNone && test == kNone && set == kNone && report == kNone &&
-           ctr_test == kNone && ctr_incr == kNone;
+    return clear != kNone && test == kNone && set == kNone && report == kNone;
   }
 
   /// True if the action changes nothing while no memory bit is set: it
@@ -106,20 +98,21 @@ struct ActionOrderLess {
 struct Program {
   std::vector<Action> actions;   ///< indexed by engine match id
   std::uint32_t memory_bits = 0;
-  std::uint32_t counters = 0;
   std::uint32_t position_slots = 0;  ///< offset-tracking slots (gap extension)
 
-  /// Image accounting: the 4 (+3 extension) int32 fields per action, as the
-  /// paper stores them ("filters taking up an average of less than 0.2% of
-  /// each image", Sec. V-C).
+  /// Image accounting: the 4 (+4 offset-tracking and rank) int32 fields per
+  /// action, as the paper stores them ("filters taking up an average of
+  /// less than 0.2% of each image", Sec. V-C).
   [[nodiscard]] std::size_t memory_image_bytes() const {
     return actions.size() * sizeof(Action);
   }
 
-  /// Geometry check: memory_bits within kMaxMemoryBits and every action
-  /// operand inside the declared geometry. Engine builders reject programs
-  /// that fail this instead of letting a >256-bit program alias flags at
-  /// scan time. On failure, fills `error` (when non-null) with the reason.
+  /// Geometry check: memory_bits within kMaxMemoryBits, every action
+  /// operand inside the declared geometry, and a test slot on every
+  /// gap-tracked test (min_gap > 0). Engine builders and Mfa::load() reject
+  /// programs that fail this instead of letting a >256-bit program alias
+  /// flags at scan time. On failure, fills `error` (when non-null) with the
+  /// reason.
   [[nodiscard]] bool validate(std::string* error = nullptr) const;
 };
 

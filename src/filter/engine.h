@@ -23,18 +23,17 @@ namespace mfa::filter {
 inline constexpr std::size_t kSparseLive = 4;
 inline constexpr std::uint16_t kSparseEmpty = 0xFFFF;
 
-/// Per-flow filter memory: bit flags plus optional counters, zeroed by
-/// convention (paper Sec. III-A). The first kInlineMemoryBits flags live in
-/// a fixed inline array — programs that fit it (the common case) never
+/// Per-flow filter memory: bit flags plus optional position slots, zeroed
+/// by convention (paper Sec. III-A). The first kInlineMemoryBits flags live
+/// in a fixed inline array — programs that fit it (the common case) never
 /// heap-allocate bit storage. Larger programs (Snort-class rulesets
 /// decompose into thousands of guard bits) keep the rest in `ext_`,
 /// sized once at construction from the program's declared geometry.
 class Memory {
  public:
   Memory() = default;
-  explicit Memory(std::uint32_t counters, std::uint32_t position_slots = 0,
-                  std::uint32_t bits = 0)
-      : counters_(counters, 0), positions_(position_slots, 0) {
+  explicit Memory(std::uint32_t position_slots, std::uint32_t bits)
+      : positions_(position_slots, 0) {
     if (bits > kInlineMemoryBits)
       ext_.assign((bits - kInlineMemoryBits + 63) / 64, 0);
   }
@@ -42,7 +41,6 @@ class Memory {
   void reset() {
     bits_.fill(0);
     std::fill(ext_.begin(), ext_.end(), 0);
-    std::fill(counters_.begin(), counters_.end(), 0);
     std::fill(positions_.begin(), positions_.end(), 0);
   }
 
@@ -58,27 +56,22 @@ class Memory {
     word(static_cast<std::int32_t>(w * 64)) &= ~mask;
   }
 
-  /// True when no bit is set. Counters and positions are not consulted: a
-  /// quiet action (Action::is_quiet) changes nothing either way.
+  /// True when no bit is set. Positions are not consulted: a quiet action
+  /// (Action::is_quiet) changes nothing either way.
   [[nodiscard]] bool no_bits() const {
     const auto zero = [](std::uint64_t w) { return w == 0; };
     return std::all_of(bits_.begin(), bits_.end(), zero) &&
            std::all_of(ext_.begin(), ext_.end(), zero);
   }
 
-  void increment(std::int32_t c) { ++counters_[c]; }
-  [[nodiscard]] std::uint32_t counter(std::int32_t c) const { return counters_[c]; }
-
   /// Record the earliest position a gap-tracked bit fired at.
   void record_position(std::int32_t slot, std::uint64_t pos) { positions_[slot] = pos; }
   [[nodiscard]] std::uint64_t position(std::int32_t slot) const { return positions_[slot]; }
 
   /// Write this memory into `live` as a SparseMemory set when it fits one:
-  /// at most kSparseLive set bits, all below kSparseEmpty, and no counter or
-  /// position recorded. Returns false, leaving `live` untouched, otherwise.
+  /// at most kSparseLive set bits, all below kSparseEmpty, and no position
+  /// recorded. Returns false, leaving `live` untouched, otherwise.
   [[nodiscard]] bool to_sparse(std::uint16_t (&live)[kSparseLive]) const {
-    for (const std::uint32_t c : counters_)
-      if (c != 0) return false;
     for (const std::uint64_t p : positions_)
       if (p != 0) return false;
     std::uint16_t out[kSparseLive] = {kSparseEmpty, kSparseEmpty, kSparseEmpty,
@@ -101,21 +94,19 @@ class Memory {
     return true;
   }
 
-  /// Heap bytes this memory owns: overflow words, counters and position
-  /// slots (all fixed at construction).
+  /// Heap bytes this memory owns: overflow words and position slots (both
+  /// fixed at construction).
   [[nodiscard]] std::size_t heap_bytes() const {
     return ext_.capacity() * sizeof(std::uint64_t) +
-           counters_.capacity() * sizeof(std::uint32_t) +
            positions_.capacity() * sizeof(std::uint64_t);
   }
 
   /// Bytes of per-flow state this memory contributes (w bits rounded to
-  /// words + counters + position slots); Sec. III-A prefers small contexts
-  /// for many-flow environments.
-  [[nodiscard]] static std::size_t context_bytes(std::uint32_t bits, std::uint32_t counters,
-                                                 std::uint32_t position_slots = 0) {
-    return ((bits + 63) / 64) * 8 + counters * sizeof(std::uint32_t) +
-           position_slots * sizeof(std::uint64_t);
+  /// words + position slots); Sec. III-A prefers small contexts for
+  /// many-flow environments.
+  [[nodiscard]] static std::size_t context_bytes(std::uint32_t bits,
+                                                 std::uint32_t position_slots) {
+    return ((bits + 63) / 64) * 8 + position_slots * sizeof(std::uint64_t);
   }
 
  private:
@@ -136,7 +127,6 @@ class Memory {
 
   std::array<std::uint64_t, kInlineMemoryBits / 64> bits_{};
   std::vector<std::uint64_t> ext_;  ///< overflow words for bits >= kInlineMemoryBits
-  std::vector<std::uint32_t> counters_;
   std::vector<std::uint64_t> positions_;
 };
 
@@ -155,12 +145,12 @@ struct ScanContext {
 /// guard bits belong to single rules, so a flow rarely holds more than a
 /// few partial chains at once (DESIGN.md §11).
 ///
-/// Reads are exact: an absent id is a clear bit, and counters and positions
-/// read 0, as they do in a full Memory that never ran an increment or a
-/// position record. Writes the set cannot hold — a bit past the capacity or
-/// at kSparseEmpty and above, an increment, a position record — are refused
-/// up front by admits(), so Engine::on_match never starts them; the caller
-/// then spills the flow to a full Memory and runs the action there.
+/// Reads are exact: an absent id is a clear bit, and positions read 0, as
+/// they do in a full Memory that never ran a position record. Writes the
+/// set cannot hold — a bit past the capacity or at kSparseEmpty and above,
+/// a position record — are refused up front by admits(), so
+/// Engine::on_match never starts them; the caller then spills the flow to
+/// a full Memory and runs the action there.
 class SparseMemory {
  public:
   explicit SparseMemory(std::uint16_t (&live)[kSparseLive]) : live_(live) {}
@@ -177,10 +167,10 @@ class SparseMemory {
   }
 
   /// Whether `a`, whose guards already passed, leaves a state this view can
-  /// hold: no counter or position write, and its Set (net of its own
-  /// Clear) fits the free entries.
+  /// hold: no position write, and its Set (net of its own Clear) fits the
+  /// free entries.
   [[nodiscard]] bool admits(const Action& a) const {
-    if (a.ctr_incr != kNone || a.set_slot != kNone) return false;
+    if (a.set_slot != kNone) return false;
     if (a.set == kNone) return true;
     if (a.set >= kSparseEmpty) return false;
     return live_[kSparseLive - 1] == kSparseEmpty || test_bit(a.set) ||
@@ -223,8 +213,6 @@ class SparseMemory {
       live_[out] = kSparseEmpty;
   }
 
-  void increment(std::int32_t) { assert(false && "admits() refuses increments"); }
-  [[nodiscard]] std::uint32_t counter(std::int32_t) const { return 0; }
   void record_position(std::int32_t, std::uint64_t) {
     assert(false && "admits() refuses position records");
   }
@@ -257,9 +245,6 @@ class Engine {
           pos - memory.position(a.test_slot) < static_cast<std::uint64_t>(a.min_gap))
         return true;
     }
-    if (a.ctr_test != kNone &&
-        memory.counter(a.ctr_test) < static_cast<std::uint32_t>(a.ctr_threshold))
-      return true;
     if constexpr (requires { memory.admits(a); }) {
       if (!memory.admits(a)) return false;
     }
@@ -271,7 +256,6 @@ class Engine {
         memory.record_position(a.set_slot, pos);
       memory.set_bit(a.set);
     }
-    if (a.ctr_incr != kNone) memory.increment(a.ctr_incr);
     if (a.report != kNone) sink(static_cast<std::uint32_t>(a.report), pos);
     return true;
   }

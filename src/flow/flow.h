@@ -1,7 +1,7 @@
 // Flow substrate shared by the inspector, the pipeline and the traces:
 // packets, 5-tuple flow keys, the out-of-order segment list, and the engine
-// concepts and mode enums the flow inspector (flow/tiered.h) is written
-// against.
+// concepts (refining ScanEngine, util/match.h) and mode enums the flow
+// inspector (flow/tiered.h) is written against.
 //
 // Paper Sec. III-B: "To handle many flows arriving in multiplexed fashion,
 // all that is necessary is to keep a (q, m) pair for each flow". An engine
@@ -18,6 +18,7 @@
 
 #include "simd/prefilter.h"
 #include "util/interleave.h"
+#include "util/match.h"
 
 namespace mfa::flow {
 
@@ -84,19 +85,6 @@ inline PendingList::iterator pending_lower_bound(PendingList& list,
       list.begin(), list.end(), seq,
       [](const PendingSegment& s, std::uint64_t q) { return s.seq < q; });
 }
-
-/// Requirements the flow inspector places on an engine: an immutable,
-/// shareable compiled automaton exposing a cheap per-flow Context (the
-/// paper's (q, m)) and a context-threaded feed. Every engine (Nfa, Dfa,
-/// D2fa, Hfa, Xfa, Mfa) satisfies this.
-template <typename EngineT>
-concept ScanEngine = requires(const EngineT& e, typename EngineT::Context& ctx,
-                              const std::uint8_t* data) {
-  { e.make_context() } -> std::same_as<typename EngineT::Context>;
-  { e.context_bytes() } -> std::convertible_to<std::size_t>;
-  e.feed(ctx, data, std::size_t{0}, std::uint64_t{0},
-         [](std::uint32_t, std::uint64_t) {});
-};
 
 /// Engines that additionally expose the K-way interleaved batch kernel
 /// (feed_many; today the table-driven Dfa, D2fa and Mfa). The inspector's

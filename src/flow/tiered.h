@@ -19,8 +19,8 @@
 //  - COLD: per-shard slab-arena records (slab.h), allocated only for flows
 //    that reorder (buffered segments), run a big-state engine
 //    (Nfa/Hfa/Xfa), or spilled: an Mfa flow whose filter memory still
-//    outgrows its slot at a chunk end (a fifth live bit, a counter, a
-//    position record) moves it into a full heap Context and stays cold
+//    outgrows its slot at a chunk end (a fifth live bit or a position
+//    record) moves it into a full heap Context and stays cold
 //    until re-adoption or eviction.
 //    A reorder-only record is freed again the moment its gap fills.
 //
@@ -503,7 +503,7 @@ class TieredFlowInspector {
   [[nodiscard]] std::size_t cold_bytes() const { return cold_.allocated_bytes(); }
 
   /// Heap bytes cold records own beyond their slab storage: the filter
-  /// memory of heap contexts (words, counters, position slots) and the
+  /// memory of heap contexts (words, position slots) and the
   /// reassembly buffers. Kept exact as records change.
   [[nodiscard]] std::size_t cold_heap_bytes() const { return cold_heap_; }
 

@@ -79,8 +79,7 @@ class Hfa {
 
   [[nodiscard]] std::size_t context_bytes() const {
     return sizeof(std::uint32_t) +
-           filter::Memory::context_bytes(program_.memory_bits, program_.counters,
-                                         program_.position_slots);
+           filter::Memory::context_bytes(program_.memory_bits, program_.position_slots);
   }
 
   // --- Engine/Context split (uniform API across all six engines) ---
@@ -91,8 +90,7 @@ class Hfa {
   using Context = filter::ScanContext;
 
   [[nodiscard]] Context make_context() const {
-    return Context{start_, filter::Memory(program_.counters, program_.position_slots,
-                                  program_.memory_bits)};
+    return Context{start_, filter::Memory(program_.position_slots, program_.memory_bits)};
   }
 
   void reset(Context& ctx) const {
@@ -139,33 +137,5 @@ class Hfa {
 
 std::optional<Hfa> build_hfa(const std::vector<nfa::PatternInput>& patterns,
                              const BuildOptions& options = {}, BuildStats* stats = nullptr);
-
-/// Back-compat wrapper over the Engine/Context split (engine pointer + one
-/// owned Context).
-class HfaScanner {
- public:
-  explicit HfaScanner(const Hfa& hfa) : hfa_(&hfa), ctx_(hfa.make_context()) {}
-
-  void reset() { hfa_->reset(ctx_); }
-
-  template <typename Sink>
-  void feed(const std::uint8_t* data, std::size_t size, std::uint64_t base, Sink&& sink) {
-    hfa_->feed(ctx_, data, size, base, sink);
-  }
-
-  MatchVec scan(const std::uint8_t* data, std::size_t size) {
-    reset();
-    CollectingSink sink;
-    feed(data, size, 0, sink);
-    return std::move(sink.matches);
-  }
-  MatchVec scan(const std::string& data) {
-    return scan(reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
-  }
-
- private:
-  const Hfa* hfa_;
-  Hfa::Context ctx_;
-};
 
 }  // namespace mfa::hfa

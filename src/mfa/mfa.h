@@ -124,8 +124,7 @@ class Mfa {
   /// Per-flow scan context footprint: DFA state + filter memory.
   [[nodiscard]] std::size_t context_bytes() const {
     return sizeof(std::uint32_t) +
-           filter::Memory::context_bytes(program_.memory_bits, program_.counters,
-                                         program_.position_slots);
+           filter::Memory::context_bytes(program_.memory_bits, program_.position_slots);
   }
 
   // --- Engine/Context split (uniform API across all six engines) ---
@@ -136,8 +135,7 @@ class Mfa {
 
   [[nodiscard]] Context make_context() const {
     return Context{dfa_.start(),
-                   filter::Memory(program_.counters, program_.position_slots,
-                                  program_.memory_bits)};
+                   filter::Memory(program_.position_slots, program_.memory_bits)};
   }
 
   void reset(Context& ctx) const {
@@ -214,8 +212,8 @@ class Mfa {
   // Any program's per-flow (q, m) starts in a 12-byte hot-table slot: the
   // DFA state plus the filter memory as a sorted set of up to four live bit
   // ids (filter::SparseMemory). When an action needs more than that — a
-  // fifth live bit, a bit id past 0xFFFE, a counter increment or a position
-  // record — the flow spills before the action runs: the caller's spill
+  // fifth live bit, a bit id past 0xFFFE or a position record — the flow
+  // spills before the action runs: the caller's spill
   // target supplies a full Context built by expand_inline(), and the action
   // and the rest of the chunk run there. At the chunk's end the flow
   // returns inline if its memory fits the set again; otherwise the
@@ -548,35 +546,5 @@ class Mfa {
 /// point of the paper).
 std::optional<Mfa> build_mfa(const std::vector<nfa::PatternInput>& patterns,
                              const BuildOptions& options = {}, BuildStats* stats = nullptr);
-
-/// Back-compat wrapper over the Engine/Context split (engine pointer + one
-/// owned (q, m) Context) with the historical scan()/feed() surface.
-class MfaScanner {
- public:
-  explicit MfaScanner(const Mfa& mfa) : mfa_(&mfa), ctx_(mfa.make_context()) {}
-
-  void reset() { mfa_->reset(ctx_); }
-
-  template <typename Sink>
-  void feed(const std::uint8_t* data, std::size_t size, std::uint64_t base, Sink&& sink) {
-    mfa_->feed(ctx_, data, size, base, sink);
-  }
-
-  MatchVec scan(const std::uint8_t* data, std::size_t size) {
-    reset();
-    CollectingSink sink;
-    feed(data, size, 0, sink);
-    return std::move(sink.matches);
-  }
-  MatchVec scan(const std::string& data) {
-    return scan(reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
-  }
-
-  [[nodiscard]] std::size_t context_bytes() const { return mfa_->context_bytes(); }
-
- private:
-  const Mfa* mfa_;
-  Mfa::Context ctx_;
-};
 
 }  // namespace mfa::core

@@ -14,7 +14,7 @@
 //   u8 table kind (0 dense, 1 delta)
 //   Dfa section (headless — zero-length transition table — when delta)
 //   D2fa section (delta only)
-//   pod_vec<filter::Action>  u32 memory_bits  u32 counters  u32 position_slots
+//   pod_vec<ActionRecord>  u32 memory_bits  u32 counters  u32 position_slots
 //   u64 piece count, then per piece: u32 length + regex source
 //   u64 FNV-1a digest of every byte above
 //
@@ -28,9 +28,16 @@
 // byte and was written only for delta automata. v1-v3 also carried a
 // re-sorted second copy of the accept lists (offsets, then ids) after the
 // program geometry, which load() reads and discards.
+//
+// Every version stores an action as an 11 x int32 ActionRecord, which
+// keeps three fields of a retired counter extension. save() writes them,
+// and `counters`, empty; load() refuses any artifact that declares a
+// counter or sets one of those fields.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <type_traits>
 
 #include "mfa/mfa.h"
 #include "regex/parser.h"
@@ -46,6 +53,45 @@ constexpr std::uint32_t kVersionV3 = 3;
 constexpr std::uint32_t kVersion = 4;
 constexpr std::uint8_t kTableDense = 0;
 constexpr std::uint8_t kTableDelta = 1;
+
+/// One filter action as the file stores it, independent of filter::Action's
+/// in-memory layout.
+struct ActionRecord {
+  std::int32_t test;
+  std::int32_t set;
+  std::int32_t clear;
+  std::int32_t report;
+  std::int32_t counter_test;       ///< retired: always kNone
+  std::int32_t counter_threshold;  ///< retired: always 0
+  std::int32_t counter_incr;       ///< retired: always kNone
+  std::int32_t set_slot;
+  std::int32_t test_slot;
+  std::int32_t min_gap;
+  std::int32_t order;
+};
+static_assert(sizeof(ActionRecord) == 44 && std::is_trivially_copyable_v<ActionRecord>,
+              "the MFAC action record is 11 little-endian int32s");
+
+ActionRecord to_record(const filter::Action& a) {
+  return {a.test,        a.set,      a.clear,       a.report,
+          filter::kNone, 0,          filter::kNone,
+          a.set_slot,    a.test_slot, a.min_gap,    a.order};
+}
+
+/// The action `r` stores, or nullopt when it uses a retired counter field.
+std::optional<filter::Action> from_record(const ActionRecord& r) {
+  if (r.counter_test != filter::kNone || r.counter_threshold != 0 ||
+      r.counter_incr != filter::kNone)
+    return std::nullopt;
+  return filter::Action{.test = r.test,
+                        .set = r.set,
+                        .clear = r.clear,
+                        .report = r.report,
+                        .set_slot = r.set_slot,
+                        .test_slot = r.test_slot,
+                        .min_gap = r.min_gap,
+                        .order = r.order};
+}
 }  // namespace
 
 bool Mfa::save(const std::string& path) const {
@@ -66,10 +112,14 @@ bool Mfa::save(const std::string& path) const {
   w.u8(delta_ ? kTableDelta : kTableDense);
   dfa_.serialize(w);  // headless in delta mode (table dropped at build)
   if (delta_) delta_->serialize(w);
-  // Filter program: actions are a trivially-copyable struct of int32s.
-  w.pod_vec(program_.actions);
+  // Filter program: one ActionRecord per action, then the geometry with no
+  // counters.
+  std::vector<ActionRecord> records;
+  records.reserve(program_.actions.size());
+  for (const auto& action : program_.actions) records.push_back(to_record(action));
+  w.pod_vec(records);
   w.u32(program_.memory_bits);
-  w.u32(program_.counters);
+  w.u32(0);
   w.u32(program_.position_slots);
   // Piece regex sources; engine ids are their indices.
   w.u64(pieces_.size());
@@ -128,10 +178,17 @@ std::optional<Mfa> Mfa::load(const std::string& path) {
       return std::nullopt;
     mfa.delta_ = std::move(loaded);
   }
-  mfa.program_.actions = r.pod_vec<filter::Action>();
+  const std::vector<ActionRecord> records = r.pod_vec<ActionRecord>();
   mfa.program_.memory_bits = r.u32();
-  mfa.program_.counters = r.u32();
+  const std::uint32_t counters = r.u32();
   mfa.program_.position_slots = r.u32();
+  if (!r.ok() || counters != 0) return std::nullopt;
+  mfa.program_.actions.reserve(records.size());
+  for (const ActionRecord& record : records) {
+    const std::optional<filter::Action> action = from_record(record);
+    if (!action) return std::nullopt;
+    mfa.program_.actions.push_back(*action);
+  }
   if (version < kVersion) {
     // The pre-v4 re-sorted accept-list copy: read so the digest covers it,
     // then dropped — filter order is derived below.
@@ -159,30 +216,10 @@ std::optional<Mfa> Mfa::load(const std::string& path) {
   }
 
   // Cross-structure validation: every id the DFA can report must have an
-  // action; bit and counter indices must stay inside the declared memory.
+  // action, and the program must pass the same checks build_mfa() applies.
   if (piece_count != mfa.program_.actions.size()) return std::nullopt;
   if (mfa.dfa_.max_match_id() >= mfa.program_.actions.size()) return std::nullopt;
-  if (mfa.program_.memory_bits > filter::kMaxMemoryBits) return std::nullopt;
-  const auto bit_ok = [&](std::int32_t bit) {
-    return bit == filter::kNone ||
-           (bit >= 0 && static_cast<std::uint32_t>(bit) < std::max(1u, mfa.program_.memory_bits));
-  };
-  const auto ctr_ok = [&](std::int32_t c) {
-    return c == filter::kNone ||
-           (c >= 0 && static_cast<std::uint32_t>(c) < std::max(1u, mfa.program_.counters));
-  };
-  const auto slot_ok = [&](std::int32_t s) {
-    return s == filter::kNone ||
-           (s >= 0 && static_cast<std::uint32_t>(s) < mfa.program_.position_slots);
-  };
-  for (const auto& action : mfa.program_.actions) {
-    if (!bit_ok(action.test) || !bit_ok(action.set) || !bit_ok(action.clear))
-      return std::nullopt;
-    if (!ctr_ok(action.ctr_test) || !ctr_ok(action.ctr_incr)) return std::nullopt;
-    if (!slot_ok(action.set_slot) || !slot_ok(action.test_slot)) return std::nullopt;
-    if (action.min_gap > 0 && (action.test == filter::kNone || action.test_slot == filter::kNone))
-      return std::nullopt;
-  }
+  if (!mfa.program_.validate()) return std::nullopt;
 
   // Filter order is derived, never read: sort the tables' own accept lists
   // (the deserializers already rejected repeated ids) exactly as

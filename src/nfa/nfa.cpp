@@ -280,11 +280,4 @@ void Nfa::reset(Context& ctx) const {
   ctx.current[start_ >> 6] |= 1ULL << (start_ & 63);
 }
 
-MatchVec NfaScanner::scan(const std::uint8_t* data, std::size_t size) {
-  reset();
-  CollectingSink sink;
-  feed(data, size, 0, sink);
-  return std::move(sink.matches);
-}
-
 }  // namespace mfa::nfa

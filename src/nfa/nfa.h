@@ -111,35 +111,6 @@ class Nfa {
 /// may start anywhere; anchored patterns start only at offset 0.
 Nfa build_nfa(const std::vector<PatternInput>& patterns);
 
-/// Back-compat wrapper over the Engine/Context split: the paper's NFA
-/// baseline interface (compact image, per-byte cost proportional to active
-/// states), implemented as an engine pointer plus one owned Context.
-class NfaScanner {
- public:
-  explicit NfaScanner(const Nfa& nfa) : nfa_(&nfa), ctx_(nfa.make_context()) {}
-
-  void reset() { nfa_->reset(ctx_); }
-
-  /// Feed a chunk; `base` is the stream offset of data[0]. Emits
-  /// sink(id, end_offset) once per (id, position).
-  template <typename Sink>
-  void feed(const std::uint8_t* data, std::size_t size, std::uint64_t base, Sink&& sink) {
-    nfa_->feed(ctx_, data, size, base, sink);
-  }
-
-  /// Convenience: scan a whole buffer from offset 0 after reset().
-  MatchVec scan(const std::uint8_t* data, std::size_t size);
-  MatchVec scan(const std::string& data) {
-    return scan(reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
-  }
-
-  [[nodiscard]] std::size_t context_bytes() const { return nfa_->context_bytes(); }
-
- private:
-  const Nfa* nfa_;
-  Nfa::Context ctx_;
-};
-
 // --- template implementation ---
 
 template <typename Sink>

@@ -15,30 +15,27 @@ void lower_action(std::uint32_t id, const filter::Action& a,
                   std::vector<Instruction>& out) {
   using filter::kNone;
   if (a.set_slot != kNone || a.test_slot != kNone || a.min_gap > 0) {
-    out.push_back({Op::kExecAction, static_cast<std::int32_t>(id), 0, 0});
+    out.push_back({Op::kExecAction, static_cast<std::int32_t>(id), 0});
     return;
   }
   if (a.clear != kNone) {
     if (a.test != kNone)
-      out.push_back({Op::kClearIfBit, a.test, a.clear, 0});
+      out.push_back({Op::kClearIfBit, a.test, a.clear});
     else
-      out.push_back({Op::kBitClear, a.clear, 0, 0});
+      out.push_back({Op::kBitClear, a.clear, 0});
   }
   if (a.report != kNone) {
-    if (a.ctr_test != kNone)
-      out.push_back({Op::kReportIfCtr, a.ctr_test, a.ctr_threshold, a.report});
-    else if (a.test != kNone)
-      out.push_back({Op::kReportIfBit, a.test, a.report, 0});
+    if (a.test != kNone)
+      out.push_back({Op::kReportIfBit, a.test, a.report});
     else
-      out.push_back({Op::kReport, a.report, 0, 0});
+      out.push_back({Op::kReport, a.report, 0});
   }
   if (a.set != kNone) {
     if (a.test != kNone)
-      out.push_back({Op::kSetIfBit, a.test, a.set, 0});
+      out.push_back({Op::kSetIfBit, a.test, a.set});
     else
-      out.push_back({Op::kBitSet, a.set, 0, 0});
+      out.push_back({Op::kBitSet, a.set, 0});
   }
-  if (a.ctr_incr != kNone) out.push_back({Op::kCtrIncr, a.ctr_incr, 0, 0});
 }
 
 }  // namespace

@@ -29,8 +29,6 @@ enum class Op : std::uint8_t {
   kClearIfBit,   ///< if bit a then clear bit b
   kReport,       ///< report match id a
   kReportIfBit,  ///< if bit a then report match id b
-  kCtrIncr,      ///< increment counter a
-  kReportIfCtr,  ///< if counter a >= b then report (id in c)
   kExecAction,   ///< delegate filter action a (offset-tracking gap actions)
 };
 
@@ -38,7 +36,6 @@ struct Instruction {
   Op op = Op::kReport;
   std::int32_t a = 0;
   std::int32_t b = 0;
-  std::int32_t c = 0;
 };
 
 struct BuildOptions {
@@ -59,7 +56,6 @@ class Xfa {
   [[nodiscard]] const dfa::Dfa& character_dfa() const { return dfa_; }
   [[nodiscard]] const filter::Program& program() const { return program_; }
   [[nodiscard]] std::uint32_t memory_bits() const { return program_.memory_bits; }
-  [[nodiscard]] std::uint32_t counters() const { return program_.counters; }
 
   /// Program of state s, empty for states without instructions.
   [[nodiscard]] std::pair<const Instruction*, const Instruction*> program(
@@ -76,21 +72,19 @@ class Xfa {
 
   [[nodiscard]] std::size_t context_bytes() const {
     return sizeof(std::uint32_t) +
-           filter::Memory::context_bytes(program_.memory_bits, program_.counters,
-                                         program_.position_slots);
+           filter::Memory::context_bytes(program_.memory_bits, program_.position_slots);
   }
 
   // --- Engine/Context split (uniform API across all six engines) ---
-  // No InlineContext API: XFA scratch memory routinely uses counters, which
-  // never fit the 64-bit inline word, so the tiered flow table keeps XFA
-  // contexts in its cold tier (see flow/tiered.h).
+  // No InlineContext API: the instruction interpreter runs against a full
+  // filter::Memory only, so the tiered flow table keeps XFA contexts in its
+  // cold tier (see flow/tiered.h).
 
   using Context = filter::ScanContext;
 
   [[nodiscard]] Context make_context() const {
     return Context{dfa_.start(),
-                   filter::Memory(program_.counters, program_.position_slots,
-                                  program_.memory_bits)};
+                   filter::Memory(program_.position_slots, program_.memory_bits)};
   }
 
   void reset(Context& ctx) const {
@@ -145,13 +139,6 @@ class Xfa {
       case Op::kReportIfBit:
         if (memory.test_bit(in.a)) sink(static_cast<std::uint32_t>(in.b), pos);
         break;
-      case Op::kCtrIncr:
-        memory.increment(in.a);
-        break;
-      case Op::kReportIfCtr:
-        if (memory.counter(in.a) >= static_cast<std::uint32_t>(in.b))
-          sink(static_cast<std::uint32_t>(in.c), pos);
-        break;
       case Op::kExecAction:
         filter::Engine(program_).on_match(static_cast<std::uint32_t>(in.a), pos, memory,
                                           sink);
@@ -169,33 +156,5 @@ class Xfa {
 
 std::optional<Xfa> build_xfa(const std::vector<nfa::PatternInput>& patterns,
                              const BuildOptions& options = {}, BuildStats* stats = nullptr);
-
-/// Back-compat wrapper over the Engine/Context split (engine pointer + one
-/// owned Context).
-class XfaScanner {
- public:
-  explicit XfaScanner(const Xfa& xfa) : xfa_(&xfa), ctx_(xfa.make_context()) {}
-
-  void reset() { xfa_->reset(ctx_); }
-
-  template <typename Sink>
-  void feed(const std::uint8_t* data, std::size_t size, std::uint64_t base, Sink&& sink) {
-    xfa_->feed(ctx_, data, size, base, sink);
-  }
-
-  MatchVec scan(const std::uint8_t* data, std::size_t size) {
-    reset();
-    CollectingSink sink;
-    feed(data, size, 0, sink);
-    return std::move(sink.matches);
-  }
-  MatchVec scan(const std::string& data) {
-    return scan(reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
-  }
-
- private:
-  const Xfa* xfa_;
-  Xfa::Context ctx_;
-};
 
 }  // namespace mfa::xfa

@@ -27,7 +27,7 @@ inline std::vector<nfa::PatternInput> compile_patterns(
 inline MatchVec reference_matches(const std::vector<std::string>& sources,
                                   const std::string& input) {
   const nfa::Nfa n = nfa::build_nfa(compile_patterns(sources));
-  nfa::NfaScanner scanner(n);
+  Scanner scanner(n);
   return scanner.scan(input);
 }
 

@@ -80,7 +80,7 @@ class FlowOracle {
     for (const auto& [key, s] : flows_) {
       const std::size_t n = static_cast<std::size_t>(
           std::find(s.have.begin(), s.have.end(), false) - s.have.begin());
-      nfa::NfaScanner scanner(nfa);
+      Scanner scanner(nfa);
       for (const Match& m : scanner.scan(s.bytes.data(), n))
         out.push_back(FlowMatch{key, m.id, m.end});
     }

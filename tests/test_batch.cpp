@@ -143,7 +143,7 @@ std::vector<Delivery> plan_traffic(util::Rng& rng, MatchVec* expected,
     const flow::FlowKey key{f + 1, 7, 1234, 80, 6};
     const std::string content = make_content(rng, 20 + rng.below(120));
     if (expected != nullptr) {
-      nfa::NfaScanner scanner(ref);
+      Scanner scanner(ref);
       for (const Match& m : scanner.scan(content)) expected->push_back(m);
     }
     std::size_t off = 0;

@@ -229,7 +229,7 @@ TEST(D2fa, ByteStompCorpusNeverCrashesLoader) {
     util::BinReader r(f.get());
     if (D2fa::deserialize(r, loaded)) {
       // Accepted images must scan safely.
-      D2faScanner s(loaded);
+      Scanner s(loaded);
       (void)s.scan(std::string("abcdzzefgh x12y"));
     }
   }
@@ -242,7 +242,7 @@ TEST(D2fa, ScannerMatchesReference) {
   const D2fa delta(dense);
   for (const std::string input :
        {"abcd----efgh", "x123y and x9y", "GET /index", "nothing here", ""}) {
-    D2faScanner s(delta);
+    Scanner s(delta);
     EXPECT_EQ(sorted(s.scan(input)),
               sorted(mfa::testing::reference_matches(pats, input)))
         << input;

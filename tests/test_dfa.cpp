@@ -30,7 +30,7 @@ Dfa build(const std::vector<std::string>& sources, BuildOptions opts = {}) {
 
 MatchVec scan(const std::vector<std::string>& sources, const std::string& input) {
   const Dfa d = build(sources);
-  DfaScanner s(d);
+  Scanner s(d);
   return sorted(s.scan(input));
 }
 
@@ -194,8 +194,8 @@ TEST(Dfa, HeadlessSerializeRoundTrip) {
                          [&](std::uint32_t raw, std::uint32_t offset) {
                            return loaded.row_offset(raw) == offset;
                          }));
-  DfaScanner a(d);
-  DfaScanner b(loaded);
+  Scanner a(d);
+  Scanner b(loaded);
   EXPECT_EQ(sorted(a.scan(std::string("zzabcxyzz"))),
             sorted(b.scan(std::string("zzabcxyzz"))));
 }
@@ -218,8 +218,8 @@ TEST(Dfa, MinimizationPreservesMatchesAndShrinks) {
     std::string input;
     for (int j = 0; j < 40; ++j)
       input += static_cast<char>("abcdef"[rng.below(6)]);
-    DfaScanner a(*plain);
-    DfaScanner b(*minimized);
+    Scanner a(*plain);
+    Scanner b(*minimized);
     EXPECT_EQ(sorted(a.scan(input)), sorted(b.scan(input)));
   }
 }
@@ -235,7 +235,7 @@ TEST(Dfa, MemoryImageAccounting) {
 
 TEST(Dfa, StatefulFeedAcrossChunks) {
   const Dfa d = build({".*begin.*end"});
-  DfaScanner s(d);
+  Scanner s(d);
   CollectingSink sink;
   const std::string part1 = "xxbeg";
   const std::string part2 = "inxxe";
@@ -250,7 +250,7 @@ TEST(Dfa, StatefulFeedAcrossChunks) {
 }
 
 TEST(Dfa, ContextIsFourBytes) {
-  EXPECT_EQ(DfaScanner::context_bytes(), 4u);
+  EXPECT_EQ(build({"abc"}).context_bytes(), 4u);
 }
 
 TEST(Dfa, DotStarStateExplosionIsMultiplicative) {
@@ -267,7 +267,7 @@ TEST(Dfa, DotStarStateExplosionIsMultiplicative) {
 
 TEST(Dfa, AnchoredPatternsDie) {
   const Dfa d = build({"^abc"});
-  DfaScanner s(d);
+  Scanner s(d);
   EXPECT_TRUE(s.scan(std::string("xxabc")).empty());
   EXPECT_EQ(s.scan(std::string("abc")).size(), 1u);
 }
@@ -285,8 +285,8 @@ TEST(Dfa, RandomRegexDfaEqualsNfaProperty) {
     const auto& pick = pats[rng.below(pats.size())];
     input += regex::sample_match(regex::parse_or_die(pick), rng);
     input += rng.lower_string(rng.below(20));
-    nfa::NfaScanner ns(n);
-    DfaScanner ds(*d);
+    Scanner ns(n);
+    Scanner ds(*d);
     EXPECT_EQ(sorted(ns.scan(input)), sorted(ds.scan(input))) << input;
   }
 }

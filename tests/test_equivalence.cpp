@@ -38,11 +38,11 @@ AllEngines build_all(const std::vector<std::string>& sources) {
 }
 
 void expect_all_equal(const AllEngines& e, const std::string& input) {
-  nfa::NfaScanner ns(e.nfa);
-  dfa::DfaScanner ds(e.dfa);
-  core::MfaScanner ms(e.mfa);
-  hfa::HfaScanner hs(e.hfa);
-  xfa::XfaScanner xs(e.xfa);
+  Scanner ns(e.nfa);
+  Scanner ds(e.dfa);
+  Scanner ms(e.mfa);
+  Scanner hs(e.hfa);
+  Scanner xs(e.xfa);
   const MatchVec want = sorted(ns.scan(input));
   EXPECT_EQ(sorted(ds.scan(input)), want) << "DFA vs NFA on: " << input;
   EXPECT_EQ(sorted(ms.scan(input)), want) << "MFA vs NFA on: " << input;
@@ -143,10 +143,10 @@ TEST(Equivalence, ChunkedFeedEqualsWholeScanAcrossEngines) {
     input += regex::sample_match(compiled[rng.below(compiled.size())].regex, rng);
     input += rng.lower_string(rng.below(8));
   }
-  core::MfaScanner whole(e.mfa);
+  Scanner whole(e.mfa);
   const MatchVec want = sorted(whole.scan(input));
 
-  core::MfaScanner chunked(e.mfa);
+  Scanner chunked(e.mfa);
   CollectingSink sink;
   const auto* data = reinterpret_cast<const std::uint8_t*>(input.data());
   std::size_t pos = 0;

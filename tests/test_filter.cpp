@@ -11,7 +11,7 @@ namespace {
 /// Run a sequence of (engine_id, pos) events through a program.
 MatchVec run(const Program& program, const std::vector<std::pair<std::uint32_t, std::uint64_t>>& events) {
   Engine engine(program);
-  Memory memory(program.counters);
+  Memory memory(program.position_slots, program.memory_bits);
   CollectingSink sink;
   for (const auto& [id, pos] : events) engine.on_match(id, pos, memory, sink);
   return sink.matches;
@@ -89,22 +89,6 @@ TEST(Filter, MemoryBitsIndependent) {
   EXPECT_TRUE(m.test_bit(7));
 }
 
-TEST(Filter, CounterExtension) {
-  // Counting filter (paper Sec. VI): report only after 3 increments.
-  Program p;
-  p.counters = 1;
-  p.actions.push_back(Action{kNone, kNone, kNone, kNone, kNone, 0, 0});  // incr ctr 0
-  Action gate;
-  gate.ctr_test = 0;
-  gate.ctr_threshold = 3;
-  gate.report = 5;
-  p.actions.push_back(gate);
-  EXPECT_TRUE(run(p, {{0, 0}, {0, 1}, {1, 2}}).empty());  // only 2 increments
-  const MatchVec m = run(p, {{0, 0}, {0, 1}, {0, 2}, {1, 3}});
-  ASSERT_EQ(m.size(), 1u);
-  EXPECT_EQ(m[0], (Match{5, 3}));
-}
-
 TEST(Filter, ActionOrderComparator) {
   std::vector<Action> actions(3);
   actions[0].order = 4;  // first segment (setter): runs last
@@ -141,10 +125,13 @@ TEST(Filter, ContextBytesAccounting) {
   EXPECT_EQ(Memory::context_bytes(1, 0), 8u);
   EXPECT_EQ(Memory::context_bytes(64, 0), 8u);
   EXPECT_EQ(Memory::context_bytes(65, 0), 16u);
-  EXPECT_EQ(Memory::context_bytes(0, 2), 8u);
+  EXPECT_EQ(Memory::context_bytes(0, 2), 16u);  // two position slots
+  EXPECT_EQ(Memory::context_bytes(1, 1), 16u);
 }
 
 TEST(Filter, ProgramImageBytes) {
+  // The paper's four integers plus the gap extension's three and the rank.
+  static_assert(sizeof(Action) == 8 * sizeof(std::int32_t));
   Program p;
   p.actions.resize(10);
   EXPECT_EQ(p.memory_image_bytes(), 10 * sizeof(Action));
@@ -161,12 +148,10 @@ TEST(Filter, IsPlainReport) {
 TEST(FilterValidate, AcceptsProgramWithinGeometry) {
   Program p;
   p.memory_bits = 2;
-  p.counters = 1;
   p.position_slots = 1;
   Action a;
   a.test = 0;
   a.set = 1;
-  a.ctr_incr = 0;
   a.set_slot = 0;
   p.actions.push_back(a);
   std::string err;
@@ -200,23 +185,38 @@ TEST(FilterValidate, RejectsOutOfRangeBitOperands) {
   EXPECT_FALSE(p.validate());
 }
 
-TEST(FilterValidate, RejectsOutOfRangeCountersAndSlots) {
+TEST(FilterValidate, RejectsOutOfRangeSlots) {
   Program p;
   p.memory_bits = 1;
-  p.counters = 1;
   p.position_slots = 1;
   Action a;
-  a.ctr_incr = 1;  // counters are 0..0
+  a.set_slot = 1;  // slots are 0..0
   p.actions.push_back(a);
   EXPECT_FALSE(p.validate());
   p.actions[0] = Action{};
-  p.actions[0].ctr_test = 3;
-  EXPECT_FALSE(p.validate());
-  p.actions[0] = Action{};
-  p.actions[0].set_slot = 1;  // slots are 0..0
-  EXPECT_FALSE(p.validate());
-  p.actions[0] = Action{};
   p.actions[0].test_slot = 9;
+  EXPECT_FALSE(p.validate());
+}
+
+TEST(FilterValidate, RejectsGapWithoutTestAndSlot) {
+  // A gap is measured from the tested bit's recorded position, so an
+  // action with min_gap > 0 must name both.
+  Program p;
+  p.memory_bits = 1;
+  p.position_slots = 1;
+  Action a;
+  a.test = 0;
+  a.test_slot = 0;
+  a.min_gap = 3;
+  a.report = 1;
+  p.actions.push_back(a);
+  EXPECT_TRUE(p.validate());
+  p.actions[0].test_slot = kNone;
+  std::string err;
+  EXPECT_FALSE(p.validate(&err));
+  EXPECT_NE(err.find("gap"), std::string::npos);
+  p.actions[0].test_slot = 0;
+  p.actions[0].test = kNone;
   EXPECT_FALSE(p.validate());
 }
 
@@ -249,7 +249,6 @@ TEST(SparseMemory, KeepsLiveIdsSortedAndPadded) {
   m.clear_word(0, ~std::uint64_t{0});
   m.clear_word(1023, ~std::uint64_t{0});
   EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.counter(0), 0u);   // no increment ever ran inline
   EXPECT_EQ(m.position(0), 0u);  // no position was ever recorded inline
 }
 
@@ -270,9 +269,6 @@ TEST(SparseMemory, AdmitsOnlyWhatTheSetCanHold) {
   far.set = E;
   std::uint16_t none[kSparseLive] = {E, E, E, E};
   EXPECT_FALSE(SparseMemory(none).admits(far));  // id past the inline range
-  Action count;
-  count.ctr_incr = 0;
-  EXPECT_FALSE(SparseMemory(none).admits(count));
   Action slot;
   slot.set = 1;
   slot.set_slot = 0;
@@ -303,7 +299,7 @@ TEST(SparseMemory, OnMatchRefusesBeforeChangingAnything) {
 }
 
 TEST(SparseMemory, FullMemoryConvertsBackWhenItFits) {
-  Memory full(/*counters=*/1, /*position_slots=*/1, /*bits=*/70000);
+  Memory full(/*position_slots=*/1, /*bits=*/70000);
   std::uint16_t live[kSparseLive] = {E, 0, E, E};
   for (const std::int32_t id : {3, 64, 299, 65534}) full.set_bit(id);
   ASSERT_TRUE(full.to_sparse(live));
@@ -316,9 +312,7 @@ TEST(SparseMemory, FullMemoryConvertsBackWhenItFits) {
   full.set_bit(E);  // an id past the inline range
   EXPECT_FALSE(full.to_sparse(live));
   full.clear_bit(E);
-  full.increment(0);
-  EXPECT_FALSE(full.to_sparse(live));
-  Memory gap(0, 1, 8);
+  Memory gap(/*position_slots=*/1, /*bits=*/8);
   gap.record_position(0, 17);
   EXPECT_FALSE(gap.to_sparse(live));
   EXPECT_TRUE(std::equal(live, live + 4, before));  // failures leave it alone

@@ -80,7 +80,7 @@ TEST(GapSplit, LeadingGapKept) {
 MatchVec mfa_scan(const std::vector<std::string>& pats, const std::string& input) {
   auto m = core::build_mfa(compile_patterns(pats));
   EXPECT_TRUE(m.has_value());
-  core::MfaScanner s(*m);
+  Scanner s(*m);
   return sorted(s.scan(input));
 }
 
@@ -166,8 +166,8 @@ TEST_P(GapPropertyTest, RandomGapPatternsMatchReference) {
       else
         input += rng.lower_string(rng.below(8));
     }
-    core::MfaScanner ms(*m);
-    nfa::NfaScanner ns(reference);
+    Scanner ms(*m);
+    Scanner ns(reference);
     EXPECT_EQ(sorted(ms.scan(input)), sorted(ns.scan(input))) << input;
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -29,7 +30,7 @@ Mfa build(const std::vector<std::string>& sources, BuildOptions opts = {}) {
 }
 
 MatchVec scan(const Mfa& m, const std::string& input) {
-  MfaScanner s(m);
+  Scanner s(m);
   return sorted(s.scan(input));
 }
 
@@ -151,8 +152,8 @@ TEST(Mfa, AlmostDotStarTableIVBehavior) {
 
 TEST(Mfa, MultiplexedScannersIndependent) {
   const Mfa m = build({".*abc.*xyz"});
-  MfaScanner flow_a(m);
-  MfaScanner flow_b(m);
+  Scanner flow_a(m);
+  Scanner flow_b(m);
   CollectingSink sink_a;
   CollectingSink sink_b;
   const std::string a1 = "abc...";
@@ -187,8 +188,8 @@ TEST(Mfa, RandomizedEquivalenceWithDfaOfOriginal) {
           input += static_cast<char>(rng.chance(0.2) ? '\n' : rng.printable());
       }
     }
-    dfa::DfaScanner ref(*original_dfa);
-    MfaScanner mfa_scan(m);
+    Scanner ref(*original_dfa);
+    Scanner mfa_scan(m);
     EXPECT_EQ(sorted(mfa_scan.scan(input)), sorted(ref.scan(input))) << input;
   }
 }
@@ -214,7 +215,7 @@ TEST(MfaMemoryCap, BuildScalesPastInlineMemoryBits) {
   EXPECT_GT(split::split_patterns(inputs).program.memory_bits,
             filter::kInlineMemoryBits);
   const Mfa m = build(guard_bit_patterns(300));
-  MfaScanner s(m);
+  Scanner s(m);
   EXPECT_EQ(s.scan("qa280z then qb280z").size(), 1u);
   EXPECT_EQ(s.scan("qb280z without the prefix").size(), 0u);
 }
@@ -231,7 +232,7 @@ TEST(MfaMemoryCap, BuildAcceptsProgramsWithinMaxMemoryBits) {
   const Mfa m = build(guard_bit_patterns(40));
   EXPECT_LE(m.program().memory_bits, filter::kMaxMemoryBits);
   EXPECT_TRUE(m.program().validate());
-  MfaScanner s(m);
+  Scanner s(m);
   EXPECT_EQ(s.scan("qa17z then qb17z").size(), 1u);
 }
 
@@ -367,10 +368,10 @@ class Reference {
   }
   MatchVec operator()(const std::string& input) const {
     if (dfa_) {
-      dfa::DfaScanner s(*dfa_);
+      Scanner s(*dfa_);
       return sorted(s.scan(input));
     }
-    nfa::NfaScanner s(nfa_);
+    Scanner s(nfa_);
     return sorted(s.scan(input));
   }
 
@@ -613,27 +614,52 @@ TEST(MfaFold, MixedClearAndSetStateKeepsItsOrderedActions) {
   expect_entry_points_match(*m, ref, pats, 77);
 }
 
-// --- Spilling: inline contexts whose memory outgrows the inline set ---
+// --- Crafted artifacts: the MFAC program section rewritten on disk ---
 
-/// `m` reloaded with its filter program replaced by edit(program): the MFAC
-/// program section rewritten in place (same action count) under a
-/// recomputed digest. The splitter never emits counters, so this is how a
-/// counted program reaches the engine — as it would from a crafted artifact.
+/// One MFAC v4 action record as the file stores it: 11 int32s, of which
+/// 4-6 are the retired counter fields (the counter tested, its threshold,
+/// the counter incremented).
+using ActionRecord = std::array<std::int32_t, 11>;
+static_assert(sizeof(ActionRecord) == 44);
+constexpr std::size_t kCounterTest = 4;
+constexpr std::size_t kCounterThreshold = 5;
+constexpr std::size_t kCounterIncr = 6;
+constexpr std::size_t kTestSlot = 8;
+
+/// The filter program section of an MFAC v4 artifact.
+struct ProgramSection {
+  std::vector<ActionRecord> actions;
+  std::uint32_t memory_bits = 0;
+  std::uint32_t counters = 0;
+  std::uint32_t position_slots = 0;
+};
+
+/// `m` reloaded with its program section replaced by edit(section): the
+/// section rewritten in place (same action count) under a recomputed
+/// digest, as a crafted artifact would carry it.
 template <typename Edit>
 std::optional<Mfa> with_program(const Mfa& m, Edit&& edit) {
-  filter::Program p = m.program();
+  ProgramSection p;
+  for (const filter::Action& a : m.program().actions)
+    p.actions.push_back({a.test, a.set, a.clear, a.report, filter::kNone, 0, filter::kNone,
+                         a.set_slot, a.test_slot, a.min_gap, a.order});
+  p.memory_bits = m.program().memory_bits;
+  p.position_slots = m.program().position_slots;
   edit(p);
-  const std::string path = ::testing::TempDir() + "mfa_spill_program.mfac";
+  // One file per test: ctest runs the tests of this binary in parallel.
+  const std::string path = ::testing::TempDir() + "mfa_crafted_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".mfac";
   EXPECT_TRUE(m.save(path));
   std::ifstream in(path, std::ios::binary);
   std::vector<char> bytes((std::istreambuf_iterator<char>(in)), {});
   in.close();
   std::size_t pieces = 8;
   for (const auto& piece : m.pieces()) pieces += 4 + piece.regex.source.size();
-  const std::size_t program_bytes = 8 + p.actions.size() * sizeof(filter::Action) + 12;
+  const std::size_t program_bytes = 8 + p.actions.size() * sizeof(ActionRecord) + 12;
   char* at = bytes.data() + bytes.size() - 8 - pieces - program_bytes + 8;
-  std::memcpy(at, p.actions.data(), p.actions.size() * sizeof(filter::Action));
-  at += p.actions.size() * sizeof(filter::Action);
+  std::memcpy(at, p.actions.data(), p.actions.size() * sizeof(ActionRecord));
+  at += p.actions.size() * sizeof(ActionRecord);
   std::memcpy(at, &p.memory_bits, 4);
   std::memcpy(at + 4, &p.counters, 4);
   std::memcpy(at + 8, &p.position_slots, 4);
@@ -646,6 +672,47 @@ std::optional<Mfa> with_program(const Mfa& m, Edit&& edit) {
   return loaded;
 }
 
+TEST(MfaLoad, CountedArtifactsAreRefused) {
+  // Counting constraints are not supported: an artifact that declares a
+  // counter or sets any counter field of any action is refused cleanly.
+  const Mfa m = build({".*ab.*cd"});
+  ASSERT_EQ(m.program().actions.size(), 2u);
+  // The control: the section rewritten unchanged loads and scans as built.
+  const auto same = with_program(m, [](ProgramSection&) {});
+  ASSERT_TRUE(same.has_value());
+  EXPECT_EQ(same->program().actions, m.program().actions);
+  EXPECT_EQ(scan(*same, "ab cd"), scan(m, "ab cd"));
+  EXPECT_FALSE(with_program(m, [](ProgramSection& p) { p.counters = 1; }).has_value());
+  for (const std::size_t field : {kCounterTest, kCounterIncr})
+    for (std::size_t i = 0; i < 2; ++i)
+      EXPECT_FALSE(with_program(m, [&](ProgramSection& p) { p.actions[i][field] = 0; })
+                       .has_value())
+          << field << " " << i;
+  EXPECT_FALSE(with_program(m, [](ProgramSection& p) {
+                 p.actions[1][kCounterThreshold] = 2;
+               }).has_value());
+}
+
+TEST(MfaLoad, AppliesTheBuildChecks) {
+  // load() runs Program::validate(), the check build_mfa() applies.
+  const Mfa m = build({".*ab.{3,}cd"});
+  ASSERT_EQ(m.program().memory_bits, 1u);
+  const auto tester = std::find_if(m.program().actions.begin(), m.program().actions.end(),
+                                   [](const filter::Action& a) { return a.test == 0; });
+  ASSERT_NE(tester, m.program().actions.end());
+  ASSERT_GT(tester->min_gap, 0);
+  const std::size_t i = static_cast<std::size_t>(tester - m.program().actions.begin());
+  ASSERT_TRUE(with_program(m, [](ProgramSection&) {}).has_value());
+  // No memory at all, yet an action tests (and another sets) bit 0.
+  EXPECT_FALSE(with_program(m, [](ProgramSection& p) { p.memory_bits = 0; }).has_value());
+  // A gap with no slot to measure it from.
+  EXPECT_FALSE(with_program(m, [&](ProgramSection& p) {
+                 p.actions[i][kTestSlot] = filter::kNone;
+               }).has_value());
+}
+
+// --- Spilling: inline contexts whose memory outgrows the inline set ---
+
 /// Random text over a small alphabet seeded with the given literals.
 std::string literal_soup(const std::vector<std::string>& literals, util::Rng& rng) {
   std::string input;
@@ -657,33 +724,6 @@ std::string literal_soup(const std::vector<std::string>& literals, util::Rng& rn
         input += "abcdxyz "[rng.below(8)];
   }
   return input;
-}
-
-TEST(MfaSpill, CountedProgramSpillsAtTheIncrement) {
-  // `.*ab.*cd` with its "ab" action counting and its "cd" action requiring
-  // the count to reach 2 is exactly `.*ab.*ab.*cd` (two "ab" cannot
-  // overlap, nor can an "ab" end inside a "cd"). Every increment spills.
-  for (const bool delta : {false, true}) {
-    BuildOptions opts;
-    opts.delta = delta;
-    const auto base = build_mfa(compile_patterns({".*ab.*cd"}), opts);
-    ASSERT_TRUE(base.has_value());
-    const auto counted = with_program(*base, [](filter::Program& p) {
-      p.counters = 1;
-      for (auto& a : p.actions) {
-        if (a.set != filter::kNone) a.ctr_incr = 0;
-        if (a.report != filter::kNone) {
-          a.ctr_test = 0;
-          a.ctr_threshold = 2;
-        }
-      }
-    });
-    ASSERT_TRUE(counted.has_value());
-    ASSERT_EQ(counted->program().counters, 1u);
-    const Reference ref({".*ab.*ab.*cd"}, /*original_dfa=*/true);
-    const auto soup = [](util::Rng& rng) { return literal_soup({"ab", "cd"}, rng); };
-    EXPECT_GT(expect_entry_points_match(*counted, ref, delta ? 12 : 11, soup), 0u);
-  }
 }
 
 TEST(MfaSpill, GapPatternSpillsAtThePositionRecord) {
@@ -1041,7 +1081,6 @@ TEST(MfaEngineContext, SharedEngineIndependentContexts) {
   EXPECT_EQ(m.context_bytes(),
             sizeof(std::uint32_t) +
                 filter::Memory::context_bytes(m.program().memory_bits,
-                                              m.program().counters,
                                               m.program().position_slots));
 }
 

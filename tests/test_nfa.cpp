@@ -12,7 +12,7 @@ using mfa::testing::sorted;
 
 MatchVec scan(const std::vector<std::string>& sources, const std::string& input) {
   const Nfa n = build_nfa(compile_patterns(sources));
-  NfaScanner s(n);
+  Scanner s(n);
   return sorted(s.scan(input));
 }
 
@@ -94,10 +94,10 @@ TEST(Nfa, FeedInChunksMatchesWholeScan) {
   const std::vector<std::string> pats = {".*ab.*cd", "xy+z"};
   const std::string input = "abxyzcd xyyyz ab cd";
   const Nfa n = build_nfa(compile_patterns(pats));
-  NfaScanner whole(n);
+  Scanner whole(n);
   const MatchVec expect = whole.scan(input);
 
-  NfaScanner chunked(n);
+  Scanner chunked(n);
   chunked.reset();
   CollectingSink sink;
   const auto* data = reinterpret_cast<const std::uint8_t*>(input.data());
@@ -119,7 +119,7 @@ TEST(Nfa, StateAndImageAccounting) {
 
 TEST(Nfa, ContextBytesTracksStateCount) {
   const Nfa n = build_nfa(compile_patterns({"abcdefghij"}));
-  NfaScanner s(n);
+  Scanner s(n);
   EXPECT_EQ(s.context_bytes(), ((n.state_count() + 63) / 64) * 8);
 }
 

@@ -9,7 +9,6 @@ namespace mfa {
 namespace {
 
 using core::Mfa;
-using core::MfaScanner;
 using filter::kNone;
 using mfa::testing::compile_patterns;
 using mfa::testing::reference_matches;
@@ -59,7 +58,7 @@ TEST(PaperTable2, MatchesOnTheExampleString) {
   const std::string input = "vi.emacs.gnu.bsd.gnu.abc.mo.xyz";
   auto m = core::build_mfa(compile_patterns(kR1));
   ASSERT_TRUE(m.has_value());
-  MfaScanner s(*m);
+  Scanner s(*m);
   const MatchVec got = sorted(s.scan(input));
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0], (Match{1, 7}));   // emacs
@@ -74,11 +73,11 @@ TEST(PaperTable2, FirstGnuIsFiltered) {
   auto m = core::build_mfa(compile_patterns(kR1));
   ASSERT_TRUE(m.has_value());
   const std::string input = "vi.emacs.gnu.bsd.gnu.abc.mo.xyz";
-  dfa::DfaScanner raw(m->character_dfa());
+  Scanner raw(m->character_dfa());
   const MatchVec raw_matches = raw.scan(input);
   // Raw: vi, emacs, gnu, bsd, gnu, abc, mo, xyz = 8 events.
   EXPECT_EQ(raw_matches.size(), 8u);
-  MfaScanner s(*m);
+  Scanner s(*m);
   EXPECT_EQ(s.scan(input).size(), 3u);  // 5 of 8 filtered
 }
 
@@ -90,11 +89,11 @@ TEST(PaperTable4, AlmostDotStarWalkthrough) {
   ASSERT_TRUE(m.has_value());
   ASSERT_EQ(m->pieces().size(), 3u);
   const std::string input = "abc:\n:xyz\nabc:xyz\n";
-  dfa::DfaScanner raw(m->character_dfa());
+  Scanner raw(m->character_dfa());
   // Table IV lists the six events 1a,1b,1,1b,1a,1; the input's trailing
   // newline produces a seventh (a final 1b clear) the table omits.
   EXPECT_EQ(raw.scan(input).size(), 7u);
-  MfaScanner s(*m);
+  Scanner s(*m);
   const MatchVec got = s.scan(input);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].end, 16u);
@@ -109,7 +108,7 @@ TEST(PaperSec4A, AbcBcdCounterexampleStaysCorrect) {
   auto m = core::build_mfa(compile_patterns(pat));
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->pieces().size(), 1u);
-  MfaScanner s(*m);
+  Scanner s(*m);
   EXPECT_TRUE(s.scan(std::string("abcd")).empty());
   EXPECT_EQ(s.scan(std::string("abc bcd")).size(), 1u);
 }
@@ -123,7 +122,7 @@ TEST(PaperSec4B, BadXDecompositionAvoided) {
   // And matching still works, unsplit.
   auto m = core::build_mfa(compile_patterns(pat));
   ASSERT_TRUE(m.has_value());
-  MfaScanner s(*m);
+  Scanner s(*m);
   EXPECT_EQ(s.scan(std::string("abcdefxyz")).size(), 1u);
   EXPECT_TRUE(s.scan(std::string("abc xyz")).empty());  // space not in [a-f]
 }
@@ -135,7 +134,7 @@ TEST(PaperSec1C, StatelessFilteringWouldBeWrong) {
   const std::vector<std::string> pat = {".*bsd.*gnu"};
   auto m = core::build_mfa(compile_patterns(pat));
   ASSERT_TRUE(m.has_value());
-  MfaScanner s(*m);
+  Scanner s(*m);
   const MatchVec got = s.scan(std::string("gnu.bsd.gnu"));
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].end, 10u);  // second gnu only

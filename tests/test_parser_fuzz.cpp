@@ -107,7 +107,7 @@ TEST_P(ParserFuzz, SampledStringsMatchTheirPattern) {
     const nfa::Nfa n = nfa::build_nfa({nfa::PatternInput{re, 1}});
     for (int i = 0; i < 25; ++i) {
       const std::string s = sample_match(re, rng);
-      nfa::NfaScanner scanner(n);
+      Scanner scanner(n);
       const MatchVec got = scanner.scan(s);
       const bool matched_at_end =
           std::any_of(got.begin(), got.end(),

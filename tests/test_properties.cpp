@@ -131,8 +131,8 @@ TEST(MatchContract, EveryEngineReportsAtMostOncePerIdAndPosition) {
     std::string input;
     for (int j = 0; j < 30; ++j) input += "ab"[rng.below(2)];
     for (const MatchVec got :
-         {nfa::NfaScanner(n).scan(input), dfa::DfaScanner(*d).scan(input),
-          core::MfaScanner(*m).scan(input)}) {
+         {Scanner(n).scan(input), Scanner(*d).scan(input),
+          Scanner(*m).scan(input)}) {
       MatchVec s = sorted(got);
       EXPECT_TRUE(std::adjacent_find(s.begin(), s.end()) == s.end())
           << "duplicate match on " << input;
@@ -147,9 +147,9 @@ TEST(ContextSizes, OrderingAcrossEngines) {
   const nfa::Nfa n = nfa::build_nfa(set.patterns);
   auto m = core::build_mfa(set.patterns);
   ASSERT_TRUE(m.has_value());
-  const std::size_t dfa_ctx = dfa::DfaScanner::context_bytes();
+  const std::size_t dfa_ctx = m->character_dfa().context_bytes();
   const std::size_t mfa_ctx = m->context_bytes();
-  const std::size_t nfa_ctx = nfa::NfaScanner(n).context_bytes();
+  const std::size_t nfa_ctx = n.context_bytes();
   EXPECT_LT(dfa_ctx, mfa_ctx);
   EXPECT_LT(mfa_ctx, nfa_ctx);
   EXPECT_LE(mfa_ctx, 64u);  // a handful of words, suitable for 1M flows
@@ -176,8 +176,8 @@ TEST(SeparatorAlgebra, NormalizationPreservesSemantics) {
         input += alphabet[rng.below(6)];
       }
       input += rng.chance(0.5) ? "ab" : "cd";
-      core::MfaScanner sv(*mv);
-      core::MfaScanner ss(*ms);
+      Scanner sv(*mv);
+      Scanner ss(*ms);
       EXPECT_EQ(sorted(sv.scan(input)), sorted(ss.scan(input)))
           << verbose << " vs " << simple << " on " << input;
     }

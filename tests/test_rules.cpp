@@ -113,7 +113,7 @@ std::size_t match_count(const std::string& pattern, const std::string& input) {
     ADD_FAILURE() << "mfa build failed: " << pattern;
     return 0;
   }
-  core::MfaScanner scanner(*mfa);
+  Scanner scanner(*mfa);
   return scanner.scan(input).size();
 }
 
@@ -216,7 +216,7 @@ TEST(Rules, EndToEndThroughMfa) {
   ASSERT_EQ(r.rules.size(), 5u);
   auto mfa = core::build_mfa(to_pattern_inputs(r.rules));
   ASSERT_TRUE(mfa.has_value());
-  core::MfaScanner scanner(*mfa);
+  Scanner scanner(*mfa);
   const std::string payload =
       "GET /scripts/..%255c../winnt/system32/CMD.exe?/c+dir HTTP/1.0\r\n"
       "User-Agent: sqlmap/1.2\r\n\r\n"

@@ -74,7 +74,6 @@ TEST(Serialize, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded->character_dfa().state_count(), built->character_dfa().state_count());
   EXPECT_EQ(loaded->character_dfa().start(), built->character_dfa().start());
   EXPECT_EQ(loaded->program().memory_bits, built->program().memory_bits);
-  EXPECT_EQ(loaded->program().counters, built->program().counters);
   EXPECT_EQ(loaded->program().position_slots, built->program().position_slots);
   EXPECT_EQ(loaded->program().actions.size(), built->program().actions.size());
   for (std::size_t i = 0; i < built->program().actions.size(); ++i)
@@ -96,8 +95,8 @@ TEST(Serialize, LoadedAutomatonScansIdentically) {
   for (const std::string input :
        {"atk1 then vec2", "hd3 vl4", "hd3\nvl4", "gp5...gp6", "gp5gp6",
         "anch7 tail8", "x anch7 tail8", "solo9 solo9", "nothing"}) {
-    MfaScanner a(*built);
-    MfaScanner b(*loaded);
+    Scanner a(*built);
+    Scanner b(*loaded);
     EXPECT_EQ(sorted(a.scan(input)), sorted(b.scan(input))) << input;
   }
   std::remove(path.c_str());
@@ -171,7 +170,7 @@ TEST(Serialize, RejectsBitFlipsInHeaderRegion) {
     if (loaded) {
       // If it loaded, its tables must still be internally consistent
       // enough to scan without faulting.
-      MfaScanner s(*loaded);
+      Scanner s(*loaded);
       s.scan(std::string("abc xyz abc"));
     }
     std::remove(mpath.c_str());
@@ -270,8 +269,8 @@ TEST(Serialize, PersistsParseOptionsAcrossRoundTrip) {
   EXPECT_EQ(loaded->parse_options().max_counted_repeat, popt.max_counted_repeat);
   EXPECT_EQ(loaded->parse_options().max_nesting_depth, popt.max_nesting_depth);
 
-  MfaScanner a(*built);
-  MfaScanner b(*loaded);
+  Scanner a(*built);
+  Scanner b(*loaded);
   for (const std::string input : {"xx needle yy", "need le", "needleneedle"})
     EXPECT_EQ(sorted(a.scan(input)), sorted(b.scan(input))) << input;
   std::remove(path.c_str());
@@ -404,8 +403,8 @@ TEST(Serialize, DeltaArtifactRoundTripScansIdentically) {
   for (const std::string input :
        {"atk1 then vec2", "hd3 vl4", "hd3\nvl4", "gp5...gp6", "gp5gp6",
         "anch7 tail8", "x anch7 tail8", "solo9 solo9", "nothing"}) {
-    MfaScanner a(*dense);
-    MfaScanner b(*loaded);
+    Scanner a(*dense);
+    Scanner b(*loaded);
     EXPECT_EQ(sorted(a.scan(input)), sorted(b.scan(input))) << input;
   }
   std::remove(path.c_str());
@@ -502,6 +501,44 @@ void expect_repeated_accept_ids_rejected(const Table& table, const char* name) {
   EXPECT_FALSE(loads_with_ids(1, 1)) << name;
   EXPECT_FALSE(loads_with_ids(2, 2)) << name;
   std::remove(path.c_str());
+}
+
+TEST(Serialize, ProgramSectionIsElevenInt32sPerAction) {
+  // The on-disk action record keeps its 44-byte v4 layout whatever
+  // filter::Action looks like in memory: the paper's four integers, the
+  // three retired counter fields (written as kNone, 0, kNone), then
+  // set_slot, test_slot, min_gap and order. The section ends with
+  // memory_bits, a zero counter count and position_slots.
+  const auto built = build_mfa(compile_patterns(kPats));
+  ASSERT_TRUE(built.has_value());
+  const filter::Program& program = built->program();
+  const std::string path = temp_path("program_section.mfac");
+  ASSERT_TRUE(built->save(path));
+  const std::vector<char> bytes = read_file_bytes(path);
+  std::remove(path.c_str());
+  std::size_t pieces = 8;
+  for (const auto& piece : built->pieces()) pieces += 4 + piece.regex.source.size();
+  const std::size_t records = program.actions.size() * 44;
+  ASSERT_GT(bytes.size(), 8 + pieces + 12 + records + 8);
+  const char* at = bytes.data() + bytes.size() - 8 - pieces - 12 - records - 8;
+  std::uint64_t count = 0;
+  std::memcpy(&count, at, 8);
+  EXPECT_EQ(count, program.actions.size());
+  for (std::size_t i = 0; i < program.actions.size(); ++i) {
+    std::int32_t f[11];
+    std::memcpy(f, at + 8 + 44 * i, 44);
+    const filter::Action& a = program.actions[i];
+    EXPECT_EQ((std::vector<std::int32_t>(f, f + 11)),
+              (std::vector<std::int32_t>{a.test, a.set, a.clear, a.report, filter::kNone, 0,
+                                         filter::kNone, a.set_slot, a.test_slot, a.min_gap,
+                                         a.order}))
+        << i;
+  }
+  std::uint32_t geometry[3];
+  std::memcpy(geometry, at + 8 + records, 12);
+  EXPECT_EQ(geometry[0], program.memory_bits);
+  EXPECT_EQ(geometry[1], 0u);
+  EXPECT_EQ(geometry[2], program.position_slots);
 }
 
 TEST(Serialize, OversizedTableGeometryIsRejectedBeforeAllocating) {
@@ -617,8 +654,8 @@ TEST(Serialize, FilterOrderIsDerivedOnLoadEvenUnderARecomputedDigest) {
   ASSERT_TRUE(swapped.has_value());
   const auto [sf, sl] = swapped->ordered_actions(0);
   EXPECT_TRUE(std::equal(first, last, sf, sl));
-  MfaScanner a(*built);
-  MfaScanner b(*swapped);
+  Scanner a(*built);
+  Scanner b(*swapped);
   EXPECT_EQ(sorted(a.scan("xxab yy ab")), sorted(b.scan("xxab yy ab")));
 
   EXPECT_FALSE(load_with_ids(id0, id0).has_value());
@@ -649,8 +686,8 @@ void expect_loads_like_fresh_build(const std::string& fixture, const Mfa& fresh,
   std::remove(saved.c_str());
   std::size_t matches = 0;
   for (const std::string& input : traffic) {
-    MfaScanner a(fresh);
-    MfaScanner b(*loaded);
+    Scanner a(fresh);
+    Scanner b(*loaded);
     const MatchVec want = sorted(a.scan(input));
     EXPECT_EQ(sorted(b.scan(input)), want) << input;
     matches += want.size();

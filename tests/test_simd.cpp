@@ -209,7 +209,7 @@ TEST(PrefilterGate, DisarmsWhenAPieceHasNoLiteral) {
   const auto m = core::build_mfa(compile_patterns({".*[0-9]+x", ".*wxyz"}));
   ASSERT_TRUE(m.has_value());
   EXPECT_FALSE(m->prefilter().gate_enabled());
-  core::MfaScanner scan(*m);
+  Scanner scan(*m);
   const std::string input = "pay 123x load wxyz";
   EXPECT_EQ(sorted(scan.scan(input)),
             sorted(testing::reference_matches({".*[0-9]+x", ".*wxyz"}, input)));
@@ -624,7 +624,7 @@ TEST(GatedFlowFuzz, GatedEqualsUngatedAcrossDeliveryShapes) {
     for (std::uint32_t f = 0; f < nflows; ++f) {
       const flow::FlowKey key{f + 1, 7, 1000, 443, 6};
       const std::string content = make_gate_content(rng);
-      nfa::NfaScanner ref(n);
+      Scanner ref(n);
       for (const Match& mm : ref.scan(content)) expected.push_back(mm);
       // Large in-order segments: the gate fires. Small segments: below the
       // gate floor, so this delivery is the in-process ungated reference.
@@ -677,7 +677,7 @@ TEST(GatedFlowFuzz, IcaseCorpusStaysByteIdentical) {
     // with case significance in the literal set).
     for (auto& c : content)
       if (c >= 'a' && c <= 'z' && rng.chance(0.5)) c = static_cast<char>(c - 32);
-    nfa::NfaScanner ref(n);
+    Scanner ref(n);
     const MatchVec want = sorted(ref.scan(content));
 
     const flow::FlowKey key{1, 7, 1000, 443, 6};

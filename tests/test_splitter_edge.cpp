@@ -24,7 +24,7 @@ SplitResult split(const std::vector<std::string>& sources, Options opts = {}) {
 MatchVec mfa_scan(const std::vector<std::string>& pats, const std::string& input) {
   auto m = core::build_mfa(compile_patterns(pats));
   EXPECT_TRUE(m.has_value());
-  core::MfaScanner s(*m);
+  Scanner s(*m);
   return sorted(s.scan(input));
 }
 
@@ -214,8 +214,8 @@ TEST_P(RandomSplitStress, DecomposedAlwaysEqualsReference) {
     std::string input;
     for (int i = 6 + static_cast<int>(rng.below(24)); i > 0; --i)
       input += rng.chance(0.1) ? '\n' : static_cast<char>('a' + rng.below(3));
-    core::MfaScanner ms(*m);
-    nfa::NfaScanner ns(reference);
+    Scanner ms(*m);
+    Scanner ns(reference);
     ASSERT_EQ(sorted(ms.scan(input)), sorted(ns.scan(input)))
         << "input: " << input << " patterns: " << pats[0];
   }

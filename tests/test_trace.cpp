@@ -95,7 +95,7 @@ TEST(SyntheticTrace, HigherPmYieldsMoreMatches) {
   std::uint64_t high_pm_matches = 0;
   for (const double pm : {0.0, 0.55, 0.95}) {
     const Trace t = make_synthetic(*d, pm, 60000, 7);
-    dfa::DfaScanner s(*d);
+    Scanner s(*d);
     CountingSink sink;
     t.for_each_packet([&](const flow::Packet& p) {
       s.feed(p.payload, p.length, p.seq, sink);
