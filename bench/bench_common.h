@@ -1,6 +1,6 @@
 // Shared plumbing for the per-table/figure bench binaries.
 //
-// Each binary regenerates one piece of the paper's evaluation (Sec. V) and
+// Each binary regenerates part of the paper's evaluation (Sec. V) and
 // prints measured values next to the paper's reported ones where the paper
 // gives concrete numbers. Absolute values differ (synthetic analog pattern
 // sets, C++ vs OCaml, different CPU); the shapes are the reproduction
@@ -55,12 +55,8 @@ struct Args {
   /// the dense-mode MFA's by more than this percentage (negative = no
   /// assertion). Bounds the cost of walking default chains.
   double assert_delta_cpb_pct = -1.0;
-  /// bench_ruleset only: exit non-zero unless parallel subset construction
-  /// beats the 1-thread build by at least this factor on the DFA phase at
-  /// the largest rung (0 = no assertion).
-  double assert_parallel_speedup = 0.0;
-  /// bench_ruleset only: exit non-zero if compiling the largest rung (dense,
-  /// 1 thread) takes longer than this many seconds (0 = no assertion).
+  /// bench_ruleset only: exit non-zero if compiling the largest rung, dense
+  /// or delta, takes longer than this many seconds (0 = no assertion).
   double assert_compile_seconds = 0.0;
 
   static Args parse(int argc, char** argv) {
@@ -96,8 +92,6 @@ struct Args {
         args.assert_delta_ratio = std::strtod(next(), nullptr);
       else if (a == "--assert-delta-cpb-pct")
         args.assert_delta_cpb_pct = std::strtod(next(), nullptr);
-      else if (a == "--assert-parallel-speedup")
-        args.assert_parallel_speedup = std::strtod(next(), nullptr);
       else if (a == "--assert-compile-seconds")
         args.assert_compile_seconds = std::strtod(next(), nullptr);
       else if (a == "--help") {
@@ -105,7 +99,7 @@ struct Args {
                     "  --json FILE  --flows N  --assert-bytes-per-flow N"
                     "  --assert-overhead-pct P"
                     "  --rules N  --assert-delta-ratio R  --assert-delta-cpb-pct P"
-                    "  --assert-parallel-speedup R  --assert-compile-seconds S\n");
+                    "  --assert-compile-seconds S\n");
         std::exit(0);
       } else {
         std::fprintf(stderr, "unknown option %s\n", a.c_str());

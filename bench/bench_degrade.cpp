@@ -30,7 +30,6 @@ struct LevelRun {
   std::uint64_t matches = 0;
   std::uint64_t degraded_hits = 0;
   std::uint64_t shed_bypass = 0;
-  double wall_seconds = 0.0;
 };
 
 LevelRun run_pinned(const mfa::core::Mfa& engine, const mfa::trace::Trace& t,
@@ -38,7 +37,6 @@ LevelRun run_pinned(const mfa::core::Mfa& engine, const mfa::trace::Trace& t,
   using namespace mfa;
   LevelRun out;
   std::uint64_t cycles = 0;
-  double seconds = 0.0;
   int timed = 0;
   for (int rep = 0; rep < reps + 1; ++rep) {
     pipeline::Options opt;
@@ -47,17 +45,12 @@ LevelRun run_pinned(const mfa::core::Mfa& engine, const mfa::trace::Trace& t,
     opt.metrics = metrics;
     pipeline::ShardedInspector<core::Mfa> pipe(engine, opt);
     pipe.start();
-    const auto t0 = std::chrono::steady_clock::now();
     const std::uint64_t c0 = util::rdtsc_now();
     t.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
     pipe.finish();
     const std::uint64_t elapsed = util::rdtsc_now() - c0;
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
     if (rep > 0) {  // first rep warms caches and the flow table allocator
       cycles += elapsed;
-      seconds += secs;
       ++timed;
     }
     const pipeline::ShardStats total = pipe.totals();
@@ -69,7 +62,6 @@ LevelRun run_pinned(const mfa::core::Mfa& engine, const mfa::trace::Trace& t,
     out.cycles_per_byte =
         static_cast<double>(cycles) /
         (static_cast<double>(timed) * static_cast<double>(t.payload_bytes()));
-    out.wall_seconds = seconds / timed;
   }
   return out;
 }
@@ -245,10 +237,8 @@ int main(int argc, char** argv) {
   // --- Part 1: every rung pinned, fidelity vs cost -----------------------
   util::TextTable ladder({"level", "CpB", "recall", "matches", "degraded hits",
                           "bypass shed"});
-  double l0_wall_seconds = 0.0;
   for (int level = 0; level <= 3; ++level) {
     const LevelRun r = run_pinned(*engine, t, level, args.reps, nullptr);
-    if (level == 0) l0_wall_seconds = r.wall_seconds;
     const double recall =
         seq.matches > 0
             ? static_cast<double>(r.matches) / static_cast<double>(seq.matches)

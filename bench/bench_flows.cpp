@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
     set.patterns = rules::to_pattern_inputs(loaded.rules);
     build.delta = true;
     build.dfa.max_states = args.dfa_cap;
-    build.dfa.threads = 0;  // hardware concurrency; same automaton
   }
   const auto mfa = core::build_mfa(set.patterns, build);
   if (!mfa) {

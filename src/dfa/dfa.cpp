@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <iterator>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 
 #include "util/timing.h"
@@ -132,13 +128,13 @@ std::pair<std::vector<std::uint32_t>, std::uint32_t> minimize_partition(
 // A sticky NFA state self-loops on every byte class: the shared `.*` prefix
 // loop and any internal `.*` loop. Once in a subset it is in every successor,
 // and at Snort scale the prefix loop's row is nearly all of a subset's
-// expansion work. So the explorers never store or expand a subset X whole:
+// expansion work. So the explorer never stores or expands a subset X whole:
 //  - T0 is the union of the sticky rows' targets; X is keyed by the pair
 //    (X ∩ T0, X \ T0) = (head, residual). The split is unique for every X,
 //    so two subsets share a key exactly when they are equal, and states are
 //    numbered as whole-subset keys would number them.
 //  - Heads are few (31 at 5k generated rules) and interned once, in a
-//    shared HeadTable. Residuals are short (3.4 NFA states on average at 5k).
+//    HeadTable. Residuals are short (3.4 NFA states on average at 5k).
 //  - Per DFA state, only the head's non-sticky members and the residual are
 //    expanded. The sticky members' per-class successors (all inside T0) are
 //    built once per distinct sticky set Σ and reused, with their head ids.
@@ -172,35 +168,24 @@ StickySplit find_sticky(const ClassifiedNfa& cn, std::uint16_t ncls) {
   return out;
 }
 
-/// Interned heads, shared by every explorer thread. Heads are interned
-/// rarely (each SubsetStep caches what it has seen), so one mutex suffices.
+/// Interned heads, numbered in interning order.
 class HeadTable {
  public:
   std::uint32_t intern(const std::vector<std::uint32_t>& members) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto [it, fresh] =
-        ids_.try_emplace(members, static_cast<std::uint32_t>(by_id_.size()));
+    const auto [it, fresh] = ids_.try_emplace(members, size());
     if (fresh) by_id_.push_back(&it->first);
     return it->second;
   }
   /// Members of head `id`. Map keys never move, so the reference stays valid.
-  const std::vector<std::uint32_t>& members(std::uint32_t id) {
-    std::lock_guard<std::mutex> lock(mu_);
+  [[nodiscard]] const std::vector<std::uint32_t>& members(std::uint32_t id) const {
     return *by_id_[id];
   }
-  std::uint32_t size() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<std::uint32_t>(by_id_.size());
-  }
+  [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(by_id_.size()); }
 
  private:
-  std::mutex mu_;
   std::unordered_map<std::vector<std::uint32_t>, std::uint32_t, VecHash> ids_;
   std::vector<const std::vector<std::uint32_t>*> by_id_;
 };
-
-/// A DFA state's key record: {head, residual length, residual...}.
-using KeyRecord = const std::uint32_t*;
 
 std::uint32_t key_hash(std::uint32_t head, const std::vector<std::uint32_t>& residual) {
   std::uint64_t h = 0xcbf29ce484222325ULL ^ head;
@@ -215,10 +200,10 @@ std::uint32_t key_hash(std::uint32_t head, const std::vector<std::uint32_t>& res
   return static_cast<std::uint32_t>(h);
 }
 
-/// Open-addressing map from subset key to state id. A lookup hashes and
-/// compares in place; only add() stores anything. Key records live in
-/// append-only chunks and never move, so the parallel explorer can publish
-/// pointers to them while other keys are added.
+/// Open-addressing map from subset key to state id; ids are dense, in
+/// insertion order. Each state's key record {head, residual length,
+/// residual...} sits in one word vector. A lookup hashes and compares in
+/// place; only add() stores anything.
 class SubsetMap {
  public:
   static constexpr std::uint32_t kAbsent = UINT32_MAX;
@@ -228,65 +213,68 @@ class SubsetMap {
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
       const Slot& slot = slots_[i];
-      if (slot.rec == nullptr) return kAbsent;
-      if (slot.hash == hash && slot.rec[0] == head && slot.rec[1] == residual.size() &&
-          std::equal(residual.begin(), residual.end(), slot.rec + 2))
+      if (slot.id == kAbsent) return kAbsent;
+      if (slot.hash != hash) continue;
+      const std::uint32_t* rec = words_.data() + slot.start;
+      if (rec[0] == head && rec[1] == residual.size() &&
+          std::equal(residual.begin(), residual.end(), rec + 2))
         return slot.id;
     }
   }
 
-  /// Add a key find() reported absent; returns its record.
-  KeyRecord add(std::uint32_t hash, std::uint32_t head,
-                const std::vector<std::uint32_t>& residual, std::uint32_t id) {
-    const std::size_t n = residual.size() + 2;
-    if (chunks_.empty() || used_ + n > capacity_) {
-      capacity_ = std::max<std::size_t>(kChunk, n);
-      chunks_.push_back(std::make_unique<std::uint32_t[]>(capacity_));
-      used_ = 0;
-    }
-    std::uint32_t* rec = chunks_.back().get() + used_;
-    used_ += n;
-    rec[0] = head;
-    rec[1] = static_cast<std::uint32_t>(residual.size());
-    std::copy(residual.begin(), residual.end(), rec + 2);
+  /// Add a key find() reported absent; returns its id. Out of line, like
+  /// SubsetStep's cold paths: see SubsetStep.
+  [[gnu::noinline]] std::uint32_t add(std::uint32_t hash, std::uint32_t head,
+                                      const std::vector<std::uint32_t>& residual) {
+    const std::uint32_t id = size();
+    const std::size_t start = words_.size();
+    starts_.push_back(start);
+    words_.push_back(head);
+    words_.push_back(static_cast<std::uint32_t>(residual.size()));
+    words_.insert(words_.end(), residual.begin(), residual.end());
 
-    if (2 * (size_ + 1) > slots_.size()) grow();
-    place(Slot{rec, hash, id});
-    ++size_;
-    return rec;
+    if (2 * starts_.size() > slots_.size()) grow();
+    place(Slot{start, hash, id});
+    return id;
+  }
+
+  [[nodiscard]] std::uint32_t size() const { return static_cast<std::uint32_t>(starts_.size()); }
+  /// Key record of state `id`; valid until the next add().
+  [[nodiscard]] const std::uint32_t* record(std::uint32_t id) const {
+    return words_.data() + starts_[id];
   }
 
  private:
   struct Slot {
-    KeyRecord rec = nullptr;
+    std::size_t start = 0;  ///< of the key record in words_
     std::uint32_t hash = 0;
-    std::uint32_t id = 0;
+    std::uint32_t id = kAbsent;
   };
 
   void place(const Slot& s) {
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = s.hash & mask;
-    while (slots_[i].rec != nullptr) i = (i + 1) & mask;
+    while (slots_[i].id != kAbsent) i = (i + 1) & mask;
     slots_[i] = s;
   }
   void grow() {
     std::vector<Slot> old(slots_.size() * 2);
     old.swap(slots_);
     for (const Slot& s : old)
-      if (s.rec != nullptr) place(s);
+      if (s.id != kAbsent) place(s);
   }
 
-  static constexpr std::size_t kChunk = std::size_t{1} << 16;  // words
   std::vector<Slot> slots_ = std::vector<Slot>(16);  // power of two
-  std::size_t size_ = 0;
-  std::vector<std::unique_ptr<std::uint32_t[]>> chunks_;
-  std::size_t used_ = 0;
-  std::size_t capacity_ = 0;
+  std::vector<std::uint32_t> words_;
+  std::vector<std::size_t> starts_;  // per state, into words_
 };
 
-/// The successor step both explorers share. Each thread owns one; its
-/// caches (heads split into Σ and loose members, Σ rows, extended heads)
-/// sit over the shared HeadTable, so head ids agree across threads.
+/// The successor step: its caches (heads split into Σ and loose members,
+/// Σ rows, extended heads) sit over the HeadTable. The cache-filling paths
+/// (head_info, extended_head) and SubsetMap::add stay out of line: inlined
+/// into the explorer loop, they made GCC 12 move the per-class SubsetMap
+/// lookup out of line instead, and subset construction at 5k rules ran
+/// ~10% slower.
 class SubsetStep {
  public:
   SubsetStep(const ClassifiedNfa& cn, const StickySplit& sp, HeadTable& heads,
@@ -300,9 +288,10 @@ class SubsetStep {
   }
 
   /// Successors of the subset keyed by `rec`, in class order:
-  /// emit(c, head, residual) returns false to stop (cap overflow).
+  /// emit(c, head, residual) returns false to stop (cap overflow). `rec` is
+  /// read before the first emit, so emit may add keys to its SubsetMap.
   template <typename Emit>
-  bool expand(KeyRecord rec, Emit&& emit) {
+  bool expand(const std::uint32_t* rec, Emit&& emit) {
     const Head& head = head_info(rec[0]);
     const Sigma& sigma = sigmas_[head.sigma];
     for (const std::uint16_t c : dirty_) buckets_[c].clear();
@@ -349,7 +338,7 @@ class SubsetStep {
     std::vector<std::uint32_t> row_head;
   };
 
-  const Head& head_info(std::uint32_t id) {
+  [[gnu::noinline]] const Head& head_info(std::uint32_t id) {
     if (id >= local_heads_.size()) local_heads_.resize(id + 1);
     if (local_heads_[id].sigma != UINT32_MAX) return local_heads_[id];
     std::vector<std::uint32_t> sticky;
@@ -383,8 +372,9 @@ class SubsetStep {
   }
 
   /// Head of a Σ row plus the T0 members in extra_ that the row lacks.
-  std::uint32_t extended_head(std::uint32_t row_head, const std::uint32_t* row_first,
-                              const std::uint32_t* row_last) {
+  [[gnu::noinline]] std::uint32_t extended_head(std::uint32_t row_head,
+                                                const std::uint32_t* row_first,
+                                                const std::uint32_t* row_last) {
     extended_key_.assign(1, row_head);
     extended_key_.insert(extended_key_.end(), extra_.begin(), extra_.end());
     if (const auto it = extended_.find(extended_key_); it != extended_.end())
@@ -413,29 +403,24 @@ class SubsetStep {
   std::vector<std::uint32_t> extended_key_;
 };
 
-/// Output of the (sequential or parallel) reachable-subset exploration, in
-/// canonical numbering: state 0 is the start subset, successors numbered in
-/// discovery order walking byte classes 0..ncls-1 — exactly the order the
-/// sequential explorer interns them in.
+/// Output of the reachable-subset exploration: state 0 is the start
+/// subset, successors numbered in discovery order walking byte classes
+/// 0..ncls-1.
 struct Explored {
-  std::unique_ptr<HeadTable> heads = std::make_unique<HeadTable>();
-  std::vector<SubsetMap> maps;   ///< own the records in `keys`
-  std::vector<KeyRecord> keys;   ///< per state
+  HeadTable heads;
+  SubsetMap map;  ///< state id -> key record
   std::vector<std::uint32_t> table;  // state_count * ncls
   bool failed = false;
-  std::uint32_t discovered = 0;  ///< states found (== cap when failed)
 };
 
-/// Sequential explorer. The cap is enforced exactly at insertion: interning
-/// a subset that would make the count exceed max_states aborts right there
-/// instead of one processed state later.
-Explored explore_sequential(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
-                            const StickySplit& sp, std::uint16_t ncls,
-                            std::uint32_t max_states) {
+/// Breadth-first exploration. The cap is enforced exactly at insertion:
+/// interning a subset that would make the count exceed max_states aborts
+/// right there instead of one processed state later.
+Explored explore(const nfa::Nfa& nfa, const ClassifiedNfa& cn, const StickySplit& sp,
+                 std::uint16_t ncls, std::uint32_t max_states) {
   Explored out;
-  SubsetStep step(cn, sp, *out.heads, ncls);
-  SubsetMap& map = out.maps.emplace_back();
-  auto& keys = out.keys;
+  SubsetStep step(cn, sp, out.heads, ncls);
+  SubsetMap& map = out.map;
   auto& table = out.table;
 
   bool overflow = false;
@@ -444,20 +429,17 @@ Explored explore_sequential(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
     const std::uint32_t hash = key_hash(head, residual);
     const std::uint32_t found = map.find(hash, head, residual);
     if (found != SubsetMap::kAbsent) return found;
-    if (keys.size() >= max_states) {
+    if (map.size() >= max_states) {
       overflow = true;
       return UINT32_MAX;
     }
-    const auto id = static_cast<std::uint32_t>(keys.size());
-    keys.push_back(map.add(hash, head, residual, id));
-    return id;
+    return map.add(hash, head, residual);
   };
 
   const auto [start_head, start_residual] = step.singleton(nfa.start());
   intern(start_head, start_residual);
   if (overflow) {  // max_states == 0
     out.failed = true;
-    out.discovered = 0;
     return out;
   }
 
@@ -465,10 +447,10 @@ Explored explore_sequential(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
   // with unanchored dot-star prefixes keeps its sticky prefix loop, so the
   // empty subset only appears for fully-anchored pattern sets, where it
   // acts as a plain sink state.
-  for (std::uint32_t ds = 0; ds < keys.size() && !overflow; ++ds) {
+  for (std::uint32_t ds = 0; ds < map.size() && !overflow; ++ds) {
     table.resize(static_cast<std::size_t>(ds + 1) * ncls, UINT32_MAX);
-    step.expand(keys[ds], [&](std::uint16_t c, std::uint32_t head,
-                              const std::vector<std::uint32_t>& residual) {
+    step.expand(map.record(ds), [&](std::uint16_t c, std::uint32_t head,
+                                    const std::vector<std::uint32_t>& residual) {
       const std::uint32_t id = intern(head, residual);
       if (overflow) return false;
       table[static_cast<std::size_t>(ds) * ncls + c] = id;
@@ -476,216 +458,20 @@ Explored explore_sequential(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
     });
   }
 
-  out.discovered = static_cast<std::uint32_t>(keys.size());
   out.failed = overflow;
-  return out;
-}
-
-/// Parallel explorer: work-stealing over the discovery frontier.
-///
-/// Interning is striped over 64 mutex-guarded maps; every new subset gets a
-/// provisional id from one atomic counter and is published to a paged slot
-/// array (release store of its stable key record). The work list needs no
-/// queue at all: provisional ids are dense, so workers CLAIM the next
-/// unprocessed id range off a second atomic cursor — stealing is just
-/// fetch-add on shared state, and a claimed id's key is awaited via its
-/// published slot. Termination: processed == assigned, stable. Each worker
-/// runs the same SubsetStep as the sequential explorer.
-///
-/// Provisional numbering is race order, so a canonical BFS renumbering
-/// afterwards (start first, successors in class order) makes the result
-/// byte-identical to the sequential explorer for any thread count.
-Explored explore_parallel(const nfa::Nfa& nfa, const ClassifiedNfa& cn,
-                          const StickySplit& sp, std::uint16_t ncls,
-                          std::uint32_t max_states, std::uint32_t threads) {
-  constexpr std::size_t kShardCount = 64;
-  constexpr std::uint32_t kPage = 1024;          // key slots per page
-  constexpr std::uint64_t kClaimBatch = 8;       // ids claimed per steal
-
-  Explored out;
-  struct Shard {
-    std::mutex mu;
-    SubsetMap map;
-  };
-  std::vector<Shard> shards(kShardCount);
-
-  // Paged publication slots: key records by provisional id. Pages are
-  // allocated on demand (double-checked via atomic page pointers) so a tiny
-  // automaton under a huge cap does not pre-pay cap-sized storage.
-  using Slot = std::atomic<KeyRecord>;
-  const std::size_t page_count = static_cast<std::size_t>(max_states) / kPage + 1;
-  std::vector<std::atomic<Slot*>> pages(page_count);
-  for (auto& p : pages) p.store(nullptr, std::memory_order_relaxed);
-  std::mutex page_mu;
-  const auto slot_of = [&](std::uint32_t id) -> Slot& {
-    const std::size_t pg = id / kPage;
-    Slot* page = pages[pg].load(std::memory_order_acquire);
-    if (page == nullptr) {
-      std::lock_guard<std::mutex> lock(page_mu);
-      page = pages[pg].load(std::memory_order_relaxed);
-      if (page == nullptr) {
-        page = new Slot[kPage];
-        for (std::uint32_t i = 0; i < kPage; ++i)
-          page[i].store(nullptr, std::memory_order_relaxed);
-        pages[pg].store(page, std::memory_order_release);
-      }
-    }
-    return page[id % kPage];
-  };
-
-  std::atomic<std::uint64_t> assigned{0};   // provisional ids handed out
-  std::atomic<std::uint64_t> next_claim{0};
-  std::atomic<std::uint64_t> processed{0};
-  std::atomic<bool> overflow{false};
-
-  const auto intern = [&](std::uint32_t head,
-                          const std::vector<std::uint32_t>& residual) -> std::uint32_t {
-    const std::uint32_t hash = key_hash(head, residual);
-    // Shard on the high bits; the map probes from the low ones.
-    Shard& sh = shards[(hash >> 26) % kShardCount];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    const std::uint32_t found = sh.map.find(hash, head, residual);
-    if (found != SubsetMap::kAbsent) return found;
-    const auto id =
-        static_cast<std::uint32_t>(assigned.fetch_add(1, std::memory_order_acq_rel));
-    if (id >= max_states) {
-      overflow.store(true, std::memory_order_release);
-      return UINT32_MAX;
-    }
-    slot_of(id).store(sh.map.add(hash, head, residual, id), std::memory_order_release);
-    return id;
-  };
-
-  {
-    SubsetStep step(cn, sp, *out.heads, ncls);
-    const auto [start_head, start_residual] = step.singleton(nfa.start());
-    intern(start_head, start_residual);
-  }
-
-  // Per-worker row output: (provisional id, row) pairs, scattered into the
-  // provisional table after the join. No cross-thread row sharing.
-  struct WorkerOut {
-    std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> rows;
-  };
-  std::vector<WorkerOut> outs(threads);
-
-  const auto worker = [&](WorkerOut& wout) {
-    SubsetStep step(cn, sp, *out.heads, ncls);
-    for (;;) {
-      if (overflow.load(std::memory_order_acquire)) return;
-      std::uint64_t k = next_claim.load(std::memory_order_acquire);
-      const std::uint64_t n =
-          std::min<std::uint64_t>(assigned.load(std::memory_order_acquire), max_states);
-      if (k >= n) {
-        // Done only when every assigned id is processed AND no new ids
-        // appeared between the two reads (a processing worker is the only
-        // thing that can assign more).
-        if (processed.load(std::memory_order_acquire) == n &&
-            std::min<std::uint64_t>(assigned.load(std::memory_order_acquire),
-                                    max_states) == n)
-          return;
-        std::this_thread::yield();
-        continue;
-      }
-      const std::uint64_t take = std::min(kClaimBatch, n - k);
-      if (!next_claim.compare_exchange_weak(k, k + take, std::memory_order_acq_rel))
-        continue;
-      for (std::uint64_t id = k; id < k + take; ++id) {
-        // Await publication (the assigning thread stores the slot right
-        // after taking the id).
-        KeyRecord rec;
-        while ((rec = slot_of(static_cast<std::uint32_t>(id))
-                          .load(std::memory_order_acquire)) == nullptr) {
-          if (overflow.load(std::memory_order_acquire)) return;
-          std::this_thread::yield();
-        }
-        std::vector<std::uint32_t> row(ncls, UINT32_MAX);
-        const bool complete = step.expand(
-            rec, [&](std::uint16_t c, std::uint32_t head,
-                     const std::vector<std::uint32_t>& residual) {
-              row[c] = intern(head, residual);
-              return !overflow.load(std::memory_order_relaxed);
-            });
-        if (!complete) return;
-        wout.rows.emplace_back(static_cast<std::uint32_t>(id), std::move(row));
-        processed.fetch_add(1, std::memory_order_acq_rel);
-      }
-    }
-  };
-
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t)
-      pool.emplace_back(worker, std::ref(outs[t]));
-    for (auto& th : pool) th.join();
-  }
-
-  const auto release_pages = [&] {
-    for (auto& p : pages) delete[] p.load(std::memory_order_relaxed);
-  };
-  if (overflow.load(std::memory_order_acquire)) {
-    out.failed = true;
-    out.discovered = max_states;
-    release_pages();
-    return out;
-  }
-
-  const auto n = static_cast<std::uint32_t>(assigned.load(std::memory_order_acquire));
-  // Scatter provisional rows and key records into id-indexed arrays.
-  std::vector<KeyRecord> prov_key(n, nullptr);
-  std::vector<std::uint32_t> prov_table(static_cast<std::size_t>(n) * ncls, UINT32_MAX);
-  for (std::uint32_t id = 0; id < n; ++id)
-    prov_key[id] = slot_of(id).load(std::memory_order_acquire);
-  for (const auto& w : outs) {
-    for (const auto& [id, row] : w.rows)
-      std::copy(row.begin(), row.end(),
-                prov_table.begin() + static_cast<std::size_t>(id) * ncls);
-  }
-
-  // Canonical renumbering: BFS from the start subset, successors in class
-  // order — the exact order the sequential explorer assigns.
-  std::vector<std::uint32_t> canon(n, UINT32_MAX);
-  std::vector<std::uint32_t> order;  // canonical id -> provisional id
-  order.reserve(n);
-  canon[0] = 0;  // start is always provisional id 0 (interned pre-spawn)
-  order.push_back(0);
-  for (std::uint32_t head = 0; head < order.size(); ++head) {
-    const std::uint32_t prov = order[head];
-    for (std::uint16_t c = 0; c < ncls; ++c) {
-      const std::uint32_t target = prov_table[static_cast<std::size_t>(prov) * ncls + c];
-      if (canon[target] == UINT32_MAX) {
-        canon[target] = static_cast<std::uint32_t>(order.size());
-        order.push_back(target);
-      }
-    }
-  }
-
-  out.keys.resize(n);
-  out.table.assign(static_cast<std::size_t>(n) * ncls, UINT32_MAX);
-  for (std::uint32_t cid = 0; cid < n; ++cid) {
-    const std::uint32_t prov = order[cid];
-    out.keys[cid] = prov_key[prov];
-    for (std::uint16_t c = 0; c < ncls; ++c)
-      out.table[static_cast<std::size_t>(cid) * ncls + c] =
-          canon[prov_table[static_cast<std::size_t>(prov) * ncls + c]];
-  }
-  for (auto& sh : shards) out.maps.push_back(std::move(sh.map));
-  out.discovered = n;
-  release_pages();
   return out;
 }
 
 /// Accept id set of every explored state: the head's ids (computed once per
 /// head) merged with the residual members' ids, sorted and unique.
 std::vector<std::vector<std::uint32_t>> accept_sets_of(const nfa::Nfa& nfa,
-                                                       Explored& explored) {
-  HeadTable& heads = *explored.heads;
+                                                       const Explored& explored) {
+  const HeadTable& heads = explored.heads;
   std::vector<std::vector<std::uint32_t>> head_ids(heads.size());
   std::vector<std::uint8_t> head_done(heads.size(), 0);
-  std::vector<std::vector<std::uint32_t>> out(explored.keys.size());
-  for (std::size_t ds = 0; ds < explored.keys.size(); ++ds) {
-    const KeyRecord rec = explored.keys[ds];
+  std::vector<std::vector<std::uint32_t>> out(explored.map.size());
+  for (std::uint32_t ds = 0; ds < explored.map.size(); ++ds) {
+    const std::uint32_t* rec = explored.map.record(ds);
     auto& hid = head_ids[rec[0]];
     if (head_done[rec[0]] == 0) {
       head_done[rec[0]] = 1;
@@ -722,27 +508,20 @@ std::optional<Dfa> build_dfa(const nfa::Nfa& nfa, const BuildOptions& options,
   const ClassifiedNfa cn = classify(nfa, byte_to_col, ncls);
   const StickySplit sp = find_sticky(cn, ncls);
 
-  std::uint32_t threads = options.threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-    threads = std::min(threads, 64u);
-  }
   // The premultiplied table must stay below util::kMaxRowOffsets entries;
-  // capping the explorers keeps a build past it a clean, early failure.
+  // capping the explorer keeps a build past it a clean, early failure.
   const auto max_states = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       options.max_states, (util::kMaxRowOffsets - 1) / ncls));
-  Explored explored =
-      threads <= 1 ? explore_sequential(nfa, cn, sp, ncls, max_states)
-                   : explore_parallel(nfa, cn, sp, ncls, max_states, threads);
+  Explored explored = explore(nfa, cn, sp, ncls, max_states);
+  const std::uint32_t n = explored.map.size();
   if (explored.failed) {
     st.failed = true;
     st.seconds = timer.seconds();
-    st.states = explored.discovered;
+    st.states = n;
     return std::nullopt;
   }
   std::vector<std::vector<std::uint32_t>> accept_sets = accept_sets_of(nfa, explored);
   std::vector<std::uint32_t>& table = explored.table;
-  const auto n = static_cast<std::uint32_t>(explored.keys.size());
 
   st.states = n;
   st.minimized = n;

@@ -35,14 +35,6 @@ struct BuildOptions {
   /// Merge equivalent states (Moore partition refinement) after subset
   /// construction. Off by default to mirror standard DFA construction.
   bool minimize = false;
-  /// Worker threads for subset construction. 1 = the sequential explorer;
-  /// 0 = one per hardware thread. Both explorers run the same successor
-  /// step (sticky `.*` states factored out, DESIGN.md §6 #12). Any thread
-  /// count produces byte-identical automata: parallel exploration assigns
-  /// provisional state ids in race order, then a canonical BFS renumbering
-  /// (start first, successors in byte-class order) restores exactly the
-  /// sequential numbering.
-  std::uint32_t threads = 1;
 };
 
 struct BuildStats {
@@ -269,7 +261,7 @@ std::pair<std::array<std::uint8_t, 256>, std::uint16_t> compute_byte_classes(
 /// Loader check shared by Dfa and D2fa: no accept list (CSR `offsets` into
 /// `ids`, already validated monotone and in range) repeats an id. Makes no
 /// assumption about id order — MFA artifacts store filter order. A repeated
-/// id would run its action twice (duplicate alert, double counter bump).
+/// id would run its action twice (a duplicate alert).
 bool accept_ids_unique(const std::vector<std::uint32_t>& offsets,
                        const std::vector<std::uint32_t>& ids);
 

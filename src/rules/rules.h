@@ -4,9 +4,8 @@
 // (Sec. V-A). This module parses a pragmatic subset of the Snort rule
 // language so real-world rule files can feed the MFA pipeline directly:
 //
-//   alert tcp $EXTERNAL_NET any -> $HOME_NET 80 \
-//     (msg:"WEB-IIS cmd.exe access"; content:"cmd.exe"; nocase; \
-//      pcre:"/.*cmd\.exe/i"; sid:1002; rev:3;)
+//   alert tcp $EXTERNAL_NET any -> $HOME_NET 80 (msg:"WEB-IIS cmd.exe access";
+//     content:"cmd.exe"; nocase; pcre:"/.*cmd\.exe/i"; sid:1002; rev:3;)
 //
 // Supported: action/proto/address header (recorded, not enforced), msg,
 // sid, pcre (preferred match source), content with |hex| escapes and

@@ -24,7 +24,6 @@ constexpr std::uint32_t kLinkEthernet = 1;
 /// buffer. Generous so ERF-style super-jumbo snaplens still pass.
 constexpr std::uint32_t kMaxFrameBytes = 256 * 1024;
 
-std::uint16_t bswap16(std::uint16_t v) { return static_cast<std::uint16_t>((v << 8) | (v >> 8)); }
 std::uint32_t bswap32(std::uint32_t v) {
   return ((v & 0xff) << 24) | ((v & 0xff00) << 8) | ((v >> 8) & 0xff00) | (v >> 24);
 }

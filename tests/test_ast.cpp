@@ -113,7 +113,9 @@ TEST(Ast, SampleMatchesAreInLanguage) {
       const std::string s = sample_match(re, rng);
       EXPECT_GE(s.size(), static_cast<std::size_t>(min_match_length(*re.root))) << src;
       const int maxlen = max_match_length(*re.root);
-      if (maxlen >= 0) EXPECT_LE(s.size(), static_cast<std::size_t>(maxlen)) << src;
+      if (maxlen >= 0) {
+        EXPECT_LE(s.size(), static_cast<std::size_t>(maxlen)) << src;
+      }
     }
   }
 }

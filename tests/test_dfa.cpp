@@ -51,7 +51,9 @@ TEST(Dfa, AcceptingStatesRemappedFirst) {
                                    ? d.accepts(s)
                                    : std::pair<const std::uint32_t*, const std::uint32_t*>{
                                          nullptr, nullptr};
-    if (s < d.accepting_state_count()) EXPECT_NE(first, last);
+    if (s < d.accepting_state_count()) {
+      EXPECT_NE(first, last);
+    }
   }
 }
 
@@ -108,49 +110,6 @@ TEST(Dfa, StateCapIsExact) {
   EXPECT_FALSE(build_dfa(n, below_cap, &below_stats).has_value());
   EXPECT_TRUE(below_stats.failed);
   EXPECT_EQ(below_stats.states, exact - 1);
-}
-
-TEST(Dfa, ParallelConstructionIsByteIdentical) {
-  // Any thread count must yield the exact same automaton as the sequential
-  // explorer: same numbering, same table, same accept geometry.
-  const std::vector<std::string> pats = {".*abcd.*efgh", ".*ijkl.*mnop",
-                                         "x[0-9]{1,3}y", "a(b|c)+d", "^head"};
-  const nfa::Nfa n = nfa::build_nfa(compile_patterns(pats));
-  const auto seq = build_dfa(n);
-  ASSERT_TRUE(seq.has_value());
-  for (const std::uint32_t threads : {2u, 4u, 0u}) {
-    BuildOptions opts;
-    opts.threads = threads;
-    const auto par = build_dfa(n, opts);
-    ASSERT_TRUE(par.has_value()) << threads;
-    ASSERT_EQ(par->state_count(), seq->state_count()) << threads;
-    EXPECT_EQ(par->start(), seq->start());
-    EXPECT_EQ(par->column_count(), seq->column_count());
-    EXPECT_EQ(par->accepting_state_count(), seq->accepting_state_count());
-    const std::size_t words =
-        static_cast<std::size_t>(seq->state_count()) * seq->column_count();
-    EXPECT_TRUE(std::equal(seq->table_data(), seq->table_data() + words,
-                           par->table_data()))
-        << threads;
-    for (std::uint32_t s = 0; s < seq->accepting_state_count(); ++s) {
-      const auto [sf, sl] = seq->accepts(s);
-      const auto [pf, pl] = par->accepts(s);
-      ASSERT_EQ(sl - sf, pl - pf);
-      EXPECT_TRUE(std::equal(sf, sl, pf));
-    }
-  }
-}
-
-TEST(Dfa, ParallelConstructionHonorsCap) {
-  const std::vector<std::string> pats = {".*aaa.*bbb.*ccc", ".*ddd.*eee.*fff",
-                                         ".*ggg.*hhh.*iii"};
-  const nfa::Nfa n = nfa::build_nfa(compile_patterns(pats));
-  BuildOptions opts;
-  opts.max_states = 50;
-  opts.threads = 4;
-  BuildStats stats;
-  EXPECT_FALSE(build_dfa(n, opts, &stats).has_value());
-  EXPECT_TRUE(stats.failed);
 }
 
 TEST(Dfa, HeadlessSerializeRoundTrip) {
@@ -294,65 +253,47 @@ TEST(Dfa, RandomRegexDfaEqualsNfaProperty) {
 
 // --- Differential tests: build_dfa() against the textbook reference ---
 
-std::vector<std::uint8_t> image_of(const Dfa& d) {
-  util::FilePtr f(std::tmpfile());
-  EXPECT_NE(f, nullptr);
-  util::BinWriter w(f.get());
-  d.serialize(w);
-  EXPECT_TRUE(w.ok());
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(std::ftell(f.get())));
-  std::rewind(f.get());
-  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f.get()), bytes.size());
-  return bytes;
-}
-
-/// build_dfa() at 1 and 4 threads must equal reference_dfa() field by field
-/// (so its serialised image is fixed too), or fail at the same count.
+/// build_dfa() must equal reference_dfa() field by field (so its serialised
+/// image is fixed too), or fail at the same count.
 void expect_reference(const nfa::Nfa& n, std::uint32_t max_states, const std::string& label) {
+  SCOPED_TRACE(label);
   const mfa::testing::ReferenceDfa ref = mfa::testing::reference_dfa(n, max_states);
-  std::vector<std::uint8_t> one_thread_image;
-  for (const std::uint32_t threads : {1u, 4u}) {
-    SCOPED_TRACE(label + ", threads " + std::to_string(threads));
-    BuildOptions opts;
-    opts.max_states = max_states;
-    opts.threads = threads;
-    BuildStats stats;
-    const auto d = build_dfa(n, opts, &stats);
-    ASSERT_EQ(d.has_value(), !ref.failed);
-    EXPECT_EQ(stats.failed, ref.failed);
-    EXPECT_EQ(stats.states, ref.discovered);
-    if (ref.failed) continue;
-    const auto [cls, ncls] = compute_byte_classes(n);
-    ASSERT_EQ(d->column_count(), ncls);
-    EXPECT_TRUE(std::equal(cls.begin(), cls.end(), d->byte_columns()));
-    ASSERT_EQ(d->state_count(), ref.discovered);
-    EXPECT_EQ(d->start(), ref.start);
-    EXPECT_EQ(d->max_match_id(), n.max_match_id());
-    ASSERT_EQ(d->accepting_state_count(), ref.accepting);
-    // Entry by entry through the raw accessors: target() per class, next()
-    // per byte, and the premultiplied table itself.
-    std::uint32_t table_mismatches = 0;
-    for (std::uint32_t s = 0; s < ref.discovered; ++s) {
-      const std::size_t row = static_cast<std::size_t>(s) * ncls;
-      for (std::uint16_t c = 0; c < ncls; ++c) {
-        table_mismatches += d->target(s, c) != ref.table[row + c];
-        table_mismatches += d->table_data()[row + c] != d->row_offset(ref.table[row + c]);
-      }
-      for (unsigned b = 0; b < 256; ++b)
-        table_mismatches +=
-            d->next(s, static_cast<unsigned char>(b)) != ref.table[row + cls[b]];
+  BuildOptions opts;
+  opts.max_states = max_states;
+  BuildStats stats;
+  const auto d = build_dfa(n, opts, &stats);
+  ASSERT_EQ(d.has_value(), !ref.failed);
+  EXPECT_EQ(stats.failed, ref.failed);
+  EXPECT_EQ(stats.states, ref.discovered);
+  if (ref.failed) return;
+  const auto [cls, ncls] = compute_byte_classes(n);
+  ASSERT_EQ(d->column_count(), ncls);
+  EXPECT_TRUE(std::equal(cls.begin(), cls.end(), d->byte_columns()));
+  ASSERT_EQ(d->state_count(), ref.discovered);
+  EXPECT_EQ(d->start(), ref.start);
+  EXPECT_EQ(d->max_match_id(), n.max_match_id());
+  ASSERT_EQ(d->accepting_state_count(), ref.accepting);
+  // Entry by entry through the raw accessors: target() per class, next()
+  // per byte, and the premultiplied table itself.
+  std::uint32_t table_mismatches = 0;
+  for (std::uint32_t s = 0; s < ref.discovered; ++s) {
+    const std::size_t row = static_cast<std::size_t>(s) * ncls;
+    for (std::uint16_t c = 0; c < ncls; ++c) {
+      table_mismatches += d->target(s, c) != ref.table[row + c];
+      table_mismatches += d->table_data()[row + c] != d->row_offset(ref.table[row + c]);
     }
-    EXPECT_EQ(table_mismatches, 0u);
-    std::uint32_t accept_mismatches = 0;
-    for (std::uint32_t s = 0; s < ref.accepting; ++s) {
-      const auto [first, last] = d->accepts(s);
-      if (!std::equal(first, last, ref.accepts[s].begin(), ref.accepts[s].end()))
-        ++accept_mismatches;
-    }
-    EXPECT_EQ(accept_mismatches, 0u);
-    if (threads == 1) one_thread_image = image_of(*d);
-    else EXPECT_EQ(image_of(*d), one_thread_image);
+    for (unsigned b = 0; b < 256; ++b)
+      table_mismatches +=
+          d->next(s, static_cast<unsigned char>(b)) != ref.table[row + cls[b]];
   }
+  EXPECT_EQ(table_mismatches, 0u);
+  std::uint32_t accept_mismatches = 0;
+  for (std::uint32_t s = 0; s < ref.accepting; ++s) {
+    const auto [first, last] = d->accepts(s);
+    if (!std::equal(first, last, ref.accepts[s].begin(), ref.accepts[s].end()))
+      ++accept_mismatches;
+  }
+  EXPECT_EQ(accept_mismatches, 0u);
 }
 
 /// The NFA build_mfa() subset-constructs: the split pieces of `patterns`.

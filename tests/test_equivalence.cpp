@@ -56,7 +56,7 @@ TEST(Equivalence, HandPickedPatternsAndInputs) {
       "^start.*finish",      ".*one.*two.*three", ".*ab+c[0-9]{1,2}d",
   };
   const AllEngines e = build_all(pats);
-  for (const std::string input : std::vector<std::string>{
+  for (const std::string& input : std::vector<std::string>{
            "alpha beta",
            "beta alpha beta",
            "gam1 del2",

@@ -113,7 +113,7 @@ TEST(GapMatch, OverlapCannotCheat) {
 
 TEST(GapMatch, ChainedGapAndDotStar) {
   const std::vector<std::string> pat = {".*aa.{2,}bb.*cc"};
-  for (const std::string input : std::vector<std::string>{
+  for (const std::string& input : std::vector<std::string>{
            "aa..bb cc", "aabb cc", "aa.bb cc", "aa...bb...cc", "cc aa..bb",
            "aa..bbcc", "bb aa cc", "aa..bb"}) {
     EXPECT_EQ(mfa_scan(pat, input), sorted(reference_matches(pat, input))) << input;

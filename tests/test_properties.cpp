@@ -47,7 +47,9 @@ TEST_P(DfaInvariants, AcceptGeometry) {
     ASSERT_LT(first, last);
     for (const auto* it = first; it != last; ++it) {
       EXPECT_LE(*it, d->max_match_id());
-      if (it + 1 != last) EXPECT_LT(*it, *(it + 1));
+      if (it + 1 != last) {
+        EXPECT_LT(*it, *(it + 1));
+      }
     }
   }
   for (std::uint32_t s = 0; s < d->state_count(); ++s)
@@ -130,7 +132,7 @@ TEST(MatchContract, EveryEngineReportsAtMostOncePerIdAndPosition) {
   for (int i = 0; i < 50; ++i) {
     std::string input;
     for (int j = 0; j < 30; ++j) input += "ab"[rng.below(2)];
-    for (const MatchVec got :
+    for (const MatchVec& got :
          {Scanner(n).scan(input), Scanner(*d).scan(input),
           Scanner(*m).scan(input)}) {
       MatchVec s = sorted(got);

@@ -418,7 +418,7 @@ TEST(SwapUnderLoad, AsyncSwapKeepsAccountingExactAndRetiresOldEngineSet) {
     for (std::uint32_t i = 0; i < kPackets; ++i) {
       // Swaps launch from the swapper's own thread, racing the submits:
       // generation 1 adds ".*worm77" (id 2), generation 2 keeps it.
-      if (i == 1000)
+      if (i == 1000) {
         ASSERT_TRUE(swapper.swap_async(
             [] {
               return reload::SourceResult<core::Mfa>{
@@ -426,6 +426,7 @@ TEST(SwapUnderLoad, AsyncSwapKeepsAccountingExactAndRetiresOldEngineSet) {
                   ""};
             },
             "gen1"));
+      }
       if (i == 4000) {
         swapper.join();  // at most one async swap in flight
         weak_first = registry.current();  // generation 1's set, about to be replaced

@@ -58,7 +58,7 @@ TEST(SeparatorRuns, GapPlusAdsFolds) {
   EXPECT_EQ(r.pieces.size(), 1u);
   // Semantics must still be exact when folded.
   const std::vector<std::string> pat = {".*ab.{2,}[^\\n]*yz"};
-  for (const std::string input : std::vector<std::string>{
+  for (const std::string& input : std::vector<std::string>{
            "ab..yz", "ab.yz", "abyz", "ab...\nyz", "ab\n..yz"}) {
     EXPECT_EQ(mfa_scan(pat, input), sorted(reference_matches(pat, input))) << input;
   }
@@ -109,7 +109,7 @@ TEST(Anchored, AnchoredAdsHeadKept) {
 
 TEST(Anchored, FullyAnchoredChain) {
   const std::vector<std::string> pat = {"^hdr.*mid.*end"};
-  for (const std::string input : std::vector<std::string>{
+  for (const std::string& input : std::vector<std::string>{
            "hdr mid end", "xhdr mid end", "hdr end mid", "mid hdr end",
            "hdr mid mid end end"}) {
     EXPECT_EQ(mfa_scan(pat, input), sorted(reference_matches(pat, input))) << input;
@@ -122,7 +122,7 @@ TEST(MultiPattern, SharedSegmentsAcrossPatterns) {
   const SplitResult r = split(pats);
   ASSERT_EQ(r.pieces.size(), 4u);
   EXPECT_NE(r.program.actions[0].set, r.program.actions[2].set);
-  for (const std::string input : std::vector<std::string>{
+  for (const std::string& input : std::vector<std::string>{
            "ab cd", "ab ef", "ab cd ef", "cd ef ab", "ab ab cd ef"}) {
     EXPECT_EQ(mfa_scan(pats, input), sorted(reference_matches(pats, input))) << input;
   }
@@ -149,7 +149,7 @@ TEST(PieceShape, SingleByteSegments) {
   const std::vector<std::string> pat = {".*q.*z"};
   const SplitResult r = split(pat);
   EXPECT_EQ(r.pieces.size(), 2u);
-  for (const std::string input :
+  for (const std::string& input :
        std::vector<std::string>{"qz", "zq", "q..z", "z..q..z", "qq zz"}) {
     EXPECT_EQ(mfa_scan(pat, input), sorted(reference_matches(pat, input))) << input;
   }
@@ -168,7 +168,7 @@ TEST(Ordering, SetAndTestAtSamePositionAcrossPatterns) {
   // Pattern 2's B co-ends with pattern 1's A; bits are independent so both
   // behave exactly like the reference.
   const std::vector<std::string> pats = {".*abcd.*efgh", ".*ab.*cd"};
-  for (const std::string input : std::vector<std::string>{
+  for (const std::string& input : std::vector<std::string>{
            "abcd efgh", "ab cd", "abcd", "ababcdcd efgh"}) {
     EXPECT_EQ(mfa_scan(pats, input), sorted(reference_matches(pats, input))) << input;
   }

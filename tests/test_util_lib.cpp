@@ -128,7 +128,7 @@ TEST(Timing, RdtscMonotonicish) {
 TEST(Timing, WallTimerAdvances) {
   WallTimer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(t.seconds(), 0.0);
 }
 
