@@ -35,7 +35,7 @@ void sweep_engine(const char* engine_name, const EngineT& engine,
   double k1_cpb = 0.0;
   for (const std::size_t lanes : {1u, 2u, 4u, 8u, 16u}) {
     const eval::Throughput tp =
-        eval::measure_batched_throughput(engine, t, lanes, /*burst=*/64, args.reps);
+        eval::measure_throughput(engine, t, args.reps, {.burst = 64, .lanes = lanes});
     if (lanes == 1) k1_cpb = tp.cycles_per_byte;
     table.add_row({set_name, engine_name, std::to_string(lanes),
                    util::format_double(tp.cycles_per_byte, 1),

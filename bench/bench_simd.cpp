@@ -69,30 +69,22 @@ struct GateRun {
   std::uint64_t passes = 0;
 };
 
-/// measure_throughput with the per-inspector gate switch applied: fresh
-/// inspector per rep, first rep warms when reps > 1.
+/// Single-packet eval::measure_throughput with the per-inspector gate
+/// switch applied.
 GateRun measure(const core::Mfa& m, const trace::Trace& t, int reps, bool gate) {
   GateRun r;
-  std::uint64_t cycles = 0;
-  int timed = 0;
-  for (int rep = 0; rep < reps; ++rep) {
+  r.cpb = eval::cycles_per_byte(t, reps, [&] {
     flow::TieredFlowInspector<core::Mfa> insp(m);
     insp.set_prefilter(gate);
     CountingSink sink;
     const std::uint64_t start = util::rdtsc_now();
     t.for_each_packet([&](const flow::Packet& p) { insp.packet(p, sink); });
     const std::uint64_t elapsed = util::rdtsc_now() - start;
-    if (!(reps > 1 && rep == 0)) {
-      cycles += elapsed;
-      ++timed;
-    }
     r.matches = sink.count;
     r.skips = insp.prefilter_skip_count();
     r.passes = insp.prefilter_pass_count();
-  }
-  if (t.payload_bytes() > 0 && timed > 0)
-    r.cpb = static_cast<double>(cycles) /
-            (static_cast<double>(timed) * static_cast<double>(t.payload_bytes()));
+    return elapsed;
+  });
   return r;
 }
 

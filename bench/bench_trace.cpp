@@ -20,30 +20,22 @@ struct RunResult {
   std::uint64_t matches = 0;
 };
 
-/// Submit→finish wall CpB for one pipeline configuration. First rep warms
-/// when reps > 1 (same protocol as eval::measure_pipeline_throughput; local
-/// because this bench needs full Options control, not just the metrics ptr).
+/// Submit→finish wall CpB for one pipeline configuration, timed like
+/// eval::measure_pipeline_throughput (local because this bench needs full
+/// Options control, not just the metrics ptr).
 RunResult run_pipeline(const mfa::core::Mfa& engine, const mfa::trace::Trace& t,
                        const mfa::pipeline::Options& opt_template, int reps) {
   RunResult r;
-  std::uint64_t cycles = 0;
-  int timed = 0;
-  for (int rep = 0; rep < reps; ++rep) {
+  r.cpb = mfa::eval::cycles_per_byte(t, reps, [&] {
     mfa::pipeline::ShardedInspector<mfa::core::Mfa> pipe(engine, opt_template);
     pipe.start();
     const std::uint64_t start = mfa::util::rdtsc_now();
     t.for_each_packet([&](const mfa::flow::Packet& p) { pipe.submit(p); });
     pipe.finish();
     const std::uint64_t elapsed = mfa::util::rdtsc_now() - start;
-    if (!(reps > 1 && rep == 0)) {
-      cycles += elapsed;
-      ++timed;
-    }
     r.matches = pipe.totals().matches;
-  }
-  if (t.payload_bytes() > 0 && timed > 0)
-    r.cpb = static_cast<double>(cycles) /
-            (static_cast<double>(timed) * static_cast<double>(t.payload_bytes()));
+    return elapsed;
+  });
   return r;
 }
 

@@ -76,82 +76,60 @@ struct Throughput {
   std::size_t flows = 0;         ///< flows tracked by the inspector
 };
 
-/// Scan a trace through the flow inspector and report cycles per payload
-/// byte. The engine is shared (immutable); each repetition starts from a
-/// fresh flow table of per-flow Contexts. `reps` repetitions amortize
-/// timer noise; the first rep warms the caches and is excluded when
-/// reps > 1. Passing `metrics` attaches telemetry (shard slot 0) for every
-/// repetition — the measurement then includes instrumentation cost, so use
-/// it for observability runs, not for headline CpB numbers.
-template <typename EngineT>
-Throughput measure_throughput(const EngineT& engine, const trace::Trace& trace,
-                              int reps = 2, obs::MetricsRegistry* metrics = nullptr) {
-  Throughput result;
+/// The timing protocol every measure_* function shares: call `rep()`
+/// `reps` times, each scanning `trace` once from fresh state and returning
+/// the cycles it took, and report cycles per payload byte. The first rep
+/// warms the caches and is excluded when reps > 1.
+template <typename RepFn>
+double cycles_per_byte(const trace::Trace& trace, int reps, RepFn&& rep) {
   std::uint64_t cycles = 0;
   int timed_reps = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    flow::TieredFlowInspector<EngineT> inspector(engine);
-    if (metrics != nullptr) inspector.set_metrics(metrics, 0);
-    CountingSink sink;
-    const std::uint64_t start = util::rdtsc_now();
-    trace.for_each_packet([&](const flow::Packet& p) { inspector.packet(p, sink); });
-    const std::uint64_t elapsed = util::rdtsc_now() - start;
-    const bool warmup = reps > 1 && rep == 0;
-    if (!warmup) {
-      cycles += elapsed;
-      ++timed_reps;
-    }
-    result.matches = sink.count;
-    result.flows = inspector.flow_count();
+  for (int i = 0; i < reps; ++i) {
+    const std::uint64_t elapsed = rep();
+    if (reps > 1 && i == 0) continue;  // warm-up
+    cycles += elapsed;
+    ++timed_reps;
   }
-  if (trace.payload_bytes() > 0 && timed_reps > 0) {
-    result.cycles_per_byte = static_cast<double>(cycles) /
-                             (static_cast<double>(timed_reps) *
-                              static_cast<double>(trace.payload_bytes()));
-  }
-  return result;
+  if (trace.payload_bytes() == 0 || timed_reps == 0) return 0.0;
+  return static_cast<double>(cycles) /
+         (static_cast<double>(timed_reps) * static_cast<double>(trace.payload_bytes()));
 }
 
-/// Scan a trace through the inspector's packet_batch in fixed-size bursts
-/// and report cycles per payload byte. `lanes` is the interleave width K of
-/// the engine's feed_many kernel (1 degenerates to the sequential scan
-/// loop, so a lanes sweep isolates the memory-level-parallelism win);
-/// `burst` is how many packets each packet_batch call sees. Matches and
-/// reassembly semantics are identical to measure_throughput by the batching
-/// contract (DESIGN.md Sec. 7).
+/// How measure_throughput delivers packets: `burst` packets per
+/// packet_batch call (1 is the single-packet packet() path) at interleave
+/// width `lanes`, the K of the engine's feed_many kernel (1 is the
+/// sequential feed loop, so a lanes sweep isolates the memory-level-
+/// parallelism win).
+struct Batching {
+  std::size_t burst = 1;
+  std::size_t lanes = scan::kDefaultLanes;
+};
+
+/// Scan a trace through the flow inspector and report cycles per payload
+/// byte. The engine is shared (immutable); each repetition starts from a
+/// fresh flow table of per-flow Contexts. Matches and reassembly semantics
+/// are the same for every `batching` by the batching contract (DESIGN.md
+/// Sec. 7).
 template <typename EngineT>
-Throughput measure_batched_throughput(const EngineT& engine, const trace::Trace& trace,
-                                      std::size_t lanes, std::size_t burst = 64,
-                                      int reps = 2) {
+Throughput measure_throughput(const EngineT& engine, const trace::Trace& trace,
+                              int reps = 2, Batching batching = {}) {
   std::vector<flow::Packet> packets;
   packets.reserve(trace.packet_count());
   trace.for_each_packet([&](const flow::Packet& p) { packets.push_back(p); });
   Throughput result;
-  std::uint64_t cycles = 0;
-  int timed_reps = 0;
-  for (int rep = 0; rep < reps; ++rep) {
+  result.cycles_per_byte = cycles_per_byte(trace, reps, [&] {
     flow::TieredFlowInspector<EngineT> inspector(engine);
-    inspector.set_batch_lanes(lanes);
+    inspector.set_batch_lanes(batching.lanes);
     CountingSink sink;
     const std::uint64_t start = util::rdtsc_now();
-    for (std::size_t i = 0; i < packets.size(); i += burst) {
-      const std::size_t n = std::min(burst, packets.size() - i);
-      inspector.packet_batch(packets.data() + i, n, sink);
-    }
+    for (std::size_t i = 0; i < packets.size(); i += batching.burst)
+      inspector.packet_batch(packets.data() + i,
+                             std::min(batching.burst, packets.size() - i), sink);
     const std::uint64_t elapsed = util::rdtsc_now() - start;
-    const bool warmup = reps > 1 && rep == 0;
-    if (!warmup) {
-      cycles += elapsed;
-      ++timed_reps;
-    }
     result.matches = sink.count;
     result.flows = inspector.flow_count();
-  }
-  if (trace.payload_bytes() > 0 && timed_reps > 0) {
-    result.cycles_per_byte = static_cast<double>(cycles) /
-                             (static_cast<double>(timed_reps) *
-                              static_cast<double>(trace.payload_bytes()));
-  }
+    return elapsed;
+  });
   return result;
 }
 
@@ -164,18 +142,16 @@ struct PipelineThroughput {
 /// Run a trace through the sharded pipeline and report wall cycles per
 /// payload byte across all shards (submit through finish, including queue
 /// hand-off). One Engine is shared by every shard; each shard owns a flow
-/// table of Contexts. First rep warms caches when reps > 1. Passing
-/// `metrics` attaches live telemetry to every repetition (instrumented
-/// measurement — see measure_throughput).
+/// table of Contexts. Passing `metrics` attaches live telemetry to every
+/// repetition — the measurement then includes instrumentation cost, so use
+/// it for observability runs, not for headline CpB numbers.
 template <typename EngineT>
 PipelineThroughput measure_pipeline_throughput(const EngineT& engine,
                                                const trace::Trace& trace,
                                                std::size_t shards, int reps = 2,
                                                obs::MetricsRegistry* metrics = nullptr) {
   PipelineThroughput result;
-  std::uint64_t cycles = 0;
-  int timed_reps = 0;
-  for (int rep = 0; rep < reps; ++rep) {
+  result.cycles_per_byte = cycles_per_byte(trace, reps, [&] {
     pipeline::Options opt;
     opt.shards = shards;
     opt.metrics = metrics;
@@ -185,19 +161,10 @@ PipelineThroughput measure_pipeline_throughput(const EngineT& engine,
     trace.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
     pipe.finish();
     const std::uint64_t elapsed = util::rdtsc_now() - start;
-    const bool warmup = reps > 1 && rep == 0;
-    if (!warmup) {
-      cycles += elapsed;
-      ++timed_reps;
-    }
     result.matches = pipe.totals().matches;
     result.shards = pipe.stats();
-  }
-  if (trace.payload_bytes() > 0 && timed_reps > 0) {
-    result.cycles_per_byte = static_cast<double>(cycles) /
-                             (static_cast<double>(timed_reps) *
-                              static_cast<double>(trace.payload_bytes()));
-  }
+    return elapsed;
+  });
   return result;
 }
 

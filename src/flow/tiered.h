@@ -199,11 +199,10 @@ class TieredFlowInspector {
 
   /// Attach the sampled cost profiler (DESIGN.md Sec. 12). Requires
   /// set_metrics() to also be attached — profiling rides the instrumented
-  /// path and reuses its precise scan timing. 1-in-2^shift scan units
-  /// (packets on the packet() path, bursts on the batch path) attribute
-  /// their nanoseconds and bytes to the match-ids they produced and sample
-  /// the automaton state of the flows they touched, inline or cold. Pass
-  /// nullptr to detach.
+  /// path and reuses its precise scan timing. 1-in-2^shift bursts (a
+  /// packet() call is a burst of one) attribute their nanoseconds and bytes
+  /// to the match-ids they produced and sample the automaton state of the
+  /// flows they touched, inline or cold. Pass nullptr to detach.
   void set_profiler(obs::Profiler* profiler) {
     profiler_ = profiler;
     profile_mask_ = profiler != nullptr ? profiler->sample_mask() : 0;
@@ -308,57 +307,20 @@ class TieredFlowInspector {
 
   // --- delivery ---
 
-  /// Deliver one packet. sink(match_id, flow_offset) fires for confirmed
-  /// matches; positions are byte offsets within the flow's stream. Packets
-  /// of quarantined flows are dropped (counted, never scanned).
+  /// Deliver one packet: packet_batch() with a burst of one.
+  /// sink(match_id, flow_offset) fires for confirmed matches; positions are
+  /// byte offsets within the flow's stream. Packets of quarantined flows are
+  /// dropped (counted, never scanned).
   template <typename Sink>
   void packet(const Packet& p, Sink&& sink) {
-    if (is_quarantined(p.key)) {
-      ++quarantined_packets_;
-      return;
-    }
-    if (metrics_ == nullptr) {
-      deliver(p, [&](std::uint32_t, std::uint32_t id, std::uint64_t end) {
-        sink(id, end);
-      });
-      return;
-    }
-    obs::ShardMetrics& m = *metrics_;
-    m.packets.fetch_add(1, std::memory_order_relaxed);
-    m.bytes.fetch_add(p.length, std::memory_order_relaxed);
-    m.packet_bytes.record(p.length);
-    const bool sampled =
-        profiler_ != nullptr && (++profile_tick_ & profile_mask_) == 0;
-    if (sampled) profile_ids_.clear();
-    const std::uint64_t t0 = util::rdtsc_now();
-    deliver(p, [&](std::uint32_t si, std::uint32_t id, std::uint64_t end) {
-      m.matches.fetch_add(1, std::memory_order_relaxed);
-      registry_->count_match(id);
-      if (generation_active_) registry_->count_match_generation(generation_of(si));
-      registry_->trace().record(p.key.src_ip, p.key.dst_ip, p.key.src_port,
-                                p.key.dst_port, p.key.proto, id, end,
-                                util::rdtsc_now());
-      if (sampled) profile_ids_.push_back(id);
-      sink(id, end);
-    });
-    const double ticks = static_cast<double>(util::rdtsc_now() - t0);
-    const auto scan_ns = static_cast<std::uint64_t>(ticks * ns_per_tick_);
-    m.scan_ns.record(scan_ns);
-    if (sampled) {
-      profiler_->record_rules(profile_ids_.data(), profile_ids_.size(), scan_ns,
-                              p.length);
-      // Re-find: the flow may be gone (quarantined mid-deliver).
-      const std::uint32_t si = find_slot(p.key, FlowKeyHash{}(p.key));
-      if (si != kNoSlot) profiler_->record_state(slot_state(si));
-    }
-    store_gauges(m);
+    packet_batch(&p, 1, std::forward<Sink>(sink));
   }
 
   /// Deliver a burst of packets (any mix of flows) with exact per-flow
   /// in-order semantics: packets of the same flow are applied in burst
   /// order, one "wave" at a time, while distinct flows' in-order bytes
   /// advance through the engine's K-way interleaved feed_many. Matches are
-  /// identical to calling packet() per packet.
+  /// identical to delivering the packets one at a time.
   template <typename Sink>
   void packet_batch(const Packet* pkts, std::size_t count, Sink&& sink) {
     packet_batch_flows(
@@ -1093,18 +1055,17 @@ class TieredFlowInspector {
       return simd::Gate::kNone;
   }
 
-  /// Gate-aware feed_slot: degraded-mode admission first, then the
-  /// prefilter gate — a skipped chunk advances only the offset (gate skips
-  /// also advance the context via tail replay).
-  template <typename Sink>
-  void feed_or_skip_slot(std::uint32_t si, const std::uint8_t* data,
-                         std::size_t size, std::uint64_t base, Sink&& sink) {
+  /// Degraded-mode admission, then the prefilter gate: true when a flow's
+  /// chunk needs the full automaton feed. On false the caller advances only
+  /// the offset (a gate skip has already advanced the context by tail
+  /// replay; a degraded skip leaves it).
+  [[nodiscard]] bool needs_scan(std::uint32_t si, const std::uint8_t* data,
+                                std::size_t size) {
     if (mode_ != ScanMode::kFull && !deep_scan_chunk(slots_[si].key, data, size))
-      return;
+      return false;
     const simd::Gate g = gate_slot(si, data, size);
     if (g != simd::Gate::kNone) note_prefilter(g == simd::Gate::kSkip);
-    if (g == simd::Gate::kSkip) return;
-    feed_slot(si, data, size, base, sink);
+    return g != simd::Gate::kSkip;
   }
 
   /// Degraded-mode admission (DESIGN.md §14): does this chunk get an
@@ -1163,47 +1124,6 @@ class TieredFlowInspector {
     return eng.context_state(*cold_[s.cold].ctx);
   }
 
-  template <typename FlowSink>
-  void deliver(const Packet& p, FlowSink&& fsink) {
-    bump_epoch();
-    const std::uint64_t h = FlowKeyHash{}(p.key);
-    std::uint32_t si = find_slot(p.key, h);
-    if (si == kNoSlot) {
-      if (max_flows_ != 0 && live_ >= max_flows_) evict_for_capacity();
-      util::fault_maybe_bad_alloc("flow.table.alloc");
-      si = create_flow(p.key, h);
-    } else {
-      slots_[si].last_epoch = epoch_;
-      if (generation_active_ && generations_[si] != current_generation_)
-        adopt_flow(si);
-    }
-    HotSlot& s = slots_[si];
-    if (p.seq > slot_off(s)) {
-      buffer_segment(si, p);  // out of order: hold until the gap fills
-      return;
-    }
-    const auto sink = [&](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); };
-    const std::uint64_t skip = slot_off(s) - p.seq;
-    if (budget_ticks_ == 0) {
-      if (skip < p.length) {
-        const std::uint64_t base = slot_off(s);
-        feed_or_skip_slot(si, p.payload + skip, p.length - skip, base, sink);
-        set_slot_off(s, base + (p.length - skip));
-      }
-      drain(si, sink);
-      return;
-    }
-    const std::uint64_t t0 = util::rdtsc_now();
-    if (skip < p.length) {
-      const std::uint64_t base = slot_off(s);
-      feed_or_skip_slot(si, p.payload + skip, p.length - skip, base, sink);
-      set_slot_off(s, base + (p.length - skip));
-    }
-    drain(si, sink);
-    ticks_[si] += util::rdtsc_now() - t0;
-    maybe_quarantine(si);  // may erase the flow — nothing touches it afterwards
-  }
-
   /// Batch delivery core. Wave discipline: each pass over the remaining
   /// packets claims at most one in-order feed per flow (stamping the slot
   /// with the wave id); later same-flow packets defer to the next wave,
@@ -1219,8 +1139,6 @@ class TieredFlowInspector {
     auto& deferred = batch_deferred_;
     cur.clear();
     for (std::size_t i = 0; i < count; ++i) cur.push_back(static_cast<std::uint32_t>(i));
-
-    const auto flush = [&] { flush_jobs(fsink); };
 
     while (!cur.empty()) {
       ++wave_;
@@ -1241,7 +1159,7 @@ class TieredFlowInspector {
           // queued job: flush queued work first (kick/grow moves are safe —
           // they patch the queue — but eviction destroys state).
           if (max_flows_ != 0 && live_ >= max_flows_) {
-            if (!batch_jobs_.empty()) flush();
+            flush_jobs(fsink);
             evict_for_capacity();
           }
           util::fault_maybe_bad_alloc("flow.table.alloc");
@@ -1266,70 +1184,85 @@ class TieredFlowInspector {
         const std::uint8_t* data = p.payload + skip;
         const std::size_t len = p.length - skip;
         const std::uint64_t base = slot_off(s);
-        if (mode_ != ScanMode::kFull && !deep_scan_chunk(p.key, data, len)) {
-          // Degraded skip: no job, no context advance — the offset moves and
-          // any gap the skipped bytes filled still drains.
-          set_slot_off(s, base + len);
-          const auto sink = [&](std::uint32_t id, std::uint64_t end) {
-            fsink(si, id, end);
-          };
-          if (budget_ticks_ == 0) {
-            drain(si, sink);
-          } else {
-            const std::uint64_t t0 = util::rdtsc_now();
-            drain(si, sink);
-            ticks_[si] += util::rdtsc_now() - t0;
-            maybe_quarantine(si);  // may erase the flow — nothing touches it after
-          }
-          continue;
-        }
-        // Gate at job-materialization time: a proven-clean chunk never
-        // becomes a job (its context is already advanced), so the
-        // interleaved kernel's lanes carry only chunks that need scanning.
-        const simd::Gate g = gate_slot(si, data, len);
-        if (g != simd::Gate::kNone) note_prefilter(g == simd::Gate::kSkip);
-        if (g == simd::Gate::kSkip) {
-          set_slot_off(s, base + len);
-          // No job this wave, so flush() won't drain this flow — but the
-          // skipped bytes may have filled a gap; drain here instead.
-          const auto sink = [&](std::uint32_t id, std::uint64_t end) {
-            fsink(si, id, end);
-          };
-          if (budget_ticks_ == 0) {
-            drain(si, sink);
-          } else {
-            const std::uint64_t t0 = util::rdtsc_now();
-            drain(si, sink);
-            ticks_[si] += util::rdtsc_now() - t0;
-            maybe_quarantine(si);  // may erase the flow — nothing touches it after
-          }
+        set_slot_off(s, base + len);
+        // Admission and gate at job-materialization time: a skipped chunk
+        // never becomes a job, so the interleaved kernel's lanes carry only
+        // chunks that need scanning. With no job, flush_jobs() won't drain
+        // this flow, but the skipped bytes may have filled a gap: drain here.
+        if (!needs_scan(si, data, len)) {
+          drain_charged(si, fsink);
+          maybe_quarantine(si);  // may erase the flow — nothing touches it after
           continue;
         }
         batch_jobs_.push_back(BatchJob{si, data, len, base});
-        set_slot_off(s, base + len);
       }
-      flush();
+      flush_jobs(fsink);
       cur.swap(deferred);
     }
   }
 
-  /// Materialize the queued jobs into engine feed jobs — inline-state jobs
-  /// and heap-context jobs separately, since they advance through different
-  /// feed_many instantiations — run them, then drain and (when budgeted)
-  /// settle per-flow CPU accounts. Right after a kDrainOld swap a burst can
-  /// mix engine generations; those transient bursts run per-flow sequential
-  /// feeds on each flow's own engine rather than the interleaved kernel.
+  /// Run the wave's queued jobs, then drain and (when budgeted) settle
+  /// per-flow CPU accounts: the interleaved kernel runs many flows at once,
+  /// so its time is apportioned to flows by bytes fed; drains are per-flow
+  /// and timed exactly.
   template <typename FlowSink>
   void flush_jobs(FlowSink& fsink) {
     if (batch_jobs_.empty()) return;
+    const std::uint64_t t0 = budget_ticks_ != 0 ? util::rdtsc_now() : 0;
+    feed_jobs(fsink);
+    if (budget_ticks_ != 0) {
+      const std::uint64_t feed_ticks = util::rdtsc_now() - t0;
+      std::uint64_t total_bytes = 0;
+      for (const auto& j : batch_jobs_) total_bytes += j.size;
+      for (const auto& j : batch_jobs_)
+        ticks_[j.slot] += total_bytes == 0 ? 0 : feed_ticks * j.size / total_bytes;
+    }
+    for (const auto& j : batch_jobs_) drain_charged(j.slot, fsink);
+    // Quarantine checks run last because they erase flows the job list
+    // still references.
+    if (budget_ticks_ != 0)
+      for (const auto& j : batch_jobs_) maybe_quarantine(j.slot);
+    batch_jobs_.clear();
+  }
+
+  /// Distinct flows' jobs advance together through the engine's K-way
+  /// feed_many when it has one. A wave of one job, a one-lane inspector
+  /// and a wave mixing engine generations (right after a kDrainOld swap)
+  /// run per-flow sequential feeds on each flow's own engine instead: the
+  /// interleaved kernel at one lane costs about twice the sequential loop.
+  template <typename FlowSink>
+  void feed_jobs(FlowSink& fsink) {
+    if constexpr (BatchScanEngine<EngineT>) {
+      if (batch_jobs_.size() > 1 && batch_lanes_ > 1 && !mixed_generations()) {
+        feed_interleaved(fsink);
+        return;
+      }
+    }
+    for (const auto& j : batch_jobs_)
+      feed_slot(j.slot, j.data, j.size, j.base,
+                [&, si = j.slot](std::uint32_t id, std::uint64_t end) {
+                  fsink(si, id, end);
+                });
+  }
+
+  [[nodiscard]] bool mixed_generations() const {
+    if (!generation_active_) return false;
+    const std::uint64_t g0 = generations_[batch_jobs_[0].slot];
+    for (const auto& j : batch_jobs_)
+      if (generations_[j.slot] != g0) return true;
+    return false;
+  }
+
+  /// Materialize the queued jobs into engine feed jobs — inline-state jobs
+  /// and heap-context jobs separately, since they advance through different
+  /// feed_many instantiations — and run them interleaved.
+  template <typename FlowSink>
+  void feed_interleaved(FlowSink& fsink) {
     inline_jobs_.clear();
     inline_job_slots_.clear();
     ctx_jobs_.clear();
     ctx_job_slots_.clear();
-    bool mixed = false;
-    const std::uint64_t g0 = generation_of(batch_jobs_[0].slot);
     for (const auto& j : batch_jobs_) {
-      if (generation_active_ && generation_of(j.slot) != g0) mixed = true;
       HotSlot& s = slots_[j.slot];
       if constexpr (InlineScanEngine<EngineT>) {
         if ((s.flags & kInline) != 0) {
@@ -1341,17 +1274,8 @@ class TieredFlowInspector {
       ctx_jobs_.push_back({&*cold_[s.cold].ctx, j.data, j.size, j.base});
       ctx_job_slots_.push_back(j.slot);
     }
-
-    const auto feed_all = [&] {
-      if (mixed) {
-        for (const auto& j : batch_jobs_)
-          feed_slot(j.slot, j.data, j.size, j.base,
-                    [&, si = j.slot](std::uint32_t id, std::uint64_t end) {
-                      fsink(si, id, end);
-                    });
-        return;
-      }
-      const EngineT& eng = engine_for_generation(g0);
+    const EngineT& eng = engine_for_generation(generation_of(batch_jobs_[0].slot));
+    if constexpr (InlineScanEngine<EngineT>) {
       if (!inline_jobs_.empty()) {
         const auto job_sink = [&](std::size_t j, std::uint32_t id, std::uint64_t end) {
           fsink(inline_job_slots_[j], id, end);
@@ -1362,65 +1286,18 @@ class TieredFlowInspector {
               [&](std::size_t j) -> Context& { return spill_slot(inline_job_slots_[j], eng); },
               job_sink, batch_lanes_);
           park_spills();
-        } else if constexpr (InlineScanEngine<EngineT> && BatchScanEngine<EngineT>) {
-          eng.feed_many(inline_jobs_.data(), inline_jobs_.size(), job_sink, batch_lanes_);
-        } else if constexpr (InlineScanEngine<EngineT>) {
-          for (std::size_t i = 0; i < inline_jobs_.size(); ++i) {
-            const std::uint32_t si = inline_job_slots_[i];
-            eng.feed(*inline_jobs_[i].ctx, inline_jobs_[i].data, inline_jobs_[i].size,
-                     inline_jobs_[i].base,
-                     [&](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); });
-          }
-        }
-      }
-      if (!ctx_jobs_.empty()) {
-        if constexpr (BatchScanEngine<EngineT>) {
-          eng.feed_many(
-              ctx_jobs_.data(), ctx_jobs_.size(),
-              [&](std::size_t j, std::uint32_t id, std::uint64_t end) {
-                fsink(ctx_job_slots_[j], id, end);
-              },
-              batch_lanes_);
         } else {
-          for (std::size_t i = 0; i < ctx_jobs_.size(); ++i) {
-            const std::uint32_t si = ctx_job_slots_[i];
-            eng.feed(*ctx_jobs_[i].ctx, ctx_jobs_[i].data, ctx_jobs_[i].size,
-                     ctx_jobs_[i].base,
-                     [&](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); });
-          }
+          eng.feed_many(inline_jobs_.data(), inline_jobs_.size(), job_sink, batch_lanes_);
         }
       }
-    };
-
-    if (budget_ticks_ == 0) {
-      feed_all();
-      for (const auto& j : batch_jobs_)
-        drain(j.slot, [&, si = j.slot](std::uint32_t id, std::uint64_t end) {
-          fsink(si, id, end);
-        });
-    } else {
-      // Budgeted: the interleaved kernel runs many flows at once, so its
-      // time is apportioned to flows by bytes fed; drains are per-flow and
-      // timed exactly. Quarantine checks run last because they erase flows
-      // the job list still references.
-      std::uint64_t total_bytes = 0;
-      for (const auto& j : batch_jobs_) total_bytes += j.size;
-      const std::uint64_t t0 = util::rdtsc_now();
-      feed_all();
-      const std::uint64_t feed_ticks = util::rdtsc_now() - t0;
-      for (const auto& j : batch_jobs_)
-        ticks_[j.slot] +=
-            total_bytes == 0 ? 0 : feed_ticks * j.size / total_bytes;
-      for (const auto& j : batch_jobs_) {
-        const std::uint64_t d0 = util::rdtsc_now();
-        drain(j.slot, [&, si = j.slot](std::uint32_t id, std::uint64_t end) {
-          fsink(si, id, end);
-        });
-        ticks_[j.slot] += util::rdtsc_now() - d0;
-      }
-      for (const auto& j : batch_jobs_) maybe_quarantine(j.slot);
     }
-    batch_jobs_.clear();
+    if (!ctx_jobs_.empty())
+      eng.feed_many(
+          ctx_jobs_.data(), ctx_jobs_.size(),
+          [&](std::size_t j, std::uint32_t id, std::uint64_t end) {
+            fsink(ctx_job_slots_[j], id, end);
+          },
+          batch_lanes_);
   }
 
   // --- bounded out-of-order reassembly ---
@@ -1509,6 +1386,21 @@ class TieredFlowInspector {
     }
   }
 
+  /// drain() with the flow-attributed sink, charging its time to the
+  /// flow's CPU account when a budget is set (the caller then runs
+  /// maybe_quarantine).
+  template <typename FlowSink>
+  void drain_charged(std::uint32_t si, FlowSink& fsink) {
+    const auto sink = [&](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); };
+    if (budget_ticks_ == 0) {
+      drain(si, sink);
+      return;
+    }
+    const std::uint64_t t0 = util::rdtsc_now();
+    drain(si, sink);
+    ticks_[si] += util::rdtsc_now() - t0;
+  }
+
   template <typename Sink>
   void drain(std::uint32_t si, Sink&& sink) {
     HotSlot& s = slots_[si];
@@ -1521,9 +1413,10 @@ class TieredFlowInspector {
       if (seg.seq > off) break;
       const std::uint64_t skip = off - seg.seq;
       if (skip < seg.bytes.size()) {
-        feed_or_skip_slot(si, seg.bytes.data() + skip, seg.bytes.size() - skip,
-                          off, sink);
-        set_slot_off(s, off + (seg.bytes.size() - skip));
+        const std::uint8_t* data = seg.bytes.data() + skip;
+        const std::size_t len = seg.bytes.size() - skip;
+        if (needs_scan(si, data, len)) feed_slot(si, data, len, off, sink);
+        set_slot_off(s, off + len);
       }
       rec.pending_bytes -= seg.bytes.size();
       total_pending_ -= seg.bytes.size();

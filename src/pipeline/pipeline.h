@@ -389,7 +389,7 @@ class ShardedInspector {
     obs::HttpServer::Health out;
     // Everything comes from the shards' own relaxed atomics, so health is
     // meaningful even without a MetricsRegistry attached.
-    std::uint64_t popped = 0, shed = 0, bypass = 0, restarts = 0, quar = 0;
+    std::uint64_t scanned = 0, shed = 0, bypass = 0, restarts = 0, quar = 0;
     std::uint64_t depth = 0, level = 0;
     std::size_t failed = 0;
     for (const auto& shard : shards_) {
@@ -401,7 +401,7 @@ class ShardedInspector {
               s.shed_quarantine_a.load(std::memory_order_relaxed) +
               s.shed_failover_a.load(std::memory_order_relaxed);
       bypass += s.shed_bypass_a.load(std::memory_order_relaxed);
-      popped += s.packets_a.load(std::memory_order_relaxed);
+      scanned += s.scanned_a.load(std::memory_order_relaxed);
       restarts += s.restarts.load(std::memory_order_relaxed);
       quar += s.flows_quarantined_a.load(std::memory_order_relaxed);
       const std::size_t d = s.queue.depth();
@@ -412,7 +412,9 @@ class ShardedInspector {
     }
     const bool controller_on =
         options_.slo.p99_ns != 0 || options_.degrade.force_level >= 0;
-    const std::uint64_t submitted = popped + shed;
+    // submitted == scanned + shed (ShardStats): popped packets would count
+    // the sheds that happen after dequeue twice.
+    const std::uint64_t submitted = scanned + shed;
     const std::uint64_t shed_signal = controller_on ? shed - bypass : shed;
     const double raw_ratio =
         submitted == 0 ? 0.0

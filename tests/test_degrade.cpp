@@ -19,6 +19,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -556,6 +558,49 @@ TEST_F(DegradeTest, HealthVerdictSmoothedAcrossBurstyPolls) {
   const ShardStats total = pipe.totals();
   EXPECT_GT(total.shed_admission, 0u) << "overload never engaged shedding";
   check_invariant(total, "totals");
+}
+
+// The /healthz shed ratio is shed / submitted. Quarantine sheds happen
+// after the worker pops a packet, so a popped-based denominator counts them
+// twice: with every flow quarantined it reads ~0.5 instead of ~1.
+TEST_F(DegradeTest, HealthShedRatioCountsPostDequeueShedsOnce) {
+  const auto m = core::build_mfa(compile_patterns(kPatterns));
+  ASSERT_TRUE(m.has_value());
+  const std::string payload(512, 'c');
+  obs::MetricsRegistry registry(1);
+  Options opt;
+  opt.shards = 1;
+  opt.batch_size = 1;
+  opt.metrics = &registry;
+  opt.flow_cpu_budget_ns = 1;  // any scan work quarantines the flow
+  ShardedInspector<core::Mfa> pipe(*m, opt);
+  pipe.start();
+  constexpr std::uint64_t kPackets = 8 * 16;
+  for (std::uint32_t f = 0; f < 8; ++f)
+    for (std::uint64_t i = 0; i < 16; ++i)
+      pipe.submit(flow::Packet{flow::FlowKey{f, 1, 2, 3, 6}, i * payload.size(),
+                               reinterpret_cast<const std::uint8_t*>(payload.data()),
+                               static_cast<std::uint32_t>(payload.size())});
+  // Wait until the worker has delivered every packet, then until it is back
+  // at its loop head (where it adopts a staged ruleset): by then its last
+  // burst's accounting is published.
+  while (registry.snapshot().totals().packets < kPackets) std::this_thread::yield();
+  pipe.swap_ruleset(std::make_shared<const core::Mfa>(*m), 1);
+  while (pipe.adopted_generation() < 1) std::this_thread::yield();
+  // The first poll primes the EWMA with the raw ratio.
+  const std::string body = pipe.health().body;
+  pipe.finish();
+  const ShardStats total = pipe.totals();
+  check_invariant(total, "totals");
+  ASSERT_EQ(total.submitted, kPackets);
+  ASSERT_GT(total.shed_quarantine, 0u) << "the budget never quarantined a flow";
+  const std::string tag = "\"shed_ratio\":{\"value\":";
+  const std::size_t at = body.find(tag);
+  ASSERT_NE(at, std::string::npos) << body;
+  const double reported = std::strtod(body.c_str() + at + tag.size(), nullptr);
+  const double expected = static_cast<double>(total.shed_total()) /
+                          static_cast<double>(total.submitted);
+  EXPECT_NEAR(reported, expected, 1e-5) << body;
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "mfa/mfa.h"
 #include "nfa/nfa.h"
 #include "obs/metrics.h"
+#include "util/match.h"
 #include "util/rng.h"
 
 namespace mfa::flow {
@@ -642,6 +645,111 @@ TEST(TieredFlow, BytesPerFlowGaugeCountsWhatColdRecordsOwn) {
   for (std::uint32_t f = 0; f < 3; ++f) insp.evict(FlowKey{f, 2, 2, 2, 6});
   EXPECT_EQ(insp.cold_heap_bytes(), 0u);
   EXPECT_EQ(insp.cold_record_count(), 0u);
+}
+
+TEST(TieredFlow, PacketAndPacketBatchAgreeOnCountersAndTelemetry) {
+  // packet() is a burst of one, so delivering a stream packet by packet and
+  // in bursts must leave identical inspector counters and telemetry —
+  // through a quarantine, a spill, gate passes and skips, reordering and
+  // capacity evictions.
+  std::vector<std::string> sources = ads_sources(8);
+  sources.push_back(".*needle");
+  const core::Mfa m = build(sources);
+  std::deque<std::string> payloads;  // stable storage for packet payloads
+  std::vector<Packet> stream;
+  const auto add = [&](const FlowKey& key, std::uint64_t seq, std::string bytes) {
+    payloads.push_back(std::move(bytes));
+    stream.push_back(make_packet(key, seq, payloads.back()));
+  };
+  // Phase 1: six flows, round-robin. The hostile flow's first 1 MB packet
+  // (needles throughout, so the gate must scan it) busts the budget; its
+  // later packets are dropped. The spill flow holds six live head bits. The
+  // four clean flows mix gate-sized clean chunks (skips), needles (passes)
+  // and one swapped pair (a drain).
+  std::string bulk(1024 * 1024, 'q');
+  for (std::size_t at = 100; at + 6 < bulk.size(); at += 4096)
+    bulk.replace(at, 6, "needle");
+  const std::string clean(80, 'z');
+  const FlowKey hostile{1, 1, 1, 1, 6};
+  const FlowKey spill{2, 1, 1, 1, 6};
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    add(hostile, round * bulk.size(), bulk);
+    if (round == 0) add(spill, 0, "hd0 hd1 hd2 hd3 hd4 hd5 ");
+    if (round == 1) add(spill, 24, "vl3 a needle");
+    for (std::uint32_t f = 0; f < 4; ++f) {
+      const FlowKey key{10 + f, 1, 1, 1, 6};
+      const std::uint64_t base = round * (clean.size() + 8);
+      if (round == 1 && f == 2) {  // out of order: the second half first
+        add(key, base + clean.size(), "a needle");
+        add(key, base, clean);
+      } else {
+        add(key, base, clean);
+        add(key, base + clean.size(), "a needle");
+      }
+    }
+  }
+  // Phase 2: one-packet flows past max_flows evict phase-1 flows.
+  for (std::uint32_t f = 0; f < 8; ++f)
+    add(FlowKey{100 + f, 1, 1, 1, 6}, 0, "a needle");
+
+  // The budget is a quarter of a warm scan of the hostile packet on this
+  // build, so that packet busts it however fast the build is, while the
+  // other flows' few hundred bytes and one-off costs (the first cold-tier
+  // slab, a spill) stay far under it.
+  std::int64_t scan_ns = INT64_MAX;
+  for (int rep = 0; rep < 2; ++rep) {
+    Scanner<core::Mfa> scanner(m);
+    const auto t0 = std::chrono::steady_clock::now();
+    scanner.feed(reinterpret_cast<const std::uint8_t*>(bulk.data()), bulk.size(), 0,
+                 [](std::uint32_t, std::uint64_t) {});
+    scan_ns = std::min<std::int64_t>(
+        scan_ns, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  const auto budget_ns = static_cast<std::uint64_t>(scan_ns / 4);
+
+  obs::MetricsRegistry single_reg(1);
+  obs::MetricsRegistry batch_reg(1);
+  TieredFlowInspector<core::Mfa> single{m, /*max_flows=*/6};
+  TieredFlowInspector<core::Mfa> batched{m, /*max_flows=*/6};
+  single.set_metrics(&single_reg, 0);
+  batched.set_metrics(&batch_reg, 0);
+  single.set_cpu_budget_ns(budget_ns);
+  batched.set_cpu_budget_ns(budget_ns);
+  CollectingSink single_sink;
+  CollectingSink batch_sink;
+  for (const Packet& p : stream) single.packet(p, single_sink);
+  for (std::size_t i = 0; i < stream.size(); i += 5)
+    batched.packet_batch(stream.data() + i, std::min<std::size_t>(5, stream.size() - i),
+                         batch_sink);
+
+  EXPECT_TRUE(single.is_quarantined(hostile));
+  EXPECT_EQ(single.quarantined_flow_count(), 1u);
+  EXPECT_EQ(single.quarantined_packet_count(), 2u);
+  EXPECT_EQ(single.spilled_flow_count(), 1u);
+  EXPECT_EQ(single.evicted_count(), 7u);
+  EXPECT_GT(single.prefilter_skip_count(), 0u);
+  EXPECT_GT(single.prefilter_pass_count(), 0u);
+
+  EXPECT_EQ(batched.flow_count(), single.flow_count());
+  EXPECT_EQ(batched.evicted_count(), single.evicted_count());
+  EXPECT_EQ(batched.spilled_flow_count(), single.spilled_flow_count());
+  EXPECT_EQ(batched.prefilter_pass_count(), single.prefilter_pass_count());
+  EXPECT_EQ(batched.prefilter_skip_count(), single.prefilter_skip_count());
+  EXPECT_EQ(batched.quarantined_flow_count(), single.quarantined_flow_count());
+  EXPECT_EQ(batched.quarantined_packet_count(), single.quarantined_packet_count());
+  EXPECT_EQ(batch_sink.matches.size(), single_sink.matches.size());
+
+  const obs::ShardSnapshot one = single_reg.snapshot().totals();
+  const obs::ShardSnapshot burst = batch_reg.snapshot().totals();
+  // Quarantined packets count in telemetry on both paths.
+  EXPECT_EQ(one.packets, stream.size());
+  EXPECT_EQ(burst.packets, one.packets);
+  EXPECT_EQ(burst.bytes, one.bytes);
+  EXPECT_EQ(burst.matches, one.matches);
+  EXPECT_EQ(burst.scan_ns.count, one.scan_ns.count);
+  EXPECT_EQ(one.scan_ns.count, stream.size());
 }
 
 TEST(TieredFlowFuzz, GrowUnderBatchedInsertBurstKeepsDeliveryExact) {
