@@ -261,8 +261,8 @@ int main(int argc, char** argv) {
   // single-core host a flat-out producer and the worker serialize, and that
   // wall time would understate what the worker alone can drain — making
   // "2x capacity" accidentally reachable. And it must use the worker's
-  // batched delivery path (packet_batch_attributed -> K-way interleaved
-  // feed_many), which is substantially faster than packet-at-a-time.
+  // burst delivery path (packet_batch_attributed), so the calibration
+  // times the same code the loaded worker runs.
   double cal_seconds = 0.0;
   for (int rep = 0; rep < 2; ++rep) {  // first pass warms the flow table
     flow::TieredFlowInspector<core::Mfa> cal_insp{*engine};

@@ -12,10 +12,17 @@
 //   mix     90/10 clean/dirty, the "clean-traffic mix" a sensor sees when
 //           most flows are benign.
 //
+// Each side is run once to warm up, then at least kPairs times, the two
+// sides alternating, so drift and cache state hit both alike. Rows report
+// each side's median CpB; the overhead gate bounds the median of the
+// per-pair gated/ungated ratios, so one noisy pass cannot fail it.
+//
 // Rows land in mfa.bench.v1 (engine "mfa+gate" vs "mfa", trace clean/dirty/
 // mix) and merge into BENCH_baseline.json for the perf trajectory. The
 // kernel level (avx2/scalar) is printed — run under MFA_SIMD=scalar to
 // sweep the fallback path on the same machine.
+#include <algorithm>
+
 #include "bench_common.h"
 #include "simd/dispatch.h"
 #include "util/rng.h"
@@ -62,6 +69,9 @@ trace::Trace make_traffic(const char* name, std::size_t bytes, int dirty_pct,
   return t;
 }
 
+/// Passes per side of one A/B (at least; --reps raises it).
+constexpr int kPairs = 9;
+
 struct GateRun {
   double cpb = 0.0;
   std::uint64_t matches = 0;
@@ -69,11 +79,11 @@ struct GateRun {
   std::uint64_t passes = 0;
 };
 
-/// Single-packet eval::measure_throughput with the per-inspector gate
-/// switch applied.
-GateRun measure(const core::Mfa& m, const trace::Trace& t, int reps, bool gate) {
+/// One single-packet pass over `t` through a fresh inspector with the
+/// per-inspector gate switch applied.
+GateRun run_once(const core::Mfa& m, const trace::Trace& t, bool gate) {
   GateRun r;
-  r.cpb = eval::cycles_per_byte(t, reps, [&] {
+  r.cpb = eval::cycles_per_byte(t, 1, [&] {
     flow::TieredFlowInspector<core::Mfa> insp(m);
     insp.set_prefilter(gate);
     CountingSink sink;
@@ -86,6 +96,40 @@ GateRun measure(const core::Mfa& m, const trace::Trace& t, int reps, bool gate) 
     return elapsed;
   });
   return r;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+}
+
+/// The gate A/B over one trace: each side's last pass with its CpB
+/// replaced by the side's median, and the median gated/ungated ratio.
+struct GateAb {
+  GateRun off;
+  GateRun on;
+  double ratio = 0.0;
+};
+
+GateAb measure_ab(const core::Mfa& m, const trace::Trace& t, int pairs) {
+  run_once(m, t, false);  // warm-up, one per side
+  run_once(m, t, true);
+  GateAb ab;
+  std::vector<double> off_cpb, on_cpb, ratios;
+  for (int i = 0; i < pairs; ++i) {
+    const bool on_first = i % 2 == 1;  // alternate which side goes first
+    if (on_first) ab.on = run_once(m, t, true);
+    ab.off = run_once(m, t, false);
+    if (!on_first) ab.on = run_once(m, t, true);
+    off_cpb.push_back(ab.off.cpb);
+    on_cpb.push_back(ab.on.cpb);
+    ratios.push_back(ab.off.cpb > 0 ? ab.on.cpb / ab.off.cpb : 0.0);
+  }
+  ab.off.cpb = median(off_cpb);
+  ab.on.cpb = median(on_cpb);
+  ab.ratio = median(ratios);
+  return ab;
 }
 
 }  // namespace
@@ -125,8 +169,9 @@ int main(int argc, char** argv) {
   for (const TraceSpec& spec : specs) {
     const trace::Trace t =
         make_traffic(spec.name, args.trace_bytes, spec.dirty_pct, 4242);
-    const GateRun off = measure(*m, t, args.reps, /*gate=*/false);
-    const GateRun on = measure(*m, t, args.reps, /*gate=*/true);
+    const GateAb ab = measure_ab(*m, t, std::max(kPairs, args.reps));
+    const GateRun& off = ab.off;
+    const GateRun& on = ab.on;
     if (on.matches != off.matches) {
       std::fprintf(stderr,
                    "ASSERT FAIL: %s gated matches %llu != ungated %llu\n",
@@ -144,12 +189,14 @@ int main(int argc, char** argv) {
     report.add("SIMD", spec.name, "mfa+gate", on.cpb, on.matches, /*shards=*/0);
 
     if (spec.dirty_pct == 100 && args.assert_overhead_pct >= 0) {
-      const double limit = off.cpb * (1.0 + args.assert_overhead_pct / 100.0);
-      if (on.cpb > limit) {
+      const double limit = 1.0 + args.assert_overhead_pct / 100.0;
+      if (ab.ratio > limit) {
         std::fprintf(stderr,
-                     "ASSERT FAIL: dirty-traffic gated CpB %.2f exceeds "
-                     "ungated %.2f by more than %.0f%%\n",
-                     on.cpb, off.cpb, args.assert_overhead_pct);
+                     "ASSERT FAIL: dirty-traffic gated CpB exceeds ungated by "
+                     "%.1f%% (median of pairs; medians %.2f vs %.2f), more "
+                     "than %.0f%%\n",
+                     (ab.ratio - 1.0) * 100.0, on.cpb, off.cpb,
+                     args.assert_overhead_pct);
         ++failures;
       }
     }
@@ -160,8 +207,9 @@ int main(int argc, char** argv) {
       "one Teddy pass plus a window-sized tail replay per chunk — CpB drops\n"
       "by the skip ratio. On dirty traffic every chunk passes the gate, so\n"
       "the 'on' row prices the prefilter tax (bounded in CI via\n"
-      "--assert-overhead-pct). Matches must be identical in every pair —\n"
-      "the gate is a schedule, not a semantic change.\n");
+      "--assert-overhead-pct, on the median per-pair ratio). Matches must\n"
+      "be identical in every pair — the gate is a schedule, not a semantic\n"
+      "change.\n");
   bench::write_report(args, report);
   return failures == 0 ? 0 : 1;
 }

@@ -216,24 +216,6 @@ class D2fa {
     ctx.state = untag(v);
   }
 
-  using FeedJob = scan::FeedJob<Context>;
-
-  /// Batch scan (see Dfa::feed_many for the contract). Jobs run one at a
-  /// time, in order: interleaving tagged chain walks regresses (a branchy
-  /// walk over cache-resident rows has little load latency to hide), and a
-  /// sequential pass keeps the per-job byte/match order exactly feed()'s.
-  /// sink(job_index, id, end).
-  template <typename Sink>
-  void feed_many(FeedJob* jobs, std::size_t count, Sink&& sink,
-                 std::size_t lanes = scan::kDefaultLanes) const {
-    (void)lanes;
-    for (std::size_t j = 0; j < count; ++j) {
-      if (jobs[j].size == 0) continue;
-      feed(*jobs[j].ctx, jobs[j].data, jobs[j].size, jobs[j].base,
-           [&](std::uint32_t id, std::uint64_t end) { sink(j, id, end); });
-    }
-  }
-
   /// Binary (de)serialization (the MFAC v3 delta-table section).
   /// deserialize fully validates the encoding: exception rows must decode
   /// (stride, ascending columns, in-range targets) and every default chain

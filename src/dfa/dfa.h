@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "nfa/nfa.h"
-#include "simd/dense_scan.h"
 #include "util/binio.h"
-#include "util/interleave.h"
 #include "util/match.h"
 #include "util/row_stride.h"
 
@@ -122,7 +120,8 @@ class Dfa {
   /// accounted (what MFA images use, Fig. 2).
   [[nodiscard]] std::size_t memory_image_bytes(bool full_alphabet) const;
 
-  // Raw access for the scan kernels: row-offset targets (see step()).
+  // Raw table access (D2fa construction, tests): row-offset targets (see
+  // step()).
   [[nodiscard]] const std::uint32_t* table_data() const { return table_.data(); }
   [[nodiscard]] const std::uint8_t* byte_columns() const { return byte_to_col_.data(); }
 
@@ -148,7 +147,7 @@ class Dfa {
 
   // InlineContext small-state API (tiered flow table): a DFA's whole
   // per-flow state already fits a hot-table slot, so the inline context IS
-  // the context — feed/feed_many apply unchanged.
+  // the context — feed applies unchanged.
   using InlineContext = Context;
   [[nodiscard]] InlineContext make_inline_context() const { return make_context(); }
 
@@ -167,32 +166,6 @@ class Dfa {
       }
     }
     ctx.state = state_of(s);
-  }
-
-  using FeedJob = scan::FeedJob<Context>;
-
-  /// Advance many independent flow contexts through the table in lockstep
-  /// (K-way interleaved scan, K = `lanes`): each inner iteration issues one
-  /// transition load per lane, so distinct flows' dependent load chains
-  /// overlap in the memory system instead of serializing. Per-job byte
-  /// order (and therefore per-flow match semantics) is identical to feed();
-  /// only cross-job work interleaves. sink(job_index, id, end_offset).
-  /// Jobs must reference distinct contexts.
-  template <typename Sink>
-  void feed_many(FeedJob* jobs, std::size_t count, Sink&& sink,
-                 std::size_t lanes = scan::kDefaultLanes) const {
-    // Routed through the runtime-dispatched dense kernel: AVX2 gathers when
-    // the CPU has them (8 next-state loads per instruction), the scalar
-    // interleaved kernel otherwise — same semantics either way.
-    // Every accepting state reports, so each lane's accept limit stays
-    // accepting_state_count().
-    simd::dense_interleaved_scan(
-        *this, jobs, count, lanes, [this](std::size_t) { return accept_states_; },
-        [&](std::size_t job, std::uint32_t s, std::uint64_t end) {
-          const auto [first, last] = accepts(s);
-          for (const auto* it = first; it != last; ++it) sink(job, *it, end);
-          return accept_states_;
-        });
   }
 
   /// Binary (de)serialization for compiled-automaton files. The image
@@ -214,7 +187,7 @@ class Dfa {
   // a loader needs to re-derive them.
 
   /// Discard the dense transition table (frees state_count*ncols words).
-  /// After this, next()/feed()/feed_many()/table_data() are invalid; all
+  /// After this, next()/feed()/table_data() are invalid; all
   /// metadata and accept accessors remain usable.
   void drop_table() {
     table_.clear();

@@ -95,36 +95,26 @@ double cycles_per_byte(const trace::Trace& trace, int reps, RepFn&& rep) {
          (static_cast<double>(timed_reps) * static_cast<double>(trace.payload_bytes()));
 }
 
-/// How measure_throughput delivers packets: `burst` packets per
-/// packet_batch call (1 is the single-packet packet() path) at interleave
-/// width `lanes`, the K of the engine's feed_many kernel (1 is the
-/// sequential feed loop, so a lanes sweep isolates the memory-level-
-/// parallelism win).
-struct Batching {
-  std::size_t burst = 1;
-  std::size_t lanes = scan::kDefaultLanes;
-};
-
 /// Scan a trace through the flow inspector and report cycles per payload
 /// byte. The engine is shared (immutable); each repetition starts from a
-/// fresh flow table of per-flow Contexts. Matches and reassembly semantics
-/// are the same for every `batching` by the batching contract (DESIGN.md
+/// fresh flow table of per-flow Contexts. Packets go `burst` at a time
+/// through packet_batch (1 is the single-packet packet() path); matches and
+/// reassembly semantics are the same for every burst size (DESIGN.md
 /// Sec. 7).
 template <typename EngineT>
 Throughput measure_throughput(const EngineT& engine, const trace::Trace& trace,
-                              int reps = 2, Batching batching = {}) {
+                              int reps = 2, std::size_t burst = 1) {
   std::vector<flow::Packet> packets;
   packets.reserve(trace.packet_count());
   trace.for_each_packet([&](const flow::Packet& p) { packets.push_back(p); });
   Throughput result;
   result.cycles_per_byte = cycles_per_byte(trace, reps, [&] {
     flow::TieredFlowInspector<EngineT> inspector(engine);
-    inspector.set_batch_lanes(batching.lanes);
     CountingSink sink;
     const std::uint64_t start = util::rdtsc_now();
-    for (std::size_t i = 0; i < packets.size(); i += batching.burst)
-      inspector.packet_batch(packets.data() + i,
-                             std::min(batching.burst, packets.size() - i), sink);
+    for (std::size_t i = 0; i < packets.size(); i += burst)
+      inspector.packet_batch(packets.data() + i, std::min(burst, packets.size() - i),
+                             sink);
     const std::uint64_t elapsed = util::rdtsc_now() - start;
     result.matches = sink.count;
     result.flows = inspector.flow_count();

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "simd/prefilter.h"
-#include "util/interleave.h"
 #include "util/match.h"
 
 namespace mfa::flow {
@@ -85,18 +84,6 @@ inline PendingList::iterator pending_lower_bound(PendingList& list,
       list.begin(), list.end(), seq,
       [](const PendingSegment& s, std::uint64_t q) { return s.seq < q; });
 }
-
-/// Engines that additionally expose the K-way interleaved batch kernel
-/// (feed_many; today the table-driven Dfa, D2fa and Mfa). The inspector's
-/// packet_batch uses it when available and falls back to sequential feed()
-/// calls otherwise, so batching works with every engine.
-template <typename EngineT>
-concept BatchScanEngine =
-    ScanEngine<EngineT> &&
-    requires(const EngineT& e, scan::FeedJob<typename EngineT::Context>* jobs) {
-      e.feed_many(jobs, std::size_t{0},
-                  [](std::size_t, std::uint32_t, std::uint64_t) {}, std::size_t{1});
-    };
 
 /// Engines exposing the SIMD literal-prefilter gate (today the Mfa,
 /// DESIGN.md §13): prefilter_gate() may prove a chunk literal-free and

@@ -51,49 +51,40 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "util/faultpoint.h"
-#include "util/interleave.h"
 #include "util/timing.h"
 
 namespace mfa::flow {
 
 namespace detail {
 
-/// Spill-target shapes, for the concept checks below only.
+/// Spill-target shape, for the concept check below only.
 template <typename Ctx>
 struct SpillProbe {
   Ctx& operator()() const;
-};
-template <typename Ctx>
-struct JobSpillProbe {
-  Ctx& operator()(std::size_t) const;
 };
 
 }  // namespace detail
 
 /// Engines with a compact InlineContext that can outgrow its slot (Mfa):
-/// the InlineContext feed and feed_many take a spill target returning the
-/// flow's full Context, which the inspector builds with expand_inline()
-/// when the engine asks (see spill_slot()).
+/// the InlineContext feed takes a spill target returning the flow's full
+/// Context, which the inspector builds with expand_inline() when the
+/// engine asks (see spill_slot()).
 template <typename EngineT>
 concept SpillingInlineEngine =
     ScanEngine<EngineT> &&
     requires(const EngineT& e, typename EngineT::InlineContext& ic,
-             scan::FeedJob<typename EngineT::InlineContext>* jobs,
              const std::uint8_t* data,
-             detail::SpillProbe<typename EngineT::Context> spill,
-             detail::JobSpillProbe<typename EngineT::Context> job_spill) {
+             detail::SpillProbe<typename EngineT::Context> spill) {
       { e.make_inline_context() } -> std::same_as<typename EngineT::InlineContext>;
       { e.expand_inline(ic) } -> std::same_as<typename EngineT::Context>;
       e.feed(ic, data, std::size_t{0}, std::uint64_t{0}, spill,
              [](std::uint32_t, std::uint64_t) {});
-      e.feed_many(jobs, std::size_t{0}, job_spill,
-                  [](std::size_t, std::uint32_t, std::uint64_t) {}, std::size_t{1});
     };
 
 /// Engines whose per-flow scan state lives inline in a hot-table slot:
 /// either the Context itself is slot-sized (the table-driven DFAs, whose
-/// InlineContext is their Context and whose feed/feed_many apply
-/// unchanged), or the engine spills (above).
+/// InlineContext is their Context and whose feed applies unchanged), or
+/// the engine spills (above).
 template <typename EngineT>
 concept InlineScanEngine =
     SpillingInlineEngine<EngineT> ||
@@ -165,8 +156,7 @@ class TieredFlowInspector {
     std::uint32_t last_epoch = 0; ///< epoch of the last packet (recency)
     std::uint32_t cold = kNoRecord;  ///< slab handle, kNoRecord when pure-hot
     [[no_unique_address]] InlineState ictx;  ///< engine state (inline flows)
-    std::uint16_t batch_stamp = 0;  ///< last packet_batch wave that fed this flow
-    std::uint8_t stamp = 0;         ///< bumped per (re)occupancy; ghost detection
+    std::uint8_t stamp = 0;  ///< bumped per (re)occupancy; ghost detection
     std::uint8_t flags = 0;
   };
   static_assert(sizeof(HotSlot) <= 48, "a hot slot is at most 48 bytes");
@@ -214,8 +204,8 @@ class TieredFlowInspector {
   /// trace event, and every later packet of that flow dropped (counted in
   /// quarantined_packet_count()) — so one adversarial, ReDoS-shaped flow
   /// cannot starve the siblings sharing this inspector. 0 disables (the
-  /// default; no timing is taken then). Under packet_batch the interleaved
-  /// kernel's time is apportioned to flows by bytes fed.
+  /// default; no timing is taken then). Each in-order chunk's gate, feed
+  /// and reassembly drain are timed and charged to the flow that ran them.
   void set_cpu_budget_ns(std::uint64_t ns) {
     cpu_budget_ns_ = ns;
     budget_ticks_ = 0;
@@ -255,17 +245,12 @@ class TieredFlowInspector {
     return prefilter_passes_;
   }
 
-  /// Interleave width for packet_batch() when the engine supports
-  /// feed_many (ignored otherwise). See DESIGN.md Sec. 7 on K selection.
-  void set_batch_lanes(std::size_t lanes) { batch_lanes_ = lanes == 0 ? 1 : lanes; }
-
   /// Per-inspector kill-switch for the literal-prefilter gate (A/B runs,
   /// bench overhead measurement). `MFA_PREFILTER=off` disarms the gate
   /// process-wide at engine build time; this toggles it per inspector at
   /// runtime. Off means every chunk takes the plain feed path.
   void set_prefilter(bool on) { prefilter_on_ = on; }
   [[nodiscard]] bool prefilter_enabled() const { return prefilter_on_; }
-  [[nodiscard]] std::size_t batch_lanes() const { return batch_lanes_; }
 
   // --- degraded scan modes (DESIGN.md §14) ---
 
@@ -316,11 +301,9 @@ class TieredFlowInspector {
     packet_batch(&p, 1, std::forward<Sink>(sink));
   }
 
-  /// Deliver a burst of packets (any mix of flows) with exact per-flow
-  /// in-order semantics: packets of the same flow are applied in burst
-  /// order, one "wave" at a time, while distinct flows' in-order bytes
-  /// advance through the engine's K-way interleaved feed_many. Matches are
-  /// identical to delivering the packets one at a time.
+  /// Deliver a burst of packets (any mix of flows): exactly what `count`
+  /// packet() calls would do, in burst order, so matches arrive in the
+  /// same sequence. Only telemetry and profiler sampling are per burst.
   template <typename Sink>
   void packet_batch(const Packet* pkts, std::size_t count, Sink&& sink) {
     packet_batch_flows(
@@ -541,7 +524,7 @@ class TieredFlowInspector {
   }
 
   /// Drop every flow and reset all derived per-inspector bookkeeping in one
-  /// place — the epoch, the batch-wave counter, buffered reassembly
+  /// place — the epoch, buffered reassembly
   /// accounting, and the live gauges mirrored into the metrics shard (the
   /// watchdog calls this when it restarts a crashed worker, and stale
   /// gauges would otherwise survive until the next packet).
@@ -556,7 +539,6 @@ class TieredFlowInspector {
       s.flags = 0;
       s.cold = kNoRecord;
       s.stamp = 0;
-      s.batch_stamp = 0;
     }
     cold_.clear();
     cold_heap_ = 0;
@@ -565,10 +547,6 @@ class TieredFlowInspector {
     live_ = 0;
     total_pending_ = 0;
     epoch_ = 0;
-    wave_ = 0;
-    batch_jobs_.clear();
-    batch_cur_.clear();
-    batch_deferred_.clear();
     if (metrics_ != nullptr) {
       metrics_->flows.store(0, std::memory_order_relaxed);
       metrics_->reassembly_pending_bytes.store(0, std::memory_order_relaxed);
@@ -578,17 +556,6 @@ class TieredFlowInspector {
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffU;
   static constexpr std::size_t kMinBuckets = 8;
-
-  /// A queued batch job, held as a slot reference (not a context pointer):
-  /// slots can move between queueing and flush (cuckoo kick, table grow),
-  /// and every move/grow patches these references. Context pointers are
-  /// materialized only at flush time.
-  struct BatchJob {
-    std::uint32_t slot = 0;
-    const std::uint8_t* data = nullptr;
-    std::size_t size = 0;
-    std::uint64_t base = 0;
-  };
 
   // --- hashing / slot lookup ---
 
@@ -658,8 +625,7 @@ class TieredFlowInspector {
   // --- table maintenance (kick / grow / move) ---
 
   /// Move a live flow between slots (cuckoo kick). The old wheel entry
-  /// becomes a ghost; a fresh entry is scheduled for the destination, and
-  /// any queued batch jobs referencing the source are patched.
+  /// becomes a ghost; a fresh entry is scheduled for the destination.
   void move_slot(std::uint32_t from, std::uint32_t to) {
     HotSlot& d = slots_[to];
     const auto stamp = static_cast<std::uint8_t>(d.stamp + 1);
@@ -669,8 +635,6 @@ class TieredFlowInspector {
     if (generation_active_) generations_[to] = generations_[from];
     if (budget_ticks_ != 0) ticks_[to] = ticks_[from];
     if (wheel_active()) wheel_.schedule(wheel_item(to), epoch_ + kHorizon);
-    for (auto& j : batch_jobs_)
-      if (j.slot == from) j.slot = to;
   }
 
   /// Free a slot in one of the two candidate (full) buckets by relocating a
@@ -730,12 +694,9 @@ class TieredFlowInspector {
     return true;
   }
 
-  /// Rehash into a bigger table (>= max(2x, min_buckets) buckets). Queued
-  /// batch jobs are re-resolved by key afterwards; the wheel is rebuilt
-  /// with one fresh entry per live flow.
+  /// Rehash into a bigger table (>= max(2x, min_buckets) buckets). The
+  /// wheel is rebuilt with one fresh entry per live flow.
   void grow_table(std::size_t min_buckets = 0) {
-    grow_keys_.clear();
-    for (const auto& j : batch_jobs_) grow_keys_.push_back(slots_[j.slot].key);
     const std::vector<HotSlot> old = std::move(slots_);
     const std::vector<std::uint64_t> oldg = std::move(generations_);
     const std::vector<std::uint64_t> oldt = std::move(ticks_);
@@ -753,8 +714,6 @@ class TieredFlowInspector {
     }
     wheel_.clear();
     if (wheel_active()) reschedule_all();
-    for (std::size_t i = 0; i < batch_jobs_.size(); ++i)
-      batch_jobs_[i].slot = find_slot(grow_keys_[i], FlowKeyHash{}(grow_keys_[i]));
   }
 
   void reschedule_all() {
@@ -789,8 +748,7 @@ class TieredFlowInspector {
     s.off_hi = 0;
     s.last_epoch = epoch_;
     s.cold = kNoRecord;
-    s.batch_stamp = 0;  // wave ids skip 0, so a fresh slot never defers
-    ++s.stamp;          // invalidates any ghost wheel entry for this slot
+    ++s.stamp;  // invalidates any ghost wheel entry for this slot
     s.flags = kOccupied;
     if constexpr (InlineScanEngine<EngineT>) {
       s.flags |= kInline;
@@ -832,11 +790,6 @@ class TieredFlowInspector {
       const bool done = wheel_.pop_oldest(16, [&](std::uint32_t item) -> std::int64_t {
         const std::uint32_t si = wheel_slot(item);
         if (si == kNoSlot) return TimingWheel::kDrop;
-        // Never evict a flow touched at the current epoch (it may be the
-        // packet being delivered, or hold a queued batch job).
-        if (slots_[si].last_epoch == epoch_)
-          return static_cast<std::int64_t>(
-              static_cast<std::uint32_t>(slots_[si].last_epoch + kHorizon));
         evict_slot_core(si);
         ++evicted_;
         return TimingWheel::kConsume;
@@ -870,10 +823,6 @@ class TieredFlowInspector {
       HotSlot& s = slots_[si];
       const std::uint32_t idle = epoch_ - s.last_epoch;
       if (idle_ttl_ != 0 && idle >= idle_ttl_) {
-        // Mid-burst, a flow with a queued job must not be torn down (its
-        // job references this slot); defer a few epochs instead.
-        if (!batch_jobs_.empty() && s.batch_stamp == wave_)
-          return static_cast<std::int64_t>(epoch_ + 4);
         evict_slot_core(si);
         ++idle_evicted_;
         return TimingWheel::kDrop;
@@ -980,7 +929,7 @@ class TieredFlowInspector {
       if ((s.flags & kInline) != 0) {
         eng.feed(s.ictx, data, size, base,
                  [&]() -> Context& { return spill_slot(si, eng); }, sink);
-        park_spills();
+        park_spill(si);
         return;
       }
     } else if constexpr (InlineScanEngine<EngineT>) {
@@ -991,43 +940,31 @@ class TieredFlowInspector {
   }
 
   /// A spilling engine's spill target for slot `si` during one engine
-  /// call: a scratch Context, built from the slot's inline state the first
-  /// time the engine asks and returned again while its InlineContext stays
-  /// marked spilled. Most spills are transient — a line briefly holding
-  /// more than four guard bits — and end back inline, so they never touch
-  /// the cold tier; park_spills() moves the rest there.
+  /// call: the scratch Context, built from the slot's inline state the
+  /// first time the engine asks and returned again while its InlineContext
+  /// stays marked spilled. One scratch serves every flow, because only one
+  /// flow is fed at a time. Most spills are transient — a line briefly
+  /// holding more than four guard bits — and end back inline, so they
+  /// never touch the cold tier; park_spill() moves the rest there.
   Context& spill_slot(std::uint32_t si, const EngineT& eng) {
-    if (slots_[si].ictx.spilled()) {
-      std::size_t k = 0;
-      while (spill_slots_[k] != si) ++k;  // marked only within this call
-      return *spill_scratch_[k];
-    }
-    const std::size_t k = spill_slots_.size();
-    spill_slots_.push_back(si);
-    if (k == spill_scratch_.size())
-      spill_scratch_.push_back(std::make_unique<Context>(eng.expand_inline(slots_[si].ictx)));
-    else
-      *spill_scratch_[k] = eng.expand_inline(slots_[si].ictx);
-    return *spill_scratch_[k];
+    if (!slots_[si].ictx.spilled()) spill_scratch_ = eng.expand_inline(slots_[si].ictx);
+    return *spill_scratch_;
   }
 
-  /// After an engine call: every flow still spilled leaves the inline path
-  /// for good (until re-adoption or eviction) — its scratch Context moves
-  /// into its cold record, a reorder-only record being reused.
-  void park_spills() {
-    for (std::size_t k = 0; k < spill_slots_.size(); ++k) {
-      HotSlot& s = slots_[spill_slots_[k]];
-      if (!s.ictx.spilled()) continue;  // settled back inline
-      const std::size_t heap_before = slot_heap_bytes(s);
-      if (s.cold == kNoRecord) s.cold = cold_.alloc();
-      cold_[s.cold].ctx.emplace(std::move(*spill_scratch_[k]));
-      cold_heap_ += slot_heap_bytes(s) - heap_before;
-      s.flags &= static_cast<std::uint8_t>(~kInline);
-      ++spills_;
-      if (metrics_ != nullptr)
-        metrics_->flows_spilled.fetch_add(1, std::memory_order_relaxed);
-    }
-    spill_slots_.clear();
+  /// After an engine call: a flow still spilled leaves the inline path for
+  /// good (until re-adoption or eviction) — the scratch Context moves into
+  /// its cold record, a reorder-only record being reused.
+  void park_spill(std::uint32_t si) {
+    HotSlot& s = slots_[si];
+    if (!s.ictx.spilled()) return;  // never spilled, or settled back inline
+    const std::size_t heap_before = slot_heap_bytes(s);
+    if (s.cold == kNoRecord) s.cold = cold_.alloc();
+    cold_[s.cold].ctx.emplace(std::move(*spill_scratch_));
+    cold_heap_ += slot_heap_bytes(s) - heap_before;
+    s.flags &= static_cast<std::uint8_t>(~kInline);
+    ++spills_;
+    if (metrics_ != nullptr)
+      metrics_->flows_spilled.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Consult the engine's prefilter gate for a flow's chunk, wherever its
@@ -1124,180 +1061,51 @@ class TieredFlowInspector {
     return eng.context_state(*cold_[s.cold].ctx);
   }
 
-  /// Batch delivery core. Wave discipline: each pass over the remaining
-  /// packets claims at most one in-order feed per flow (stamping the slot
-  /// with the wave id); later same-flow packets defer to the next wave,
-  /// which runs only after this wave's feed_many + drains. Cross-flow work
-  /// interleaves, same-flow work never does — the ordering guarantee
-  /// DESIGN.md Sec. 7 documents. Jobs are queued as slot references and the
-  /// engine-facing pointer arrays are materialized at flush time, because
-  /// inline contexts live in slots that can move while the wave runs.
+  /// Batch delivery core: the packets one at a time, in burst order. An
+  /// in-order chunk is admitted and gated, fed unless skipped, and then
+  /// drains whatever buffered segments it made contiguous; with a CPU
+  /// budget set, that whole step is timed and charged to the flow.
   template <typename FlowSink, typename DropSink>
   void deliver_batch(const Packet* pkts, std::size_t count, FlowSink&& fsink,
                      DropSink&& dsink) {
-    auto& cur = batch_cur_;
-    auto& deferred = batch_deferred_;
-    cur.clear();
-    for (std::size_t i = 0; i < count; ++i) cur.push_back(static_cast<std::uint32_t>(i));
-
-    while (!cur.empty()) {
-      ++wave_;
-      if (wave_ == 0) wave_ = 1;  // 0 is the fresh-slot sentinel
-      deferred.clear();
-      for (const std::uint32_t idx : cur) {
-        const Packet& p = pkts[idx];
-        if (is_quarantined(p.key)) {
-          ++quarantined_packets_;
-          dsink(p);
-          continue;
-        }
-        bump_epoch();
-        const std::uint64_t h = FlowKeyHash{}(p.key);
-        std::uint32_t si = find_slot(p.key, h);
-        if (si == kNoSlot) {
-          // A capacity eviction can tear down a flow that still has a
-          // queued job: flush queued work first (kick/grow moves are safe —
-          // they patch the queue — but eviction destroys state).
-          if (max_flows_ != 0 && live_ >= max_flows_) {
-            flush_jobs(fsink);
-            evict_for_capacity();
-          }
-          util::fault_maybe_bad_alloc("flow.table.alloc");
-          si = create_flow(p.key, h);
-        } else {
-          slots_[si].last_epoch = epoch_;
-          if (generation_active_ && generations_[si] != current_generation_)
-            adopt_flow(si);
-        }
-        HotSlot& s = slots_[si];
-        if (s.batch_stamp == wave_) {
-          deferred.push_back(idx);  // same flow already fed this wave
-          continue;
-        }
-        if (p.seq > slot_off(s)) {
-          buffer_segment(si, p);
-          continue;
-        }
-        const std::uint64_t skip = slot_off(s) - p.seq;
-        if (skip >= p.length) continue;  // fully retransmitted bytes
-        s.batch_stamp = wave_;
-        const std::uint8_t* data = p.payload + skip;
-        const std::size_t len = p.length - skip;
-        const std::uint64_t base = slot_off(s);
-        set_slot_off(s, base + len);
-        // Admission and gate at job-materialization time: a skipped chunk
-        // never becomes a job, so the interleaved kernel's lanes carry only
-        // chunks that need scanning. With no job, flush_jobs() won't drain
-        // this flow, but the skipped bytes may have filled a gap: drain here.
-        if (!needs_scan(si, data, len)) {
-          drain_charged(si, fsink);
-          maybe_quarantine(si);  // may erase the flow — nothing touches it after
-          continue;
-        }
-        batch_jobs_.push_back(BatchJob{si, data, len, base});
+    for (const Packet* p = pkts; p != pkts + count; ++p) {
+      if (is_quarantined(p->key)) {
+        ++quarantined_packets_;
+        dsink(*p);
+        continue;
       }
-      flush_jobs(fsink);
-      cur.swap(deferred);
-    }
-  }
-
-  /// Run the wave's queued jobs, then drain and (when budgeted) settle
-  /// per-flow CPU accounts: the interleaved kernel runs many flows at once,
-  /// so its time is apportioned to flows by bytes fed; drains are per-flow
-  /// and timed exactly.
-  template <typename FlowSink>
-  void flush_jobs(FlowSink& fsink) {
-    if (batch_jobs_.empty()) return;
-    const std::uint64_t t0 = budget_ticks_ != 0 ? util::rdtsc_now() : 0;
-    feed_jobs(fsink);
-    if (budget_ticks_ != 0) {
-      const std::uint64_t feed_ticks = util::rdtsc_now() - t0;
-      std::uint64_t total_bytes = 0;
-      for (const auto& j : batch_jobs_) total_bytes += j.size;
-      for (const auto& j : batch_jobs_)
-        ticks_[j.slot] += total_bytes == 0 ? 0 : feed_ticks * j.size / total_bytes;
-    }
-    for (const auto& j : batch_jobs_) drain_charged(j.slot, fsink);
-    // Quarantine checks run last because they erase flows the job list
-    // still references.
-    if (budget_ticks_ != 0)
-      for (const auto& j : batch_jobs_) maybe_quarantine(j.slot);
-    batch_jobs_.clear();
-  }
-
-  /// Distinct flows' jobs advance together through the engine's K-way
-  /// feed_many when it has one. A wave of one job, a one-lane inspector
-  /// and a wave mixing engine generations (right after a kDrainOld swap)
-  /// run per-flow sequential feeds on each flow's own engine instead: the
-  /// interleaved kernel at one lane costs about twice the sequential loop.
-  template <typename FlowSink>
-  void feed_jobs(FlowSink& fsink) {
-    if constexpr (BatchScanEngine<EngineT>) {
-      if (batch_jobs_.size() > 1 && batch_lanes_ > 1 && !mixed_generations()) {
-        feed_interleaved(fsink);
-        return;
+      bump_epoch();
+      const std::uint64_t h = FlowKeyHash{}(p->key);
+      std::uint32_t si = find_slot(p->key, h);
+      if (si == kNoSlot) {
+        if (max_flows_ != 0 && live_ >= max_flows_) evict_for_capacity();
+        util::fault_maybe_bad_alloc("flow.table.alloc");
+        si = create_flow(p->key, h);
+      } else {
+        slots_[si].last_epoch = epoch_;
+        if (generation_active_ && generations_[si] != current_generation_)
+          adopt_flow(si);
+      }
+      HotSlot& s = slots_[si];
+      if (p->seq > slot_off(s)) {
+        buffer_segment(si, *p);
+        continue;
+      }
+      const std::uint64_t skip = slot_off(s) - p->seq;
+      if (skip >= p->length) continue;  // fully retransmitted bytes
+      const std::uint8_t* data = p->payload + skip;
+      const std::size_t len = p->length - skip;
+      const std::uint64_t base = slot_off(s);
+      set_slot_off(s, base + len);
+      const auto sink = [&, si](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); };
+      const std::uint64_t t0 = budget_ticks_ != 0 ? util::rdtsc_now() : 0;
+      if (needs_scan(si, data, len)) feed_slot(si, data, len, base, sink);
+      drain(si, sink);
+      if (budget_ticks_ != 0) {
+        ticks_[si] += util::rdtsc_now() - t0;
+        maybe_quarantine(si);  // may erase the flow — nothing touches it after
       }
     }
-    for (const auto& j : batch_jobs_)
-      feed_slot(j.slot, j.data, j.size, j.base,
-                [&, si = j.slot](std::uint32_t id, std::uint64_t end) {
-                  fsink(si, id, end);
-                });
-  }
-
-  [[nodiscard]] bool mixed_generations() const {
-    if (!generation_active_) return false;
-    const std::uint64_t g0 = generations_[batch_jobs_[0].slot];
-    for (const auto& j : batch_jobs_)
-      if (generations_[j.slot] != g0) return true;
-    return false;
-  }
-
-  /// Materialize the queued jobs into engine feed jobs — inline-state jobs
-  /// and heap-context jobs separately, since they advance through different
-  /// feed_many instantiations — and run them interleaved.
-  template <typename FlowSink>
-  void feed_interleaved(FlowSink& fsink) {
-    inline_jobs_.clear();
-    inline_job_slots_.clear();
-    ctx_jobs_.clear();
-    ctx_job_slots_.clear();
-    for (const auto& j : batch_jobs_) {
-      HotSlot& s = slots_[j.slot];
-      if constexpr (InlineScanEngine<EngineT>) {
-        if ((s.flags & kInline) != 0) {
-          inline_jobs_.push_back({&s.ictx, j.data, j.size, j.base});
-          inline_job_slots_.push_back(j.slot);
-          continue;
-        }
-      }
-      ctx_jobs_.push_back({&*cold_[s.cold].ctx, j.data, j.size, j.base});
-      ctx_job_slots_.push_back(j.slot);
-    }
-    const EngineT& eng = engine_for_generation(generation_of(batch_jobs_[0].slot));
-    if constexpr (InlineScanEngine<EngineT>) {
-      if (!inline_jobs_.empty()) {
-        const auto job_sink = [&](std::size_t j, std::uint32_t id, std::uint64_t end) {
-          fsink(inline_job_slots_[j], id, end);
-        };
-        if constexpr (SpillingInlineEngine<EngineT>) {
-          eng.feed_many(
-              inline_jobs_.data(), inline_jobs_.size(),
-              [&](std::size_t j) -> Context& { return spill_slot(inline_job_slots_[j], eng); },
-              job_sink, batch_lanes_);
-          park_spills();
-        } else {
-          eng.feed_many(inline_jobs_.data(), inline_jobs_.size(), job_sink, batch_lanes_);
-        }
-      }
-    }
-    if (!ctx_jobs_.empty())
-      eng.feed_many(
-          ctx_jobs_.data(), ctx_jobs_.size(),
-          [&](std::size_t j, std::uint32_t id, std::uint64_t end) {
-            fsink(ctx_job_slots_[j], id, end);
-          },
-          batch_lanes_);
   }
 
   // --- bounded out-of-order reassembly ---
@@ -1384,21 +1192,6 @@ class TieredFlowInspector {
       cold_.free(s.cold);
       s.cold = kNoRecord;
     }
-  }
-
-  /// drain() with the flow-attributed sink, charging its time to the
-  /// flow's CPU account when a budget is set (the caller then runs
-  /// maybe_quarantine).
-  template <typename FlowSink>
-  void drain_charged(std::uint32_t si, FlowSink& fsink) {
-    const auto sink = [&](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); };
-    if (budget_ticks_ == 0) {
-      drain(si, sink);
-      return;
-    }
-    const std::uint64_t t0 = util::rdtsc_now();
-    drain(si, sink);
-    ticks_[si] += util::rdtsc_now() - t0;
   }
 
   template <typename Sink>
@@ -1496,8 +1289,6 @@ class TieredFlowInspector {
   std::uint64_t profile_mask_ = 0;     ///< profiler_->sample_mask(), cached
   std::uint64_t profile_tick_ = 0;     ///< scan units since attach
   std::vector<std::uint32_t> profile_ids_;  ///< sampled unit's match ids
-  std::size_t batch_lanes_ = scan::kDefaultLanes;
-  std::uint16_t wave_ = 0;
 
   // Hot tier.
   std::size_t nbuckets_ = 0;
@@ -1514,19 +1305,8 @@ class TieredFlowInspector {
   SlabArena<ColdRecord> cold_;
   std::size_t cold_heap_ = 0;  ///< cold_heap_bytes()
 
-  // Scratch reused across packet_batch() calls (inspector is one-thread).
-  std::vector<BatchJob> batch_jobs_;
-  std::vector<std::uint32_t> batch_cur_;
-  std::vector<std::uint32_t> batch_deferred_;
-  std::vector<scan::FeedJob<InlineState>> inline_jobs_;
-  std::vector<std::uint32_t> inline_job_slots_;
-  std::vector<scan::FeedJob<Context>> ctx_jobs_;
-  std::vector<std::uint32_t> ctx_job_slots_;
-  /// Spill targets, reused across calls; boxed so a target's address holds
-  /// while later spills of the same call add more.
-  std::vector<std::unique_ptr<Context>> spill_scratch_;
-  std::vector<std::uint32_t> spill_slots_;  ///< slot of each live scratch entry
-  std::vector<FlowKey> grow_keys_;
+  /// Spill target of the flow being fed (see spill_slot()).
+  std::optional<Context> spill_scratch_;
 };
 
 }  // namespace mfa::flow

@@ -181,9 +181,11 @@ class Mfa {
   [[nodiscard]] simd::Gate prefilter_gate(Ctx& ctx, const std::uint8_t* data,
                                           std::size_t size) const {
     if (!prefilter_.should_gate(ctx.state, size)) return simd::Gate::kNone;
+    // Body first: on dirty traffic Teddy stops at the first literal, and
+    // the seam walk is then never paid.
+    if (prefilter_.matches(data, size)) return simd::Gate::kScan;
     if (!prefilter_.boundary_quiet(ctx.state, data, size))
       return simd::Gate::kScan;
-    if (prefilter_.matches(data, size)) return simd::Gate::kScan;
     ctx.state = replay_tail(data, size);
     return simd::Gate::kSkip;
   }
@@ -281,55 +283,6 @@ class Mfa {
     if (ic.spilled()) settle(ic, spill());
   }
 
-  using FeedJob = scan::FeedJob<Context>;
-
-  /// K-way interleaved scan (see Dfa::feed_many) over Context jobs: the
-  /// character-DFA inner loop advances `lanes` flows per iteration and only
-  /// touches ctx->state; filter actions run on match events only, against
-  /// the owning job's per-flow memory, so per-flow filter semantics are
-  /// exactly feed()'s. sink(job_index, id, end_offset).
-  template <typename Sink>
-  void feed_many(FeedJob* jobs, std::size_t count, Sink&& sink,
-                 std::size_t lanes = scan::kDefaultLanes) const {
-    interleave(jobs, count, lanes,
-               [&](std::size_t) { return full_accept_limit(); },
-               [&](std::size_t j, std::uint32_t s, std::uint64_t end) {
-                 filter::Memory& memory = jobs[j].ctx->memory;
-                 accept(s, end, memory, [&](std::uint32_t id, std::uint64_t e) {
-                   sink(j, id, e);
-                 });
-                 return accept_limit(memory);
-               },
-               [&](std::size_t j) {
-                 feed(*jobs[j].ctx, jobs[j].data, jobs[j].size, jobs[j].base,
-                      [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
-               });
-  }
-
-  /// feed_many() over InlineContext jobs, with feed(InlineContext)'s spill
-  /// contract per job: `spill(job_index)` returns that job's full Context.
-  /// A job may spill mid-wave; its later accepts run on the spilled
-  /// Context, and on return each job is settled as feed() leaves it.
-  template <typename SpillFn, typename Sink>
-  void feed_many(scan::FeedJob<InlineContext>* jobs, std::size_t count, SpillFn&& spill,
-                 Sink&& sink, std::size_t lanes = scan::kDefaultLanes) const {
-    interleave(jobs, count, lanes, [&](std::size_t j) { return accept_limit(*jobs[j].ctx); },
-               [&](std::size_t j, std::uint32_t s, std::uint64_t end) {
-                 const auto job_spill = [&]() -> Context& { return spill(j); };
-                 accept_inline(*jobs[j].ctx, s, end, job_spill,
-                               [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
-                 return accept_limit(*jobs[j].ctx);
-               },
-               [&](std::size_t j) {
-                 feed(*jobs[j].ctx, jobs[j].data, jobs[j].size, jobs[j].base,
-                      [&]() -> Context& { return spill(j); },
-                      [&](std::uint32_t id, std::uint64_t e) { sink(j, id, e); });
-               });
-    // The kernel wrote each lane's final state into its InlineContext.
-    for (std::size_t j = 0; j < count; ++j)
-      if (jobs[j].ctx->spilled()) settle(*jobs[j].ctx, spill(j));
-  }
-
   /// Persist the compiled automaton (character DFA + filter program +
   /// piece sources) to a ".mfac" file so a deployment can compile once and
   /// load on every sensor. Filter order and the clear fold are derived
@@ -350,26 +303,6 @@ class Mfa {
     std::uint32_t word = 0;
     std::uint32_t last = 0;  ///< nonzero on the state's final entry
   };
-
-  /// One chunk-scheduling policy for both feed_many() forms. Dense mode
-  /// runs the interleaved kernel: each lane starts at limit_fn(job), and
-  /// accept_fn(job, state, end) runs on every state entered below the
-  /// lane's limit and returns the new one (see scan()). Delta mode runs one
-  /// job at a time through feed_one(job), same as D2fa::feed_many:
-  /// interleaving the tagged chain walk regresses, and the per-job tagged
-  /// loop keeps byte/match order exactly feed()'s.
-  template <typename Ctx, typename LimitFn, typename AcceptFn, typename FeedOneFn>
-  void interleave(scan::FeedJob<Ctx>* jobs, std::size_t count, std::size_t lanes,
-                  LimitFn&& limit_fn, AcceptFn&& accept_fn, FeedOneFn&& feed_one) const {
-    if (delta_) {
-      for (std::size_t j = 0; j < count; ++j)
-        if (jobs[j].size != 0) feed_one(j);
-      return;
-    }
-    simd::dense_interleaved_scan(dfa_, jobs, count, lanes,
-                                 std::forward<LimitFn>(limit_fn),
-                                 std::forward<AcceptFn>(accept_fn));
-  }
 
   /// A flow's accept limit: the scan runs accept() only on accepting states
   /// below it. With no filter bit set the quiet states can change nothing,

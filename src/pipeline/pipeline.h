@@ -8,8 +8,8 @@
 // only cross-thread traffic is the queues themselves. The hot path is
 // batched end to end (DESIGN.md Sec. 7): submit() buffers per shard and
 // flushes bursts with one queue release-store, workers pop bursts and run
-// them through the inspector's packet_batch, which interleaves distinct
-// flows through the engine's K-way feed_many kernel. Matches and stats
+// them through the inspector's packet_batch, which takes a burst's packets
+// in order, each on its own flow's sequential walk. Matches and stats
 // accumulate shard-locally and are merged after finish(); attaching an
 // obs::MetricsRegistry (Options::metrics) additionally mirrors every
 // counter into lock-free telemetry readable mid-run via snapshot().
@@ -207,9 +207,6 @@ struct Options {
   /// burst, and each worker pops/processes bursts of the same size through
   /// the inspector's packet_batch. 1 disables batching (per-packet push/pop).
   std::size_t batch_size = 32;
-  /// Interleave width K for the workers' batched scans (engines with
-  /// feed_many); see DESIGN.md Sec. 7 on K selection.
-  std::size_t scan_lanes = scan::kDefaultLanes;
   bool collect_matches = false;  ///< keep full Match records (else count only)
   /// Keep (flow_key, match) records too — heavier than collect_matches;
   /// meant for parity/soak harnesses, not production.
@@ -956,7 +953,6 @@ class ShardedInspector {
           shed_sink(o.shed_sink),
           degrade(o.slo, o.degrade),
           journal_on(o.watchdog) {
-      inspector.set_batch_lanes(o.scan_lanes);
       if (o.flow_cpu_budget_ns != 0)
         inspector.set_cpu_budget_ns(o.flow_cpu_budget_ns);
       pending.reserve(batch_size);
@@ -1295,10 +1291,9 @@ class ShardedInspector {
         }
         if (util::fault_fire("pipeline.worker.crash"))
           throw std::runtime_error("injected worker crash");
-        // Batched delivery: the inspector groups the burst by flow and
-        // hands distinct-flow runs to the engine's K-way interleaved
-        // feed_many; same-flow packets stay strictly sequential. The drop
-        // sink fires for packets of quarantined flows.
+        // Batched delivery: the inspector takes the burst's packets in
+        // order, exactly as one packet() call each. The drop sink fires
+        // for packets of quarantined flows.
         if (dequeue_tsc != 0) span_scan_start = util::rdtsc_now();
         inspector.packet_batch_attributed(
             burst.data(), kept,
@@ -1452,8 +1447,8 @@ class ShardedInspector {
 
     /// Publish latency spans for the sampled packets of a scanned burst.
     /// Scan latency is burst-granular: the whole burst shares one
-    /// scan-start/scan-end window (the engine interleaves flows within
-    /// it), which is exactly the latency a packet in that burst observed.
+    /// scan-start/scan-end window, which is exactly the latency a packet
+    /// in that burst observed.
     /// Corrupt-filtered packets were compacted out of burst[0..kept) and
     /// carry no span; TSC skew across cores clamps to zero, never wraps.
     void record_spans(std::size_t kept, std::uint64_t dequeue_tsc) {

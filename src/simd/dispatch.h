@@ -1,13 +1,13 @@
 // Runtime SIMD dispatch (DESIGN.md §13).
 //
-// All vector kernels in src/simd/ are compiled unconditionally (the AVX2
-// translation unit carries its own -mavx2) and selected at runtime from
-// cpuid, so one binary runs correctly on any x86-64 and on non-x86 hosts
-// (where everything resolves to the scalar fallbacks). The `MFA_SIMD`
+// The one vector kernel, Teddy's literal scan, is compiled unconditionally
+// (the AVX2 translation unit carries its own -mavx2) and selected at
+// runtime from cpuid, so one binary runs correctly on any x86-64 and on
+// non-x86 hosts (where it resolves to the scalar fallback). The `MFA_SIMD`
 // environment variable overrides detection for testing both paths on the
 // same machine:
 //
-//   MFA_SIMD=off | scalar   force the scalar kernels
+//   MFA_SIMD=off | scalar   force the scalar fallback
 //   MFA_SIMD=avx2           request AVX2 (silently falls back if the CPU
 //                           lacks it — never crashes)
 //
@@ -19,7 +19,7 @@ namespace mfa::simd {
 
 enum class Level {
   kScalar,  ///< portable fallback (no ISA requirements beyond the baseline)
-  kAvx2,    ///< AVX2 shuffle/gather kernels
+  kAvx2,    ///< AVX2 shuffle kernel (Teddy)
 };
 
 /// Raw cpuid capability (ignores MFA_SIMD); false on non-x86.

@@ -15,9 +15,9 @@ namespace mfa::util {
 
 /// Every premultiplied table stays below this many entries (states x
 /// columns; for a D2FA also root rows x columns), so every row offset and
-/// accept limit fits the 30 low bits a D2FA tag leaves, the AVX2 gather's
-/// signed 32-bit index and its signed limit compare. build_dfa() and the
-/// loaders enforce it; the default state cap (2^20 x 256 = 2^28) is below.
+/// accept limit fits the 30 low bits a D2FA tag leaves. build_dfa() and
+/// the loaders enforce it; the default state cap (2^20 x 256 = 2^28) is
+/// below.
 inline constexpr std::uint64_t kMaxRowOffsets = std::uint64_t{1} << 30;
 
 class RowStride {

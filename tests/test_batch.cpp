@@ -1,17 +1,13 @@
-// Batched-scan path tests: the K-way interleaved feed_many kernel must be
-// byte-for-byte equivalent to sequential feed() for every table-driven
-// engine; the flow inspector's packet_batch must preserve exact per-flow
-// semantics versus the single-packet path under fragmentation, reorder and
-// retransmission; and the SPSC queue's batch push/pop must keep the FIFO
-// contract of the scalar operations.
+// Burst delivery tests: the flow inspector's packet_batch must do exactly
+// what one packet() call per packet does, in packet order, under
+// fragmentation, reorder and retransmission; and the SPSC queue's batch
+// push/pop must keep the FIFO contract of the scalar operations.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "dfa/d2fa.h"
-#include "dfa/dfa.h"
 #include "engine_test_util.h"
 #include "flow/tiered.h"
 #include "mfa/mfa.h"
@@ -42,87 +38,6 @@ std::string make_content(util::Rng& rng, std::size_t max_len) {
   }
   s.resize(max_len);
   return s;
-}
-
-/// Per-job matches via sequential feed() — the ground truth feed_many must
-/// reproduce exactly (same ids, same end offsets, same final contexts).
-template <typename EngineT>
-void check_feed_many_equivalence(const EngineT& engine, std::uint64_t seed) {
-  using Context = typename EngineT::Context;
-  util::Rng rng(seed);
-  const std::size_t njobs = 1 + rng.below(12);
-  std::vector<std::string> contents;
-  for (std::size_t i = 0; i < njobs; ++i) {
-    // Include empty jobs: the kernel must skip them without stalling.
-    contents.push_back(rng.chance(0.15) ? std::string()
-                                        : make_content(rng, 1 + rng.below(200)));
-  }
-
-  std::vector<Context> seq_ctx, batch_ctx;
-  for (std::size_t i = 0; i < njobs; ++i) {
-    seq_ctx.push_back(engine.make_context());
-    batch_ctx.push_back(engine.make_context());
-  }
-
-  std::vector<MatchVec> want(njobs);
-  for (std::size_t i = 0; i < njobs; ++i) {
-    engine.feed(seq_ctx[i],
-                reinterpret_cast<const std::uint8_t*>(contents[i].data()),
-                contents[i].size(), /*base=*/i * 1000,
-                [&](std::uint32_t id, std::uint64_t end) {
-                  want[i].push_back(Match{id, end});
-                });
-  }
-
-  for (const std::size_t lanes : {1u, 2u, 3u, 5u, 8u, 16u}) {
-    std::vector<Context> ctx = batch_ctx;  // fresh start contexts per width
-    std::vector<typename EngineT::FeedJob> jobs;
-    for (std::size_t i = 0; i < njobs; ++i)
-      jobs.push_back({&ctx[i],
-                      reinterpret_cast<const std::uint8_t*>(contents[i].data()),
-                      contents[i].size(), i * 1000});
-    std::vector<MatchVec> got(njobs);
-    engine.feed_many(jobs.data(), jobs.size(),
-                     [&](std::size_t job, std::uint32_t id, std::uint64_t end) {
-                       got[job].push_back(Match{id, end});
-                     },
-                     lanes);
-    for (std::size_t i = 0; i < njobs; ++i)
-      EXPECT_EQ(got[i], want[i]) << "lanes " << lanes << " job " << i;
-
-    // Carried state: feeding one more chunk must also agree, which checks
-    // the written-back contexts (DFA state and, for MFA, filter memory).
-    const std::string tail = "ab12xcd34 wxyz";
-    for (std::size_t i = 0; i < njobs; ++i) {
-      MatchVec tail_want, tail_got;
-      Context s = seq_ctx[i];
-      engine.feed(s, reinterpret_cast<const std::uint8_t*>(tail.data()),
-                  tail.size(), 5000,
-                  [&](std::uint32_t id, std::uint64_t end) {
-                    tail_want.push_back(Match{id, end});
-                  });
-      engine.feed(ctx[i], reinterpret_cast<const std::uint8_t*>(tail.data()),
-                  tail.size(), 5000,
-                  [&](std::uint32_t id, std::uint64_t end) {
-                    tail_got.push_back(Match{id, end});
-                  });
-      EXPECT_EQ(tail_got, tail_want) << "lanes " << lanes << " job " << i;
-    }
-  }
-}
-
-TEST(InterleavedScan, DfaFeedManyMatchesSequentialFeed) {
-  const auto d = dfa::build_dfa(nfa::build_nfa(compile_patterns(kSources)));
-  ASSERT_TRUE(d.has_value());
-  for (std::uint64_t seed = 0; seed < 10; ++seed)
-    check_feed_many_equivalence(*d, 4200 + seed);
-}
-
-TEST(InterleavedScan, MfaFeedManyMatchesSequentialFeed) {
-  const auto m = core::build_mfa(compile_patterns(kSources));
-  ASSERT_TRUE(m.has_value());
-  for (std::uint64_t seed = 0; seed < 10; ++seed)
-    check_feed_many_equivalence(*m, 4400 + seed);
 }
 
 // ---------------------------------------------------------------------------
@@ -193,9 +108,7 @@ TEST(FlowBatch, PacketBatchMatchesSinglePacketPath) {
     CollectingSink ssink;
     for (const auto& p : pkts) single.packet(p, ssink);
 
-    const std::size_t lanes = 1 + rng.below(16);
     flow::TieredFlowInspector<core::Mfa> batched{*m};
-    batched.set_batch_lanes(lanes);
     CollectingSink bsink;
     std::size_t i = 0;
     while (i < pkts.size()) {
@@ -204,12 +117,10 @@ TEST(FlowBatch, PacketBatchMatchesSinglePacketPath) {
       i += burst;
     }
 
-    // Cross-flow delivery order may differ (waves interleave flows), so
-    // compare as sorted sets; per-flow they are byte-identical.
-    const MatchVec single_got = sorted(std::move(ssink.matches));
-    const MatchVec batch_got = sorted(std::move(bsink.matches));
-    EXPECT_EQ(batch_got, single_got) << "round " << round << " lanes " << lanes;
-    EXPECT_EQ(single_got, sorted(std::move(expected))) << "round " << round;
+    // A burst is its packets in order: the match sequence itself, not
+    // just its set, equals the per-packet loop's.
+    EXPECT_EQ(bsink.matches, ssink.matches) << "round " << round;
+    EXPECT_EQ(sorted(ssink.matches), sorted(std::move(expected))) << "round " << round;
     EXPECT_EQ(batched.flow_count(), single.flow_count()) << "round " << round;
     EXPECT_EQ(batched.reassembly_dropped_count(),
               single.reassembly_dropped_count()) << "round " << round;
@@ -217,9 +128,8 @@ TEST(FlowBatch, PacketBatchMatchesSinglePacketPath) {
 }
 
 TEST(FlowBatch, SameFlowRunInOneBurstStaysInOrder) {
-  // Every packet of one flow lands in a single burst: the wave discipline
-  // must feed them strictly in order (one per wave) so a pattern spanning
-  // all fragments still matches.
+  // Every packet of one flow lands in a single burst: they must be fed
+  // strictly in order so a pattern spanning all fragments still matches.
   const auto m = core::build_mfa(compile_patterns({".*a needle"}));
   ASSERT_TRUE(m.has_value());
   const std::string text = "here is a needle in a haystack";
@@ -237,12 +147,8 @@ TEST(FlowBatch, SameFlowRunInOneBurstStaysInOrder) {
 }
 
 TEST(FlowBatch, FallsBackToSequentialFeedForNonBatchEngines) {
-  // Nfa satisfies ScanEngine but not BatchScanEngine; packet_batch must
-  // still work through the sequential fallback.
-  static_assert(!flow::BatchScanEngine<nfa::Nfa>);
-  static_assert(flow::BatchScanEngine<core::Mfa>);
-  static_assert(flow::BatchScanEngine<dfa::Dfa>);
-  static_assert(flow::BatchScanEngine<dfa::D2fa>);
+  // A big-state engine (Nfa: no inline context, every flow holds a cold
+  // record) takes the same sequential per-packet path.
   const nfa::Nfa n = nfa::build_nfa(compile_patterns(kSources));
   util::Rng rng(31337);
   MatchVec expected;
@@ -255,9 +161,9 @@ TEST(FlowBatch, FallsBackToSequentialFeedForNonBatchEngines) {
 }
 
 TEST(FlowBatch, EvictionDuringBurstKeepsQueuedJobsValid) {
-  // A tiny flow cap forces evictions inside a burst; queued feed jobs must
-  // be flushed before their flow records can be reclaimed (ASan would
-  // catch a dangling context here).
+  // A tiny flow cap forces evictions inside a burst: each packet is fed
+  // before the next one's flow can evict it (ASan would catch a dangling
+  // context here), so every packet still reports its match.
   const auto m = core::build_mfa(compile_patterns({".*wxyz"}));
   ASSERT_TRUE(m.has_value());
   flow::TieredFlowInspector<core::Mfa> insp{*m, /*max_flows=*/2};

@@ -132,45 +132,6 @@ TEST(D2fa, FeedParityFuzzWithChunkSeams) {
   }
 }
 
-TEST(D2fa, FeedManyParityWithDense) {
-  const std::vector<std::string> pats = {".*abcd.*efgh", "x[0-9]{1,3}y"};
-  const Dfa dense = build_dense(pats);
-  const D2fa delta(dense);
-  util::Rng rng(7);
-  constexpr std::size_t kJobs = 12;
-  std::vector<std::string> inputs;
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    std::string s = rng.lower_string(20 + rng.below(60));
-    if (j % 2 == 0) s += "abcdzzefgh";
-    inputs.push_back(std::move(s));
-  }
-  std::vector<Dfa::Context> dctx(kJobs);
-  std::vector<D2fa::Context> cctx(kJobs);
-  std::vector<Dfa::FeedJob> djobs(kJobs);
-  std::vector<D2fa::FeedJob> cjobs(kJobs);
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    dctx[j] = dense.make_context();
-    cctx[j] = delta.make_context();
-    const auto* p = reinterpret_cast<const std::uint8_t*>(inputs[j].data());
-    djobs[j] = Dfa::FeedJob{&dctx[j], p, inputs[j].size(), 0};
-    cjobs[j] = D2fa::FeedJob{&cctx[j], p, inputs[j].size(), 0};
-  }
-  std::vector<std::vector<Match>> dmatches(kJobs);
-  std::vector<std::vector<Match>> cmatches(kJobs);
-  dense.feed_many(djobs.data(), kJobs, [&](std::size_t j, std::uint32_t id,
-                                           std::uint64_t end) {
-    dmatches[j].push_back(Match{id, end});
-  });
-  delta.feed_many(cjobs.data(), kJobs, [&](std::size_t j, std::uint32_t id,
-                                           std::uint64_t end) {
-    cmatches[j].push_back(Match{id, end});
-  });
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    EXPECT_EQ(cctx[j].state, dctx[j].state) << j;
-    EXPECT_EQ(sorted(std::move(cmatches[j])), sorted(std::move(dmatches[j]))) << j;
-  }
-}
-
 TEST(D2fa, SerializeRoundTrip) {
   for (const auto& set : kSets) {
     const Dfa dense = build_dense(set);

@@ -227,7 +227,6 @@ TEST(FlowStorage, PerFlowStateIsContextPlusBookkeepingOnly) {
     FlowKey key;
     std::uint32_t off_lo, off_hi, last_epoch, cold;
     core::Mfa::InlineContext ictx;
-    std::uint16_t batch_stamp;
     std::uint8_t stamp, flags;
   };
   static_assert(sizeof(Insp::HotSlot) == sizeof(Bookkeeping),

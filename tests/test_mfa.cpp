@@ -238,9 +238,8 @@ TEST(MfaMemoryCap, BuildAcceptsProgramsWithinMaxMemoryBits) {
 
 TEST(MfaDelta, DenseVsDeltaParityFuzz) {
   // The delta-table Mfa must be observationally identical to the dense one:
-  // same matches from feed() across arbitrary chunk seams (carried contexts)
-  // and from feed_many() batches, with the prefilter gate armed on both
-  // sides. Patterns cover guard bits, almost-dot-star, counted gaps and
+  // same matches from feed() across arbitrary chunk seams (carried
+  // contexts), with the prefilter gate armed on both sides. Patterns cover guard bits, almost-dot-star, counted gaps and
   // anchors so the filter layer runs over the delta transitions too.
   const std::vector<std::string> pats = {".*atk1.*vec2", ".*hd3[^\\n]*vl4",
                                          ".*gp5.{2,6}gp6", "^anch7.*tail8",
@@ -283,23 +282,6 @@ TEST(MfaDelta, DenseVsDeltaParityFuzz) {
     }
     EXPECT_EQ(sorted(sd.matches), sorted(se.matches)) << input;
     EXPECT_EQ(cd.state, ce.state) << input;
-
-    // feed_many() parity: the whole input as one batch job per engine.
-    Mfa::Context bd = dense->make_context();
-    Mfa::Context be = delta->make_context();
-    MatchVec md, me;
-    Mfa::FeedJob jd{&bd, reinterpret_cast<const std::uint8_t*>(input.data()),
-                    input.size(), 0};
-    Mfa::FeedJob je{&be, reinterpret_cast<const std::uint8_t*>(input.data()),
-                    input.size(), 0};
-    dense->feed_many(&jd, 1, [&](std::size_t, std::uint32_t id, std::uint64_t e) {
-      md.push_back({id, e});
-    });
-    delta->feed_many(&je, 1, [&](std::size_t, std::uint32_t id, std::uint64_t e) {
-      me.push_back({id, e});
-    });
-    EXPECT_EQ(sorted(md), sorted(me)) << input;
-    EXPECT_EQ(sorted(md), sorted(sd.matches)) << input;
   }
 }
 
@@ -400,16 +382,13 @@ std::string newline_dense_input(const std::vector<std::string>& sources, util::R
   return input;
 }
 
-/// Runs every Mfa entry point over the same flows, cut at the same random
+/// Runs both Mfa entry points over the same flows, cut at the same random
 /// chunk seams with contexts carried across them, and checks each flow's
-/// matches against the reference: feed() on Context and on InlineContext,
-/// and feed_many() over both job types. Each feed_many() call batches one
-/// chunk of every live flow, so the interleaved kernel (AVX2 where the CPU
-/// has it) runs with all lanes busy. The inline forms always run: a flow
-/// whose filter memory outgrows the inline set spills into a Context held
-/// by the test, and its InlineContext forwards there until the memory fits
-/// inline again at a chunk end. Returns how many flows ever spilled (feed
-/// and feed_many must spill the same flows and end in the same tier).
+/// matches against the reference: feed() on Context and on InlineContext.
+/// The inline form always runs: a flow whose filter memory outgrows the
+/// inline set spills into a Context held by the test, and its
+/// InlineContext forwards there until the memory fits inline again at a
+/// chunk end. Returns how many flows ever spilled.
 template <typename RefFn, typename MakeInput>
 std::size_t expect_entry_points_match(const Mfa& m, const RefFn& ref, std::uint64_t seed,
                                       MakeInput&& make_input) {
@@ -432,11 +411,11 @@ std::size_t expect_entry_points_match(const Mfa& m, const RefFn& ref, std::uint6
     return reinterpret_cast<const std::uint8_t*>(inputs[f].data()) + pos;
   };
 
-  // The inline forms' spill target: flow f's Context, built from its
+  // The inline form's spill target: flow f's Context, built from its
   // InlineContext whenever that is not marked spilled yet.
-  std::vector<Mfa::InlineContext> ictx;
-  std::vector<Mfa::Context> full;
-  std::vector<bool> ever;
+  std::vector<Mfa::InlineContext> ictx(kFlows, m.make_inline_context());
+  std::vector<Mfa::Context> full(kFlows, m.make_context());
+  std::vector<bool> ever(kFlows, false);
   const auto spill_of = [&](std::size_t f) -> Mfa::Context& {
     if (!ictx[f].spilled()) {
       full[f] = m.expand_inline(ictx[f]);
@@ -444,12 +423,6 @@ std::size_t expect_entry_points_match(const Mfa& m, const RefFn& ref, std::uint6
     }
     return full[f];
   };
-  const auto reset_inline = [&] {
-    ictx.assign(kFlows, m.make_inline_context());
-    full.assign(kFlows, m.make_context());
-    ever.assign(kFlows, false);
-  };
-
   const auto run_feed = [&](const char* what, auto feed_chunk) {
     for (std::size_t f = 0; f < kFlows; ++f) {
       CollectingSink sink;
@@ -461,65 +434,17 @@ std::size_t expect_entry_points_match(const Mfa& m, const RefFn& ref, std::uint6
       EXPECT_EQ(sorted(sink.matches), expect[f]) << what << " flow " << f << ": " << inputs[f];
     }
   };
-  const auto run_feed_many = [&](const char* what, auto* ctx, auto feed_jobs) {
-    using Ctx = std::remove_pointer_t<decltype(ctx)>;
-    std::vector<MatchVec> got(kFlows);
-    std::vector<std::size_t> next(kFlows, 0);
-    std::vector<std::size_t> pos(kFlows, 0);
-    for (;;) {
-      std::vector<scan::FeedJob<Ctx>> jobs;
-      std::vector<std::size_t> owner;
-      for (std::size_t f = 0; f < kFlows; ++f) {
-        if (next[f] == seams[f].size()) continue;
-        const std::size_t end = seams[f][next[f]++];
-        jobs.push_back({ctx + f, bytes(f, pos[f]), end - pos[f], pos[f]});
-        owner.push_back(f);
-        pos[f] = end;
-      }
-      if (jobs.empty()) break;
-      feed_jobs(jobs, owner, [&](std::size_t j, std::uint32_t id, std::uint64_t e) {
-        got[owner[j]].push_back({id, e});
-      });
-    }
-    for (std::size_t f = 0; f < kFlows; ++f)
-      EXPECT_EQ(sorted(got[f]), expect[f]) << what << " flow " << f << ": " << inputs[f];
-  };
 
   std::vector<Mfa::Context> ctx(kFlows, m.make_context());
   run_feed("feed(Context)", [&](std::size_t f, const std::uint8_t* d, std::size_t n,
                                 std::uint64_t base, CollectingSink& sink) {
     m.feed(ctx[f], d, n, base, sink);
   });
-  ctx.assign(kFlows, m.make_context());
-  run_feed_many("feed_many(Context)", ctx.data(),
-                [&](auto& jobs, const auto&, auto sink) {
-                  m.feed_many(jobs.data(), jobs.size(), sink);
-                });
-
-  reset_inline();
   run_feed("feed(InlineContext)", [&](std::size_t f, const std::uint8_t* d, std::size_t n,
                                       std::uint64_t base, CollectingSink& sink) {
     m.feed(ictx[f], d, n, base, [&]() -> Mfa::Context& { return spill_of(f); }, sink);
   });
-  const std::vector<bool> feed_ever = ever;
-  std::vector<bool> feed_end;
-  for (const auto& ic : ictx) feed_end.push_back(ic.spilled());
-
-  reset_inline();
-  run_feed_many("feed_many(InlineContext)", ictx.data(),
-                [&](auto& jobs, const auto& owner, auto sink) {
-                  m.feed_many(
-                      jobs.data(), jobs.size(),
-                      [&](std::size_t j) -> Mfa::Context& { return spill_of(owner[j]); },
-                      sink);
-                });
-  std::size_t spills = 0;
-  for (std::size_t f = 0; f < kFlows; ++f) {
-    EXPECT_EQ(ever[f], feed_ever[f]) << "flow " << f;
-    EXPECT_EQ(ictx[f].spilled(), feed_end[f]) << "flow " << f;
-    spills += ever[f] ? 1 : 0;
-  }
-  return spills;
+  return static_cast<std::size_t>(std::count(ever.begin(), ever.end(), true));
 }
 
 /// expect_entry_points_match() over newline-dense traffic.
@@ -764,11 +689,11 @@ TEST(MfaSpill, BitIdsPastTheInlineRangeSpill) {
   EXPECT_GT(expect_entry_points_match(*m, ref, 31, soup), 0u);
 }
 
-TEST(MfaSpill, SpillMidWaveRunsTheRestOfTheChunkOnTheFullMemory) {
-  // One feed_many wave, one chunk per flow: each flow's fifth head spills
-  // it mid-chunk, and the tails after it (reports of early and late heads,
-  // a line break, then a fresh head) must all resolve on the spilled
-  // memory; the line break empties it, so every flow ends inline again.
+TEST(MfaSpill, SpillMidChunkRunsTheRestOfTheChunkOnTheFullMemory) {
+  // One chunk per flow: each flow's fifth head spills it mid-chunk, and the
+  // tails after it (reports of early and late heads, a line break, then a
+  // fresh head) must all resolve on the spilled memory; the line break
+  // empties it, so every flow ends inline again.
   const auto sources = ads_patterns(8);
   const Reference ref(sources, /*original_dfa=*/false);
   for (const bool delta : {false, true}) {
@@ -776,36 +701,29 @@ TEST(MfaSpill, SpillMidWaveRunsTheRestOfTheChunkOnTheFullMemory) {
     opts.delta = delta;
     const auto m = build_mfa(compile_patterns(sources), opts);
     ASSERT_TRUE(m.has_value());
-    constexpr std::size_t kFlows = 12;
-    std::vector<std::string> in(kFlows);
-    for (std::size_t f = 0; f < kFlows; ++f) {
-      for (std::size_t h = 0; h < 5 + f % 3; ++h) in[f] += "hd" + std::to_string((f + h) % 8) + " ";
-      in[f] += "vl" + std::to_string(f % 8) + " vl" + std::to_string((f + 4) % 8) +
-               "\nvl" + std::to_string(f % 8) + " hd7 vl7";
-    }
-    std::vector<Mfa::InlineContext> ictx(kFlows, m->make_inline_context());
-    std::vector<Mfa::Context> full(kFlows, m->make_context());
-    std::vector<int> spills(kFlows, 0);
-    std::vector<scan::FeedJob<Mfa::InlineContext>> jobs;
-    for (std::size_t f = 0; f < kFlows; ++f)
-      jobs.push_back({&ictx[f], reinterpret_cast<const std::uint8_t*>(in[f].data()),
-                      in[f].size(), 0});
-    std::vector<MatchVec> got(kFlows);
-    m->feed_many(
-        jobs.data(), jobs.size(),
-        [&](std::size_t j) -> Mfa::Context& {
-          if (!ictx[j].spilled()) {
-            full[j] = m->expand_inline(ictx[j]);
-            ++spills[j];
-          }
-          return full[j];
-        },
-        [&](std::size_t j, std::uint32_t id, std::uint64_t e) { got[j].push_back({id, e}); });
-    for (std::size_t f = 0; f < kFlows; ++f) {
-      EXPECT_EQ(spills[f], 1) << f;
-      EXPECT_FALSE(ictx[f].spilled()) << f;  // the line break emptied it
-      EXPECT_EQ(sorted(got[f]), ref(in[f])) << (delta ? "delta " : "dense ") << in[f];
-      EXPECT_FALSE(got[f].empty());
+    for (std::size_t f = 0; f < 12; ++f) {
+      std::string in;
+      for (std::size_t h = 0; h < 5 + f % 3; ++h) in += "hd" + std::to_string((f + h) % 8) + " ";
+      in += "vl" + std::to_string(f % 8) + " vl" + std::to_string((f + 4) % 8) + "\nvl" +
+            std::to_string(f % 8) + " hd7 vl7";
+      Mfa::InlineContext ictx = m->make_inline_context();
+      Mfa::Context full = m->make_context();
+      int spills = 0;
+      CollectingSink sink;
+      m->feed(
+          ictx, reinterpret_cast<const std::uint8_t*>(in.data()), in.size(), 0,
+          [&]() -> Mfa::Context& {
+            if (!ictx.spilled()) {
+              full = m->expand_inline(ictx);
+              ++spills;
+            }
+            return full;
+          },
+          sink);
+      EXPECT_EQ(spills, 1) << f;
+      EXPECT_FALSE(ictx.spilled()) << f;  // the line break emptied it
+      EXPECT_EQ(sorted(sink.matches), ref(in)) << (delta ? "delta " : "dense ") << in;
+      EXPECT_FALSE(sink.matches.empty());
     }
   }
 }
@@ -948,75 +866,10 @@ TEST(MfaQuiet, EveryEntryPointMatchesTheReferenceAsTheLimitMoves) {
   }
 }
 
-TEST(MfaQuiet, OneWaveWidensAndNarrowsEachLanesLimit) {
-  // One feed_many wave, one chunk per flow, at 8 lanes (the gather kernel
-  // where the CPU has it) and at 4 (the scalar kernel): each flow sets its
-  // first bit at its own offset and must report the guarded "c" on the next
-  // byte, loses the bit on a line break (the "c" after it stays silent), and
-  // every third flow spills on a head flood first.
-  const std::vector<std::string> sources = quiet_and_ads_rules();
-  const Reference ref(sources, /*original_dfa=*/false);
-  constexpr std::size_t kFlows = 13;
-  std::vector<std::string> in(kFlows);
-  for (std::size_t f = 0; f < kFlows; ++f) {
-    in[f] = std::string(f, 'y');
-    if (f % 3 == 0) in[f] += "hd0 hd1 hd2 hd3 hd4 vl3 ";
-    in[f] += "abc c\nc zz ab\nc abc";
-    if (f % 2 == 0) in[f] += " xq\nyz\n vl0 hd5 vl5";
-  }
-  const auto bytes = [&](std::size_t f) {
-    return reinterpret_cast<const std::uint8_t*>(in[f].data());
-  };
-  for (const bool delta : {false, true}) {
-    BuildOptions opts;
-    opts.delta = delta;
-    const auto m = build_mfa(compile_patterns(sources), opts);
-    ASSERT_TRUE(m.has_value());
-    for (const std::size_t lanes : {8u, 4u}) {
-      const std::string what =
-          std::string(delta ? "delta" : "dense") + " lanes " + std::to_string(lanes);
-      std::vector<Mfa::Context> ctx(kFlows, m->make_context());
-      std::vector<scan::FeedJob<Mfa::Context>> jobs;
-      for (std::size_t f = 0; f < kFlows; ++f) jobs.push_back({&ctx[f], bytes(f), in[f].size(), 0});
-      std::vector<MatchVec> got(kFlows);
-      const auto sink = [&](std::size_t j, std::uint32_t id, std::uint64_t e) {
-        got[j].push_back({id, e});
-      };
-      m->feed_many(jobs.data(), jobs.size(), sink, lanes);
-      for (std::size_t f = 0; f < kFlows; ++f) {
-        const MatchVec want = ref(in[f]);
-        EXPECT_FALSE(want.empty());
-        EXPECT_EQ(sorted(got[f]), want) << what << " Context flow " << f;
-      }
-
-      std::vector<Mfa::InlineContext> ictx(kFlows, m->make_inline_context());
-      std::vector<Mfa::Context> full(kFlows, m->make_context());
-      std::vector<int> spills(kFlows, 0);
-      std::vector<scan::FeedJob<Mfa::InlineContext>> ijobs;
-      for (std::size_t f = 0; f < kFlows; ++f) ijobs.push_back({&ictx[f], bytes(f), in[f].size(), 0});
-      got.assign(kFlows, {});
-      m->feed_many(
-          ijobs.data(), ijobs.size(),
-          [&](std::size_t j) -> Mfa::Context& {
-            if (!ictx[j].spilled()) {
-              full[j] = m->expand_inline(ictx[j]);
-              ++spills[j];
-            }
-            return full[j];
-          },
-          sink, lanes);
-      for (std::size_t f = 0; f < kFlows; ++f) {
-        EXPECT_EQ(spills[f], f % 3 == 0 ? 1 : 0) << what << " flow " << f;
-        EXPECT_EQ(sorted(got[f]), ref(in[f])) << what << " InlineContext flow " << f;
-      }
-    }
-  }
-}
-
 TEST(MfaQuiet, TieredPacketBatchMatchesTheReference) {
   // The deployed path: TieredFlowInspector::packet_batch_flows, each burst
-  // one in-order segment of every live flow, so feed_many runs full waves
-  // of inline flows (every fourth one spilling on a head flood).
+  // one in-order segment of every live flow, inline flows among them
+  // (every fourth one spilling on a head flood).
   const std::vector<std::string> sources = quiet_and_ads_rules();
   const Reference ref(sources, /*original_dfa=*/false);
   constexpr std::uint32_t kFlows = 16;

@@ -1,12 +1,10 @@
 // Telemetry layer: histogram bucket boundaries and merge, trace-ring
 // overwrite semantics, flow-inspector instrumentation, Prometheus/JSON
-// exporter golden output (and that both render the same snapshot), and the
-// periodic stats writer.
+// exporter golden output (and that both render the same snapshot).
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <thread>
 
@@ -14,7 +12,6 @@
 #include "flow/tiered.h"
 #include "obs/export.h"
 #include "obs/profile.h"
-#include "obs/stats_writer.h"
 #include "pipeline/pipeline.h"
 #include "trace/trace.h"
 
@@ -394,69 +391,6 @@ TEST(RulesetSwapTelemetry, ExportersRenderSwapFields) {
       << json;
   EXPECT_NE(json.find("\"generation_matches\":[[2,1]]"), std::string::npos);
   EXPECT_EQ(json.find('\n'), std::string::npos);  // still JSONL-safe
-}
-
-// --- StatsWriter ---
-
-TEST(StatsWriter, AppendsJsonLines) {
-  const std::string path =
-      ::testing::TempDir() + "mfa_stats_writer_test.jsonl";
-  std::remove(path.c_str());
-  MetricsRegistry reg(1);
-  reg.shard(0).packets.fetch_add(11);
-  {
-    StatsWriter writer(reg, path, std::chrono::milliseconds(5));
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  }  // destructor stops and appends a final line
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string contents;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) contents.append(buf, n);
-  std::fclose(f);
-  std::remove(path.c_str());
-  ASSERT_FALSE(contents.empty());
-  std::size_t lines = 0, pos = 0;
-  while ((pos = contents.find('\n', pos)) != std::string::npos) {
-    ++lines;
-    ++pos;
-  }
-  EXPECT_GE(lines, 2u);  // several periods elapsed plus the final line
-  EXPECT_EQ(contents.find("{\"schema\":\"mfa.telemetry.v1\""), 0u);
-  EXPECT_NE(contents.find("\"packets\":11"), std::string::npos);
-}
-
-TEST(StatsWriter, FinalLineIsFlushedOnStop) {
-  const std::string path = ::testing::TempDir() + "mfa_stats_final_line.jsonl";
-  std::remove(path.c_str());
-  MetricsRegistry reg(1);
-  StatsWriter writer(reg, path, std::chrono::hours(1));  // period never fires
-  reg.shard(0).packets.fetch_add(42);
-  writer.stop();
-  // stop() must leave exactly the end-of-run snapshot, already durable.
-  EXPECT_EQ(writer.lines_written(), 1u);
-  EXPECT_EQ(writer.write_errors(), 0u);
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[8192];
-  const std::size_t n = std::fread(buf, 1, sizeof buf, f);
-  std::fclose(f);
-  std::remove(path.c_str());
-  const std::string contents(buf, n);
-  EXPECT_NE(contents.find("\"packets\":42"), std::string::npos);
-  EXPECT_EQ(contents.back(), '\n');  // complete line, not a torn write
-  writer.stop();  // idempotent: no second final line
-  EXPECT_EQ(writer.lines_written(), 1u);
-}
-
-TEST(StatsWriter, CountsWriteErrorsInsteadOfWedging) {
-  MetricsRegistry reg(1);
-  StatsWriter writer(reg, "/nonexistent-dir-mfa-test/stats.jsonl",
-                     std::chrono::hours(1));
-  writer.stop();  // final line fails to open; must not hang or crash
-  EXPECT_EQ(writer.lines_written(), 0u);
-  EXPECT_GE(writer.write_errors(), 1u);
 }
 
 // --- Histogram edge cases ---

@@ -373,20 +373,17 @@ TEST(ShardedInspector, BatchSizeOneBehavesLikeUnbatched) {
   EXPECT_EQ(pipe.totals().packets, f.packets);
 }
 
-TEST(ShardedInspector, LargeBatchAndLaneSweepMatchesSequential) {
+TEST(ShardedInspector, LargeBatchMatchesSequential) {
   const Fixture f = make_fixture();
-  for (const std::size_t lanes : {1u, 4u, 16u}) {
-    Options opt;
-    opt.shards = 2;
-    opt.batch_size = 128;
-    opt.scan_lanes = lanes;
-    opt.collect_matches = true;
-    ShardedInspector<core::Mfa> pipe(f.mfa, opt);
-    pipe.start();
-    f.trace.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
-    pipe.finish();
-    EXPECT_EQ(pipe.merged_matches(), f.reference) << "lanes " << lanes;
-  }
+  Options opt;
+  opt.shards = 2;
+  opt.batch_size = 128;
+  opt.collect_matches = true;
+  ShardedInspector<core::Mfa> pipe(f.mfa, opt);
+  pipe.start();
+  f.trace.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
+  pipe.finish();
+  EXPECT_EQ(pipe.merged_matches(), f.reference);
 }
 
 }  // namespace

@@ -164,9 +164,8 @@ TEST(FlowSwap, MixedGenerationBurstScansEachFlowWithItsOwnEngine) {
 
   insp.adopt_engine(b, 1, flow::SwapPolicy::kDrainOld);
 
-  // One burst mixing both generations: the interleaved kernel must route
-  // each flow through its own engine (never advance a flow on the wrong
-  // automaton), transparently splitting the burst by generation.
+  // One burst mixing both generations: each flow must be fed on its own
+  // engine (never advanced on the wrong automaton).
   const std::string body = "..olda..newb..";
   std::vector<flow::Packet> burst;
   for (std::size_t i = 0; i < 4; ++i) burst.push_back(packet(keys[i], pad.size(), body));

@@ -1,4 +1,4 @@
-// SIMD prefilter + vectorized kernel coverage (DESIGN.md §13).
+// SIMD prefilter coverage (DESIGN.md §13).
 //
 // Four layers, each validated against a scalar or linear-scan reference:
 //   - split::required_literal_factors: the or-list heuristic must only ever
@@ -27,14 +27,10 @@
 #include "mfa/mfa.h"
 #include "nfa/nfa.h"
 #include "regex/parser.h"
-#include "simd/dense_scan.h"
-#include "simd/dispatch.h"
-#include "simd/kernel.h"
 #include "simd/prefilter.h"
 #include "simd/teddy.h"
 #include "split/literals.h"
 #include "util/rng.h"
-#include "util/row_stride.h"
 
 namespace mfa {
 namespace {
@@ -121,22 +117,28 @@ TEST(Teddy, CompileRejectsDegenerateSets) {
 }
 
 TEST(Teddy, NoFalseNegativesAtAnyPlacement) {
-  const auto t = simd::Teddy::compile(kLits, false);
-  ASSERT_TRUE(t.has_value());
+  // kLits fills all three mask positions; the shorter sets run the one-
+  // and two-position kernels.
+  const std::vector<std::vector<std::string>> sets = {kLits, {"q9", "ab12"}, {"z", "wxyz"}};
   util::Rng rng(4242);
-  for (int round = 0; round < 400; ++round) {
-    const std::string& lit = kLits[rng.below(kLits.size())];
-    std::string hay = filler(rng, lit.size() + rng.below(160));
-    const std::size_t pos = rng.below(hay.size() - lit.size() + 1);
-    hay.replace(pos, lit.size(), lit);
-    EXPECT_TRUE(t->matches(reinterpret_cast<const std::uint8_t*>(hay.data()),
-                           hay.size()))
-        << "missed '" << lit << "' at " << pos << " in len " << hay.size();
+  for (const auto& lits : sets) {
+    const auto t = simd::Teddy::compile(lits, false);
+    ASSERT_TRUE(t.has_value());
+    for (int round = 0; round < 400; ++round) {
+      const std::string& lit = lits[rng.below(lits.size())];
+      std::string hay = filler(rng, lit.size() + rng.below(160));
+      const std::size_t pos = rng.below(hay.size() - lit.size() + 1);
+      hay.replace(pos, lit.size(), lit);
+      EXPECT_TRUE(t->matches(reinterpret_cast<const std::uint8_t*>(hay.data()),
+                             hay.size()))
+          << "missed '" << lit << "' at " << pos << " in len " << hay.size();
+    }
+    // Exact-fit haystacks (the boundary the block kernel's tail handling
+    // owns).
+    for (const std::string& lit : lits)
+      EXPECT_TRUE(t->matches(reinterpret_cast<const std::uint8_t*>(lit.data()),
+                             lit.size()));
   }
-  // Exact-fit haystacks (the boundary the block kernel's tail handling owns).
-  for (const std::string& lit : kLits)
-    EXPECT_TRUE(t->matches(reinterpret_cast<const std::uint8_t*>(lit.data()),
-                           lit.size()));
 }
 
 TEST(Teddy, CleanFillerNeverMatches) {
@@ -308,223 +310,6 @@ TEST(PrefilterGate, SurvivesSaveLoad) {
                 ctx, reinterpret_cast<const std::uint8_t*>(clean.data()),
                 clean.size()),
             simd::Gate::kSkip);
-}
-
-// --- dense interleaved kernel -----------------------------------------------
-
-TEST(DenseKernel, FeedManyMatchesSequentialFeed) {
-  const auto m = build_gated_mfa();
-  ASSERT_TRUE(m.has_value());
-  util::Rng rng(31337);
-  constexpr std::size_t kJobs = 23;  // odd: exercises lane fill/retire/pad
-  std::vector<std::string> payloads;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    std::string p = filler(rng, 16 + rng.below(220));
-    if (rng.chance(0.6)) p.replace(rng.below(p.size() - 4), 4, "wxyz");
-    if (rng.chance(0.3)) {
-      p += "ab12";
-      p += filler(rng, rng.below(40));
-      p += "cd34";
-    }
-    payloads.push_back(std::move(p));
-  }
-
-  std::vector<core::Mfa::Context> many_ctx, seq_ctx;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    many_ctx.push_back(m->make_context());
-    seq_ctx.push_back(m->make_context());
-  }
-  std::vector<core::Mfa::FeedJob> jobs;
-  for (std::size_t i = 0; i < kJobs; ++i)
-    jobs.push_back({&many_ctx[i],
-                    reinterpret_cast<const std::uint8_t*>(payloads[i].data()),
-                    payloads[i].size(), 0});
-
-  using Hit = std::tuple<std::size_t, std::uint32_t, std::uint64_t>;
-  std::vector<Hit> got, want;
-  m->feed_many(jobs.data(), jobs.size(),
-               [&](std::size_t job, std::uint32_t id, std::uint64_t end) {
-                 got.emplace_back(job, id, end);
-               },
-               /*lanes=*/8);
-  for (std::size_t i = 0; i < kJobs; ++i)
-    m->feed(seq_ctx[i],
-            reinterpret_cast<const std::uint8_t*>(payloads[i].data()),
-            payloads[i].size(), 0,
-            [&](std::uint32_t id, std::uint64_t end) {
-              want.emplace_back(i, id, end);
-            });
-  std::sort(got.begin(), got.end());
-  std::sort(want.begin(), want.end());
-  EXPECT_EQ(got, want) << "kernel level " << simd::level_name();
-  for (std::size_t i = 0; i < kJobs; ++i)
-    EXPECT_EQ(many_ctx[i].state, seq_ctx[i].state) << "job " << i;
-}
-
-/// A random dense table over `ncols` byte columns whose first `naccept`
-/// states are accepting, in the premultiplied form the kernels step on
-/// (DESIGN.md §6 #13), with the table interface dense_interleaved_scan
-/// takes; and the per-lane accept-limit policy the limit tests run: each
-/// lane starts at its own limit, and every accept moves it to a new one
-/// derived from (lane, state, byte index) — sometimes 0, which silences the
-/// lane, sometimes past naccept. Limits and states are raw ids here; the
-/// kernels see them as row offsets.
-struct LimitTable {
-  static constexpr std::uint32_t kStates = 24;
-  static constexpr std::uint32_t kAccept = 7;
-  util::RowStride rows;
-  std::vector<std::uint32_t> raw;    // raw target ids: the sequential model
-  std::vector<std::uint32_t> table;  // the same targets as row offsets
-  std::uint8_t cols[256];
-
-  LimitTable(util::Rng& rng, std::uint32_t ncols) : rows(ncols) {
-    for (std::uint32_t i = 0; i < kStates * ncols; ++i) {
-      raw.push_back(static_cast<std::uint32_t>(rng.below(kStates)));
-      table.push_back(rows.offset(raw.back()));
-    }
-    for (int b = 0; b < 256; ++b) cols[b] = static_cast<std::uint8_t>(b % ncols);
-  }
-  static std::uint32_t first_limit(std::size_t lane) { return lane % (kAccept + 2); }
-  static std::uint32_t next_limit(std::size_t lane, std::uint32_t s, std::uint64_t i) {
-    return static_cast<std::uint32_t>((s * 5 + i * 3 + lane) % (kAccept + 2));
-  }
-  /// Raw-id step of the sequential model.
-  std::uint32_t next(std::uint32_t s, std::uint8_t b) const {
-    return raw[s * rows.ncols() + cols[b]];
-  }
-
-  // Table interface (see simd::dense_interleaved_scan).
-  const std::uint32_t* table_data() const { return table.data(); }
-  const std::uint8_t* byte_columns() const { return cols; }
-  std::uint32_t step(std::uint32_t offset, std::uint8_t b) const {
-    return table[offset + cols[b]];
-  }
-  std::uint32_t row_offset(std::uint32_t id) const { return rows.offset(id); }
-  std::uint32_t state_of(std::uint32_t offset) const { return rows.id(offset); }
-};
-
-using LimitHit = std::tuple<std::size_t, std::uint32_t, std::uint64_t>;
-
-/// Table widths the limit tests run: a power of two, an odd width whose
-/// row offsets a shift alone cannot undo, and the full alphabet.
-constexpr std::uint32_t kLimitWidths[] = {4, 65, 256};
-
-TEST(DenseKernel, GatherBlockHonoursPerLaneLimitsSetInTheHook) {
-  if (simd::level() != simd::Level::kAvx2) GTEST_SKIP() << "no AVX2 gather kernel here";
-  util::Rng rng(4242);
-  for (const std::uint32_t ncols : kLimitWidths) {
-    SCOPED_TRACE("ncols " + std::to_string(ncols));
-    const LimitTable t(rng, ncols);
-    constexpr std::size_t kChunk = 300;
-    std::vector<std::string> bytes(8);
-    const std::uint8_t* data[8];
-    std::uint32_t start[8];
-    std::uint32_t states[8];
-    std::uint32_t limits[8];
-    for (std::size_t l = 0; l < 8; ++l) {
-      for (std::size_t i = 0; i < kChunk; ++i) bytes[l] += static_cast<char>(rng.below(256));
-      data[l] = reinterpret_cast<const std::uint8_t*>(bytes[l].data());
-      start[l] = static_cast<std::uint32_t>(rng.below(LimitTable::kStates));
-      states[l] = t.row_offset(start[l]);
-      limits[l] = t.row_offset(LimitTable::first_limit(l));
-    }
-
-    // Sequential raw-id model: each lane on its own, limit changed after
-    // each accept.
-    std::vector<LimitHit> want;
-    std::uint32_t want_state[8];
-    for (std::size_t l = 0; l < 8; ++l) {
-      std::uint32_t s = start[l];
-      std::uint32_t lim = LimitTable::first_limit(l);
-      for (std::size_t i = 0; i < kChunk; ++i) {
-        s = t.next(s, data[l][i]);
-        if (s < lim) {
-          want.emplace_back(l, s, i);
-          lim = LimitTable::next_limit(l, s, i);
-        }
-      }
-      want_state[l] = s;
-    }
-
-    // The gather kernel sees offsets only: the hook converts both ways.
-    struct HookCtx {
-      const LimitTable* t;
-      std::vector<LimitHit> got;
-    } hook{&t, {}};
-    simd::dense_block_avx2(
-        t.table_data(), t.cols, limits, states, data, kChunk,
-        [](void* u, std::size_t lane, std::uint32_t s, std::size_t i) -> std::uint32_t {
-          auto* h = static_cast<HookCtx*>(u);
-          const std::uint32_t id = h->t->state_of(s);
-          h->got.emplace_back(lane, id, i);
-          return h->t->row_offset(LimitTable::next_limit(lane, id, i));
-        },
-        &hook);
-    std::sort(hook.got.begin(), hook.got.end());
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(hook.got, want);
-    EXPECT_GT(want.size(), 30u);
-    for (std::size_t l = 0; l < 8; ++l)
-      EXPECT_EQ(states[l], t.row_offset(want_state[l])) << "lane " << l;
-  }
-}
-
-TEST(DenseKernel, InterleavedScanKeepsEachJobsLimitAcrossRefills) {
-  // 21 jobs through 8 lanes (the gather kernel on AVX2 hosts) and 4 (the
-  // scalar kernel on any host): lanes retire and refill mid-run, and each
-  // job's limit must travel with it. Both kernels must equal the
-  // sequential raw-id model, so they agree with each other at every width.
-  util::Rng rng(777);
-  for (const std::uint32_t ncols : kLimitWidths) {
-    SCOPED_TRACE("ncols " + std::to_string(ncols));
-    const LimitTable t(rng, ncols);
-    struct Ctx {
-      std::uint32_t state = 0;
-    };
-    constexpr std::size_t kJobs = 21;
-    std::vector<std::string> bytes;
-    std::vector<LimitHit> want;
-    std::vector<std::uint32_t> want_state;
-    for (std::size_t j = 0; j < kJobs; ++j) {
-      std::string b;
-      for (std::size_t i = 0, n = rng.below(200); i < n; ++i)
-        b += static_cast<char>(rng.below(256));
-      std::uint32_t s = static_cast<std::uint32_t>(j % LimitTable::kStates);
-      std::uint32_t lim = LimitTable::first_limit(j);
-      for (std::size_t i = 0; i < b.size(); ++i) {
-        s = t.next(s, static_cast<std::uint8_t>(b[i]));
-        if (s < lim) {
-          want.emplace_back(j, s, 1000 * j + i);
-          lim = LimitTable::next_limit(j, s, i);
-        }
-      }
-      want_state.push_back(s);
-      bytes.push_back(std::move(b));
-    }
-    std::sort(want.begin(), want.end());
-
-    for (const std::size_t lanes : {8u, 4u}) {
-      std::vector<Ctx> ctx(kJobs);
-      std::vector<scan::FeedJob<Ctx>> jobs;
-      for (std::size_t j = 0; j < kJobs; ++j) {
-        ctx[j].state = static_cast<std::uint32_t>(j % LimitTable::kStates);
-        jobs.push_back({&ctx[j], reinterpret_cast<const std::uint8_t*>(bytes[j].data()),
-                        bytes[j].size(), 1000 * j});
-      }
-      std::vector<LimitHit> got;
-      simd::dense_interleaved_scan(
-          t, jobs.data(), jobs.size(), lanes,
-          [](std::size_t j) { return LimitTable::first_limit(j); },
-          [&](std::size_t j, std::uint32_t s, std::uint64_t end) {
-            got.emplace_back(j, s, end);
-            return LimitTable::next_limit(j, s, end - 1000 * j);
-          });
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, want) << "lanes " << lanes << ", kernel level " << simd::level_name();
-      for (std::size_t j = 0; j < kJobs; ++j)
-        EXPECT_EQ(ctx[j].state, want_state[j]) << "lanes " << lanes << " job " << j;
-    }
-  }
 }
 
 // --- flow-layer gating ------------------------------------------------------
