@@ -4,6 +4,18 @@
 
 namespace mfa::pipeline {
 
+namespace {
+
+// Controller constants. Conservative on purpose: escalation needs sustained
+// pressure ~25% over target.
+constexpr double kProportionalGain = 0.6;  ///< on (pressure - 1)
+constexpr double kIntegralGain = 0.15;     ///< per second
+constexpr double kIntegralBound = 2.0;     ///< anti-windup clamp on the integral
+constexpr double kEscalateAbove = 0.25;    ///< output above this → down a rung
+constexpr double kDeescalateBelow = -0.20; ///< output below this → back up
+
+}  // namespace
+
 const char* to_string(DegradeLevel level) {
   switch (level) {
     case DegradeLevel::kL0Full: return "L0-full";
@@ -31,10 +43,6 @@ bool DegradeController::update(const DegradeSignals& signals,
   double pressure = est_ns / static_cast<double>(slo_.p99_ns);
   if (slo_.max_shed_ratio > 0.0)
     pressure = std::max(pressure, signals.shed_ratio / slo_.max_shed_ratio);
-  if (signals.reassembly_limit != 0)
-    pressure = std::max(pressure,
-                        static_cast<double>(signals.reassembly_bytes) /
-                            static_cast<double>(signals.reassembly_limit));
 
   // Deterministic overload for tests: the spike site overrides whatever the
   // real signals say. param carries pressure x100 (so 400 => 4.0).
@@ -59,14 +67,14 @@ bool DegradeController::update(const DegradeSignals& signals,
       std::chrono::duration<double>(now - last_update_).count();
   last_update_ = now;
   const double err = pressure - 1.0;
-  integral_ += knobs_.ki * err * std::clamp(dt, 0.0, 1.0);
-  integral_ = std::clamp(integral_, -knobs_.integral_clamp, knobs_.integral_clamp);
-  output_ = knobs_.kp * err + integral_;
+  integral_ += kIntegralGain * err * std::clamp(dt, 0.0, 1.0);
+  integral_ = std::clamp(integral_, -kIntegralBound, kIntegralBound);
+  output_ = kProportionalGain * err + integral_;
 
   const auto dwell = std::chrono::milliseconds(knobs_.dwell_ms);
   if (now - last_transition_ < dwell) return false;
 
-  if (output_ > knobs_.escalate_threshold &&
+  if (output_ > kEscalateAbove &&
       level_ != DegradeLevel::kL3Bypass) {
     level_ = static_cast<DegradeLevel>(static_cast<std::uint8_t>(level_) + 1);
     last_transition_ = now;
@@ -75,7 +83,7 @@ bool DegradeController::update(const DegradeSignals& signals,
     integral_ = 0.0;
     return true;
   }
-  if (output_ < -knobs_.deescalate_threshold &&
+  if (output_ < kDeescalateBelow &&
       level_ != DegradeLevel::kL0Full) {
     level_ = static_cast<DegradeLevel>(static_cast<std::uint8_t>(level_) - 1);
     last_transition_ = now;

@@ -4,18 +4,24 @@
 // between the shard's observed load signals and a four-rung fidelity ladder:
 //
 //   L0 full      — every chunk through the exact MFA scan (normal operation)
-//   L1 sampled   — 1-in-2^sample_shift flows keep the exact scan; the rest
-//                  scan only chunks the literal prefilter flags as suspicious
+//   L1 sampled   — 1-in-2^kL1SampleShift flows keep the exact scan; the
+//                  rest scan only chunks the literal prefilter flags as
+//                  suspicious
 //   L2 prefilter — detection-only: probe-positive chunks are *recorded*
 //                  (mfa_degraded_hits_total) but no automaton advances
 //   L3 bypass    — whole bursts shed with ShedReason::kBypass (count-only)
 //
-// The loop is PI-shaped: a scalar "pressure" (worst of estimated p99 versus
-// slo.p99_ns, shed ratio versus slo.max_shed_ratio, reassembly occupancy)
-// drives proportional + clamped-integral output; the ladder moves ONE rung
-// at a time, gated by a dwell timer and an escalate/de-escalate hysteresis
-// band so a single bursty poll can never flap the level. Time is injected
-// (steady_clock time_points) so unit tests drive the loop with a fake clock.
+// The loop is PI-shaped: a scalar "pressure" (the worse of estimated p99
+// versus slo.p99_ns and shed ratio versus slo.max_shed_ratio) drives
+// proportional + clamped-integral output; the ladder moves ONE rung at a
+// time, gated by a dwell timer and an escalate/de-escalate hysteresis band
+// so a single bursty poll can never flap the level. The gains, the clamp
+// and the band are fixed constants in degrade.cpp; only the dwell and a
+// pinned rung are settable. Time is injected (steady_clock time_points) so
+// unit tests drive the loop with a fake clock.
+//
+// This ladder is the pipeline's only graceful-degradation path. The shed
+// policy under it (pipeline.h) is just the floor for a full queue.
 //
 // A disabled controller (slo.p99_ns == 0 and no forced level) costs nothing
 // on the hot path: the worker skips the clock reads and never calls update().
@@ -47,17 +53,13 @@ struct Slo {
   double max_shed_ratio = 0.05; ///< tolerated shed fraction before escalating
 };
 
-/// Controller tuning. Defaults are deliberately conservative: escalation
-/// needs sustained pressure ~25% over target, and every move waits out a
-/// dwell period so transitions are observable, not oscillatory.
+/// L1 keeps the exact scan for 1-in-2^kL1SampleShift flows.
+inline constexpr std::uint32_t kL1SampleShift = 3;
+
+/// Controller settings. Every move waits out a dwell period so transitions
+/// are observable, not oscillatory.
 struct DegradeKnobs {
-  std::uint32_t sample_shift = 3;  ///< L1 keeps 1-in-2^shift flows exact
-  std::uint32_t dwell_ms = 50;     ///< minimum time between ladder moves
-  double kp = 0.6;                 ///< proportional gain on (pressure - 1)
-  double ki = 0.15;                ///< integral gain (per second)
-  double integral_clamp = 2.0;     ///< anti-windup bound on the integral term
-  double escalate_threshold = 0.25;    ///< output above this → step down a rung
-  double deescalate_threshold = 0.20;  ///< output below -this → step back up
+  std::uint32_t dwell_ms = 50;  ///< minimum time between ladder moves
   int force_level = -1;  ///< >= 0 pins the ladder (bench sweeps); loop bypassed
 };
 
@@ -68,8 +70,6 @@ struct DegradeSignals {
   std::size_t batch_size = 1;        ///< burst size (adds to in-flight depth)
   double ns_per_packet = 0.0;        ///< EWMA scan cost per kept packet
   double shed_ratio = 0.0;           ///< windowed shed / submitted fraction
-  std::uint64_t reassembly_bytes = 0;   ///< buffered out-of-order bytes
-  std::uint64_t reassembly_limit = 0;   ///< per-flow cap * flow budget; 0 = off
 };
 
 class DegradeController {
@@ -91,7 +91,6 @@ class DegradeController {
 
   [[nodiscard]] DegradeLevel level() const { return level_; }
   [[nodiscard]] const Slo& slo() const { return slo_; }
-  [[nodiscard]] const DegradeKnobs& knobs() const { return knobs_; }
 
   /// Introspection for tests: last computed pressure / PI output.
   [[nodiscard]] double pressure() const { return pressure_; }

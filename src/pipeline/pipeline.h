@@ -16,8 +16,10 @@
 //
 // Robustness layer (DESIGN.md Sec. 9): the pipeline is built to survive
 // hostile traffic and its own workers failing.
-//  - Load shedding: Options::shed_policy trades completeness for liveness
-//    when a shard falls behind, with hysteresis around high/low watermarks.
+//  - Overload: the degradation ladder (Options::slo, DESIGN.md Sec. 14)
+//    trades fidelity for latency; under it, Options::shed_policy is the
+//    floor for a full queue — backpressure, or drop the newest packet with
+//    hysteresis around high/low watermarks.
 //  - Supervision: Options::watchdog runs a monitor thread that restarts
 //    crashed workers (fresh per-flow contexts) and detects stalled ones via
 //    heartbeats; a shard that keeps crashing is failed over to shedding.
@@ -48,14 +50,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "flow/flow.h"
@@ -71,20 +70,19 @@
 
 namespace mfa::pipeline {
 
-/// What submit() does when a shard is overloaded (queue backlog past the
-/// high watermark, or buffered reassembly bytes past their cap).
+/// What submit() does when a shard's queue backlog passes the high
+/// watermark. Graceful degradation belongs to the ladder (DESIGN.md
+/// Sec. 14); this is only the floor under it for a full queue.
 enum class ShedPolicy : std::uint8_t {
-  kBackpressure,    ///< never shed: spin the producer until the queue drains
-  kDropNewest,      ///< drop the arriving packet (counted as shed_admission)
-  kDropOldestFlow,  ///< sacrifice least-recently-active flows, admit the rest
-  kBypassToCount,   ///< don't scan, but still count packet+bytes (shed_bypass)
+  kBackpressure,  ///< never shed: spin the producer until the queue drains
+  kDropNewest,    ///< drop the arriving packet (counted as shed_admission)
 };
 
 /// Why a packet was shed instead of scanned. Each shed packet is counted in
 /// exactly one bucket; Options::shed_sink receives (packet, reason).
 enum class ShedReason : std::uint8_t {
   kAdmission,   ///< dropped at submit() by the shed policy
-  kBypass,      ///< admitted to the counts but never scanned (kBypassToCount)
+  kBypass,      ///< admitted to the counts but never scanned (ladder L3)
   kCorrupt,     ///< injected corrupt packet rejected before delivery
   kCrash,       ///< burst abandoned because the worker crashed mid-scan
   kQuarantine,  ///< its flow exceeded the per-flow CPU budget
@@ -260,8 +258,8 @@ struct Options {
   /// ladder L0 full -> L1 sampled -> L2 prefilter-only -> L3 bypass, one
   /// rung per dwell period, to keep estimated p99 under the objective.
   Slo slo;
-  /// Controller tuning (gains, dwell, hysteresis band, L1 sampling rate).
-  /// degrade.force_level >= 0 pins the ladder for bench sweeps.
+  /// Controller dwell; degrade.force_level >= 0 pins the ladder for bench
+  /// sweeps.
   DegradeKnobs degrade;
 
   // --- Overload & robustness (DESIGN.md Sec. 9) ---
@@ -271,9 +269,6 @@ struct Options {
   std::size_t shed_high_water = 0;
   /// Backlog at which shedding disengages (hysteresis). 0 = high/2.
   std::size_t shed_low_water = 0;
-  /// Buffered out-of-order reassembly bytes per shard past which the shard
-  /// is treated as overloaded regardless of queue depth. 0 = disabled.
-  std::uint64_t reassembly_high_water_bytes = 0;
   /// Per-flow scan-CPU budget: a flow whose cumulative scan time exceeds
   /// this is quarantined (evicted; its later packets shed). 0 = disabled.
   std::uint64_t flow_cpu_budget_ns = 0;
@@ -378,10 +373,10 @@ class ShardedInspector {
   /// Shed ratio and queue depth are EWMA-smoothed across polls (tau ~2 s):
   /// one probe landing inside a short burst can no longer flap the verdict
   /// 200<->503 — the smoothed signal has to stay over the line for a
-  /// sustained window. With the degradation controller enabled, bypass
-  /// sheds are excluded from the ratio (degrading by design is the
-  /// controller doing its job, not the pipeline failing) and the body
-  /// reports the worst shard's ladder rung as degraded-but-alive state.
+  /// sustained window. Bypass sheds come only from the ladder's L3 rung and
+  /// are excluded from the ratio (degrading by design is the controller
+  /// doing its job, not the pipeline failing); the body reports the worst
+  /// shard's ladder rung as degraded-but-alive state.
   [[nodiscard]] obs::HttpServer::Health health() const {
     obs::HttpServer::Health out;
     // Everything comes from the shards' own relaxed atomics, so health is
@@ -407,15 +402,12 @@ class ShardedInspector {
       level = lvl > level ? lvl : level;
       if (s.failed.load(std::memory_order_acquire)) ++failed;
     }
-    const bool controller_on =
-        options_.slo.p99_ns != 0 || options_.degrade.force_level >= 0;
     // submitted == scanned + shed (ShardStats): popped packets would count
     // the sheds that happen after dequeue twice.
     const std::uint64_t submitted = scanned + shed;
-    const std::uint64_t shed_signal = controller_on ? shed - bypass : shed;
     const double raw_ratio =
         submitted == 0 ? 0.0
-                       : static_cast<double>(shed_signal) /
+                       : static_cast<double>(shed - bypass) /
                              static_cast<double>(submitted);
     double shed_ratio = raw_ratio;
     double depth_smoothed = static_cast<double>(depth);
@@ -528,9 +520,10 @@ class ShardedInspector {
   /// Options::batch_size. Under ShedPolicy::kBackpressure a full queue
   /// spins (yielding) — backpressure instead of drops, so match results
   /// stay deterministic; full-spins are counted, and a sustained non-zero
-  /// rate means the shard cannot keep up. Other policies shed at admission
-  /// once the backlog crosses the high watermark (with hysteresis down to
-  /// the low watermark), keeping the producer wait-free under overload.
+  /// rate means the shard cannot keep up. ShedPolicy::kDropNewest sheds at
+  /// admission once the backlog crosses the high watermark (with hysteresis
+  /// down to the low watermark), keeping the producer wait-free under
+  /// overload.
   /// The backpressure spin periodically verifies the shard's worker is
   /// still alive: if it died and no watchdog is supervising, submit()
   /// throws std::runtime_error instead of deadlocking the producer; with a
@@ -549,7 +542,7 @@ class ShardedInspector {
       s.shed_one(p, ShedReason::kFailover);
       return;
     }
-    if (options_.shed_policy != ShedPolicy::kBackpressure && try_shed(s, p))
+    if (options_.shed_policy == ShedPolicy::kDropNewest && try_shed(s, p))
       return;
     s.pending.push_back(p);
     // Latency-span sampling (DESIGN.md Sec. 12): 1-in-2^trace_sample_shift
@@ -628,77 +621,24 @@ class ShardedInspector {
  private:
   struct Shard;
 
-  /// Producer-side admission control. Returns true when `p` was shed.
-  /// Engages once the backlog (queue + producer buffer) crosses the high
-  /// watermark — or the shard's reassembly buffers are past their cap, or
-  /// the "pipeline.queue.full" fault fires — and disengages only once the
-  /// backlog falls to the low watermark (hysteresis, no flapping).
+  /// Producer-side admission control. Returns true when `p` was shed as
+  /// kAdmission. Engages once the backlog (queue + producer buffer) crosses
+  /// the high watermark — or the "pipeline.queue.full" fault fires — and
+  /// disengages only once the backlog falls to the low watermark
+  /// (hysteresis, no flapping).
   bool try_shed(Shard& s, const flow::Packet& p) {
     const std::size_t depth = s.queue.depth() + s.pending.size();
-    const bool over = depth >= shed_high_ ||
-                      s.reassembly_overload.load(std::memory_order_relaxed) ||
-                      util::fault_fire("pipeline.queue.full");
+    const bool over =
+        depth >= shed_high_ || util::fault_fire("pipeline.queue.full");
     if (!s.shed_engaged) {
-      if (!over) {
-        touch_recency(s, p.key);
-        return false;
-      }
+      if (!over) return false;
       s.shed_engaged = true;
     } else if (!over && depth <= shed_low_) {
       s.shed_engaged = false;
-      s.shed_list.clear();
-      touch_recency(s, p.key);
       return false;
     }
-    switch (options_.shed_policy) {
-      case ShedPolicy::kDropNewest:
-        s.shed_one(p, ShedReason::kAdmission);
-        return true;
-      case ShedPolicy::kBypassToCount:
-        s.shed_one(p, ShedReason::kBypass);
-        return true;
-      case ShedPolicy::kDropOldestFlow: {
-        if (s.shed_list.count(p.key) != 0) {
-          s.shed_one(p, ShedReason::kAdmission);
-          return true;
-        }
-        // Still above the high mark: sacrifice the least-recently-active
-        // flow; its future packets (and this one, if it IS the victim) are
-        // dropped while fresher flows keep flowing.
-        if (depth >= shed_high_ && !s.recency_list.empty()) {
-          const FlowKey victim = s.recency_list.front();
-          s.recency_map.erase(victim);
-          s.recency_list.pop_front();
-          s.shed_list.insert(victim);
-          if (victim == p.key) {
-            s.shed_one(p, ShedReason::kAdmission);
-            return true;
-          }
-        }
-        touch_recency(s, p.key);
-        return false;
-      }
-      case ShedPolicy::kBackpressure:
-        return false;  // not reached; backpressure never calls try_shed
-    }
-    return false;
-  }
-
-  /// Bounded recency ring for kDropOldestFlow victim selection
-  /// (producer-owned; approximate beyond kRecencyCap active flows).
-  void touch_recency(Shard& s, const FlowKey& key) {
-    if (options_.shed_policy != ShedPolicy::kDropOldestFlow) return;
-    auto it = s.recency_map.find(key);
-    if (it != s.recency_map.end()) {
-      s.recency_list.splice(s.recency_list.end(), s.recency_list, it->second);
-      return;
-    }
-    s.recency_list.push_back(key);
-    s.recency_map[key] = std::prev(s.recency_list.end());
-    if (s.recency_map.size() > kRecencyCap) {
-      s.recency_map.erase(s.recency_list.front());
-      s.recency_list.pop_front();
-    }
+    s.shed_one(p, ShedReason::kAdmission);
+    return true;
   }
 
   /// Push a shard's buffered packets into its queue, spinning under
@@ -939,8 +879,6 @@ class ShardedInspector {
     leaked->push_back(std::move(shard));
   }
 
-  static constexpr std::size_t kRecencyCap = 1024;
-
   struct Shard {
     Shard(const EngineT& engine, const Options& o, std::size_t index)
         : queue(o.queue_capacity),
@@ -949,7 +887,6 @@ class ShardedInspector {
           collect(o.collect_matches),
           collect_flows(o.collect_flow_matches),
           swap_policy(o.swap_policy),
-          reassembly_high(o.reassembly_high_water_bytes),
           shed_sink(o.shed_sink),
           degrade(o.slo, o.degrade),
           journal_on(o.watchdog) {
@@ -979,7 +916,6 @@ class ShardedInspector {
     bool collect;
     bool collect_flows;
     flow::SwapPolicy swap_policy;
-    std::uint64_t reassembly_high;
     std::function<void(const flow::Packet&, ShedReason)> shed_sink;
 
     // Degradation controller (DESIGN.md Sec. 14). Worker-owned: the worker
@@ -1046,7 +982,6 @@ class ShardedInspector {
     std::atomic<bool> abort_drain{false};  ///< bounded shutdown: shed, don't scan
     std::atomic<bool> failed{false};       ///< failed over: shed at admission
     std::atomic<bool> stalled{false};      ///< heartbeat stale (watchdog view)
-    std::atomic<bool> reassembly_overload{false};  ///< worker→producer signal
     /// Worker-progress stamp: steady_clock nanoseconds written by the
     /// worker each loop iteration, aged by the watchdog against the SAME
     /// clock. One timebase end to end — no counter aged by somebody else's
@@ -1102,12 +1037,7 @@ class ShardedInspector {
     std::uint64_t producer_submitted = 0;    // producer-owned
     std::uint64_t producer_pushed = 0;       // producer-owned
 
-    // Producer-owned shed-policy state (kDropOldestFlow).
-    bool shed_engaged = false;
-    std::list<flow::FlowKey> recency_list;
-    std::unordered_map<flow::FlowKey, std::list<flow::FlowKey>::iterator,
-                       flow::FlowKeyHash> recency_map;
-    std::unordered_set<flow::FlowKey, flow::FlowKeyHash> shed_list;
+    bool shed_engaged = false;             // producer-owned (try_shed)
 
     std::thread thread;
 
@@ -1370,9 +1300,9 @@ class ShardedInspector {
     }
 
     /// Close the degradation loop once: assemble signals the worker already
-    /// owns (queue depth, EWMA scan cost, shed-delta ratio, reassembly
-    /// occupancy), update the controller, and re-program the inspector's
-    /// scan mode on a transition. No-op (one branch) when disabled.
+    /// owns (queue depth, EWMA scan cost, shed-delta ratio), update the
+    /// controller, and re-program the inspector's scan mode on a
+    /// transition. No-op (one branch) when disabled.
     void poll_degrade() {
       if (!degrade.enabled()) return;
       DegradeSignals sig;
@@ -1380,9 +1310,8 @@ class ShardedInspector {
       sig.batch_size = batch_size;
       sig.ns_per_packet = scan_ns_ewma;
       // Windowed shed ratio from deltas of the shard's own counters.
-      // Bypass sheds are the controller's OWN action (L3, or the
-      // kBypassToCount policy) and deliberately excluded — feeding them
-      // back would latch the ladder at L3 forever.
+      // Bypass sheds are the controller's OWN action (L3) and deliberately
+      // excluded — feeding them back would latch the ladder at L3 forever.
       const std::uint64_t shed_now =
           shed_admission_a.load(std::memory_order_relaxed) +
           shed_failover_a.load(std::memory_order_relaxed);
@@ -1403,8 +1332,6 @@ class ShardedInspector {
         scan_ns_ewma *= 0.98;
       }
       sig.shed_ratio = shed_ratio_ewma;
-      sig.reassembly_bytes = inspector.reassembly_pending_bytes();
-      sig.reassembly_limit = reassembly_high;
       if (degrade.update(sig, std::chrono::steady_clock::now()))
         apply_level(degrade.level(), true);
     }
@@ -1419,8 +1346,7 @@ class ShardedInspector {
           inspector.set_scan_mode(flow::ScanMode::kFull);
           break;
         case DegradeLevel::kL1Sampled:
-          inspector.set_scan_mode(flow::ScanMode::kSampled,
-                                  degrade.knobs().sample_shift);
+          inspector.set_scan_mode(flow::ScanMode::kSampled, kL1SampleShift);
           break;
         case DegradeLevel::kL2PrefilterOnly:
         case DegradeLevel::kL3Bypass:
@@ -1475,9 +1401,7 @@ class ShardedInspector {
     }
 
     /// Refreshed every burst (not only at worker exit) so the merged
-    /// ShardStats can never go stale if reporting moves mid-run. Also
-    /// derives the reassembly-overload signal (with 2x hysteresis) that
-    /// the producer's admission control reads.
+    /// ShardStats can never go stale if reporting moves mid-run.
     void sync_gauges() {
       flows_a.store(inspector.flow_count(), std::memory_order_relaxed);
       evictions_a.store(inspector.evicted_count(), std::memory_order_relaxed);
@@ -1491,13 +1415,6 @@ class ShardedInspector {
                              std::memory_order_relaxed);
       degraded_hits_a.store(inspector.degraded_hit_count(),
                             std::memory_order_relaxed);
-      if (reassembly_high != 0) {
-        const std::uint64_t pend = inspector.reassembly_pending_bytes();
-        if (pend >= reassembly_high)
-          reassembly_overload.store(true, std::memory_order_relaxed);
-        else if (pend * 2 <= reassembly_high)
-          reassembly_overload.store(false, std::memory_order_relaxed);
-      }
     }
   };
 

@@ -349,6 +349,52 @@ TEST_F(DegradeTest, OverloadEscalatesLadderAndRecoversToL0) {
               (unsigned long long)total.shed_bypass);
 }
 
+// L3 is the ladder's count-and-bypass rung: pinned there, every submitted
+// packet is counted (packets and payload bytes) as a bypass shed and none
+// is scanned. Bypass is the ladder's own action, so /healthz must not read
+// it as shedding: the shed ratio stays 0 and the verdict stays ok.
+TEST_F(DegradeTest, PinnedL3BypassCountsEveryPacketWithoutScanning) {
+  const auto m = core::build_mfa(compile_patterns(kPatterns));
+  ASSERT_TRUE(m.has_value());
+  const trace::Trace t = make_trace(61);
+  ASSERT_FALSE(per_flow_reference(t).empty()) << "trace must carry matches";
+  std::uint64_t payload_bytes = 0;
+  t.for_each_packet([&](const flow::Packet& p) { payload_bytes += p.length; });
+
+  obs::MetricsRegistry registry(2);
+  Options opt;
+  opt.shards = 2;
+  opt.batch_size = 1;  // every submit reaches its worker; none waits in a buffer
+  opt.metrics = &registry;
+  opt.degrade.force_level = 3;
+  ShardedInspector<core::Mfa> pipe(*m, opt);
+  pipe.start();
+  t.for_each_packet([&](const flow::Packet& p) { pipe.submit(p); });
+  // Read the verdict while still pinned, once every packet has been shed.
+  const auto all_shed = [&] {
+    return registry.snapshot().totals().shed_packets >= t.packet_count();
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!all_shed() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const obs::HttpServer::Health health = pipe.health();
+  pipe.finish();
+
+  const ShardStats total = pipe.totals();
+  check_invariant(total, "totals");
+  EXPECT_EQ(total.submitted, t.packet_count());
+  EXPECT_EQ(total.scanned, 0u);
+  EXPECT_EQ(total.matches, 0u);
+  EXPECT_EQ(total.shed_bypass, total.submitted);
+  EXPECT_EQ(total.shed_bytes, payload_bytes);
+  EXPECT_EQ(total.degrade_level, 3u);
+  EXPECT_TRUE(health.ok) << health.body;
+  EXPECT_EQ(health.body.rfind("{\"ok\":true,", 0), 0u) << health.body;
+  EXPECT_NE(health.body.find("\"shed_ratio\":{\"value\":0.000000,"),
+            std::string::npos)
+      << health.body;
+}
+
 // Regression: an idle shard used to keep the last per-packet scan cost it
 // measured, so one expensive packet under an SLO below that cost pinned the
 // latency forecast over the SLO — the ladder escalated and never came back.

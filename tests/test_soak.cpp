@@ -5,11 +5,11 @@
 //     exactly one shed bucket (submitted == scanned + shed_total), per
 //     shard and in aggregate, no matter which faults fire.
 //  2. Parity on undisturbed flows — flows untouched by sheds, crashes and
-//     restarts produce byte-identical per-flow matches to the
+//     failover produce byte-identical per-flow matches to the
 //     reassembly-then-NFA oracle, and so does the flow inspector over each
 //     of the NFA/DFA/MFA engines.
-// Plus regressions for watchdog restart, load-shedding policies, per-flow
-// CPU quarantine, and bounded-deadline shutdown.
+// Plus regressions for watchdog restart, drop-newest load shedding,
+// per-flow CPU quarantine, and bounded-deadline shutdown.
 #include "pipeline/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -70,8 +70,8 @@ PerFlowMatches per_flow_matches(const EngineT& engine, const trace::Trace& t) {
 
 trace::Trace make_soak_trace(std::uint64_t seed) {
   // Big enough for a real flow population (dozens of flows): the soak
-  // excludes every flow on a disturbed shard, so it needs survivors left
-  // over to compare.
+  // excludes every flow with a shed packet and every flow on a failed-over
+  // shard, so it needs survivors left over to compare.
   return trace::make_real_life(trace::RealLifeProfile::kCyberDefense, 3000000,
                                seed, {"attack5 here", "worm77", "beaconXping"});
 }
@@ -113,7 +113,6 @@ TEST_F(SoakTest, FaultSoakKeepsAccountingExactAndUndisturbedFlowsIdentical) {
   const trace::Trace t = make_soak_trace(23);
   const PerFlowMatches reference = per_flow_reference(t);
 
-  std::size_t compared_across_seeds = 0;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     auto& reg = util::FaultRegistry::instance();
     reg.disarm_all();
@@ -138,7 +137,11 @@ TEST_F(SoakTest, FaultSoakKeepsAccountingExactAndUndisturbedFlowsIdentical) {
 
     Options opt;
     opt.shards = 3;
-    opt.queue_capacity = 512;
+    // Room for the whole trace in every shard, so the backlog never reaches
+    // the high watermark: admission sheds come only from the seeded
+    // "pipeline.queue.full" fault, and which flows they disturb depends on
+    // the seed, not on how fast the workers run on this host.
+    opt.queue_capacity = 2 * t.packet_count();
     opt.batch_size = 16;
     opt.collect_flow_matches = true;
     opt.metrics = &metrics;
@@ -166,6 +169,8 @@ TEST_F(SoakTest, FaultSoakKeepsAccountingExactAndUndisturbedFlowsIdentical) {
     // The schedule guarantees at least the crashes and corruptions landed.
     EXPECT_GE(total.shed_corrupt, 1u) << "seed " << seed;
     EXPECT_GE(total.worker_restarts, 1u) << "seed " << seed;
+    EXPECT_GT(total.shed_admission, 0u)
+        << "seed " << seed << ": admission shedding never engaged";
     // Telemetry mirror agrees with the merged stats (nothing abandoned, so
     // every shed was mirrored).
     std::uint64_t mirrored_shed = 0;
@@ -176,12 +181,14 @@ TEST_F(SoakTest, FaultSoakKeepsAccountingExactAndUndisturbedFlowsIdentical) {
     EXPECT_GE(sink_calls.load(), total.shed_total()) << "seed " << seed;
 
     // Parity on undisturbed flows: exclude flows with any shed packet and
-    // flows on shards whose worker was restarted or failed over (a restart
-    // wipes the whole shard's contexts).
+    // flows on shards that failed over. A restarted shard stays in: its
+    // journal resets only the flows of the crashed burst, and every packet
+    // of that burst reached the shed sink as kCrash. Crashes land on shards
+    // chosen by thread timing, so excluding restarted shards could leave
+    // no flow to compare.
     std::vector<bool> shard_disturbed(pipe.shard_count(), false);
     for (std::size_t i = 0; i < pipe.stats().size(); ++i)
-      shard_disturbed[i] = pipe.stats()[i].worker_restarts > 0 ||
-                           pipe.stats()[i].shed_failover > 0;
+      shard_disturbed[i] = pipe.stats()[i].shed_failover > 0;
     PerFlowMatches got;
     for (const FlowMatch& fm : pipe.flow_matches()) got[fm.key].push_back(fm.match);
     for (auto& [key, v] : got) std::sort(v.begin(), v.end());
@@ -212,14 +219,9 @@ TEST_F(SoakTest, FaultSoakKeepsAccountingExactAndUndisturbedFlowsIdentical) {
                 (unsigned long long)total.shed_admission,
                 (unsigned long long)total.worker_restarts, compared,
                 reference.size());
-    compared_across_seeds += compared;
+    EXPECT_GT(compared, 0u)
+        << "seed " << seed << ": soak excluded every flow — not a useful run";
   }
-  // A single seed may legitimately compare nothing when the host is
-  // oversubscribed (starved workers push admission shedding across every
-  // flow), but all three seeds going vacuous means the rates are wrong
-  // and the parity check never ran.
-  EXPECT_GT(compared_across_seeds, 0u)
-      << "soak excluded every flow in every seed — not a useful run";
 }
 
 TEST_F(SoakTest, WatchdogRestartsCrashedWorkerAndRunContinues) {
@@ -307,30 +309,6 @@ TEST_F(SoakTest, DropNewestShedsUnderOverloadAndAccountsExactly) {
   EXPECT_EQ(total.submitted, kPackets);
   EXPECT_GT(total.shed_admission, 0u) << "overload never engaged shedding";
   EXPECT_GT(total.scanned, 0u);
-  check_invariant(total, "totals");
-}
-
-TEST_F(SoakTest, BypassToCountKeepsCountingWithoutScanning) {
-  const auto m = core::build_mfa(compile_patterns({".*zzz9q"}));
-  ASSERT_TRUE(m.has_value());
-  const std::string payload(16384, 'b');
-  Options opt;
-  opt.shards = 1;
-  opt.queue_capacity = 64;
-  opt.batch_size = 1;
-  opt.shed_policy = ShedPolicy::kBypassToCount;
-  opt.shed_high_water = 16;
-  ShardedInspector<core::Mfa> pipe(*m, opt);
-  pipe.start();
-  const flow::FlowKey key{9, 8, 7, 6, 17};
-  for (std::size_t i = 0; i < 800; ++i)
-    pipe.submit(flow::Packet{key, i * payload.size(),
-                             reinterpret_cast<const std::uint8_t*>(payload.data()),
-                             static_cast<std::uint32_t>(payload.size())});
-  pipe.finish();
-  const ShardStats total = pipe.totals();
-  EXPECT_GT(total.shed_bypass, 0u);
-  EXPECT_GT(total.shed_bytes, 0u) << "bypassed bytes must still be counted";
   check_invariant(total, "totals");
 }
 
