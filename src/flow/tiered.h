@@ -35,6 +35,7 @@
 // single inspector is capped at 2^24 hot slots (~16M flows per shard).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -1061,50 +1062,78 @@ class TieredFlowInspector {
     return eng.context_state(*cold_[s.cold].ctx);
   }
 
-  /// Batch delivery core: the packets one at a time, in burst order. An
-  /// in-order chunk is admitted and gated, fed unless skipped, and then
-  /// drains whatever buffered segments it made contiguous; with a CPU
-  /// budget set, that whole step is timed and charged to the flow.
+  /// Packets per deliver_batch() pre-pass: their key hashes sit in a stack
+  /// array, so a burst of any length is delivered without heap allocation.
+  static constexpr std::size_t kPrepassPackets = 64;
+  /// Payload bytes the pre-pass prefetches per packet, from the first: four
+  /// lines. One line gained less on small packets, and eight no more
+  /// (EXPERIMENTS.md, "Burst pre-pass").
+  static constexpr std::size_t kPayloadPrefetchBytes = 256;
+  static constexpr std::size_t kCacheLineBytes = 64;
+
+  /// Batch delivery core (DESIGN.md §7, "Pre-pass"). A pre-pass over up to
+  /// kPrepassPackets packets hashes each key once and prefetches each
+  /// payload head, so later packets' payloads arrive while earlier ones
+  /// walk. Then the packets are delivered one at a time, in burst order,
+  /// each reusing its hash. Only the hash is carried over: a slot or bucket
+  /// index would go stale when an earlier packet grows the table or frees
+  /// a slot.
   template <typename FlowSink, typename DropSink>
   void deliver_batch(const Packet* pkts, std::size_t count, FlowSink&& fsink,
                      DropSink&& dsink) {
-    for (const Packet* p = pkts; p != pkts + count; ++p) {
-      if (is_quarantined(p->key)) {
-        ++quarantined_packets_;
-        dsink(*p);
-        continue;
+    std::uint64_t hashes[kPrepassPackets];
+    for (std::size_t at = 0; at < count; at += kPrepassPackets) {
+      const Packet* run = pkts + at;
+      const std::size_t n = std::min(count - at, kPrepassPackets);
+      for (std::size_t i = 0; i < n; ++i) {
+        hashes[i] = FlowKeyHash{}(run[i].key);
+        const std::size_t head = std::min<std::size_t>(run[i].length, kPayloadPrefetchBytes);
+        for (std::size_t off = 0; off < head; off += kCacheLineBytes)
+          __builtin_prefetch(run[i].payload + off, 0, 3);
       }
-      bump_epoch();
-      const std::uint64_t h = FlowKeyHash{}(p->key);
-      std::uint32_t si = find_slot(p->key, h);
-      if (si == kNoSlot) {
-        if (max_flows_ != 0 && live_ >= max_flows_) evict_for_capacity();
-        util::fault_maybe_bad_alloc("flow.table.alloc");
-        si = create_flow(p->key, h);
-      } else {
-        slots_[si].last_epoch = epoch_;
-        if (generation_active_ && generations_[si] != current_generation_)
-          adopt_flow(si);
-      }
-      HotSlot& s = slots_[si];
-      if (p->seq > slot_off(s)) {
-        buffer_segment(si, *p);
-        continue;
-      }
-      const std::uint64_t skip = slot_off(s) - p->seq;
-      if (skip >= p->length) continue;  // fully retransmitted bytes
-      const std::uint8_t* data = p->payload + skip;
-      const std::size_t len = p->length - skip;
-      const std::uint64_t base = slot_off(s);
-      set_slot_off(s, base + len);
-      const auto sink = [&, si](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); };
-      const std::uint64_t t0 = budget_ticks_ != 0 ? util::rdtsc_now() : 0;
-      if (needs_scan(si, data, len)) feed_slot(si, data, len, base, sink);
-      drain(si, sink);
-      if (budget_ticks_ != 0) {
-        ticks_[si] += util::rdtsc_now() - t0;
-        maybe_quarantine(si);  // may erase the flow — nothing touches it after
-      }
+      for (std::size_t i = 0; i < n; ++i) deliver_packet(run[i], hashes[i], fsink, dsink);
+    }
+  }
+
+  /// One packet of a burst, `h` its key hash. An in-order chunk is admitted
+  /// and gated, fed unless skipped, and then drains whatever buffered
+  /// segments it made contiguous; with a CPU budget set, that whole step is
+  /// timed and charged to the flow.
+  template <typename FlowSink, typename DropSink>
+  void deliver_packet(const Packet& p, std::uint64_t h, FlowSink& fsink, DropSink& dsink) {
+    if (is_quarantined(p.key)) {
+      ++quarantined_packets_;
+      dsink(p);
+      return;
+    }
+    bump_epoch();
+    std::uint32_t si = find_slot(p.key, h);
+    if (si == kNoSlot) {
+      if (max_flows_ != 0 && live_ >= max_flows_) evict_for_capacity();
+      util::fault_maybe_bad_alloc("flow.table.alloc");
+      si = create_flow(p.key, h);
+    } else {
+      slots_[si].last_epoch = epoch_;
+      if (generation_active_ && generations_[si] != current_generation_) adopt_flow(si);
+    }
+    HotSlot& s = slots_[si];
+    if (p.seq > slot_off(s)) {
+      buffer_segment(si, p);
+      return;
+    }
+    const std::uint64_t skip = slot_off(s) - p.seq;
+    if (skip >= p.length) return;  // fully retransmitted bytes
+    const std::uint8_t* data = p.payload + skip;
+    const std::size_t len = p.length - skip;
+    const std::uint64_t base = slot_off(s);
+    set_slot_off(s, base + len);
+    const auto sink = [&, si](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); };
+    const std::uint64_t t0 = budget_ticks_ != 0 ? util::rdtsc_now() : 0;
+    if (needs_scan(si, data, len)) feed_slot(si, data, len, base, sink);
+    drain(si, sink);
+    if (budget_ticks_ != 0) {
+      ticks_[si] += util::rdtsc_now() - t0;
+      maybe_quarantine(si);  // may erase the flow — nothing touches it after
     }
   }
 

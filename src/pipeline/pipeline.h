@@ -21,8 +21,10 @@
 //    floor for a full queue — backpressure, or drop the newest packet with
 //    hysteresis around high/low watermarks.
 //  - Supervision: Options::watchdog runs a monitor thread that restarts
-//    crashed workers (fresh per-flow contexts) and detects stalled ones via
-//    heartbeats; a shard that keeps crashing is failed over to shedding.
+//    crashed workers (the crash journal resets only the flows of the burst
+//    in flight; every other flow keeps its context) and detects stalled
+//    ones via heartbeats; a shard that keeps crashing is failed over to
+//    shedding.
 //  - Per-flow CPU budgets: Options::flow_cpu_budget_ns quarantines flows
 //    that monopolize scan time (the inspector evicts them; later packets of
 //    a quarantined flow are shed, never scanned).
@@ -272,10 +274,11 @@ struct Options {
   /// Per-flow scan-CPU budget: a flow whose cumulative scan time exceeds
   /// this is quarantined (evicted; its later packets shed). 0 = disabled.
   std::uint64_t flow_cpu_budget_ns = 0;
-  /// Supervise the workers: restart crashed ones with fresh contexts (up to
-  /// max_worker_restarts, then fail the shard over to shedding) and flag
-  /// stalled ones via heartbeat age. Off by default: without a watchdog a
-  /// dead worker surfaces as std::runtime_error from submit(), as before.
+  /// Supervise the workers: restart crashed ones, resetting only the flows
+  /// of the burst in flight (up to max_worker_restarts, then fail the shard
+  /// over to shedding), and flag stalled ones via heartbeat age. Off by
+  /// default: without a watchdog a dead worker surfaces as
+  /// std::runtime_error from submit(), as before.
   bool watchdog = false;
   std::uint32_t watchdog_interval_ms = 5;
   std::uint32_t stall_timeout_ms = 250;  ///< heartbeat age that counts as a stall

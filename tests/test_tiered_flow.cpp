@@ -647,6 +647,37 @@ TEST(TieredFlow, BytesPerFlowGaugeCountsWhatColdRecordsOwn) {
   EXPECT_EQ(insp.cold_record_count(), 0u);
 }
 
+/// Deliveries a budget test runs before it gives up on an undisturbed one.
+constexpr int kAttempts = 5;
+
+/// 1 MB of filler with a needle every 4 KiB: the gate must scan all of it.
+std::string needle_bulk() {
+  std::string bulk(1024 * 1024, 'q');
+  for (std::size_t at = 100; at + 6 < bulk.size(); at += 4096)
+    bulk.replace(at, 6, "needle");
+  return bulk;
+}
+
+/// A per-flow CPU budget that one packet of `bulk` busts many times over
+/// while a flow's few hundred benign bytes stay far under it, whatever the
+/// host load: 1/16 of the fastest of 7 warm scans of `bulk`. Load only
+/// stretches a timing, so the fastest scan is the closest to an unloaded
+/// one, and the inspector's own scan of `bulk` is never faster than that.
+std::uint64_t budget_busted_by(const core::Mfa& m, const std::string& bulk) {
+  std::int64_t scan_ns = INT64_MAX;
+  for (int rep = 0; rep < 7; ++rep) {
+    Scanner<core::Mfa> scanner(m);
+    const auto t0 = std::chrono::steady_clock::now();
+    scanner.feed(reinterpret_cast<const std::uint8_t*>(bulk.data()), bulk.size(), 0,
+                 [](std::uint32_t, std::uint64_t) {});
+    scan_ns = std::min<std::int64_t>(
+        scan_ns, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  return static_cast<std::uint64_t>(scan_ns / 16);
+}
+
 TEST(TieredFlow, PacketAndPacketBatchAgreeOnCountersAndTelemetry) {
   // packet() is a burst of one, so delivering a stream packet by packet and
   // in bursts must leave identical inspector counters and telemetry —
@@ -666,9 +697,7 @@ TEST(TieredFlow, PacketAndPacketBatchAgreeOnCountersAndTelemetry) {
   // later packets are dropped. The spill flow holds six live head bits. The
   // four clean flows mix gate-sized clean chunks (skips), needles (passes)
   // and one swapped pair (a drain).
-  std::string bulk(1024 * 1024, 'q');
-  for (std::size_t at = 100; at + 6 < bulk.size(); at += 4096)
-    bulk.replace(at, 6, "needle");
+  const std::string bulk = needle_bulk();
   const std::string clean(80, 'z');
   const FlowKey hostile{1, 1, 1, 1, 6};
   const FlowKey spill{2, 1, 1, 1, 6};
@@ -692,64 +721,60 @@ TEST(TieredFlow, PacketAndPacketBatchAgreeOnCountersAndTelemetry) {
   for (std::uint32_t f = 0; f < 8; ++f)
     add(FlowKey{100 + f, 1, 1, 1, 6}, 0, "a needle");
 
-  // The budget is a quarter of a warm scan of the hostile packet on this
-  // build, so that packet busts it however fast the build is, while the
-  // other flows' few hundred bytes and one-off costs (the first cold-tier
-  // slab, a spill) stay far under it.
-  std::int64_t scan_ns = INT64_MAX;
-  for (int rep = 0; rep < 2; ++rep) {
-    Scanner<core::Mfa> scanner(m);
-    const auto t0 = std::chrono::steady_clock::now();
-    scanner.feed(reinterpret_cast<const std::uint8_t*>(bulk.data()), bulk.size(), 0,
-                 [](std::uint32_t, std::uint64_t) {});
-    scan_ns = std::min<std::int64_t>(
-        scan_ns, std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
+  // The hostile packet busts the budget by an order of magnitude whatever
+  // the build and host load. Any other flow is quarantined only when the
+  // host stalls it mid-step for longer than the budget: such an attempt
+  // measured the host, not delivery, and runs again. A delivery fault
+  // repeats on every attempt and fails the last check.
+  const std::uint64_t budget_ns = budget_busted_by(m, bulk);
+  bool compared = false;
+  for (int attempt = 0; attempt < kAttempts && !compared; ++attempt) {
+    obs::MetricsRegistry single_reg(1);
+    obs::MetricsRegistry batch_reg(1);
+    TieredFlowInspector<core::Mfa> single{m, /*max_flows=*/6};
+    TieredFlowInspector<core::Mfa> batched{m, /*max_flows=*/6};
+    single.set_metrics(&single_reg, 0);
+    batched.set_metrics(&batch_reg, 0);
+    single.set_cpu_budget_ns(budget_ns);
+    batched.set_cpu_budget_ns(budget_ns);
+    CollectingSink single_sink;
+    CollectingSink batch_sink;
+    for (const Packet& p : stream) single.packet(p, single_sink);
+    for (std::size_t i = 0; i < stream.size(); i += 5)
+      batched.packet_batch(stream.data() + i, std::min<std::size_t>(5, stream.size() - i),
+                           batch_sink);
+    if (single.quarantined_flow_count() != 1 || batched.quarantined_flow_count() != 1)
+      continue;
+    compared = true;
+
+    EXPECT_TRUE(single.is_quarantined(hostile));
+    EXPECT_EQ(single.quarantined_flow_count(), 1u);
+    EXPECT_EQ(single.quarantined_packet_count(), 2u);
+    EXPECT_EQ(single.spilled_flow_count(), 1u);
+    EXPECT_EQ(single.evicted_count(), 7u);
+    EXPECT_GT(single.prefilter_skip_count(), 0u);
+    EXPECT_GT(single.prefilter_pass_count(), 0u);
+
+    EXPECT_EQ(batched.flow_count(), single.flow_count());
+    EXPECT_EQ(batched.evicted_count(), single.evicted_count());
+    EXPECT_EQ(batched.spilled_flow_count(), single.spilled_flow_count());
+    EXPECT_EQ(batched.prefilter_pass_count(), single.prefilter_pass_count());
+    EXPECT_EQ(batched.prefilter_skip_count(), single.prefilter_skip_count());
+    EXPECT_EQ(batched.quarantined_flow_count(), single.quarantined_flow_count());
+    EXPECT_EQ(batched.quarantined_packet_count(), single.quarantined_packet_count());
+    EXPECT_EQ(batch_sink.matches.size(), single_sink.matches.size());
+
+    const obs::ShardSnapshot one = single_reg.snapshot().totals();
+    const obs::ShardSnapshot burst = batch_reg.snapshot().totals();
+    // Quarantined packets count in telemetry on both paths.
+    EXPECT_EQ(one.packets, stream.size());
+    EXPECT_EQ(burst.packets, one.packets);
+    EXPECT_EQ(burst.bytes, one.bytes);
+    EXPECT_EQ(burst.matches, one.matches);
+    EXPECT_EQ(burst.scan_ns.count, one.scan_ns.count);
+    EXPECT_EQ(one.scan_ns.count, stream.size());
   }
-  const auto budget_ns = static_cast<std::uint64_t>(scan_ns / 4);
-
-  obs::MetricsRegistry single_reg(1);
-  obs::MetricsRegistry batch_reg(1);
-  TieredFlowInspector<core::Mfa> single{m, /*max_flows=*/6};
-  TieredFlowInspector<core::Mfa> batched{m, /*max_flows=*/6};
-  single.set_metrics(&single_reg, 0);
-  batched.set_metrics(&batch_reg, 0);
-  single.set_cpu_budget_ns(budget_ns);
-  batched.set_cpu_budget_ns(budget_ns);
-  CollectingSink single_sink;
-  CollectingSink batch_sink;
-  for (const Packet& p : stream) single.packet(p, single_sink);
-  for (std::size_t i = 0; i < stream.size(); i += 5)
-    batched.packet_batch(stream.data() + i, std::min<std::size_t>(5, stream.size() - i),
-                         batch_sink);
-
-  EXPECT_TRUE(single.is_quarantined(hostile));
-  EXPECT_EQ(single.quarantined_flow_count(), 1u);
-  EXPECT_EQ(single.quarantined_packet_count(), 2u);
-  EXPECT_EQ(single.spilled_flow_count(), 1u);
-  EXPECT_EQ(single.evicted_count(), 7u);
-  EXPECT_GT(single.prefilter_skip_count(), 0u);
-  EXPECT_GT(single.prefilter_pass_count(), 0u);
-
-  EXPECT_EQ(batched.flow_count(), single.flow_count());
-  EXPECT_EQ(batched.evicted_count(), single.evicted_count());
-  EXPECT_EQ(batched.spilled_flow_count(), single.spilled_flow_count());
-  EXPECT_EQ(batched.prefilter_pass_count(), single.prefilter_pass_count());
-  EXPECT_EQ(batched.prefilter_skip_count(), single.prefilter_skip_count());
-  EXPECT_EQ(batched.quarantined_flow_count(), single.quarantined_flow_count());
-  EXPECT_EQ(batched.quarantined_packet_count(), single.quarantined_packet_count());
-  EXPECT_EQ(batch_sink.matches.size(), single_sink.matches.size());
-
-  const obs::ShardSnapshot one = single_reg.snapshot().totals();
-  const obs::ShardSnapshot burst = batch_reg.snapshot().totals();
-  // Quarantined packets count in telemetry on both paths.
-  EXPECT_EQ(one.packets, stream.size());
-  EXPECT_EQ(burst.packets, one.packets);
-  EXPECT_EQ(burst.bytes, one.bytes);
-  EXPECT_EQ(burst.matches, one.matches);
-  EXPECT_EQ(burst.scan_ns.count, one.scan_ns.count);
-  EXPECT_EQ(one.scan_ns.count, stream.size());
+  EXPECT_TRUE(compared) << "no attempt quarantined the hostile flow alone";
 }
 
 TEST(TieredFlowFuzz, GrowUnderBatchedInsertBurstKeepsDeliveryExact) {
@@ -772,6 +797,124 @@ TEST(TieredFlowFuzz, GrowUnderBatchedInsertBurstKeepsDeliveryExact) {
   EXPECT_EQ(expected.size(), 400u);
   EXPECT_EQ(run_plan(tiered, plan, 64), expected);
   EXPECT_EQ(tiered.flow_count(), 400u);
+}
+
+TEST(TieredFlowFuzz, BurstsThatReshapeTheTableMatchPerPacketDelivery) {
+  // The burst pre-pass hashes every key of a 64-packet burst before the
+  // first packet is delivered. Inside such bursts the table changes under
+  // those hashes: a flow is quarantined at packet k and sends again later
+  // in the burst, max_flows evicts flows that later packets revisit, new
+  // flows grow the unbounded table, and segments arrive swapped and
+  // duplicated. Delivery must equal one call per packet.
+  std::vector<std::string> sources = ads_sources(4);
+  sources.push_back(".*needle");
+  const core::Mfa m = build(sources);
+  const std::string bulk = needle_bulk();
+  const FlowKey hostile{1, 2, 2, 2, 6};
+
+  // 72 flows of three segments each, segment s of flow f sent 4*s flows
+  // after its first segment, so a burst mixes new flows with revisits.
+  static const char* const kWords[] = {"needle", "hd1 ", "vl1 ", "zz ", "\n", "nee"};
+  util::Rng rng(5150);
+  std::deque<std::string> payloads;  // stable storage for packet payloads
+  std::vector<Packet> stream;
+  const auto add = [&](const FlowKey& key, std::uint64_t seq, std::string bytes) {
+    payloads.push_back(std::move(bytes));
+    stream.push_back(make_packet(key, seq, payloads.back()));
+  };
+  constexpr std::uint32_t kFlows = 72;
+  std::vector<std::string> content(kFlows);
+  std::vector<std::size_t> cut1(kFlows), cut2(kFlows);
+  for (std::uint32_t f = 0; f < kFlows; ++f) {
+    while (content[f].size() < 24) content[f] += kWords[rng.below(std::size(kWords))];
+    cut1[f] = 1 + rng.below(content[f].size() / 2);
+    cut2[f] = cut1[f] + 1 + rng.below(content[f].size() - cut1[f] - 1);
+  }
+  const auto segment = [&](std::uint32_t f, int s) {
+    const FlowKey key{100 + f, 2, 2, 2, 6};
+    const std::size_t from = s == 0 ? 0 : s == 1 ? cut1[f] : cut2[f];
+    const std::size_t to = s == 0 ? cut1[f] : s == 1 ? cut2[f] : content[f].size();
+    add(key, from, content[f].substr(from, to - from));
+  };
+  // The hostile flow sends at about packets 10, 30 and 50 of the first
+  // burst: quarantined at its first packet, dropped at the other two.
+  std::uint64_t hostile_seq = 0;
+  for (std::uint32_t f = 0; f < kFlows + 8; ++f) {
+    if (hostile_seq < 3 * bulk.size() && stream.size() >= 10 + 20 * (hostile_seq / bulk.size())) {
+      add(hostile, hostile_seq, bulk);
+      hostile_seq += bulk.size();
+    }
+    if (f < kFlows) segment(f, 0);
+    if (f >= 4 && f - 4 < kFlows) {
+      const std::uint32_t g = f - 4;
+      if (g % 5 == 2) {  // swapped: the third segment before the second
+        segment(g, 2);
+        if (g % 3 == 0) segment(g, 2);  // duplicate of a buffered segment
+        segment(g, 1);
+      } else {
+        segment(g, 1);
+        if (g % 7 == 3) segment(g, 1);  // duplicate
+      }
+    }
+    if (f >= 8 && f - 8 < kFlows && (f - 8) % 5 != 2) segment(f - 8, 2);
+  }
+
+  // Budget and retry as in PacketAndPacketBatchAgreeOnCountersAndTelemetry.
+  const std::uint64_t budget_ns = budget_busted_by(m, bulk);
+  using Seen = std::vector<std::pair<FlowKey, Match>>;
+  for (const std::size_t max_flows : {std::size_t{0}, std::size_t{6}}) {
+    SCOPED_TRACE(max_flows);
+    bool compared = false;
+    for (int attempt = 0; attempt < kAttempts && !compared; ++attempt) {
+      TieredFlowInspector<core::Mfa> single{m, max_flows};
+      TieredFlowInspector<core::Mfa> batched{m, max_flows};
+      single.set_cpu_budget_ns(budget_ns);
+      batched.set_cpu_budget_ns(budget_ns);
+      Seen single_seen, batch_seen;
+      std::uint64_t single_drops = 0, batch_drops = 0;
+      for (const Packet& p : stream)
+        single.packet_batch_flows(
+            &p, 1,
+            [&](const FlowKey& k, std::uint32_t id, std::uint64_t end) {
+              single_seen.emplace_back(k, Match{id, end});
+            },
+            [&](const Packet&) { ++single_drops; });
+      bool grew_mid_run = false;
+      for (std::size_t i = 0; i < stream.size(); i += 64) {
+        const std::size_t before = batched.hot_slot_capacity();
+        batched.packet_batch_flows(
+            stream.data() + i, std::min<std::size_t>(64, stream.size() - i),
+            [&](const FlowKey& k, std::uint32_t id, std::uint64_t end) {
+              batch_seen.emplace_back(k, Match{id, end});
+            },
+            [&](const Packet&) { ++batch_drops; });
+        grew_mid_run |= before != 0 && batched.hot_slot_capacity() > before;
+      }
+      if (single.quarantined_flow_count() != 1 || batched.quarantined_flow_count() != 1)
+        continue;
+      compared = true;
+
+      EXPECT_TRUE(single.is_quarantined(hostile));
+      EXPECT_EQ(single.quarantined_packet_count(), 2u);
+      EXPECT_EQ(single_drops, 2u);
+      EXPECT_FALSE(single_seen.empty());
+      if (max_flows == 0) {
+        EXPECT_TRUE(grew_mid_run);
+        EXPECT_EQ(single.evicted_count(), 0u);
+      } else {
+        EXPECT_GT(single.evicted_count(), 0u);
+      }
+
+      EXPECT_EQ(batched.flow_count(), single.flow_count());
+      EXPECT_EQ(batched.evicted_count(), single.evicted_count());
+      EXPECT_EQ(batched.quarantined_flow_count(), single.quarantined_flow_count());
+      EXPECT_EQ(batched.quarantined_packet_count(), single.quarantined_packet_count());
+      EXPECT_EQ(batched.reassembly_dropped_count(), single.reassembly_dropped_count());
+      EXPECT_EQ(batch_drops, single_drops);
+      EXPECT_EQ(batch_seen, single_seen);
+    }
+    EXPECT_TRUE(compared) << "no attempt quarantined the hostile flow alone";
+  }
 }
 
 }  // namespace
