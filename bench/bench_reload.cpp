@@ -137,10 +137,10 @@ int main(int argc, char** argv) {
   const auto totals = pipe.totals();
   std::printf("accounting: submitted %llu == scanned %llu + shed %llu\n",
               static_cast<unsigned long long>(totals.submitted),
-              static_cast<unsigned long long>(totals.packets),
+              static_cast<unsigned long long>(totals.scanned),
               static_cast<unsigned long long>(totals.shed_total()));
   std::printf("matches by generation:");
-  for (const auto& [gen, n] : totals.matches_by_generation)
+  for (const auto& [gen, n] : pipe.matches_by_generation())
     std::printf(" g%llu=%llu", static_cast<unsigned long long>(gen),
                 static_cast<unsigned long long>(n));
   std::printf("\nReading: during-swap CpB should track pre-swap CpB — the\n"

@@ -167,10 +167,10 @@ int main(int argc, char** argv) {
   const auto totals = pipe.totals();
   std::printf("\nsubmitted %llu packets, scanned %llu, shed %llu, %llu matches\n",
               static_cast<unsigned long long>(totals.submitted),
-              static_cast<unsigned long long>(totals.packets),
+              static_cast<unsigned long long>(totals.scanned),
               static_cast<unsigned long long>(totals.shed_total()),
               static_cast<unsigned long long>(totals.matches));
-  for (const auto& [gen, n] : totals.matches_by_generation)
+  for (const auto& [gen, n] : pipe.matches_by_generation())
     std::printf("  generation %llu: %llu matches\n",
                 static_cast<unsigned long long>(gen),
                 static_cast<unsigned long long>(n));

@@ -176,16 +176,50 @@ class TieredFlowInspector {
 
   // --- telemetry / budgets ---
 
-  /// Attach telemetry (DESIGN.md Sec. 8): scan counters, latency histograms,
-  /// per-match-id counts, and trace-ring events flow into the registry's
-  /// shard slot `shard_index`. Pass nullptr to detach. When detached
-  /// (the default) the instrumented path reduces to one branch per packet.
+  /// Attach telemetry (DESIGN.md Sec. 8): the inspector's counters are
+  /// published to the registry's shard slot `shard_index` once per burst,
+  /// and latency histograms, per-match-id counts and trace-ring events flow
+  /// into the registry. Pass nullptr to detach. When detached (the default)
+  /// the instrumented path reduces to one branch per burst.
   void set_metrics(obs::MetricsRegistry* registry, std::size_t shard_index = 0) {
+    set_counters(registry != nullptr ? &registry->shard(shard_index) : nullptr);
     registry_ = registry;
-    metrics_ = registry != nullptr ? &registry->shard(shard_index) : nullptr;
     // Pre-resolve the tick->ns factor so the per-packet path never pays the
     // one-time TSC calibration.
     if (registry != nullptr) ns_per_tick_ = 1e9 / util::tsc_ticks_per_second();
+  }
+
+  /// Attach only a counter block, without a registry: publish() runs into
+  /// `block` once per burst, and nothing else is recorded. This is how a
+  /// pipeline shard without telemetry keeps its one counter record. Pass
+  /// nullptr to detach (which also detaches set_metrics()'s registry).
+  void set_counters(obs::ShardMetrics* block) {
+    metrics_ = block;
+    registry_ = nullptr;
+  }
+
+  /// Hand every counter of this inspector to `m`, one relaxed store each:
+  /// packets, bytes and matches handled (packets of quarantined flows
+  /// included), the flow-table gauges, and the spill, quarantine, prefilter
+  /// and degraded-hit counts. The attached block gets this once per burst.
+  void publish(obs::ShardMetrics& m) const {
+    const auto put = [](std::atomic<std::uint64_t>& field, std::uint64_t v) {
+      field.store(v, std::memory_order_relaxed);
+    };
+    put(m.packets, packets_);
+    put(m.bytes, bytes_);
+    put(m.matches, matches_);
+    put(m.flows, live_);
+    put(m.evictions, evicted_);
+    put(m.reassembly_drops, reassembly_dropped_);
+    put(m.reassembly_pending_bytes, total_pending_);
+    put(m.flow_hot_slots, slots_.size());
+    put(m.flow_cold_bytes, cold_bytes());
+    put(m.flows_spilled, spills_);
+    put(m.flows_quarantined, flows_quarantined_);
+    put(m.prefilter_pass, prefilter_passes_);
+    put(m.prefilter_skip, prefilter_skips_);
+    put(m.degraded_hits, degraded_hits_);
   }
 
   /// Attach the sampled cost profiler (DESIGN.md Sec. 12). Requires
@@ -336,26 +370,26 @@ class TieredFlowInspector {
   void packet_batch_attributed(const Packet* pkts, std::size_t count, GenSink&& sink,
                                DropSink&& dsink) {
     if (count == 0) return;
-    if (metrics_ == nullptr) {
+    if (registry_ == nullptr) {
       deliver_batch(
           pkts, count,
           [&](std::uint32_t si, std::uint32_t id, std::uint64_t end) {
             sink(slots_[si].key, generation_of(si), id, end);
           },
           dsink);
+      if (metrics_ != nullptr) publish(*metrics_);
       return;
     }
     obs::ShardMetrics& m = *metrics_;
     // Mid-run snapshot ordering (DESIGN.md Sec. 8): packet_bytes records
-    // before the scan and packets increments after scan_ns, so a snapshot
-    // still sees packets <= scan_ns.count + 1 and
+    // before the scan and the counters are published after scan_ns, so a
+    // snapshot still sees packets <= scan_ns.count and
     // packet_bytes.count >= scan_ns.count.
     std::uint64_t burst_bytes = 0;
     for (std::size_t i = 0; i < count; ++i) {
       burst_bytes += pkts[i].length;
       m.packet_bytes.record(pkts[i].length);
     }
-    m.bytes.fetch_add(burst_bytes, std::memory_order_relaxed);
     const bool sampled =
         profiler_ != nullptr && (++profile_tick_ & profile_mask_) == 0;
     if (sampled) profile_ids_.clear();
@@ -364,7 +398,6 @@ class TieredFlowInspector {
         pkts, count,
         [&](std::uint32_t si, std::uint32_t id, std::uint64_t end) {
           const HotSlot& s = slots_[si];
-          m.matches.fetch_add(1, std::memory_order_relaxed);
           registry_->count_match(id);
           if (generation_active_) registry_->count_match_generation(generation_of(si));
           registry_->trace().record(s.key.src_ip, s.key.dst_ip, s.key.src_port,
@@ -392,8 +425,9 @@ class TieredFlowInspector {
         if (si != kNoSlot) profiler_->record_state(slot_state(si));
       }
     }
-    m.packets.fetch_add(count, std::memory_order_relaxed);
-    store_gauges(m);
+    publish(m);
+    if (live_ != 0)
+      m.bytes_per_flow.record((hot_bytes() + cold_bytes() + cold_heap_bytes()) / live_);
   }
 
   // --- accounting ---
@@ -525,10 +559,9 @@ class TieredFlowInspector {
   }
 
   /// Drop every flow and reset all derived per-inspector bookkeeping in one
-  /// place — the epoch, buffered reassembly
-  /// accounting, and the live gauges mirrored into the metrics shard (the
-  /// watchdog calls this when it restarts a crashed worker, and stale
-  /// gauges would otherwise survive until the next packet).
+  /// place — the epoch and buffered reassembly accounting — and publish
+  /// the emptied gauges to the attached block at once, so they do not stay
+  /// stale until the next packet.
   ///
   /// Deliberately NOT reset: the monotone totals (evicted_count,
   /// reassembly_dropped_count, quarantined_flow/packet_count), which are
@@ -548,10 +581,7 @@ class TieredFlowInspector {
     live_ = 0;
     total_pending_ = 0;
     epoch_ = 0;
-    if (metrics_ != nullptr) {
-      metrics_->flows.store(0, std::memory_order_relaxed);
-      metrics_->reassembly_pending_bytes.store(0, std::memory_order_relaxed);
-    }
+    if (metrics_ != nullptr) publish(*metrics_);
   }
 
  private:
@@ -657,26 +687,6 @@ class TieredFlowInspector {
     return kNoSlot;
   }
 
-  [[nodiscard]] std::uint32_t rehash_kick(std::uint32_t b1, std::uint32_t b2) {
-    const std::uint32_t cand[2] = {b1, b2};
-    for (const std::uint32_t c : cand) {
-      for (std::uint32_t i = c * kBucketWidth; i < (c + 1) * kBucketWidth; ++i) {
-        const auto [rb1, rb2] = buckets_of(FlowKeyHash{}(slots_[i].key));
-        const std::uint32_t alt = c == rb1 ? rb2 : rb1;
-        if (alt == c) continue;
-        const std::uint32_t f = free_in_bucket(alt);
-        if (f != kNoSlot) {
-          slots_[f] = slots_[i];
-          if (generation_active_) generations_[f] = generations_[i];
-          if (budget_ticks_ != 0) ticks_[f] = ticks_[i];
-          slots_[i].flags = 0;
-          return i;
-        }
-      }
-    }
-    return kNoSlot;
-  }
-
   [[nodiscard]] bool rehash_place(const std::vector<HotSlot>& old,
                                   const std::vector<std::uint64_t>& oldg,
                                   const std::vector<std::uint64_t>& oldt) {
@@ -685,7 +695,9 @@ class TieredFlowInspector {
       const auto [b1, b2] = buckets_of(FlowKeyHash{}(old[i].key));
       std::uint32_t f = free_in_bucket(b1);
       if (f == kNoSlot) f = free_in_bucket(b2);
-      if (f == kNoSlot) f = rehash_kick(b1, b2);
+      // A kick's stamp bump and wheel entry are moot here: grow_table()
+      // clears the wheel and reschedules every flow after placement.
+      if (f == kNoSlot) f = kick_for_room(b1, b2);
       if (f == kNoSlot) return false;
       slots_[f] = old[i];
       slots_[f].stamp = 0;  // pre-grow wheel entries were cleared wholesale
@@ -902,7 +914,6 @@ class TieredFlowInspector {
     HotSlot& s = slots_[si];
     ++flows_quarantined_;
     if (registry_ != nullptr) {
-      metrics_->flows_quarantined.fetch_add(1, std::memory_order_relaxed);
       registry_->trace().record(s.key.src_ip, s.key.dst_ip, s.key.src_port,
                                 s.key.dst_port, s.key.proto,
                                 obs::kFlowQuarantinedEventId, slot_off(s),
@@ -964,8 +975,6 @@ class TieredFlowInspector {
     cold_heap_ += slot_heap_bytes(s) - heap_before;
     s.flags &= static_cast<std::uint8_t>(~kInline);
     ++spills_;
-    if (metrics_ != nullptr)
-      metrics_->flows_spilled.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Consult the engine's prefilter gate for a flow's chunk, wherever its
@@ -1002,7 +1011,8 @@ class TieredFlowInspector {
     if (mode_ != ScanMode::kFull && !deep_scan_chunk(slots_[si].key, data, size))
       return false;
     const simd::Gate g = gate_slot(si, data, size);
-    if (g != simd::Gate::kNone) note_prefilter(g == simd::Gate::kSkip);
+    if (g == simd::Gate::kSkip) ++prefilter_skips_;
+    if (g == simd::Gate::kScan) ++prefilter_passes_;
     return g != simd::Gate::kSkip;
   }
 
@@ -1017,7 +1027,7 @@ class TieredFlowInspector {
       return true;
     const bool hit = probe_chunk(data, size);
     if (mode_ == ScanMode::kPrefilterOnly) {
-      if (hit) note_degraded_hit();
+      if (hit) ++degraded_hits_;
       return false;
     }
     return hit;  // kSampled, non-sampled flow: scan only suspicious chunks
@@ -1030,23 +1040,6 @@ class TieredFlowInspector {
       (void)data;
       (void)size;
       return true;  // no probe: cannot prove absence, everything suspicious
-    }
-  }
-
-  void note_degraded_hit() {
-    ++degraded_hits_;
-    if (metrics_ != nullptr)
-      metrics_->degraded_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void note_prefilter(bool skipped) {
-    if (skipped)
-      ++prefilter_skips_;
-    else
-      ++prefilter_passes_;
-    if (metrics_ != nullptr) {
-      auto& counter = skipped ? metrics_->prefilter_skip : metrics_->prefilter_pass;
-      counter.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -1082,15 +1075,19 @@ class TieredFlowInspector {
   void deliver_batch(const Packet* pkts, std::size_t count, FlowSink&& fsink,
                      DropSink&& dsink) {
     std::uint64_t hashes[kPrepassPackets];
+    packets_ += count;
     for (std::size_t at = 0; at < count; at += kPrepassPackets) {
       const Packet* run = pkts + at;
       const std::size_t n = std::min(count - at, kPrepassPackets);
+      std::uint64_t run_bytes = 0;
       for (std::size_t i = 0; i < n; ++i) {
+        run_bytes += run[i].length;
         hashes[i] = FlowKeyHash{}(run[i].key);
         const std::size_t head = std::min<std::size_t>(run[i].length, kPayloadPrefetchBytes);
         for (std::size_t off = 0; off < head; off += kCacheLineBytes)
           __builtin_prefetch(run[i].payload + off, 0, 3);
       }
+      bytes_ += run_bytes;
       for (std::size_t i = 0; i < n; ++i) deliver_packet(run[i], hashes[i], fsink, dsink);
     }
   }
@@ -1127,7 +1124,10 @@ class TieredFlowInspector {
     const std::size_t len = p.length - skip;
     const std::uint64_t base = slot_off(s);
     set_slot_off(s, base + len);
-    const auto sink = [&, si](std::uint32_t id, std::uint64_t end) { fsink(si, id, end); };
+    const auto sink = [&, si](std::uint32_t id, std::uint64_t end) {
+      ++matches_;
+      fsink(si, id, end);
+    };
     const std::uint64_t t0 = budget_ticks_ != 0 ? util::rdtsc_now() : 0;
     if (needs_scan(si, data, len)) feed_slot(si, data, len, base, sink);
     drain(si, sink);
@@ -1271,34 +1271,23 @@ class TieredFlowInspector {
     return s.cold == kNoRecord ? 0 : record_heap_bytes(cold_[s.cold]);
   }
 
-  // --- telemetry ---
-
-  void store_gauges(obs::ShardMetrics& m) {
-    m.flows.store(live_, std::memory_order_relaxed);
-    m.evictions.store(evicted_, std::memory_order_relaxed);
-    m.reassembly_drops.store(reassembly_dropped_, std::memory_order_relaxed);
-    m.reassembly_pending_bytes.store(total_pending_, std::memory_order_relaxed);
-    m.flow_hot_slots.store(slots_.size(), std::memory_order_relaxed);
-    m.flow_cold_bytes.store(cold_bytes(), std::memory_order_relaxed);
-    if (live_ != 0)
-      m.bytes_per_flow.record((hot_bytes() + cold_bytes() + cold_heap_bytes()) / live_);
-  }
-
   const EngineT* engine_;  ///< ONE engine for all flows (never per-flow)
   std::uint64_t current_generation_ = 0;
-  bool generation_active_ = false;  ///< adopt_engine() was called at least once
   std::shared_ptr<const void> current_pin_;
   std::vector<Retired> retired_;
   std::size_t max_flows_ = 0;
   std::size_t max_pending_ = kDefaultMaxPendingBytes;
   std::uint32_t idle_ttl_ = 0;  ///< 0 = idle eviction off
+  std::uint32_t epoch_ = 0;     ///< per-shard packet epoch (wraps)
+  std::uint64_t packets_ = 0;  ///< packets handed in, quarantine-dropped included
+  std::uint64_t bytes_ = 0;    ///< payload bytes of those packets
+  std::uint64_t matches_ = 0;  ///< matches emitted
   std::uint64_t evicted_ = 0;       ///< capacity evictions (max_flows)
   std::uint64_t idle_evicted_ = 0;  ///< TTL evictions
   std::uint64_t reassembly_dropped_ = 0;
   std::uint64_t spills_ = 0;  ///< flows whose inline state spilled
   std::uint64_t total_pending_ = 0;
   std::uint64_t arrival_tick_ = 0;
-  std::uint32_t epoch_ = 0;  ///< per-shard packet epoch (wraps)
   std::uint64_t cpu_budget_ns_ = 0;
   std::uint64_t budget_ticks_ = 0;
   std::uint64_t flows_quarantined_ = 0;
@@ -1307,12 +1296,13 @@ class TieredFlowInspector {
   std::uint64_t prefilter_passes_ = 0;  ///< gate-eligible chunks scanned
   bool prefilter_on_ = true;            ///< set_prefilter() runtime switch
   ScanMode mode_ = ScanMode::kFull;     ///< degradation-ladder rung (§14)
+  bool generation_active_ = false;  ///< adopt_engine() was called at least once
   std::uint64_t sample_mask_ = 7;       ///< L1: 1-in-(mask+1) flows exact
   std::uint64_t degraded_hits_ = 0;     ///< L2 probe-positive detections
   std::unordered_set<FlowKey, FlowKeyHash> quarantined_;
   std::deque<FlowKey> quarantine_order_;
-  obs::MetricsRegistry* registry_ = nullptr;
-  obs::ShardMetrics* metrics_ = nullptr;
+  obs::MetricsRegistry* registry_ = nullptr;  ///< telemetry; null = untraced
+  obs::ShardMetrics* metrics_ = nullptr;      ///< counter block publish() fills
   double ns_per_tick_ = 0.0;
   obs::Profiler* profiler_ = nullptr;  ///< sampled cost profiler (optional)
   std::uint64_t profile_mask_ = 0;     ///< profiler_->sample_mask(), cached

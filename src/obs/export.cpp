@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
 #include <thread>
 
 namespace mfa::obs {
@@ -35,13 +36,16 @@ void append(std::string& out, const char* fmt, ...) {
 
 // --- Prometheus ---
 
+/// `field` is a ShardSnapshot counter or a getter such as
+/// &ShardSnapshot::shed_total.
+template <typename Field>
 void prom_counter(std::string& out, const char* name, const char* help,
-                  const RegistrySnapshot& snap,
-                  std::uint64_t ShardSnapshot::*field, const char* type) {
+                  const RegistrySnapshot& snap, Field field, const char* type) {
   if (!prom_metric_name_valid(name)) return;
   append(out, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, type);
   for (std::size_t i = 0; i < snap.shards.size(); ++i)
-    append(out, "%s{shard=\"%zu\"} %" PRIu64 "\n", name, i, snap.shards[i].*field);
+    append(out, "%s{shard=\"%zu\"} %" PRIu64 "\n", name, i,
+           std::invoke(field, snap.shards[i]));
 }
 
 void prom_histogram(std::string& out, const char* name, const char* help,
@@ -96,11 +100,18 @@ void json_shard(std::string& out, const ShardSnapshot& s) {
          ",\"flows_recovered\":%" PRIu64 ",",
          s.packets, s.bytes, s.matches, s.flows, s.evictions, s.reassembly_drops,
          s.reassembly_pending_bytes, s.queue_full_spins, s.max_queue_depth,
-         s.shed_packets, s.shed_bytes, s.flows_quarantined, s.worker_restarts,
+         s.shed_total(), s.shed_bytes, s.flows_quarantined, s.worker_restarts,
          s.worker_stalls, s.flow_hot_slots, s.flow_cold_bytes, s.flows_spilled,
          s.prefilter_pass,
          s.prefilter_skip, s.degraded_hits, s.degrade_level,
          s.degrade_transitions, s.flows_recovered);
+  append(out,
+         "\"submitted\":%" PRIu64 ",\"scanned\":%" PRIu64
+         ",\"shed_admission\":%" PRIu64 ",\"shed_bypass\":%" PRIu64
+         ",\"shed_corrupt\":%" PRIu64 ",\"shed_crash\":%" PRIu64
+         ",\"shed_quarantine\":%" PRIu64 ",\"shed_failover\":%" PRIu64 ",",
+         s.submitted, s.scanned, s.shed_admission, s.shed_bypass, s.shed_corrupt,
+         s.shed_crash, s.shed_quarantine, s.shed_failover);
   append(out, "\"spans_sampled\":%" PRIu64 ",", s.spans_sampled);
   json_histogram(out, "scan_ns", s.scan_ns);
   out += ",";
@@ -220,15 +231,21 @@ std::string json_escape(std::string_view value) {
 std::string to_prometheus(const RegistrySnapshot& snap,
                           const std::vector<std::string>* rule_names) {
   std::string out;
-  prom_counter(out, "mfa_packets_total", "Packets scanned", snap,
-               &ShardSnapshot::packets, "counter");
-  prom_counter(out, "mfa_bytes_total", "Payload bytes scanned", snap,
-               &ShardSnapshot::bytes, "counter");
+  prom_counter(out, "mfa_submitted_total", "Packets handed to the pipeline", snap,
+               &ShardSnapshot::submitted, "counter");
+  prom_counter(out, "mfa_scanned_total",
+               "Packets delivered to the flow inspector and not shed", snap,
+               &ShardSnapshot::scanned, "counter");
+  prom_counter(out, "mfa_packets_total", "Packets handed to the flow inspector",
+               snap, &ShardSnapshot::packets, "counter");
+  prom_counter(out, "mfa_bytes_total", "Payload bytes handed to the flow inspector",
+               snap, &ShardSnapshot::bytes, "counter");
   prom_counter(out, "mfa_matches_total", "Confirmed pattern matches", snap,
                &ShardSnapshot::matches, "counter");
   prom_counter(out, "mfa_flows", "Flows resident in the flow table", snap,
                &ShardSnapshot::flows, "gauge");
-  prom_counter(out, "mfa_flow_evictions_total", "Flow-table LRU evictions", snap,
+  prom_counter(out, "mfa_flow_evictions_total",
+               "Flows evicted to stay under the flow-table cap", snap,
                &ShardSnapshot::evictions, "counter");
   prom_counter(out, "mfa_reassembly_drops_total",
                "Out-of-order segments dropped by the pending cap", snap,
@@ -251,8 +268,26 @@ std::string to_prometheus(const RegistrySnapshot& snap,
   prom_counter(out, "mfa_queue_max_depth", "High-water mark of the shard queue",
                snap, &ShardSnapshot::max_queue_depth, "gauge");
   prom_counter(out, "mfa_shed_packets_total",
-               "Packets shed (load shedding, quarantine, crash, failover) "
-               "instead of scanned", snap, &ShardSnapshot::shed_packets, "counter");
+               "Packets shed instead of scanned, over every reason", snap,
+               &ShardSnapshot::shed_total, "counter");
+  prom_counter(out, "mfa_shed_admission_total",
+               "Packets dropped at submit by the shed policy", snap,
+               &ShardSnapshot::shed_admission, "counter");
+  prom_counter(out, "mfa_shed_bypass_total",
+               "Packets counted but never scanned (degradation ladder L3)", snap,
+               &ShardSnapshot::shed_bypass, "counter");
+  prom_counter(out, "mfa_shed_corrupt_total",
+               "Corrupt packets rejected before delivery", snap,
+               &ShardSnapshot::shed_corrupt, "counter");
+  prom_counter(out, "mfa_shed_crash_total",
+               "Packets of bursts abandoned by a crashed worker", snap,
+               &ShardSnapshot::shed_crash, "counter");
+  prom_counter(out, "mfa_shed_quarantine_total",
+               "Packets of flows quarantined for their CPU budget", snap,
+               &ShardSnapshot::shed_quarantine, "counter");
+  prom_counter(out, "mfa_shed_failover_total",
+               "Packets drained unscanned by a failed shard or the shutdown deadline",
+               snap, &ShardSnapshot::shed_failover, "counter");
   prom_counter(out, "mfa_shed_bytes_total", "Payload bytes of shed packets",
                snap, &ShardSnapshot::shed_bytes, "counter");
   prom_counter(out, "mfa_flows_quarantined_total",

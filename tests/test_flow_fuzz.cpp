@@ -8,7 +8,10 @@
 // Engine/Context split.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "dfa/dfa.h"
@@ -94,17 +97,24 @@ std::string gated_content(util::Rng& rng) {
 // The oracle grid: dense and delta tables x gate on/off x packet and
 // packet_batch through one inspector, and the sharded pipeline at 1-4
 // shards, all on randomized reorder/retransmit/overlap plans whose
-// segments straddle the gate's size floor.
+// segments straddle the gate's size floor. Halfway through each pipeline
+// run a separately built engine of the same ruleset is swapped in under
+// kDrainOld: flows already open stay on generation 0, later ones start on
+// generation 1, and the matches must still be the oracle's.
 TEST(FlowOracle, InspectorsMatchTheOracleAcrossTheGrid) {
   const auto inputs = compile_patterns(kFuzzSources);
   const nfa::Nfa n = nfa::build_nfa(inputs);
   std::uint64_t gate_skips = 0;
+  std::uint64_t generation1_matches = 0;
   for (const bool delta : {false, true}) {
     core::BuildOptions opts;
     opts.delta = delta;
     const auto m = core::build_mfa(inputs, opts);
     ASSERT_TRUE(m.has_value());
     ASSERT_EQ(m->delta_mode(), delta);
+    auto swapped = core::build_mfa(inputs, opts);
+    ASSERT_TRUE(swapped.has_value());
+    const auto next = std::make_shared<const core::Mfa>(std::move(*swapped));
     ASSERT_TRUE(m->prefilter().gate_enabled()) << m->prefilter().status();
     for (std::uint64_t round = 0; round < 12; ++round) {
       util::Rng rng(5100 + round);
@@ -134,20 +144,37 @@ TEST(FlowOracle, InspectorsMatchTheOracleAcrossTheGrid) {
         popt.shards = shards;
         popt.batch_size = 1 + rng.below(32);
         popt.collect_flow_matches = true;
+        popt.swap_policy = SwapPolicy::kDrainOld;
         pipeline::ShardedInspector<core::Mfa> pipe(*m, popt);
         pipe.start();
-        for (const Delivery& d : plan) pipe.submit(d.packet());
+        const std::size_t half = plan.size() / 2;
+        for (std::size_t i = 0; i < half; ++i) pipe.submit(plan[i].packet());
+        pipe.swap_ruleset(next, 1);
+        while (pipe.adopted_generation() < 1) std::this_thread::yield();
+        for (std::size_t i = half; i < plan.size(); ++i) pipe.submit(plan[i].packet());
         pipe.finish();
         FlowMatches got;
         for (const pipeline::FlowMatch& fm : pipe.flow_matches())
           got.push_back(FlowMatch{fm.key, fm.match.id, fm.match.end});
         std::sort(got.begin(), got.end());
         EXPECT_EQ(got, expected) << where("sharded") << " shards " << shards;
+        std::uint64_t by_generation = 0;
+        for (const auto& [generation, count] : pipe.matches_by_generation()) {
+          EXPECT_LE(generation, 1u) << where("sharded") << " shards " << shards;
+          by_generation += count;
+        }
+        EXPECT_EQ(by_generation, pipe.totals().matches)
+            << where("sharded") << " shards " << shards;
+        EXPECT_EQ(by_generation, got.size()) << where("sharded") << " shards " << shards;
+        const auto g1 = pipe.matches_by_generation().find(1);
+        if (g1 != pipe.matches_by_generation().end()) generation1_matches += g1->second;
       }
     }
   }
-  // The grid is vacuous for the gate if it never skipped a chunk.
+  // The grid is vacuous for the gate if it never skipped a chunk, and for
+  // the swap if no flow ever matched on the swapped-in generation.
   EXPECT_GT(gate_skips, 0u);
+  EXPECT_GT(generation1_matches, 0u);
 }
 
 // --- bounded reassembly ---

@@ -304,7 +304,7 @@ TEST(HotSwap, LoadsSavedArtifactAndSwaps) {
   pipe.submit(packet(flow::FlowKey{3, 3, 3, 3, 6}, 0, payload));
   pipe.finish();
   EXPECT_EQ(pipe.totals().matches, 1u);
-  EXPECT_EQ(pipe.totals().matches_by_generation.at(report.generation), 1u);
+  EXPECT_EQ(pipe.matches_by_generation().at(report.generation), 1u);
   std::remove(path.c_str());
 }
 
@@ -451,7 +451,7 @@ TEST(SwapUnderLoad, AsyncSwapKeepsAccountingExactAndRetiresOldEngineSet) {
     EXPECT_EQ(t.submitted, t.scanned + t.shed_total());  // exact, no loss
     EXPECT_EQ(t.shed_total(), 0u);                       // backpressure mode
     std::uint64_t by_generation = 0;
-    for (const auto& [generation, count] : t.matches_by_generation) {
+    for (const auto& [generation, count] : pipe.matches_by_generation()) {
       EXPECT_LE(generation, 2u);
       by_generation += count;
     }
@@ -532,7 +532,7 @@ TEST(SwapUnderLoad, SwapStagedBeforeStartIsAdoptedByFreshWorkers) {
   pipe.submit(packet(flow::FlowKey{1, 1, 1, 1, 6}, 0, payload));
   pipe.finish();
   EXPECT_EQ(pipe.totals().matches, 1u);
-  EXPECT_EQ(pipe.totals().matches_by_generation.at(set->generation), 1u);
+  EXPECT_EQ(pipe.matches_by_generation().at(set->generation), 1u);
 }
 
 }  // namespace

@@ -174,7 +174,7 @@ TEST_F(SoakTest, FaultSoakKeepsAccountingExactAndUndisturbedFlowsIdentical) {
     // Telemetry mirror agrees with the merged stats (nothing abandoned, so
     // every shed was mirrored).
     std::uint64_t mirrored_shed = 0;
-    for (const auto& s : metrics.snapshot().shards) mirrored_shed += s.shed_packets;
+    for (const auto& s : metrics.snapshot().shards) mirrored_shed += s.shed_total();
     EXPECT_EQ(mirrored_shed, total.shed_total()) << "seed " << seed;
     // shed_sink saw at least every distinctly-counted shed (crash bursts
     // may over-notify, never under-notify).
