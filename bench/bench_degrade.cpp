@@ -30,6 +30,9 @@ struct LevelRun {
   std::uint64_t matches = 0;
   std::uint64_t degraded_hits = 0;
   std::uint64_t shed_bypass = 0;
+  /// Every rep's registry snapshot folded together, warm-up included
+  /// (start() zeroes the per-run counters). Only with a registry attached.
+  mfa::obs::RegistrySnapshot telemetry;
 };
 
 LevelRun run_pinned(const mfa::core::Mfa& engine, const mfa::trace::Trace& t,
@@ -57,6 +60,7 @@ LevelRun run_pinned(const mfa::core::Mfa& engine, const mfa::trace::Trace& t,
     out.matches = total.matches;
     out.degraded_hits = total.degraded_hits;
     out.shed_bypass = total.shed_bypass;
+    if (metrics != nullptr) out.telemetry.add_run(metrics->snapshot());
   }
   if (t.payload_bytes() > 0 && timed > 0) {
     out.cycles_per_byte =
@@ -326,8 +330,7 @@ int main(int argc, char** argv) {
     // Instrumented L0 pass for the report's telemetry block (kept out of the
     // timed runs; bench_compare gates its scan-latency p99).
     obs::MetricsRegistry registry(1);
-    (void)run_pinned(*engine, t, 0, 1, &registry);
-    report.set_telemetry(registry.snapshot());
+    report.set_telemetry(run_pinned(*engine, t, 0, 1, &registry).telemetry);
   }
   std::printf("Reading: each rung trades recall for cost — L1 keeps every\n"
               "prefilter-positive chunk plus 1-in-8 flows exact, L2 only counts\n"

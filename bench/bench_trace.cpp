@@ -18,6 +18,9 @@ namespace {
 struct RunResult {
   double cpb = 0.0;
   std::uint64_t matches = 0;
+  /// Every rep's registry snapshot folded together, warm-up included
+  /// (start() zeroes the per-run counters).
+  mfa::obs::RegistrySnapshot telemetry;
 };
 
 /// Submit→finish wall CpB for one pipeline configuration, timed like
@@ -34,6 +37,7 @@ RunResult run_pipeline(const mfa::core::Mfa& engine, const mfa::trace::Trace& t,
     pipe.finish();
     const std::uint64_t elapsed = mfa::util::rdtsc_now() - start;
     r.matches = pipe.totals().matches;
+    r.telemetry.add_run(opt_template.metrics->snapshot());
     return elapsed;
   });
   return r;
@@ -132,7 +136,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(full.matches),
                  static_cast<unsigned long long>(telem.matches));
 
-  const obs::RegistrySnapshot snap = obs_reg.snapshot();
+  const obs::RegistrySnapshot& snap = full.telemetry;
   std::printf("latency spans (1 in %llu packets, %llu sampled):\n",
               static_cast<unsigned long long>(std::uint64_t{1} << shift),
               static_cast<unsigned long long>(snap.totals().spans_sampled));

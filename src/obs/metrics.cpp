@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <map>
 
 #include "util/timing.h"
 
@@ -165,6 +166,55 @@ RegistrySnapshot MetricsRegistry::snapshot() const {
   snap.generation_match_overflow =
       generation_match_overflow_.load(std::memory_order_relaxed);
   return snap;
+}
+
+void MetricsRegistry::reset_match_counts() {
+  for (std::size_t id = 0; id < match_id_capacity_; ++id)
+    match_counts_[id].store(0, std::memory_order_relaxed);
+  match_id_overflow_.store(0, std::memory_order_relaxed);
+  for (GenerationSlot& slot : generation_slots_) {
+    slot.count.store(0, std::memory_order_relaxed);
+    slot.generation.store(kGenerationSlotEmpty, std::memory_order_release);
+  }
+  generation_match_overflow_.store(0, std::memory_order_relaxed);
+}
+
+namespace {
+
+/// Add (key, count) pairs into an ascending list, keeping it ascending.
+template <typename K>
+void add_counts(std::vector<std::pair<K, std::uint64_t>>& into,
+                const std::vector<std::pair<K, std::uint64_t>>& from) {
+  std::map<K, std::uint64_t> sum(into.begin(), into.end());
+  for (const auto& [key, n] : from) sum[key] += n;
+  into.assign(sum.begin(), sum.end());
+}
+
+}  // namespace
+
+void RegistrySnapshot::add_run(const RegistrySnapshot& later) {
+  if (shards.size() < later.shards.size()) shards.resize(later.shards.size());
+  for (std::size_t i = 0; i < later.shards.size(); ++i) {
+    ShardSnapshot& s = shards[i];
+    const ShardSnapshot& l = later.shards[i];
+    s += l;
+    s.flows = l.flows;
+    s.reassembly_pending_bytes = l.reassembly_pending_bytes;
+    s.flow_hot_slots = l.flow_hot_slots;
+    s.flow_cold_bytes = l.flow_cold_bytes;
+    s.degrade_level = l.degrade_level;
+  }
+  add_counts(match_counts, later.match_counts);
+  match_id_overflow += later.match_id_overflow;
+  add_counts(generation_matches, later.generation_matches);
+  generation_match_overflow += later.generation_match_overflow;
+  trace_events = later.trace_events;
+  trace_recorded = later.trace_recorded;
+  span_events = later.span_events;
+  span_recorded = later.span_recorded;
+  ruleset_generation = later.ruleset_generation;
+  ruleset_swaps = later.ruleset_swaps;
+  ruleset_swap_ns = later.ruleset_swap_ns;
 }
 
 void MetricsRegistry::record_ruleset_swap(std::uint64_t generation,
