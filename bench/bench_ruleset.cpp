@@ -9,13 +9,16 @@
 // exemplars sampled from the ruleset itself. Also: split coverage (what
 // fraction of rules the decomposition touched), compile seconds per phase
 // (split, NFA, subset, minimise, prefilter proof, D2FA) for the dense and
-// the delta build, and the delta table's chain statistics.
+// the delta build, and the delta table's chain statistics, including the
+// share of trace bytes stepped from a root (the D2FA's one-load path).
 //
 // CI gates (exit non-zero): --assert-delta-ratio (delta table must be R×
 // smaller than the dense table), --assert-delta-cpb-pct (delta CpB within
 // P% of dense), and --assert-compile-seconds (largest-rung budget for the
 // dense and the delta compile alike).
 #include "bench_common.h"
+
+#include <unordered_map>
 
 #include "dfa/d2fa.h"
 #include "rules/rules.h"
@@ -40,6 +43,24 @@ void print_phases(const char* label, const mfa::core::BuildStats& st) {
               "prefilter %.3fs, d2fa %.3fs; sum %.3fs of %.3fs\n",
               label, p.split, p.nfa, p.subset, p.minimize, p.prefilter, p.d2fa, p.sum(),
               st.seconds);
+}
+
+/// Percentage of `tr`'s payload bytes that `d2` steps from a forest root:
+/// an untimed walk of each flow's packets in capture order from the start
+/// state, one raw-id step per byte.
+double root_byte_pct(const mfa::dfa::D2fa& d2, const mfa::trace::Trace& tr) {
+  std::unordered_map<mfa::flow::FlowKey, std::uint32_t, mfa::flow::FlowKeyHash> states;
+  std::uint64_t from_root = 0;
+  tr.for_each_packet([&](const mfa::flow::Packet& p) {
+    std::uint32_t& s = states.try_emplace(p.key, d2.start()).first->second;
+    for (std::uint32_t i = 0; i < p.length; ++i) {
+      from_root += d2.is_root(s);
+      s = d2.next(s, p.payload[i]);
+    }
+  });
+  return tr.payload_bytes() > 0
+             ? 100.0 * static_cast<double>(from_root) / static_cast<double>(tr.payload_bytes())
+             : 0.0;
 }
 
 }  // namespace
@@ -183,11 +204,13 @@ int main(int argc, char** argv) {
                 nrules, split.patterns_decomposed, split.patterns_in, coverage);
     bench::print_table(table, args.csv);
     std::printf("  delta: table %.2fx smaller than dense (%zu -> %zu bytes), "
-                "%u roots, max chain %u, avg chain %.2f, %llu exceptions\n",
+                "%u roots, max chain %u, avg chain %.2f, %llu exceptions, "
+                "%.2f%% of trace bytes stepped from a root\n",
                 table_ratio, dense_table_bytes, delta_table_bytes,
                 del_stats.d2fa.roots, del_stats.d2fa.max_chain,
                 del_stats.d2fa.avg_chain,
-                static_cast<unsigned long long>(del_stats.d2fa.exception_entries));
+                static_cast<unsigned long long>(del_stats.d2fa.exception_entries),
+                root_byte_pct(d2, tr));
     print_phases("dense", suite.mfa_stats);
     print_phases("delta", del_stats);
     std::printf("  matches dense=%llu delta=%llu\n\n",

@@ -170,7 +170,7 @@ D2fa::D2fa(const Dfa& dfa, const D2faOptions& options, D2faStats* stats) {
     row_offsets_[s + 1] = static_cast<std::uint32_t>(exc_.size());
   }
 
-  // Tag the dense-row targets in place (kTagRoot/kTagAccept; see d2fa.h).
+  // Tag the dense-row targets in place (kTagNonRoot/kTagAccept; see d2fa.h).
   // Must run after the emit loop: tag_state reads the target's defaults_
   // entry, which is only final once every state has been emitted.
   for (std::uint32_t& t : dense_rows_) t = tag_state(t);

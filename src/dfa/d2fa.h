@@ -43,7 +43,7 @@ struct D2faOptions {
   /// Scan time concentrates in the start state's neighborhood (clean
   /// traffic keeps restarting there), so keeping those few rows dense buys
   /// back most of the chain-walk cost for a tiny size overhead. 0 disables.
-  std::uint32_t root_depth = 2;
+  std::uint32_t root_depth = 3;
 };
 
 struct D2faStats {
@@ -77,6 +77,10 @@ class D2fa {
   }
   [[nodiscard]] std::uint32_t max_chain() const { return max_chain_; }
   [[nodiscard]] std::uint64_t exception_entries() const { return exception_entries_; }
+  /// True when `state` kept its dense row (a forest root).
+  [[nodiscard]] bool is_root(std::uint32_t state) const {
+    return (defaults_[state] & kRootFlag) != 0;
+  }
 
   // --- Tagged-state scan representation ---
   //
@@ -86,22 +90,24 @@ class D2fa {
   // which is most of D2FA's throughput gap (knob sweeps barely move it).
   // So stored transition *targets* carry their routing metadata inline:
   //
-  //   bit 31 (kTagRoot)    target is a forest root; low bits are its row
-  //   bit 30 (kTagAccept)  target is an accepting state
-  //   bits 0..29           dense-row offset (root: row index x ncols, the
-  //                        premultiplied form of DESIGN.md §6 #13) or raw
-  //                        state id (non-root)
+  //   below kTagAccept      a non-accepting forest root; the value IS its
+  //                         dense-row offset (row index x ncols, the
+  //                         premultiplied form of DESIGN.md §6 #13)
+  //   bit 30 (kTagAccept)   target is an accepting state
+  //   bit 31 (kTagNonRoot)  target is not a root; low bits are its raw id
+  //   bits 0..29            root: dense-row offset; non-root: raw state id
   //
   // dense_rows_ holds tagged values IN MEMORY ONLY (serialization converts
-  // to/from raw state ids, keeping the artifact format unchanged), so a
-  // root-resident flow steps with exactly one dependent load per byte —
-  // the same add-and-load chain the dense table pays — and the accept test
-  // is one AND. The chain walk survives only on non-root states, which
-  // root_depth and the similarity threshold make cold by construction. The
-  // two tag bits are why state_count x ncols (and so root rows x ncols)
-  // stays below util::kMaxRowOffsets = 2^30; deserialize rejects anything
-  // larger before allocating.
-  static constexpr std::uint32_t kTagRoot = 0x80000000u;
+  // to/from raw state ids, keeping the artifact format unchanged), so the
+  // hot step of walk() is one compare, `v < kTagAccept`, then
+  // `v = dense_rows_[v + col]` with no mask: the same add-and-load chain the
+  // dense table pays. Any value at or above kTagAccept (an accept, or a
+  // non-root state) leaves that path. The chain walk survives only on
+  // non-root states, which root_depth and the similarity threshold make
+  // cold by construction. The two tag bits are why state_count x ncols (and
+  // so root rows x ncols) stays below util::kMaxRowOffsets = 2^30;
+  // deserialize rejects anything larger before allocating.
+  static constexpr std::uint32_t kTagNonRoot = 0x80000000u;
   static constexpr std::uint32_t kTagAccept = 0x40000000u;
   static constexpr std::uint32_t kTagIdMask = 0x3fffffffu;
 
@@ -109,29 +115,45 @@ class D2fa {
   [[nodiscard]] std::uint32_t tag_state(std::uint32_t raw) const {
     const std::uint32_t a = raw < accept_states_ ? kTagAccept : 0u;
     const std::uint32_t d = defaults_[raw];
-    return (d & kRootFlag) != 0 ? (d | a) : (raw | a);
+    return (d & kRootFlag) != 0 ? ((d & ~kRootFlag) | a) : (raw | kTagNonRoot | a);
   }
 
   /// Raw state id behind a tagged value (accept lookup, context write-back).
   [[nodiscard]] std::uint32_t untag(std::uint32_t v) const {
-    return (v & kTagRoot) != 0 ? root_raw_[rows_.id(v & kTagIdMask)] : (v & kTagIdMask);
-  }
-
-  [[nodiscard]] static bool tagged_accept(std::uint32_t v) {
-    return (v & kTagAccept) != 0;
-  }
-
-  /// One tagged transition: single dense load for roots, chain walk for the
-  /// cold non-root states.
-  [[nodiscard]] std::uint32_t next_tagged(std::uint32_t v, unsigned char byte) const {
-    const std::uint8_t col = byte_to_col_[byte];
-    if ((v & kTagRoot) != 0) return dense_rows_[(v & kTagIdMask) + col];
-    return next_cold(v & kTagIdMask, col);
+    return (v & kTagNonRoot) != 0 ? (v & kTagIdMask) : root_raw_[rows_.id(v & kTagIdMask)];
   }
 
   /// Raw-id transition (parity tests, artifact validation, cold callers).
   [[nodiscard]] std::uint32_t next(std::uint32_t state, unsigned char byte) const {
-    return untag(next_tagged(tag_state(state), byte));
+    const std::uint32_t v = tag_state(state);
+    const std::uint8_t col = byte_to_col_[byte];
+    return untag(v < kTagAccept ? dense_rows_[v + col] : next_cold(v, col));
+  }
+
+  /// The delta scan loop (feed(), Mfa's delta scan and its gate replay):
+  /// step [data, data + size) from raw state `state`, call
+  /// on_accept(raw state, i) for every accepting state entered at data[i],
+  /// and return the raw state after the last byte. A non-accepting root
+  /// steps with one compare and one dense load. An accepting state is
+  /// reported when the next byte leaves it (or after the last byte), so
+  /// the hot path carries no accept test; reports keep their order and
+  /// positions. The entry state's accept belongs to the byte that entered
+  /// it, so it enters without kTagAccept.
+  template <typename OnAccept>
+  [[nodiscard]] std::uint32_t walk(std::uint32_t state, const std::uint8_t* data,
+                                   std::size_t size, OnAccept&& on_accept) const {
+    std::uint32_t v = tag_state(state) & ~kTagAccept;
+    for (std::size_t i = 0; i < size; ++i) {
+      const std::uint8_t col = byte_to_col_[data[i]];
+      if (v < kTagAccept) [[likely]] {
+        v = dense_rows_[v + col];
+        continue;
+      }
+      if ((v & kTagAccept) != 0) on_accept(untag(v), i - 1);
+      v = next_cold(v, col);
+    }
+    if ((v & kTagAccept) != 0) on_accept(untag(v), size - 1);
+    return untag(v);
   }
 
   /// Match ids of an accepting state, unique, in the order of the Dfa they
@@ -199,21 +221,15 @@ class D2fa {
   [[nodiscard]] InlineContext make_inline_context() const { return make_context(); }
 
   /// Feed a chunk through `ctx`. Thread-safe with distinct contexts. The
-  /// loop runs on tagged states (see kTagRoot above): root-resident bytes
-  /// cost one dense load, and the accept test is a bit check on the value
-  /// just loaded — no second indexed lookup on the hot path.
+  /// loop is walk(): root-resident bytes cost one compare and one dense
+  /// load.
   template <typename Sink>
   void feed(Context& ctx, const std::uint8_t* data, std::size_t size, std::uint64_t base,
             Sink&& sink) const {
-    std::uint32_t v = tag_state(ctx.state);
-    for (std::size_t i = 0; i < size; ++i) {
-      v = next_tagged(v, data[i]);
-      if (tagged_accept(v)) [[unlikely]] {
-        const auto [first, last] = accepts(untag(v));
-        for (const auto* it = first; it != last; ++it) sink(*it, base + i);
-      }
-    }
-    ctx.state = untag(v);
+    ctx.state = walk(ctx.state, data, size, [&](std::uint32_t s, std::size_t i) {
+      const auto [first, last] = accepts(s);
+      for (const auto* it = first; it != last; ++it) sink(*it, base + i);
+    });
   }
 
   /// Binary (de)serialization (the MFAC v3 delta-table section).
@@ -226,8 +242,7 @@ class D2fa {
  private:
   /// High bit of defaults_[s]: s is a forest root; in memory the low bits
   /// are its dense row's offset (the artifact stores the row index). Clear:
-  /// low bits are the default-parent state id. (Same bit value as
-  /// kTagRoot, but defaults_ entries carry no accept bit.)
+  /// low bits are the default-parent state id.
   static constexpr std::uint32_t kRootFlag = 0x80000000u;
 
   /// One stored exception: (column, raw target state).
@@ -239,14 +254,17 @@ class D2fa {
   static void encode_row(std::vector<std::uint8_t>& out, std::uint32_t parent,
                          const std::vector<Exception>& row);
 
-  /// Chain walk for a non-root raw state id; returns a tagged value.
-  /// Bounded by construction: at most max_chain_ default hops, then a
-  /// root's dense row resolves unconditionally. Kept out of line so that
-  /// next_tagged(), the per-byte step, stays a few instructions: with this
-  /// walk inlined into it, next_tagged() was a ~300-byte function, called
-  /// per byte from the scan loops, whose speed moved with code placement.
-  [[nodiscard, gnu::noinline]] std::uint32_t next_cold(std::uint32_t s,
+  /// The step from a tagged value at or above kTagAccept: an accepting
+  /// root's dense row, or the chain walk of a non-root state. Bounded by
+  /// construction: at most max_chain_ default hops, then a root's dense row
+  /// resolves unconditionally. Kept out of line so that the hot step of
+  /// walk() stays a few instructions: with the chain walk inlined into the
+  /// per-byte step, that step was a ~300-byte function whose speed moved
+  /// with code placement.
+  [[nodiscard, gnu::noinline]] std::uint32_t next_cold(std::uint32_t v,
                                                        std::uint8_t col) const {
+    if ((v & kTagNonRoot) == 0) return dense_rows_[(v & kTagIdMask) + col];
+    std::uint32_t s = v & kTagIdMask;
     for (;;) {
       const std::uint32_t d = defaults_[s];
       if ((d & kRootFlag) != 0)  // dense_rows_ entries are already tagged

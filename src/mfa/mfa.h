@@ -412,14 +412,10 @@ class Mfa {
   [[nodiscard]] std::uint32_t replay_tail(const std::uint8_t* data,
                                           std::size_t size) const {
     const std::size_t w = std::min(prefilter_.window(), size);
-    std::uint32_t s = dfa_.start();
-    if (delta_) {
-      std::uint32_t v = delta_->tag_state(s);
-      for (const std::uint8_t* p = data + (size - w); p != data + size; ++p)
-        v = delta_->next_tagged(v, *p);
-      return delta_->untag(v);
-    }
-    s = dfa_.row_offset(s);
+    if (delta_)
+      return delta_->walk(dfa_.start(), data + (size - w), w,
+                          [](std::uint32_t, std::size_t) {});
+    std::uint32_t s = dfa_.row_offset(dfa_.start());
     for (const std::uint8_t* p = data + (size - w); p != data + size; ++p)
       s = dfa_.step(s, *p);
     return dfa_.state_of(s);
@@ -429,27 +425,20 @@ class Mfa {
   /// forms: on_accept(state, pos) on every state entered below `limit`,
   /// returning the limit from the next byte on (accept_limit() of the
   /// flow). A flow with no filter bit set thus walks through quiet
-  /// accepting states without stopping. Delta mode steps on D2fa tagged
-  /// states, so a root-resident byte costs one dense load and the accept
-  /// test is a bit check (see the tagged-state comment in d2fa.h), with the
-  /// limit checked behind it; match semantics are identical. Dense mode
-  /// steps on row offsets (DESIGN.md §6 #13): `state` and the limit are
-  /// multiplied once here, and a state is divided back only on an accept
-  /// below the limit and at the chunk's end.
+  /// accepting states without stopping. Delta mode is D2fa::walk(): a
+  /// non-accepting root steps with one compare and one dense load (see the
+  /// tagged-state comment in d2fa.h), and every accepting state leaves that
+  /// path to be checked against the limit; match semantics are identical.
+  /// Dense mode steps on row offsets (DESIGN.md §6 #13): `state` and the
+  /// limit are multiplied once here, and a state is divided back only on an
+  /// accept below the limit and at the chunk's end.
   template <typename AcceptFn>
   void scan(std::uint32_t& state, const std::uint8_t* data, std::size_t size,
             std::uint64_t base, std::uint32_t limit, AcceptFn&& on_accept) const {
     if (delta_) {
-      const dfa::D2fa& d = *delta_;
-      std::uint32_t v = d.tag_state(state);
-      for (std::size_t i = 0; i < size; ++i) {
-        v = d.next_tagged(v, data[i]);
-        if (dfa::D2fa::tagged_accept(v)) [[unlikely]] {
-          const std::uint32_t s = d.untag(v);
-          if (s < limit) limit = on_accept(s, base + i);
-        }
-      }
-      state = d.untag(v);
+      state = delta_->walk(state, data, size, [&](std::uint32_t s, std::size_t i) {
+        if (s < limit) limit = on_accept(s, base + i);
+      });
       return;
     }
     const dfa::Dfa& d = dfa_;

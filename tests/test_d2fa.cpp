@@ -9,6 +9,8 @@
 
 #include "engine_test_util.h"
 #include "regex/sample.h"
+#include "rules/rules.h"
+#include "rules/ruleset_gen.h"
 #include "util/rng.h"
 
 namespace mfa::dfa {
@@ -46,6 +48,75 @@ TEST(D2fa, NextParityOverAllStatesAndBytes) {
       }
     }
   }
+}
+
+TEST(D2fa, TagInvariantsHoldAtEveryRootDepth) {
+  // walk() trusts three facts about tagged values: untag() inverts
+  // tag_state(), a value is below kTagAccept exactly for a non-accepting
+  // root (the one-compare hot path), and every step, whether from a root,
+  // along a chain or out of an accepting state, lands where the dense table
+  // does. Checked on the generated 1k-rule set's piece DFA.
+  const auto loaded = rules::parse_rules(rules::generate_ruleset({1000, 42}));
+  ASSERT_TRUE(loaded.ok());
+  const auto m = core::build_mfa(rules::to_pattern_inputs(loaded.rules));
+  ASSERT_TRUE(m.has_value());
+  const Dfa& dense = m->character_dfa();
+  const std::uint32_t n = dense.state_count();
+  // BFS depth from the start state: states above root_depth are roots.
+  std::vector<std::uint32_t> depth(n, UINT32_MAX);
+  std::vector<std::uint32_t> queue = {dense.start()};
+  depth[dense.start()] = 0;
+  for (std::size_t q = 0; q < queue.size(); ++q)
+    for (std::uint16_t c = 0; c < dense.column_count(); ++c) {
+      const std::uint32_t t = dense.target(queue[q], c);
+      if (depth[t] != UINT32_MAX) continue;
+      depth[t] = depth[queue[q]] + 1;
+      queue.push_back(t);
+    }
+
+  // Root depths 0, 2 and 3, then max_chain 0 (every state a root), the
+  // only form of this set with accepting roots.
+  std::vector<D2faOptions> configs;
+  for (const std::uint32_t root_depth : {0u, 2u, 3u}) {
+    configs.emplace_back();
+    configs.back().root_depth = root_depth;
+  }
+  configs.emplace_back();
+  configs.back().max_chain = 0;
+  std::uint32_t accepting_roots = 0;
+  std::uint32_t accepting_chains = 0;
+  for (const D2faOptions& opts : configs) {
+    SCOPED_TRACE("root_depth " + std::to_string(opts.root_depth) + " max_chain " +
+                 std::to_string(opts.max_chain));
+    const D2fa delta(dense, opts);
+    std::uint32_t roots = 0;
+    for (std::uint32_t s = 0; s < n; ++s) {
+      const std::uint32_t v = delta.tag_state(s);
+      const bool root = delta.is_root(s);
+      const bool accepting = s < delta.accepting_state_count();
+      ASSERT_EQ(delta.untag(v), s) << "state " << s;
+      ASSERT_EQ(v < D2fa::kTagAccept, root && !accepting) << "state " << s;
+      ASSERT_EQ((v & D2fa::kTagAccept) != 0, accepting) << "state " << s;
+      ASSERT_EQ((v & D2fa::kTagNonRoot) == 0, root) << "state " << s;
+      if (depth[s] < opts.root_depth) {
+        ASSERT_TRUE(root) << "state " << s;
+      }
+      roots += root;
+      accepting_roots += root && accepting;
+      accepting_chains += !root && accepting;
+      for (unsigned b = 0; b < 256; ++b)
+        ASSERT_EQ(delta.next(s, static_cast<unsigned char>(b)),
+                  dense.next(s, static_cast<unsigned char>(b)))
+            << "state " << s << " byte " << b;
+    }
+    EXPECT_EQ(roots, delta.root_count());
+    if (opts.max_chain > 0) {
+      EXPECT_LT(roots, n);  // chain steps happen
+    }
+  }
+  // Steps out of accepting roots and accepting chain states both happen.
+  EXPECT_GT(accepting_roots, 0u);
+  EXPECT_GT(accepting_chains, 0u);
 }
 
 TEST(D2fa, ChainLengthIsBounded) {

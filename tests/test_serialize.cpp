@@ -14,6 +14,7 @@
 #include "regex/sample.h"
 #include "rules/rules.h"
 #include "rules/ruleset_gen.h"
+#include "trace/trace.h"
 #include "util/binio.h"
 #include "util/rng.h"
 
@@ -352,7 +353,7 @@ TEST(Serialize, GeneratedRulesetArtifactIsPinned) {
   const auto inputs = rules::to_pattern_inputs(loaded.rules);
   const std::string path = temp_path("pinned.mfac");
   for (const auto& [delta, pinned] :
-       {std::pair{false, 0x6498922e11822680ull}, std::pair{true, 0xb32598811856bb81ull}}) {
+       {std::pair{false, 0x6498922e11822680ull}, std::pair{true, 0x89e71f3c7ed78016ull}}) {
     SCOPED_TRACE(delta ? "delta" : "dense");
     BuildOptions opts;
     opts.delta = delta;
@@ -396,6 +397,55 @@ TEST(Serialize, DeltaArtifactRoundTripScansIdentically) {
     EXPECT_EQ(sorted(a.scan(input)), sorted(b.scan(input))) << input;
   }
   std::remove(path.c_str());
+}
+
+/// Every match of `engine` over `trace`'s packets fed in capture order as
+/// the chunks of one stream, in report order, and the state it ends in.
+std::pair<MatchVec, std::uint32_t> stream_matches(const Mfa& engine,
+                                                  const trace::Trace& trace) {
+  Mfa::Context ctx = engine.make_context();
+  CollectingSink sink;
+  std::uint64_t base = 0;
+  trace.for_each_packet([&](const flow::Packet& p) {
+    engine.feed(ctx, p.payload, p.length, base, sink);
+    base += p.length;
+  });
+  return {std::move(sink.matches), ctx.state};
+}
+
+TEST(Serialize, DepthTwoDeltaArtifactScansLikeDepthThreeAndDense) {
+  // Delta artifacts built at the old root_depth 2 hold fewer roots, and
+  // their scan tags are rebuilt at load: such a file must scan exactly as
+  // today's depth-3 build and the dense table do, match for match.
+  const auto rules_loaded = rules::parse_rules(rules::generate_ruleset({1000, 42}));
+  ASSERT_TRUE(rules_loaded.ok());
+  const auto inputs = rules::to_pattern_inputs(rules_loaded.rules);
+  BuildOptions depth3;
+  depth3.delta = true;
+  BuildOptions depth2 = depth3;
+  depth2.d2fa.root_depth = 2;
+  const auto dense = build_mfa(inputs);
+  const auto built3 = build_mfa(inputs, depth3);
+  const auto built2 = build_mfa(inputs, depth2);
+  ASSERT_TRUE(dense.has_value() && built3.has_value() && built2.has_value());
+  const std::string path = temp_path("depth2_delta.mfac");
+  ASSERT_TRUE(built2->save(path));
+  const auto loaded = Mfa::load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_TRUE(loaded->delta_mode());
+  EXPECT_LT(loaded->delta_table()->root_count(), built3->delta_table()->root_count());
+
+  util::Rng rng(404);
+  std::vector<std::string> exemplars;
+  for (std::size_t i = 0; i < inputs.size(); i += 7)
+    exemplars.push_back(regex::sample_match(inputs[i].regex, rng));
+  const trace::Trace tr =
+      trace::make_real_life(trace::RealLifeProfile::kDarpa, 1 << 18, 201, exemplars);
+  const auto want = stream_matches(*dense, tr);
+  EXPECT_GT(want.first.size(), 0u);
+  EXPECT_EQ(stream_matches(*loaded, tr), want);
+  EXPECT_EQ(stream_matches(*built3, tr), want);
 }
 
 TEST(Serialize, DeltaStompCorpusEveryMutationLoadsAsNullopt) {
@@ -698,8 +748,10 @@ TEST(Serialize, LoadsLegacyDeltaV3Artifact) {
   const auto rules_loaded = rules::parse_rules(rules::generate_ruleset({300, 42}));
   ASSERT_TRUE(rules_loaded.ok());
   const auto inputs = rules::to_pattern_inputs(rules_loaded.rules);
+  // The fixture was written when D2faOptions::root_depth defaulted to 2.
   BuildOptions del;
   del.delta = true;
+  del.d2fa.root_depth = 2;
   const auto fresh = build_mfa(inputs, del);
   ASSERT_TRUE(fresh.has_value());
   // A sampled match of every seventh rule, framed by header-like lines.
